@@ -1,0 +1,25 @@
+package main
+
+import (
+	"encoding/binary"
+	"strings"
+)
+
+// cpuid executes the CPUID instruction (cpuid_amd64.s).
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// cpuModel returns the processor brand string from CPUID leaves
+// 0x80000002–4, without reading any file.
+func cpuModel() string {
+	if maxExt, _, _, _ := cpuid(0x80000000, 0); maxExt < 0x80000004 {
+		return ""
+	}
+	var b []byte
+	for leaf := uint32(0x80000002); leaf <= 0x80000004; leaf++ {
+		a, bx, c, d := cpuid(leaf, 0)
+		for _, r := range []uint32{a, bx, c, d} {
+			b = binary.LittleEndian.AppendUint32(b, r)
+		}
+	}
+	return strings.TrimSpace(strings.TrimRight(string(b), "\x00"))
+}
