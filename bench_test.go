@@ -153,8 +153,9 @@ func BenchmarkSnapshotEEV(b *testing.B) {
 	}
 }
 
-// BenchmarkMEMD measures one Theorem-3 computation (MD build + dense
-// Dijkstra) at the paper's largest scale, 240 nodes.
+// BenchmarkMEMD measures one Theorem-3 computation (own row + indexed
+// heap Dijkstra) at the paper's largest scale, 240 nodes, on synthetic
+// link state; internal/core's BenchmarkMEMDCompute uses a real run's.
 func BenchmarkMEMD(b *testing.B) {
 	const n = 240
 	h := benchHistory(n, 20)

@@ -7,8 +7,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -21,41 +23,55 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command body: it parses args, writes the report to stdout and
+// diagnostics to stderr, and returns the exit status — 2 for usage errors
+// such as an unknown protocol or mobility model.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dtnsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		protocol = flag.String("protocol", "EER", "protocol: EER, CR, EBR, MaxProp, SprayAndWait, SprayAndFocus, Epidemic, Prophet, Direct, FirstContact, EER-fixedEV, EER-meanMD")
-		nodes    = flag.Int("nodes", 120, "number of nodes")
-		duration = flag.Float64("duration", 10000, "simulated seconds")
-		lambda   = flag.Int("lambda", 10, "initial replica quota λ")
-		alpha    = flag.Float64("alpha", 0.28, "EEV/ENEC horizon scale α")
-		ttl      = flag.Float64("ttl", 1200, "message TTL in seconds")
-		bufKB    = flag.Int("buffer", 1024, "buffer size in KB")
-		msgKB    = flag.Int("msgsize", 25, "message size in KB")
-		tick     = flag.Float64("tick", 0.25, "simulation tick in seconds")
-		seeds    = flag.Int("seeds", 1, "number of seeds to average")
-		seed     = flag.Int64("seed", 1, "base seed (used when -seeds 1)")
-		mobility = flag.String("mobility", "bus", "mobility model: bus, rwp or city")
-		shards   = flag.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 = serial; results identical)")
-		sparse   = flag.Bool("sparse", false, "force the sparse estimator core for EER/CR/MaxProp (auto at >= 1000 nodes; summaries identical)")
-		gossip   = flag.String("gossip", "", "estimator exchange metering for EER/CR/MaxProp: fresher (default), flood or delta (summaries identical except gossip volume)")
-		city     = flag.Bool("city", false, "start from the 10k-node CityScale preset instead of the paper defaults")
-		metro    = flag.Bool("metro", false, "start from the 100k-node MetroScale preset (auto shards, delta gossip) instead of the paper defaults")
-		timing   = flag.Bool("timing", false, "profile the engine and print a per-tick phase breakdown after the report (results stay bit-identical)")
-		verbose  = flag.Bool("v", false, "print per-seed summaries")
-		serve    = flag.String("serve", "", "instead of running one scenario, serve the dtnd simulation API on this address (e.g. :8080)")
-		cacheDir = flag.String("cache", "dtnd-cache", "result cache directory for -serve (empty disables)")
+		protocol = fs.String("protocol", "EER", "protocol: EER, CR, EBR, MaxProp, SprayAndWait, SprayAndFocus, Epidemic, Prophet, Direct, FirstContact, EER-fixedEV, EER-meanMD")
+		nodes    = fs.Int("nodes", 120, "number of nodes")
+		duration = fs.Float64("duration", 10000, "simulated seconds")
+		lambda   = fs.Int("lambda", 10, "initial replica quota λ")
+		alpha    = fs.Float64("alpha", 0.28, "EEV/ENEC horizon scale α")
+		ttl      = fs.Float64("ttl", 1200, "message TTL in seconds")
+		bufKB    = fs.Int("buffer", 1024, "buffer size in KB")
+		msgKB    = fs.Int("msgsize", 25, "message size in KB")
+		tick     = fs.Float64("tick", 0.25, "simulation tick in seconds")
+		seeds    = fs.Int("seeds", 1, "number of seeds to average")
+		seed     = fs.Int64("seed", 1, "base seed (used when -seeds 1)")
+		mobility = fs.String("mobility", "bus", "mobility model: bus, rwp or city")
+		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 = serial; results identical)")
+		sparse   = fs.Bool("sparse", false, "force the sparse estimator core for EER/CR/MaxProp (auto at >= 1000 nodes; summaries identical)")
+		gossip   = fs.String("gossip", "", "estimator exchange metering for EER/CR/MaxProp: fresher (default), flood or delta (summaries identical except gossip volume)")
+		city     = fs.Bool("city", false, "start from the 10k-node CityScale preset instead of the paper defaults")
+		metro    = fs.Bool("metro", false, "start from the 100k-node MetroScale preset (auto shards, delta gossip) instead of the paper defaults")
+		timing   = fs.Bool("timing", false, "profile the engine and print a per-tick phase breakdown after the report (results stay bit-identical)")
+		verbose  = fs.Bool("v", false, "print per-seed summaries")
+		serve    = fs.String("serve", "", "instead of running one scenario, serve the dtnd simulation API on this address (e.g. :8080)")
+		cacheDir = fs.String("cache", "dtnd-cache", "result cache directory for -serve (empty disables)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *serve != "" {
 		// Same daemon as cmd/dtnd: dtnsim -serve exists so a single
 		// installed binary covers both one-shot runs and the service.
 		// Scenario flags configure one-shot runs only — jobs arrive as
 		// specs — so flag them as ignored rather than silently dropping.
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "serve", "cache":
 			default:
-				fmt.Fprintf(os.Stderr, "dtnsim -serve: ignoring -%s (scenarios are submitted as specs)\n", f.Name)
+				fmt.Fprintf(stderr, "dtnsim -serve: ignoring -%s (scenarios are submitted as specs)\n", f.Name)
 			}
 		})
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -63,16 +79,16 @@ func main() {
 		go func() {
 			<-ctx.Done()
 			stop() // second signal force-exits
-			fmt.Fprintln(os.Stderr, "dtnsim -serve: draining (signal again to force exit)")
+			fmt.Fprintln(stderr, "dtnsim -serve: draining (signal again to force exit)")
 		}()
 		err := server.ListenAndServe(ctx, *serve, server.Config{CacheDir: *cacheDir}, func(bound string) {
-			fmt.Printf("dtnsim serving dtnd API on %s (cache %q)\n", bound, *cacheDir)
+			fmt.Fprintf(stdout, "dtnsim serving dtnd API on %s (cache %q)\n", bound, *cacheDir)
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtnsim -serve:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "dtnsim -serve:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	s := experiment.Default()
@@ -85,7 +101,7 @@ func main() {
 		s = experiment.MetroScale()
 	}
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	apply := func(name string, f func()) {
 		if set[name] || !preset {
 			f()
@@ -101,18 +117,17 @@ func main() {
 	apply("msgsize", func() { s.MsgSize = *msgKB * 1024 })
 	apply("tick", func() { s.Tick = *tick })
 	apply("mobility", func() { s.Mobility = *mobility })
-	apply("shards", func() {
-		n, err := experiment.ParseShards(*shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtnsim:", err)
-			os.Exit(2)
-		}
-		s.Shards = n
-	})
+	var shardsErr error
+	apply("shards", func() { s.Shards, shardsErr = experiment.ParseShards(*shards) })
 	apply("gossip", func() { s.Gossip = *gossip })
 	apply("sparse", func() { s.SparseEstimators = *sparse })
 	s.Seed = *seed
 	s.Profile = *timing
+	// Reject unknown names here: the engine panics on them mid-build.
+	if err := errors.Join(shardsErr, experiment.CheckProtocol(s.Protocol), experiment.CheckMobility(s.Mobility)); err != nil {
+		fmt.Fprintln(stderr, "dtnsim:", err)
+		return 2
+	}
 
 	start := time.Now()
 	var sums []metrics.Summary
@@ -125,37 +140,38 @@ func main() {
 
 	if *verbose {
 		for i, sum := range sums {
-			fmt.Printf("seed %d: %s\n", i+1, sum)
+			fmt.Fprintf(stdout, "seed %d: %s\n", i+1, sum)
 		}
 	}
 	mean := metrics.Mean(sums)
-	fmt.Printf("protocol=%s nodes=%d duration=%.0fs lambda=%d alpha=%.2f seeds=%d\n",
+	fmt.Fprintf(stdout, "protocol=%s nodes=%d duration=%.0fs lambda=%d alpha=%.2f seeds=%d\n",
 		s.Protocol, s.Nodes, s.Duration, s.Lambda, s.Alpha, len(sums))
-	fmt.Println(strings.Repeat("-", 64))
-	fmt.Printf("delivery ratio   %.3f\n", mean.DeliveryRatio)
-	fmt.Printf("avg latency      %.1f s (median %.1f s)\n", mean.AvgLatency, mean.MedianLatency)
-	fmt.Printf("goodput          %.4f\n", mean.Goodput)
-	fmt.Printf("overhead ratio   %.2f\n", mean.OverheadRatio)
-	fmt.Printf("avg hops         %.2f\n", mean.AvgHops)
-	fmt.Printf("generated        %d\n", mean.Generated)
-	fmt.Printf("delivered        %d\n", mean.Delivered)
-	fmt.Printf("relays           %d\n", mean.Relays)
-	fmt.Printf("drops            %d  aborts %d  expiries %d\n", mean.Drops, mean.Aborts, mean.Expired)
-	fmt.Printf("contacts         %d\n", mean.Contacts)
-	fmt.Printf("gossip           %d rows / %d entries / %.1f KB\n",
+	fmt.Fprintln(stdout, strings.Repeat("-", 64))
+	fmt.Fprintf(stdout, "delivery ratio   %.3f\n", mean.DeliveryRatio)
+	fmt.Fprintf(stdout, "avg latency      %.1f s (median %.1f s)\n", mean.AvgLatency, mean.MedianLatency)
+	fmt.Fprintf(stdout, "goodput          %.4f\n", mean.Goodput)
+	fmt.Fprintf(stdout, "overhead ratio   %.2f\n", mean.OverheadRatio)
+	fmt.Fprintf(stdout, "avg hops         %.2f\n", mean.AvgHops)
+	fmt.Fprintf(stdout, "generated        %d\n", mean.Generated)
+	fmt.Fprintf(stdout, "delivered        %d\n", mean.Delivered)
+	fmt.Fprintf(stdout, "relays           %d\n", mean.Relays)
+	fmt.Fprintf(stdout, "drops            %d  aborts %d  expiries %d\n", mean.Drops, mean.Aborts, mean.Expired)
+	fmt.Fprintf(stdout, "contacts         %d\n", mean.Contacts)
+	fmt.Fprintf(stdout, "gossip           %d rows / %d entries / %.1f KB\n",
 		mean.GossipRows, mean.GossipEntries, float64(mean.GossipBytes)/1024)
 	if mean.GossipDigestBytes > 0 {
-		fmt.Printf("  digest volume  %.1f KB (included above)\n", float64(mean.GossipDigestBytes)/1024)
+		fmt.Fprintf(stdout, "  digest volume  %.1f KB (included above)\n", float64(mean.GossipDigestBytes)/1024)
 	}
-	fmt.Printf("wall time        %s\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "wall time        %s\n", elapsed.Round(time.Millisecond))
 	if *timing {
 		// Mean folds the per-seed timing blocks into one (sums, not means),
 		// so this is the whole run's engine-phase breakdown.
-		fmt.Println(strings.Repeat("-", 64))
-		mean.Timing.Report(os.Stdout)
+		fmt.Fprintln(stdout, strings.Repeat("-", 64))
+		mean.Timing.Report(stdout)
 	}
 	if mean.Generated == 0 {
-		fmt.Fprintln(os.Stderr, "warning: no messages generated")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "warning: no messages generated")
+		return 1
 	}
+	return 0
 }

@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"runtime"
@@ -29,34 +31,53 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command body: it parses args, writes the tables to stdout and
+// log lines to stderr, and returns the exit status — 2 for usage errors
+// such as an unknown protocol.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		param    = flag.String("param", "alpha", "parameter to sweep: alpha, ttl, buffer, window, lambda")
-		protocol = flag.String("protocol", "EER", "protocol under test")
-		nodes    = flag.Int("nodes", 120, "node count")
-		seeds    = flag.Int("seeds", 3, "seeds per point")
-		duration = flag.Float64("duration", 6000, "simulated seconds")
-		workers  = flag.Int("workers", 0, "cap simulation workers (0 = all cores)")
-		shards   = flag.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 = serial; summaries identical)")
-		sparse   = flag.Bool("sparse", false, "force the sparse estimator core (auto at >= 1000 nodes; summaries identical)")
-		cache    = flag.String("cache", "", "content-addressed result cache directory shared with dtnd (empty disables)")
-		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		param    = fs.String("param", "alpha", "parameter to sweep: alpha, ttl, buffer, window, lambda")
+		protocol = fs.String("protocol", "EER", "protocol under test")
+		nodes    = fs.Int("nodes", 120, "node count")
+		seeds    = fs.Int("seeds", 3, "seeds per point")
+		duration = fs.Float64("duration", 6000, "simulated seconds")
+		workers  = fs.Int("workers", 0, "cap simulation workers (0 = all cores)")
+		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 = serial; summaries identical)")
+		sparse   = fs.Bool("sparse", false, "force the sparse estimator core (auto at >= 1000 nodes; summaries identical)")
+		cache    = fs.String("cache", "", "content-addressed result cache directory shared with dtnd (empty disables)")
+		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: bad -log-level %q: %v\n", *logLevel, err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "sweep: bad -log-level %q: %v\n", *logLevel, err)
+		return 2
 	}
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
+	// Reject an unknown protocol before any cell runs.
+	if err := experiment.CheckProtocol(experiment.Protocol(*protocol)); err != nil {
+		log.Error("bad -protocol", "err", err)
+		return 2
+	}
 
 	shardCount, err := experiment.ParseShards(*shards)
 	if err != nil {
 		log.Error("bad -shards", "err", err)
-		os.Exit(2)
+		return 2
 	}
 	base := experiment.ScenarioSpec{
 		Protocol:         experiment.Ptr(*protocol),
@@ -101,7 +122,7 @@ func main() {
 		label = "lambda"
 	default:
 		log.Error("unknown parameter", "param", *param)
-		os.Exit(2)
+		return 2
 	}
 
 	var store *resultcache.Store
@@ -109,7 +130,7 @@ func main() {
 		st, err := resultcache.Open(*cache, 0)
 		if err != nil {
 			log.Error("open cache", "dir", *cache, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		store = st
 	}
@@ -120,7 +141,7 @@ func main() {
 	results, err := experiment.RunSweep(context.Background(), sw, store)
 	if err != nil && results == nil {
 		log.Error("sweep failed", "param", *param, "err", err)
-		os.Exit(1)
+		return 1
 	}
 	if err != nil {
 		log.Warn("cache write failed; results are complete", "err", err)
@@ -145,7 +166,8 @@ func main() {
 
 	title := fmt.Sprintf("Sweep %s (%s, n=%d)", label, *protocol, *nodes)
 	for _, m := range experiment.PaperMetrics {
-		experiment.RenderTable(os.Stdout, title, label, []experiment.Series{se}, m)
+		experiment.RenderTable(stdout, title, label, []experiment.Series{se}, m)
 	}
-	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Second))
+	fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Second))
+	return 0
 }

@@ -166,10 +166,18 @@ func Sync(a, b MeetingStore) ExchangeStats {
 //
 // The same type serves the full network (EER) and a single community
 // (CR's intra-community MI) — the latter simply covers fewer ids.
+//
+// Each row also carries a neighbour index (RowIndex): the local columns of
+// its known (finite, off-diagonal) entries. Figure-scale MI rows are
+// mostly Unknown — a few known entries out of hundreds — so the MEMD
+// Dijkstra, the exchange metering and row copies walk the index instead of
+// the full row. Invariant: every off-diagonal entry outside the index is
+// Unknown and the diagonal is 0.
 type MeetingMatrix struct {
 	ids     []int       // global node ids covered, ascending
-	idx     map[int]int // global id -> local index
+	idx     map[int]int // global id -> local index; nil when ids are 0..n-1
 	rows    [][]float64 // rows[i][j] = I(ids[i], ids[j]); Unknown if none
+	nbrs    RowIndex    // row i: the j != i with rows[i][j] finite
 	updated []float64   // last update time per row; -1 = never
 
 	// Delta-gossip bookkeeping (see exchange.go): version counts local
@@ -183,24 +191,35 @@ type MeetingMatrix struct {
 }
 
 // NewMeetingMatrix returns an all-Unknown matrix over the given global node
-// ids. The id list is copied; it must contain no duplicates.
+// ids. The id list is copied; it must contain no duplicates. A matrix over
+// exactly 0..n-1 (EER's) maps ids to local indices by identity and keeps
+// no id map: at figure scale the per-node maps cost as much memory as the
+// neighbour indexes.
 func NewMeetingMatrix(ids []int) *MeetingMatrix {
 	m := &MeetingMatrix{
 		ids:     append([]int(nil), ids...),
-		idx:     make(map[int]int, len(ids)),
 		rows:    make([][]float64, len(ids)),
+		nbrs:    NewRowIndex(len(ids)),
 		updated: make([]float64, len(ids)),
 		rowVer:  make([]uint64, len(ids)),
+	}
+	for i, id := range m.ids {
+		if id != i {
+			m.idx = make(map[int]int, len(ids))
+			break
+		}
 	}
 	flat := make([]float64, len(ids)*len(ids))
 	for i := range flat {
 		flat[i] = Unknown
 	}
 	for i, id := range m.ids {
-		if _, dup := m.idx[id]; dup {
-			panic(fmt.Sprintf("core: duplicate id %d in meeting matrix", id))
+		if m.idx != nil {
+			if _, dup := m.idx[id]; dup {
+				panic(fmt.Sprintf("core: duplicate id %d in meeting matrix", id))
+			}
+			m.idx[id] = i
 		}
-		m.idx[id] = i
 		m.rows[i], flat = flat[:len(ids)], flat[len(ids):]
 		m.rows[i][i] = 0
 		m.updated[i] = -1
@@ -226,21 +245,24 @@ func (m *MeetingMatrix) IDs() []int { return m.ids }
 // Index returns the local index of global node id. ok is false when the
 // matrix does not cover id.
 func (m *MeetingMatrix) Index(id int) (int, bool) {
+	if m.idx == nil {
+		return id, id >= 0 && id < len(m.ids)
+	}
 	i, ok := m.idx[id]
 	return i, ok
 }
 
 // Covers reports whether the matrix includes global node id.
 func (m *MeetingMatrix) Covers(id int) bool {
-	_, ok := m.idx[id]
+	_, ok := m.Index(id)
 	return ok
 }
 
 // Interval returns the published average meeting interval between global
 // nodes a and b, or Unknown if absent or uncovered.
 func (m *MeetingMatrix) Interval(a, b int) float64 {
-	i, ok1 := m.idx[a]
-	j, ok2 := m.idx[b]
+	i, ok1 := m.Index(a)
+	j, ok2 := m.Index(b)
 	if !ok1 || !ok2 {
 		return Unknown
 	}
@@ -250,7 +272,7 @@ func (m *MeetingMatrix) Interval(a, b int) float64 {
 // RowUpdated returns the timestamp of the last update of global node id's
 // row, or -1 if it was never set (or id is uncovered).
 func (m *MeetingMatrix) RowUpdated(id int) float64 {
-	i, ok := m.idx[id]
+	i, ok := m.Index(id)
 	if !ok {
 		return -1
 	}
@@ -261,11 +283,12 @@ func (m *MeetingMatrix) RowUpdated(id int) float64 {
 // history at time t. Only peers covered by the matrix are read, so a
 // community-scoped matrix stores only intra-community averages.
 func (m *MeetingMatrix) UpdateOwnRow(self int, t float64, h *History) {
-	i, ok := m.idx[self]
+	i, ok := m.Index(self)
 	if !ok {
 		panic(fmt.Sprintf("core: node %d not covered by meeting matrix", self))
 	}
 	row := m.rows[i]
+	m.nbrs.ClearRow(i)
 	for j, id := range m.ids {
 		if id == self {
 			row[j] = 0
@@ -273,6 +296,9 @@ func (m *MeetingMatrix) UpdateOwnRow(self int, t float64, h *History) {
 		}
 		if mean, got := h.MeanInterval(id); got {
 			row[j] = mean
+			if !math.IsInf(mean, 1) {
+				m.nbrs.Set(i, j)
+			}
 		} else {
 			row[j] = Unknown
 		}
@@ -286,18 +312,13 @@ func (m *MeetingMatrix) UpdateOwnRow(self int, t float64, h *History) {
 // owner's row, ascending by peer id (the id list is ascending by
 // construction).
 func (m *MeetingMatrix) ForEachKnown(owner int, f func(peer int, interval float64)) {
-	i, ok := m.idx[owner]
+	i, ok := m.Index(owner)
 	if !ok {
 		return
 	}
 	row := m.rows[i]
-	for j, id := range m.ids {
-		if j == i {
-			continue
-		}
-		if v := row[j]; !math.IsInf(v, 1) {
-			f(id, v)
-		}
+	for j := range m.nbrs.Cols(i) {
+		f(m.ids[j], row[j])
 	}
 }
 
@@ -315,26 +336,35 @@ func (m *MeetingMatrix) Merge(other *MeetingMatrix) ExchangeStats {
 			panic("core: merging meeting matrices over different node sets")
 		}
 		if other.updated[i] > m.updated[i] {
-			copy(m.rows[i], other.rows[i])
-			m.updated[i] = other.updated[i]
-			m.version++
-			m.rowVer[i] = m.version
-			st.AddRow(knownEntries(m.rows[i], i))
+			m.copyRow(other, i)
+			st.AddRow(m.nbrs.Len(i))
 		}
 	}
 	return st
 }
 
-// knownEntries counts the finite off-diagonal entries of row i — exactly
-// the entries ForEachKnown visits, and exactly what a sparse row stores.
-func knownEntries(row []float64, i int) int {
-	n := 0
-	for j, v := range row {
-		if j != i && !math.IsInf(v, 1) {
-			n++
-		}
+// copyRow overwrites row i and its freshness with other's, stamping a local
+// mutation. The index length is the row's known-entry count — exactly what
+// ForEachKnown visits and a sparse row stores, hence the exchange metering.
+func (m *MeetingMatrix) copyRow(other *MeetingMatrix, i int) {
+	m.setRow(i, other)
+	m.updated[i] = other.updated[i]
+	m.version++
+	m.rowVer[i] = m.version
+}
+
+// setRow replaces row i's known entries and index with other's. By the
+// Unknown-outside-the-index invariant only the old and the new indexed
+// entries need writing, not the whole row.
+func (m *MeetingMatrix) setRow(i int, other *MeetingMatrix) {
+	row, src := m.rows[i], other.rows[i]
+	for j := range m.nbrs.Cols(i) {
+		row[j] = Unknown
 	}
-	return n
+	for j := range other.nbrs.Cols(i) {
+		row[j] = src[j]
+	}
+	m.nbrs.CopyRow(i, other.nbrs)
 }
 
 // SyncPair merges a and b into the identical MI required by Algorithm 1
@@ -361,7 +391,7 @@ func (m *MeetingMatrix) KnownRows() int {
 func (m *MeetingMatrix) Clone() *MeetingMatrix {
 	c := NewMeetingMatrix(m.ids)
 	for i := range m.rows {
-		copy(c.rows[i], m.rows[i])
+		c.setRow(i, m)
 	}
 	copy(c.updated, m.updated)
 	copy(c.rowVer, m.rowVer)

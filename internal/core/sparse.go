@@ -400,12 +400,6 @@ func SyncSparse(a, b *SparseMeetingStore) ExchangeStats {
 	return st
 }
 
-// dijItem is a pending (distance, vertex) heap entry.
-type dijItem struct {
-	d  float64
-	id int32
-}
-
 // SparseDijkstra runs heap-based Dijkstra over an implicit sparse graph
 // given by an edge callback, with reusable scratch: the distance map and
 // the heap persist across runs so steady-state computations allocate only
@@ -413,7 +407,7 @@ type dijItem struct {
 // contact graph — never by the network size.
 type SparseDijkstra struct {
 	dist map[int]float64
-	heap []dijItem
+	heap dijHeap
 }
 
 // NewSparseDijkstra returns a calculator with empty scratch.
@@ -432,7 +426,7 @@ func (d *SparseDijkstra) Run(src int, edges func(u int, relax func(v int, w floa
 	clear(d.dist)
 	d.heap = d.heap[:0]
 	d.dist[src] = 0
-	d.push(dijItem{d: 0, id: int32(src)})
+	d.heap.push(dijItem{d: 0, id: int32(src)})
 	base := 0.0
 	relax := func(v int, w float64) {
 		if w <= 0 || math.IsInf(w, 1) {
@@ -441,11 +435,11 @@ func (d *SparseDijkstra) Run(src int, edges func(u int, relax func(v int, w floa
 		nd := base + w
 		if cur, ok := d.dist[v]; !ok || nd < cur {
 			d.dist[v] = nd
-			d.push(dijItem{d: nd, id: int32(v)})
+			d.heap.push(dijItem{d: nd, id: int32(v)})
 		}
 	}
 	for len(d.heap) > 0 {
-		it := d.pop()
+		it := d.heap.pop()
 		if it.d > d.dist[int(it.id)] {
 			continue // stale entry; the vertex settled at a smaller distance
 		}
@@ -468,49 +462,6 @@ func (d *SparseDijkstra) ForEachReached(f func(v int, dist float64)) {
 	for v, dist := range d.dist {
 		f(v, dist)
 	}
-}
-
-// push inserts an item, maintaining the (distance, id) min-heap order.
-func (d *SparseDijkstra) push(it dijItem) {
-	d.heap = append(d.heap, it)
-	i := len(d.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !dijLess(d.heap[i], d.heap[p]) {
-			break
-		}
-		d.heap[i], d.heap[p] = d.heap[p], d.heap[i]
-		i = p
-	}
-}
-
-// pop removes and returns the minimum item.
-func (d *SparseDijkstra) pop() dijItem {
-	top := d.heap[0]
-	n := len(d.heap) - 1
-	d.heap[0] = d.heap[n]
-	d.heap = d.heap[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && dijLess(d.heap[l], d.heap[small]) {
-			small = l
-		}
-		if r < n && dijLess(d.heap[r], d.heap[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		d.heap[i], d.heap[small] = d.heap[small], d.heap[i]
-		i = small
-	}
-	return top
-}
-
-func dijLess(a, b dijItem) bool {
-	return a.d < b.d || (a.d == b.d && a.id < b.id)
 }
 
 // SparseMEMD computes minimum expected meeting delays (Theorem 3) over the

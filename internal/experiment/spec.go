@@ -436,16 +436,33 @@ const (
 	maxShards = 256        // per-shard scratch is allocated eagerly; beyond cores it only slows ticks
 )
 
+// CheckProtocol reports whether p names a registered protocol — the check
+// spec validation applies, for CLIs to run on their flags up front.
+func CheckProtocol(p Protocol) error {
+	if _, ok := routerFactories[p]; !ok {
+		return fmt.Errorf("unknown protocol %q", p)
+	}
+	return nil
+}
+
+// CheckMobility reports whether m names a mobility model ("" selects the
+// default), as spec validation does.
+func CheckMobility(m string) error {
+	switch m {
+	case "", "bus", "rwp", "city":
+		return nil
+	}
+	return fmt.Errorf("unknown mobility model %q (have bus, rwp, city)", m)
+}
+
 // validateScenario rejects resolved scenarios the engine would panic on or
 // silently misbehave with, and scenarios beyond the service ceilings.
 func validateScenario(s Scenario) error {
-	if _, ok := routerFactories[s.Protocol]; !ok {
-		return fmt.Errorf("unknown protocol %q", s.Protocol)
+	if err := CheckProtocol(s.Protocol); err != nil {
+		return err
 	}
-	switch s.Mobility {
-	case "", "bus", "rwp", "city":
-	default:
-		return fmt.Errorf("unknown mobility model %q (have bus, rwp, city)", s.Mobility)
+	if err := CheckMobility(s.Mobility); err != nil {
+		return err
 	}
 	if s.Nodes < 2 {
 		return fmt.Errorf("need at least two nodes, got %d", s.Nodes)

@@ -37,13 +37,40 @@ func DefaultCRConfig(lambda int) CRConfig {
 }
 
 // crShared is per-world state shared by all CR routers: the community
-// registry and one MEMD scratch per community size (dense mode) or one
-// size-independent sparse calculator.
+// registry, one MEMD scratch per community size (dense mode) or one
+// size-independent sparse calculator, and a freelist of per-contact state
+// (as EER's), so contacts stop allocating their delay and decision
+// storage.
 type crShared struct {
 	reg    *community.Registry
 	memd   map[int]*core.MEMD    // keyed by community size; dense mode only
 	smemd  *core.SparseMEMD      // sparse mode only
 	scopes map[int]core.ScopeSet // keyed by community id; sparse mode only
+
+	ctPool []*crContact
+}
+
+func (s *crShared) getContact(t0 float64) *crContact {
+	if n := len(s.ctPool); n > 0 {
+		st := s.ctPool[n-1]
+		s.ctPool = s.ctPool[:n-1]
+		st.t0 = t0
+		st.snap = nil
+		st.memd = nil
+		st.memdDone = false
+		clear(st.memdMap)
+		clear(st.decided)
+		return st
+	}
+	return &crContact{t0: t0, decided: make(map[int]crDecision), pooled: true}
+}
+
+// putContact recycles a contact; decide's fallback contacts are left to
+// the garbage collector.
+func (s *crShared) putContact(st *crContact) {
+	if st.pooled {
+		s.ctPool = append(s.ctPool, st)
+	}
 }
 
 // scopeFor returns the shared member-id set of community c, built on first
@@ -87,10 +114,17 @@ type CR struct {
 
 // crContact caches per-contact estimator state at meeting time.
 type crContact struct {
-	t0      float64
-	snap    *core.EEVSnapshot
-	memd    map[int]float64 // intra-community MEMD by destination id
-	decided map[int]crDecision
+	t0   float64
+	snap *core.EEVSnapshot
+	// Dense mode: intra-community MEMD by MI-local index; nil until built.
+	memd    []float64
+	memdBuf []float64 // retained backing array for memd across recycling
+	// Sparse mode: delays for reached destinations only (absent = +Inf);
+	// the map is retained and cleared across recycling.
+	memdMap  map[int]float64
+	memdDone bool
+	decided  map[int]crDecision
+	pooled   bool // came from the shared freelist; recycled on contact down
 }
 
 // crDecision is the meeting-time decision for one message.
@@ -166,13 +200,16 @@ func (r *CR) ContactUp(t float64, peer *network.Node) {
 		st := core.SyncMode(r.intraMI, pr.intraMI, r.Self.ID, peer.ID, r.cfg.Gossip)
 		r.World.Metrics.EstimatorExchanged(st.Rows, st.Entries, st.Bytes, st.DigestBytes)
 	}
-	r.contacts[peer.ID] = &crContact{t0: t, decided: make(map[int]crDecision)}
+	r.contacts[peer.ID] = r.shared.getContact(t)
 }
 
 // ContactDown implements network.Router.
 func (r *CR) ContactDown(t float64, peer *network.Node) {
 	r.Base.ContactDown(t, peer)
-	delete(r.contacts, peer.ID)
+	if st := r.contacts[peer.ID]; st != nil {
+		r.shared.putContact(st)
+		delete(r.contacts, peer.ID)
+	}
 }
 
 func (r *CR) snapshot(st *crContact) *core.EEVSnapshot {
@@ -183,32 +220,36 @@ func (r *CR) snapshot(st *crContact) *core.EEVSnapshot {
 }
 
 // intraMEMD returns the intra-community MEMD' to dst at the contact's
-// meeting time. Both storage modes cache per-contact delay maps keyed by
-// destination id; unreached or uncovered destinations read +Inf either
-// way (the dense map stores +Inf explicitly, the sparse map omits them).
+// meeting time. The dense mode caches the distance vector by MI-local
+// index, the sparse mode a map of reached destinations; unreached or
+// uncovered destinations read +Inf either way.
 func (r *CR) intraMEMD(st *crContact, dst int) float64 {
-	if st.memd == nil {
-		if r.cfg.SparseEstimators {
+	if r.cfg.SparseEstimators {
+		if !st.memdDone {
 			calc := r.shared.smemd
 			calc.Compute(r.Self.ID, st.t0, r.hist, r.intraMI)
-			st.memd = make(map[int]float64)
-			calc.ForEachReached(func(id int, d float64) { st.memd[id] = d })
-		} else {
-			mi := r.intraMI.(*core.MeetingMatrix)
-			calc := r.shared.memdFor(mi.Size())
-			calc.Compute(r.Self.ID, st.t0, r.hist, mi)
-			st.memd = make(map[int]float64, mi.Size())
-			dists := calc.Distances()
-			for i, id := range mi.IDs() {
-				st.memd[id] = dists[i]
+			if st.memdMap == nil {
+				st.memdMap = make(map[int]float64)
 			}
+			calc.ForEachReached(func(id int, d float64) { st.memdMap[id] = d })
+			st.memdDone = true
 		}
-	}
-	d, ok := st.memd[dst]
-	if !ok {
+		if d, ok := st.memdMap[dst]; ok {
+			return d
+		}
 		return math.Inf(1)
 	}
-	return d
+	mi := r.intraMI.(*core.MeetingMatrix)
+	if st.memd == nil {
+		calc := r.shared.memdFor(mi.Size())
+		calc.Compute(r.Self.ID, st.t0, r.hist, mi)
+		st.memd = append(st.memdBuf[:0], calc.Distances()...)
+		st.memdBuf = st.memd
+	}
+	if j, ok := mi.Index(dst); ok {
+		return st.memd[j]
+	}
+	return math.Inf(1)
 }
 
 func (r *CR) horizon(m *msg.Message, t float64) float64 {

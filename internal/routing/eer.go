@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/msg"
 	"repro/internal/network"
 )
@@ -56,12 +55,13 @@ func DefaultEERConfig(lambda int) EERConfig {
 }
 
 // eerShared is per-world state shared by all EER routers: the MEMD scratch
-// (the MD of Theorem 3 is transient, so one buffer serves every node on
-// the single simulation goroutine — an O(n²) dense matrix at figure scale,
-// a bounded-heap sparse calculator at city scale), plus freelists of
-// per-contact state. Contacts are constant churn — every one allocated a
-// snapshot, a decision map and a MEMD vector — so recycling them removes
-// the router layer's steady-state allocations entirely.
+// (the MD of Theorem 3 is transient, so one calculator serves every node
+// on the single simulation goroutine — an indexed heap Dijkstra over O(n)
+// dense scratch at figure scale, a bounded-heap sparse calculator at city
+// scale), plus freelists of per-contact state. Contacts are constant
+// churn — every one allocated a snapshot, a decision map and a MEMD
+// vector — so recycling them removes the router layer's steady-state
+// allocations entirely.
 type eerShared struct {
 	memd  *core.MEMD       // dense scratch; nil in sparse mode
 	smemd *core.SparseMEMD // sparse scratch; nil in dense mode
@@ -241,13 +241,14 @@ func (r *EER) memdTo(st *eerContact, dst int) float64 {
 		return r.sparseMEMDTo(st, dst)
 	}
 	if st.memd == nil {
+		calc, mi := r.shared.memd, r.mi.(*core.MeetingMatrix)
 		if r.cfg.MeanIntervalMD {
-			r.computeMeanIntervalMD(st)
+			calc.ComputeStoreOnly(r.Self.ID, mi)
 		} else {
-			r.shared.memd.Compute(r.Self.ID, st.t0, r.hist, r.mi.(*core.MeetingMatrix))
-			st.memd = append(st.memdBuf[:0], r.shared.memd.Distances()...)
-			st.memdBuf = st.memd
+			calc.Compute(r.Self.ID, st.t0, r.hist, mi)
 		}
+		st.memd = append(st.memdBuf[:0], calc.Distances()...)
+		st.memdBuf = st.memd
 	}
 	return st.memd[dst]
 }
@@ -273,26 +274,6 @@ func (r *EER) sparseMEMDTo(st *eerContact, dst int) float64 {
 		return d
 	}
 	return math.Inf(1)
-}
-
-// computeMeanIntervalMD is the A2 ablation: the own row uses plain mean
-// intervals (MEED) instead of elapsed-conditioned EMDs. It reuses the
-// shared scratch by temporarily overriding the history row via a throwaway
-// matrix row — implemented by building the MD entirely from MI, i.e. the
-// own MI row already holds mean intervals.
-func (r *EER) computeMeanIntervalMD(st *eerContact) {
-	n := r.World.N()
-	w := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, n)
-		for j := 0; j < n; j++ {
-			row[j] = r.mi.Interval(i, j)
-		}
-		w[i] = row
-	}
-	dist := make([]float64, n)
-	graph.DenseDijkstra(w, r.Self.ID, dist)
-	st.memd = dist
 }
 
 // horizon returns the EEV horizon for message m decided at time t.

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/msg"
 	"repro/internal/network"
 )
@@ -25,7 +24,10 @@ import (
 // (core.SparseRows) at city scale, with bit-identical routing decisions —
 // normalisation sums and divisions visit entries in ascending id order in
 // both modes, and the path costs come from Dijkstras whose distances are
-// storage-independent.
+// storage-independent. Dense rows carry a neighbour index of their
+// positive columns, like core.MeetingMatrix, so normalisation, row copies,
+// metering and the cost Dijkstra walk the few positive entries instead of
+// all n.
 type MaxProp struct {
 	Base
 	// HopThreshold gives messages with fewer hops transmission priority
@@ -45,10 +47,11 @@ type MaxProp struct {
 	Gossip core.ExchangeMode
 
 	// Dense storage (nil in sparse mode).
-	probs   [][]float64 // probs[u][v]: u's meeting probability for v
-	updated []float64   // freshness per row; -1 = never
-	cost    []float64   // cached path cost to every node
-	scratch *maxPropShared
+	probs   [][]float64   // probs[u][v]: u's meeting probability for v
+	nbrs    core.RowIndex // row u: the v with probs[u][v] > 0
+	updated []float64     // freshness per row; -1 = never
+	cost    []float64     // cached path cost to every node
+	kern    *core.IndexDijkstra
 	// Dense delta-gossip bookkeeping, mirroring core.MeetingMatrix's:
 	// version counts local row mutations, rowVer stamps rows with their
 	// last mutation, seen records the version at the end of the last delta
@@ -64,17 +67,12 @@ type MaxProp struct {
 	costValid bool
 }
 
-type maxPropShared struct {
-	w    [][]float64
-	dist []float64
-}
-
 // NewMaxProp returns a MaxProp router; use MaxPropFactory so dense routers
 // share scratch.
 func NewMaxProp() *MaxProp { return &MaxProp{HopThreshold: 7} }
 
 // MaxPropFactory returns a constructor producing MaxProp routers for n
-// nodes: dense routers sharing one Dijkstra scratch, or self-contained
+// nodes: dense routers sharing one cost-Dijkstra kernel, or self-contained
 // sparse routers whose state grows with observed peers only (optionally
 // capped at maxRows rows each). gossip selects the exchange metering.
 func MaxPropFactory(n int, sparse bool, maxRows int, gossip core.ExchangeMode) func() network.Router {
@@ -87,23 +85,13 @@ func MaxPropFactory(n int, sparse bool, maxRows int, gossip core.ExchangeMode) f
 			return r
 		}
 	}
-	shared := newMaxPropShared(n)
+	kern := core.NewIndexDijkstra(n)
 	return func() network.Router {
 		r := NewMaxProp()
-		r.scratch = shared
+		r.kern = kern
 		r.Gossip = gossip
 		return r
 	}
-}
-
-func newMaxPropShared(n int) *maxPropShared {
-	shared := &maxPropShared{dist: make([]float64, n)}
-	shared.w = make([][]float64, n)
-	flat := make([]float64, n*n)
-	for i := range shared.w {
-		shared.w[i], flat = flat[:n], flat[n:]
-	}
-	return shared
 }
 
 // Init implements network.Router.
@@ -122,14 +110,15 @@ func (r *MaxProp) Init(self *network.Node, w *network.World) {
 		for i := range r.probs {
 			r.probs[i], flat = flat[:n], flat[n:]
 		}
+		r.nbrs = core.NewRowIndex(n)
 		r.updated = make([]float64, n)
 		for i := range r.updated {
 			r.updated[i] = -1
 		}
 		r.rowVer = make([]uint64, n)
 		r.cost = make([]float64, n)
-		if r.scratch == nil {
-			r.scratch = newMaxPropShared(n)
+		if r.kern == nil {
+			r.kern = core.NewIndexDijkstra(n)
 		}
 	}
 	// MaxProp's drop order: prefer evicting high-cost (unlikely to be
@@ -187,12 +176,18 @@ func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
 	self := r.Self.ID
 	own := r.probs[self]
 	own[peer.ID]++
+	r.nbrs.Set(self, peer.ID)
+	// Sum and divide over the positive entries, ascending: the full-row
+	// scan's zero entries are exact no-ops in both. An entry that
+	// underflows to zero leaves the index.
 	sum := 0.0
-	for _, p := range own {
-		sum += p
+	for v := range r.nbrs.Cols(self) {
+		sum += own[v]
 	}
-	for i := range own {
-		own[i] /= sum
+	for v := range r.nbrs.Cols(self) {
+		if own[v] /= sum; own[v] == 0 {
+			r.nbrs.Clear(self, v)
+		}
 	}
 	r.updated[self] = t
 	r.version++
@@ -225,21 +220,21 @@ func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
 			if r.Gossip == core.ExchangeDelta && pr.rowVer[i] <= bSeen {
 				continue
 			}
-			copy(r.probs[i], pr.probs[i])
+			r.copyRow(pr, i)
 			r.updated[i] = pr.updated[i]
 			r.version++
 			r.rowVer[i] = r.version
-			moved.AddRow(positiveEntries(r.probs[i]))
+			moved.AddRow(r.nbrs.Len(i))
 		} else if r.updated[i] > pr.updated[i] {
 			if r.Gossip == core.ExchangeDelta && r.rowVer[i] <= aSeen {
 				continue
 			}
-			copy(pr.probs[i], r.probs[i])
+			pr.copyRow(r, i)
 			pr.updated[i] = r.updated[i]
 			pr.version++
 			pr.rowVer[i] = pr.version
 			pr.costValid = false
-			moved.AddRow(positiveEntries(r.probs[i]))
+			moved.AddRow(r.nbrs.Len(i))
 		}
 	}
 	switch r.Gossip {
@@ -280,22 +275,25 @@ func (r *MaxProp) floodVolume() core.ExchangeStats {
 	var st core.ExchangeStats
 	for i, u := range r.updated {
 		if u >= 0 {
-			st.AddRow(positiveEntries(r.probs[i]))
+			st.AddRow(r.nbrs.Len(i))
 		}
 	}
 	return st
 }
 
-// positiveEntries counts the positive probabilities of a dense row — the
-// entries its sparse counterpart stores.
-func positiveEntries(row []float64) int {
-	n := 0
-	for _, p := range row {
-		if p > 0 {
-			n++
-		}
+// copyRow overwrites probability row i with o's. Entries outside a row's
+// index are zero, so only the old and the new indexed entries are written.
+// The index length is the row's positive-entry count — the entries its
+// sparse counterpart stores, hence the exchange metering.
+func (r *MaxProp) copyRow(o *MaxProp, i int) {
+	row, src := r.probs[i], o.probs[i]
+	for v := range r.nbrs.Cols(i) {
+		row[v] = 0
 	}
-	return n
+	for v := range o.nbrs.Cols(i) {
+		row[v] = src[v]
+	}
+	r.nbrs.CopyRow(i, o.nbrs)
 }
 
 // contactUpSparse mirrors contactUpDense over sparse rows. The own-row
@@ -347,29 +345,26 @@ func (r *MaxProp) refreshCost() {
 		r.costValid = true
 		return
 	}
-	n := len(r.probs)
-	w := r.scratch.w
-	for u := 0; u < n; u++ {
-		known := r.updated[u] >= 0
-		for v := 0; v < n; v++ {
-			if u == v || !known {
-				w[u][v] = math.Inf(1)
+	// Dense: the shared indexed heap kernel over the rows' positive
+	// entries, weighting each edge at relax time. A never-published row
+	// has an empty index, so it contributes no edges.
+	k := r.kern
+	u, base := r.Self.ID, 0.0
+	k.Reset(u)
+	for ok := true; ok; u, base, ok = k.Next() {
+		row := r.probs[u]
+		for v := range r.nbrs.Cols(u) {
+			if v == u {
 				continue
 			}
-			p := r.probs[u][v]
-			if p <= 0 {
-				w[u][v] = math.Inf(1)
-				continue
-			}
-			c := 1 - p
+			c := 1 - row[v]
 			if c < 1e-9 {
 				c = 1e-9
 			}
-			w[u][v] = c
+			k.Relax(v, base, c)
 		}
 	}
-	graph.DenseDijkstra(w, r.Self.ID, r.scratch.dist)
-	copy(r.cost, r.scratch.dist)
+	copy(r.cost, k.Dist())
 	r.costValid = true
 }
 
