@@ -1,0 +1,173 @@
+package experiment
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/resultcache"
+)
+
+// TestPlanProperties drives Plan over random cell lists — repeated keys,
+// pre-cached and stale (wrong seed count) entries, explicit trace values
+// and pre-recorded worlds — and checks the contract every consumer relies
+// on: one outcome per cell, units covering exactly the to-run cells, one
+// world per unit, and pre-recordings only for the groups Plan marked.
+func TestPlanProperties(t *testing.T) {
+	traces := []*string{nil, nil, nil, ptr("auto"), ptr("record"), ptr("replay"), ptr("")}
+	var seen struct{ cached, dups, shared, records int }
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		store := openStore(t)
+
+		pool := make([]SweepCell, 6)
+		for i := range pool {
+			sp := ScenarioSpec{
+				Preset:   "quick",
+				Protocol: ptr([]string{"EER", "CR", "SprayAndWait"}[rng.Intn(3)]),
+				Nodes:    ptr([]int{12, 16}[rng.Intn(2)]),
+				Seeds:    [][]int64{{1}, {1, 2}}[rng.Intn(2)],
+				Trace:    traces[rng.Intn(len(traces))],
+			}
+			key, err := sp.CacheKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool[i] = SweepCell{Spec: sp, Key: key}
+		}
+		cells := make([]SweepCell, 1+rng.Intn(10))
+		for i := range cells {
+			cells[i] = pool[rng.Intn(len(pool))]
+		}
+
+		cached := map[string]bool{}
+		for _, c := range pool {
+			switch rng.Intn(4) {
+			case 0: // intact entry
+				putPlanResult(t, store, c, len(c.Spec.SeedList()))
+				cached[c.Key] = true
+			case 1: // stale entry: wrong seed count, must be a miss
+				putPlanResult(t, store, c, len(c.Spec.SeedList())+1)
+				cached[c.Key] = false // pool specs differing only in trace share a key
+			}
+			if rng.Intn(3) == 0 { // pre-record this cell's world, every seed
+				s, err := c.Spec.Scenario()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, seed := range c.Spec.SeedList() {
+					s.Seed = seed
+					if err := store.PutTrace(TraceKey(s), []byte("DTNTRC1\n")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+
+		plan := Plan(cells, store)
+		if len(plan.Cells) != len(cells) {
+			t.Fatalf("trial %d: %d outcomes for %d cells", trial, len(plan.Cells), len(cells))
+		}
+		world := func(i int) string {
+			s, err := plan.Cells[i].Cell.Spec.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return traceGroupKey(s)
+		}
+		runKeys := map[string]int{}
+		runInWorld := map[string]int{} // to-run cells Plan was free to mark, per world
+		for i, pc := range plan.Cells {
+			outcomes := 0
+			if pc.Cached != nil {
+				seen.cached++
+				outcomes++
+				if !cached[pc.Cell.Key] || pc.Raw == nil {
+					t.Errorf("trial %d cell %d: served a missing or stale entry", trial, i)
+				}
+			}
+			if pc.DupOf >= 0 {
+				seen.dups++
+				outcomes++
+				if pc.DupOf >= i || !plan.Cells[pc.DupOf].ToRun() || cells[pc.DupOf].Key != pc.Cell.Key {
+					t.Errorf("trial %d cell %d: bad duplicate of %d", trial, i, pc.DupOf)
+				}
+			}
+			if pc.ToRun() {
+				outcomes++
+				if cached[pc.Cell.Key] {
+					t.Errorf("trial %d cell %d: cached key planned to run", trial, i)
+				}
+				if _, dup := runKeys[pc.Cell.Key]; dup {
+					t.Errorf("trial %d cell %d: key runs twice", trial, i)
+				}
+				runKeys[pc.Cell.Key] = i
+				if cells[i].Spec.Trace == nil {
+					runInWorld[world(i)]++
+				}
+			}
+			if outcomes != 1 {
+				t.Errorf("trial %d cell %d: %d outcomes", trial, i, outcomes)
+			}
+			if in := cells[i].Spec.Trace; in != nil && pc.Cell.Spec.Trace != in {
+				t.Errorf("trial %d cell %d: user trace %q overridden", trial, i, *in)
+			}
+			if tr := pc.Cell.Spec.Trace; cells[i].Spec.Trace == nil && tr != nil && (*tr != "auto" || !pc.ToRun()) {
+				t.Errorf("trial %d cell %d: marked %q outside a to-run group", trial, i, *tr)
+			}
+		}
+
+		for i, pc := range plan.Cells {
+			if tr := pc.Cell.Spec.Trace; pc.ToRun() && cells[i].Spec.Trace == nil && runInWorld[world(i)] >= 2 && (tr == nil || *tr != "auto") {
+				t.Errorf("trial %d cell %d: shared world left unmarked", trial, i)
+			}
+		}
+
+		covered := map[int]bool{}
+		for _, u := range plan.Units {
+			for _, i := range u {
+				if covered[i] || !plan.Cells[i].ToRun() {
+					t.Errorf("trial %d: unit cell %d covered twice or not to run (units %v)", trial, i, plan.Units)
+				}
+				covered[i] = true
+				if len(u) > 1 {
+					seen.shared++
+					if tr := plan.Cells[i].Cell.Spec.Trace; tr == nil || *tr == "" || world(i) != world(u[0]) {
+						t.Errorf("trial %d: unit %v mixes worlds or untraced cells", trial, u)
+					}
+				}
+			}
+		}
+		if len(covered) != len(runKeys) {
+			t.Errorf("trial %d: units cover %d cells, %d run", trial, len(covered), len(runKeys))
+		}
+
+		seen.records += len(plan.Record)
+		for _, rec := range plan.Record {
+			g := traceGroupKey(rec)
+			if store.HasTrace(TraceKey(rec)) || runInWorld[g] < 2 {
+				t.Errorf("trial %d: pre-record of a stored or unshared world", trial)
+			}
+			marked := false
+			for i, pc := range plan.Cells {
+				tr := pc.Cell.Spec.Trace
+				marked = marked || (cells[i].Spec.Trace == nil && tr != nil && *tr == "auto" && world(i) == g)
+			}
+			if !marked {
+				t.Errorf("trial %d: pre-record for a world with no marked cell", trial)
+			}
+		}
+	}
+	if seen.cached == 0 || seen.dups == 0 || seen.shared == 0 || seen.records == 0 {
+		t.Errorf("random lists missed an outcome class: %+v", seen)
+	}
+}
+
+// putPlanResult stores a result for cell carrying n per-seed summaries.
+func putPlanResult(t *testing.T, store *resultcache.Store, c SweepCell, n int) {
+	t.Helper()
+	res := &resultcache.Result{Key: c.Key, Seeds: c.Spec.SeedList(), PerSeed: make([]metrics.Summary, n)}
+	if err := store.Put(res); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -208,11 +208,11 @@ func StripTiming(ss []metrics.Summary) []metrics.Summary {
 	return out
 }
 
-// RunSweep expands and executes a sweep: cells found in store are served
-// from disk, the rest run as one flattened (cell, seed) job list on the
-// shared pool and are persisted back. Cells sharing a content address
-// (an axis repeating a value, or overriding the base to itself)
-// simulate once and share their summaries, matching the daemon's
+// RunSweep expands and executes a sweep as Plan decides it: cells found
+// in store are served from disk, the rest run as one flattened (cell,
+// seed) job list on the shared pool and are persisted back. Cells sharing
+// a content address (an axis repeating a value, or overriding the base to
+// itself) simulate once and share their summaries, matching the daemon's
 // coalescing. A nil store disables caching. Results come back in cell
 // order. When every simulation succeeded but a cache write failed, the
 // full results are returned alongside the write error — callers may
@@ -222,35 +222,28 @@ func RunSweep(ctx context.Context, sw SweepSpec, store *resultcache.Store) ([]Ce
 	if err != nil {
 		return nil, err
 	}
+	plan := Plan(cells, store)
 	out := make([]CellResult, len(cells))
-	var todo []int              // cell indices that must simulate
-	primary := map[string]int{} // first uncached cell index per key
-	dupOf := map[int]int{}      // duplicate-key cell index -> primary index
-	for i, c := range cells {
-		if res, ok := store.Get(c.Key); ok && len(res.PerSeed) == len(c.Spec.SeedList()) {
-			out[i] = CellResult{Cell: c, Cached: true, PerSeed: res.PerSeed, Mean: res.Mean}
-			continue
+	var todo []int // cell indices that must simulate
+	for i, pc := range plan.Cells {
+		if pc.Cached != nil {
+			out[i] = CellResult{Cell: cells[i], Cached: true, PerSeed: pc.Cached.PerSeed, Mean: pc.Cached.Mean}
+		} else if pc.ToRun() {
+			todo = append(todo, i)
 		}
-		if p, ok := primary[c.Key]; ok {
-			dupOf[i] = p
-			continue
-		}
-		primary[c.Key] = i
-		todo = append(todo, i)
 	}
 	var putErr error
 	if len(todo) > 0 {
 		specs := make([]ScenarioSpec, len(todo))
 		for k, i := range todo {
-			specs[k] = cells[i].Spec
+			specs[k] = plan.Cells[i].Cell.Spec
 		}
-		// Trace fast path: cells that share a recorded world (protocol/
-		// routing-only axes) record the base world's contact script once
-		// per seed and replay it for every cell, instead of re-simulating
-		// mobility per cell. Trace never enters the cache key, so the
-		// results are served and stored exactly as live ones.
-		if recs := applyTracePlan(specs, store); len(recs) > 0 {
-			if err := recordTraces(ctx, recs, store); err != nil {
+		// Trace fast path: the shared worlds Plan marked are recorded once
+		// per seed as bare worlds, and every marked cell replays them
+		// instead of re-simulating mobility. Trace never enters the cache
+		// key, so the results are served and stored exactly as live ones.
+		if len(plan.Record) > 0 {
+			if err := recordTraces(ctx, plan.Record, store); err != nil {
 				return nil, err
 			}
 		}
@@ -269,8 +262,10 @@ func RunSweep(ctx context.Context, sw SweepSpec, store *resultcache.Store) ([]Ce
 			}
 		}
 	}
-	for i, p := range dupOf {
-		out[i] = CellResult{Cell: cells[i], PerSeed: out[p].PerSeed, Mean: out[p].Mean}
+	for i, pc := range plan.Cells {
+		if pc.DupOf >= 0 {
+			out[i] = CellResult{Cell: cells[i], PerSeed: out[pc.DupOf].PerSeed, Mean: out[pc.DupOf].Mean}
+		}
 	}
 	return out, putErr
 }

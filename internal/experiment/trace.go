@@ -82,57 +82,12 @@ func TraceKey(s Scenario) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// traceGroupKey is TraceKey with the seed zeroed — the sweep layers group
-// cells by it to find cells that share recorded worlds across the whole
-// seed list.
+// traceGroupKey is TraceKey with the seed zeroed: scenarios with the same
+// group key (protocol/routing-only differences) share recorded worlds
+// across their whole seed list. Plan groups cells by it.
 func traceGroupKey(s Scenario) string {
 	s.Seed = 0
 	return TraceKey(s)
-}
-
-// TraceGroup resolves a spec and returns its trace group key — the
-// content address of its recorded world with the seed zeroed. Specs in
-// the same group (protocol/routing-only differences) share recorded
-// contact scripts across their whole seed list. ok is false when the
-// spec does not resolve; callers treat such cells as ungrouped.
-func TraceGroup(sp ScenarioSpec) (string, bool) {
-	s, err := sp.Scenario()
-	if err != nil {
-		return "", false
-	}
-	return traceGroupKey(s), true
-}
-
-// PlacementGroups partitions specs into dispatch groups for the sweep
-// fabric: specs that share a recorded world and have a trace mode set
-// (the sweep layer marked them "auto", or the user chose record/replay)
-// must run on one worker in submission order — the first cell's live run
-// records the contact script into that worker's local store and every
-// later cell replays it. Everything else is a singleton group, free to
-// scatter across the fleet. Groups preserve first-appearance order, and
-// indices within a group preserve submission order.
-func PlacementGroups(specs []ScenarioSpec) [][]int {
-	var groups [][]int
-	byWorld := map[string]int{}
-	for i, sp := range specs {
-		world := ""
-		if sp.Trace != nil && *sp.Trace != "" {
-			if k, ok := TraceGroup(sp); ok {
-				world = k
-			}
-		}
-		if world == "" {
-			groups = append(groups, []int{i})
-			continue
-		}
-		if gi, seen := byWorld[world]; seen {
-			groups[gi] = append(groups[gi], i)
-			continue
-		}
-		byWorld[world] = len(groups)
-		groups = append(groups, []int{i})
-	}
-	return groups
 }
 
 // Process-wide trace counters, for tests and the daemon's /metrics: how
@@ -221,54 +176,6 @@ func pollEvery(s Scenario) int {
 		every = 1
 	}
 	return every
-}
-
-// applyTracePlan inspects a sweep's to-simulate cell specs, groups them
-// by shared recorded world (traceGroupKey — the world-defining fields
-// with the seed zeroed), and marks every cell of a shareable group with
-// Trace="auto" in place. A group is shareable when two or more cells
-// share one world (routing/protocol-only axes) or when its traces are
-// already recorded. It returns the scenarios to pre-record: one per
-// (shared world, seed) the store is missing. Cells whose spec sets Trace
-// explicitly are left untouched — the user's choice wins.
-func applyTracePlan(specs []ScenarioSpec, store *resultcache.Store) []Scenario {
-	if store == nil {
-		return nil
-	}
-	groups := map[string][]int{}
-	scens := make([]Scenario, len(specs))
-	for i, sp := range specs {
-		if sp.Trace != nil {
-			continue
-		}
-		s, err := sp.Scenario()
-		if err != nil {
-			continue // Cells() validated already; be safe anyway
-		}
-		scens[i] = s
-		g := traceGroupKey(s)
-		groups[g] = append(groups[g], i)
-	}
-	var recs []Scenario
-	for _, idxs := range groups {
-		s0 := scens[idxs[0]]
-		var missing []Scenario
-		for _, seed := range specs[idxs[0]].SeedList() {
-			sc := s0
-			sc.Seed = seed
-			if !store.HasTrace(TraceKey(sc)) {
-				missing = append(missing, sc)
-			}
-		}
-		if len(idxs) < 2 && len(missing) > 0 {
-			continue // a lone live cell gains nothing from recording first
-		}
-		recs = append(recs, missing...)
-		for _, i := range idxs {
-			specs[i].Trace = ptr("auto")
-		}
-	}
-	return recs
 }
 
 // recordTraces pre-records the given worlds on the shared pool. Failures

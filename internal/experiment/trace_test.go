@@ -3,6 +3,8 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/resultcache"
@@ -248,7 +250,7 @@ func TestTraceCorruptIsMiss(t *testing.T) {
 // TestTraceKeyGrouping pins what the content address covers: protocol,
 // traffic and gossip parameters must not change the key (their cells
 // share a recorded world); world-defining fields and the seed must.
-// TraceGroup additionally zeroes the seed so a sweep's whole seed list
+// traceGroupKey additionally zeroes the seed so a sweep's whole seed list
 // lands in one group.
 func TestTraceKeyGrouping(t *testing.T) {
 	base := traceTestScenario(1)
@@ -278,11 +280,12 @@ func TestTraceKeyGrouping(t *testing.T) {
 		}
 	}
 
-	spA := ScenarioSpec{Nodes: ptr(40), Seeds: []int64{1}}
-	spB := ScenarioSpec{Nodes: ptr(40), Seeds: []int64{2}, Protocol: ptr(string(CR))}
-	gA, okA := TraceGroup(spA)
-	gB, okB := TraceGroup(spB)
-	if !okA || !okB || gA != gB {
+	sA, errA := ScenarioSpec{Nodes: ptr(40), Seeds: []int64{1}}.Scenario()
+	sB, errB := ScenarioSpec{Nodes: ptr(40), Seeds: []int64{2}, Protocol: ptr(string(CR))}.Scenario()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if gA, gB := traceGroupKey(sA), traceGroupKey(sB); gA != gB {
 		t.Errorf("seed/protocol-only spec variants grouped apart: %q vs %q", gA, gB)
 	}
 }
@@ -380,9 +383,10 @@ func traceOnlyStore(t testing.TB, src *resultcache.Store, sw SweepSpec) *resultc
 	return dst
 }
 
-// TestLoneCellStaysLive pins applyTracePlan's economics: a sweep whose
-// cells all live in different trace groups (a nodes axis) gains nothing
-// from recording first, so no cell is marked and nothing is pre-recorded.
+// TestLoneCellStaysLive pins Plan's economics: a sweep whose cells all
+// live in different trace groups (a nodes axis) gains nothing from
+// recording first, so no cell is marked and nothing is pre-recorded —
+// until a world's scripts are already stored, when its lone cell replays.
 func TestLoneCellStaysLive(t *testing.T) {
 	sw := SweepSpec{
 		Base: ScenarioSpec{
@@ -392,22 +396,42 @@ func TestLoneCellStaysLive(t *testing.T) {
 		},
 		Nodes: []int{20, 30},
 	}
-	specs := make([]ScenarioSpec, 0, 2)
 	cells, err := sw.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cells {
-		specs = append(specs, c.Spec)
+	store := openStore(t)
+	plan := Plan(cells, store)
+	if len(plan.Record) != 0 {
+		t.Errorf("nodes-axis sweep scheduled %d pre-recordings, want 0", len(plan.Record))
 	}
-	recs := applyTracePlan(specs, openStore(t))
-	if len(recs) != 0 {
-		t.Errorf("nodes-axis sweep scheduled %d pre-recordings, want 0", len(recs))
-	}
-	for i, sp := range specs {
-		if sp.Trace != nil {
-			t.Errorf("cell %d marked %q, want untouched", i, *sp.Trace)
+	for i, pc := range plan.Cells {
+		if pc.Cell.Spec.Trace != nil {
+			t.Errorf("cell %d marked %q, want untouched", i, *pc.Cell.Spec.Trace)
 		}
+	}
+
+	// Record the 30-node world: its lone cell is now marked and replays,
+	// with nothing left to pre-record; the 20-node cell stays live.
+	s, err := cells[1].Spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RecordTrace(context.Background(), s, store); err != nil {
+		t.Fatal(err)
+	}
+	plan = Plan(cells, store)
+	if len(plan.Record) != 0 {
+		t.Errorf("recorded world scheduled %d pre-recordings, want 0", len(plan.Record))
+	}
+	if tr := plan.Cells[0].Cell.Spec.Trace; tr != nil {
+		t.Errorf("unrecorded lone cell marked %q", *tr)
+	}
+	if tr := plan.Cells[1].Cell.Spec.Trace; tr == nil || *tr != "auto" {
+		t.Errorf("lone cell over a recorded world not marked auto: %v", tr)
+	}
+	if cells[1].Spec.Trace != nil {
+		t.Error("Plan modified its input cells")
 	}
 }
 
@@ -439,10 +463,12 @@ func BenchmarkReplayVsLive(b *testing.B) {
 	})
 }
 
-// TestPlacementGroups pins the fabric's dispatch grouping: trace-marked
-// cells sharing a world form one group in submission order (the first
-// records, the rest replay on the same worker's store), while unmarked
-// cells and distinct worlds stay singletons free to scatter.
+// TestPlacementGroups pins the plan's dispatch units: cells with a trace
+// mode sharing a world form one unit in submission order (the first
+// records, the rest replay on the same worker's store), while cells
+// without one and distinct worlds stay singletons free to scatter.
+// Without a store Plan marks nothing, so the units follow the specs'
+// own trace fields.
 func TestPlacementGroups(t *testing.T) {
 	auto := "auto"
 	proto := func(p string) *string { return &p }
@@ -455,27 +481,15 @@ func TestPlacementGroups(t *testing.T) {
 		{Preset: "quick", Protocol: proto("MaxProp"), Nodes: nodes(16)},               // 3: world A but unmarked — singleton
 		{Preset: "quick", Protocol: proto("MaxProp"), Nodes: nodes(16), Trace: &auto}, // 4: world A again
 		{Preset: "quick", Protocol: proto("CR"), Nodes: nodes(24), Trace: &auto},      // 5: world B again
+		{Preset: "no-such-preset", Trace: &auto},                                      // 6: unresolvable — singleton
 	}
-	got := PlacementGroups(specs)
-	want := [][]int{{0, 1, 4}, {2, 5}, {3}}
-	if len(got) != len(want) {
-		t.Fatalf("got %d groups %v, want %v", len(got), got, want)
+	cells := make([]SweepCell, len(specs))
+	for i, sp := range specs {
+		cells[i] = SweepCell{Spec: sp, Key: fmt.Sprintf("k%d", i)}
 	}
-	for gi := range want {
-		if len(got[gi]) != len(want[gi]) {
-			t.Fatalf("group %d = %v, want %v", gi, got[gi], want[gi])
-		}
-		for k := range want[gi] {
-			if got[gi][k] != want[gi][k] {
-				t.Fatalf("group %d = %v, want %v", gi, got[gi], want[gi])
-			}
-		}
-	}
-
-	// An unresolvable spec never panics the partitioner: it degrades to a
-	// singleton and fails later, at job resolution.
-	bad := []ScenarioSpec{{Preset: "no-such-preset", Trace: &auto}}
-	if g := PlacementGroups(bad); len(g) != 1 || len(g[0]) != 1 || g[0][0] != 0 {
-		t.Fatalf("bad spec grouping %v", g)
+	got := Plan(cells, nil).Units
+	want := [][]int{{0, 1, 4}, {2, 5}, {3}, {6}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("units %v, want %v", got, want)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -208,5 +210,32 @@ func TestSweepCellRefusesTerminalCoalesce(t *testing.T) {
 	}
 	if got := s.Simulated(); got != 2 { // the two fresh testSweep cells only
 		t.Errorf("Simulated = %d, want 2", got)
+	}
+}
+
+// TestDoneJobServesKeyAfterStoreMiss pins the admission race fix: a
+// submission whose store read missed (it raced the job's Put, or the
+// entry was evicted) reaches its locked admission pass after the job's
+// cleanup, and must still find the retained done job by key and be
+// served its snapshot instead of queueing a duplicate simulation.
+func TestDoneJobServesKeyAfterStoreMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{CacheDir: dir})
+	sub, code := postSpec(t, ts, testSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	waitDone(t, ts, sub.JobID)
+	s.wg.Wait() // jobDone has run: the job left the queue
+	if err := os.Remove(filepath.Join(dir, sub.Key[:2], sub.Key+".json")); err != nil {
+		t.Fatal(err)
+	}
+
+	sub2, code := postSpec(t, ts, testSpec)
+	if code != http.StatusOK || !sub2.Cached || sub2.JobID != sub.JobID || sub2.Result == nil {
+		t.Fatalf("store miss after the job finished: code=%d %+v, want the done job's snapshot", code, sub2)
+	}
+	if got := s.Simulated(); got != 1 {
+		t.Errorf("Simulated = %d, want 1 (no duplicate simulation)", got)
 	}
 }

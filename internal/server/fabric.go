@@ -11,10 +11,10 @@ package server
 // GET /v1/traces/{key} — both serve local-only, so probes cannot
 // recurse).
 //
-// Dispatch is unit-based: experiment.PlacementGroups folds the cells of
-// one trace group (record-then-replay, PR 8) into a single unit so the
-// recording and its replays land on one worker's store; everything else
-// is a singleton unit. Each worker runs `inflight` runner goroutines
+// Dispatch is unit-based: experiment.Plan folds the cells of one trace
+// group (record-then-replay) into a single unit so the recording and its
+// replays land on one worker's store; everything else is a singleton
+// unit. Each worker runs `inflight` runner goroutines
 // that pull units off one shared queue — idle workers steal work by
 // construction. An infrastructure failure (connect error, broken
 // stream, 5xx) marks the worker down and requeues the unit's remaining
@@ -246,7 +246,7 @@ func (f *fleet) runUnit(w *fleetWorker, u *dispatchUnit) {
 			s.jobDone(j)
 			continue
 		}
-		if res, raw, ok := s.store.GetRawLocal(j.key); ok && len(res.PerSeed) == len(j.spec.SeedList()) {
+		if res, raw, ok := s.store.GetRawLocal(j.key); ok && experiment.ServesSpec(res, j.spec) {
 			f.cached.Add(1)
 			j.finish(res, raw, nil)
 			s.jobDone(j)
@@ -302,7 +302,7 @@ func (f *fleet) runUnit(w *fleetWorker, u *dispatchUnit) {
 func (f *fleet) runRemote(w *fleetWorker, j *job) error {
 	j.setState(stateRunning)
 	// The plain marshal keeps every resolved field the sweep layer set —
-	// notably Trace="auto" from markTraceGroups, which the canonical
+	// notably Trace="auto" from experiment.Plan, which the canonical
 	// (key-defining) encoding deliberately strips. The worker re-derives
 	// the same cache key because trace never enters it.
 	body, err := json.Marshal(j.spec)
@@ -662,36 +662,23 @@ func (s *Server) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// startJob launches one accepted job on the local engine or, on a
-// coordinator, through the fleet dispatcher.
-func (s *Server) startJob(j *job) { s.startJobs([]*job{j}) }
-
-// startJobs launches a batch of accepted jobs. On a coordinator the
-// batch is partitioned into dispatch units by trace group
-// (experiment.PlacementGroups), so a record-then-replay chain stays on
-// one worker's store while independent cells scatter across the fleet.
-func (s *Server) startJobs(jobs []*job) {
-	if len(jobs) == 0 {
-		return
-	}
+// startJobs launches accepted jobs, grouped into the dispatch units admit
+// mapped from the plan: on the local engine every job runs on its own,
+// and on a coordinator each unit is dispatched whole, so a
+// record-then-replay chain stays on one worker's store while independent
+// cells scatter across the fleet.
+func (s *Server) startJobs(units [][]*job) {
 	if s.fleet == nil {
-		for _, j := range jobs {
-			go s.runJob(j)
+		for _, u := range units {
+			for _, j := range u {
+				go s.runJob(j)
+			}
 		}
 		return
 	}
-	specs := make([]experiment.ScenarioSpec, len(jobs))
-	for i, j := range jobs {
-		specs[i] = j.spec
+	dus := make([]*dispatchUnit, len(units))
+	for i, u := range units {
+		dus[i] = &dispatchUnit{jobs: u}
 	}
-	groups := experiment.PlacementGroups(specs)
-	units := make([]*dispatchUnit, 0, len(groups))
-	for _, g := range groups {
-		u := &dispatchUnit{jobs: make([]*job, len(g))}
-		for k, i := range g {
-			u.jobs[k] = jobs[i]
-		}
-		units = append(units, u)
-	}
-	s.fleet.enqueue(units)
+	s.fleet.enqueue(dus)
 }

@@ -167,7 +167,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job // by job id
-	active    map[string]*job // queued/running jobs by cache key (dedupe)
+	active    map[string]*job // in-flight (and, with a store, retained done) jobs by cache key
 	finished  []string        // finished job ids, completion order (retention ring)
 	sweeps    map[string]*sweepJob
 	sweepRing []string // sweep ids, creation order (retention ring)
@@ -397,71 +397,119 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.m.submissions.Add(1)
-	// Content-addressed fast path: an identical resolved job was already
-	// computed — serve the summary from disk, no simulation. The entry
-	// must carry one summary per requested seed: a stale entry written
-	// for a different seed list under an old spec version (or tampered on
-	// disk) is a miss and recomputes, the same guard both sweep cache
-	// passes apply. The reply splices the store's encoded bytes verbatim
-	// — a hit costs one file read, zero JSON marshalling.
-	if res, raw, ok := s.store.GetRaw(key); ok && len(res.PerSeed) == len(spec.SeedList()) {
+	adm, units, code, err := s.admit([]experiment.SweepCell{{Spec: spec, Key: key}})
+	if err != nil {
+		s.m.submitRejected.Add(1)
+		writeErr(w, code, err)
+		return
+	}
+	a := adm[0]
+	switch {
+	case a.cached != nil:
+		// Served without a job. A store hit splices the file's bytes
+		// verbatim — one file read, zero JSON marshalling.
 		s.m.submitHits.Add(1)
 		s.log.Debug("job cache hit", "key", key)
-		writeCachedResult(w, "", key, raw)
-		return
+		if a.raw != nil {
+			writeCachedResult(w, a.from, key, a.raw)
+		} else {
+			writeJSON(w, http.StatusOK, submitResponse{JobID: a.from, Key: key, Status: string(stateDone), Cached: true, Result: a.cached})
+		}
+	case !a.started:
+		s.m.submitCoalesced.Add(1)
+		s.log.Debug("job coalesced", "job", a.job.id, "key", key)
+		writeJSON(w, http.StatusOK, submitResponse{JobID: a.job.id, Key: key, Status: string(a.state)})
+	default:
+		s.log.Info("job accepted", "job", a.job.id, "key", key)
+		s.startJobs(units)
+		writeJSON(w, http.StatusAccepted, submitResponse{JobID: a.job.id, Key: key, Status: string(stateQueued)})
+	}
+}
+
+// admitted is one submitted cell's admission: the ref a sweep keeps, plus
+// what a single-job reply needs.
+type admitted struct {
+	sweepCellRef
+	raw     []byte   // cached's encoded bytes, when it has them
+	from    string   // the done in-flight job whose snapshot is cached
+	started bool     // this cell created its job
+	state   jobState // job's state when the cell attached to it
+}
+
+// admit is the one admission path of POST /v1/jobs and POST /v1/sweeps.
+// experiment.Plan reads the store before s.mu is taken; then one pass
+// under the lock settles each to-run key: attach to a live job, take a
+// done job's snapshot result, or become a new job. A cancelled or failed
+// job will never serve the key, so it queues fresh. Duplicates follow
+// their primary cell, and every cell bound to a job holds it once. The
+// submission is refused whole — 503 while draining unless every cell is
+// store-cached, 429 when its new jobs do not fit the queue — with the
+// status in code. units are the plan's dispatch units mapped onto the new
+// jobs, for startJobs once the caller has published them.
+func (s *Server) admit(cells []experiment.SweepCell) (adm []admitted, units [][]*job, code int, err error) {
+	plan := experiment.Plan(cells, s.store)
+	adm = make([]admitted, len(cells))
+	allCached := true
+	for i, pc := range plan.Cells {
+		adm[i].cell, adm[i].cached, adm[i].raw = pc.Cell, pc.Cached, pc.Raw
+		allCached = allCached && pc.Cached != nil
+	}
+	if allCached {
+		return adm, nil, 0, nil // no queue slot needed: served even while draining
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
-		s.m.submitRejected.Add(1)
-		writeErr(w, http.StatusServiceUnavailable, errors.New("server draining, not accepting jobs"))
-		return
+		return nil, nil, http.StatusServiceUnavailable, errors.New("server draining, not accepting jobs")
 	}
-	// Coalesce with an in-flight identical job — unless attaching could
-	// never hand this submission a result:
-	//   - a cancelled job will not produce one, so a fresh job queues
-	//     instead (newJobLocked replaces the cancelled job's active entry);
-	//   - a job already terminal (the window between j.finish/j.fail and
-	//     runJob's deferred delete from s.active) has already published
-	//     its outcome, and an attach would answer status "done"/"failed"
-	//     with no result/error payload. A done job's result is served
-	//     inline from its snapshot; a failed one queues fresh.
-	if j := s.active[key]; j != nil && j.ctx.Err() == nil {
-		snap := j.snapshot()
-		switch {
-		case !terminalState(snap.state):
-			j.holders++
-			s.mu.Unlock()
-			s.m.submitCoalesced.Add(1)
-			s.log.Debug("job coalesced", "job", j.id, "key", key)
-			writeJSON(w, http.StatusOK, submitResponse{JobID: j.id, Key: key, Status: string(snap.state)})
-			return
-		case snap.state == stateDone && snap.result != nil:
-			s.mu.Unlock()
-			s.m.submitHits.Add(1)
-			if snap.resultJSON != nil {
-				writeCachedResult(w, j.id, key, snap.resultJSON)
-			} else {
-				writeJSON(w, http.StatusOK, submitResponse{JobID: j.id, Key: key, Status: string(stateDone), Cached: true, Result: snap.result})
-			}
-			return
+	var fresh []int
+	for i, pc := range plan.Cells {
+		if !pc.ToRun() {
+			continue
 		}
-		// failed (or done with a nil result, which cannot happen): fall
-		// through and queue a fresh job.
+		if j := s.active[pc.Cell.Key]; j != nil && j.ctx.Err() == nil {
+			switch snap := j.snapshot(); {
+			case !terminalState(snap.state):
+				adm[i].job, adm[i].state = j, snap.state
+				continue
+			case snap.state == stateDone && snap.result != nil:
+				adm[i].cached, adm[i].raw, adm[i].from = snap.result, snap.resultJSON, j.id
+				continue
+			}
+		}
+		fresh = append(fresh, i)
 	}
-	if s.queued >= s.cfg.MaxQueuedJobs {
-		s.mu.Unlock()
-		s.m.submitRejected.Add(1)
-		writeErr(w, http.StatusTooManyRequests, errors.New("job queue full"))
-		return
+	if s.queued+len(fresh) > s.cfg.MaxQueuedJobs {
+		return nil, nil, http.StatusTooManyRequests,
+			fmt.Errorf("submission needs %d queue slots, %d free", len(fresh), s.cfg.MaxQueuedJobs-s.queued)
 	}
-	j := s.newJobLocked(key, spec)
-	s.mu.Unlock()
-
-	s.log.Info("job accepted", "job", j.id, "key", key)
-	s.startJob(j)
-	writeJSON(w, http.StatusAccepted, submitResponse{JobID: j.id, Key: key, Status: string(stateQueued)})
+	for _, i := range fresh {
+		adm[i].job, adm[i].started = s.newJobLocked(plan.Cells[i].Cell.Key, plan.Cells[i].Cell.Spec), true
+	}
+	for i, pc := range plan.Cells {
+		a := &adm[i]
+		if pc.DupOf >= 0 {
+			cell := a.cell
+			*a = adm[pc.DupOf]
+			a.cell, a.started = cell, false
+		}
+		if a.job != nil && !a.started {
+			a.job.holders++
+		}
+	}
+	for _, u := range plan.Units {
+		var jobs []*job
+		for _, i := range u {
+			if adm[i].started {
+				jobs = append(jobs, adm[i].job)
+			}
+		}
+		if len(jobs) > 0 {
+			units = append(units, jobs)
+		}
+	}
+	return adm, units, 0, nil
 }
 
 // newJobLocked creates and registers a queued job (s.mu must be held).
@@ -499,8 +547,11 @@ func (s *Server) jobDone(j *job) {
 	s.mu.Lock()
 	// A fresh submission may have replaced a cancelled job's active
 	// entry while it drained; only remove the entry if it is still
-	// ours.
-	if s.active[j.key] == j {
+	// ours. With a store, a done job keeps its entry while retained: a
+	// submission whose store read preceded the job's Put reaches its
+	// admission pass after this point, and must find the snapshot instead
+	// of queueing a duplicate simulation.
+	if s.active[j.key] == j && (s.store == nil || j.snapshot().state != stateDone) {
 		delete(s.active, j.key)
 	}
 	s.queued--
@@ -510,6 +561,9 @@ func (s *Server) jobDone(j *job) {
 	// servable forever through the on-disk cache by key.
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > maxRetainedJobs {
+		if old := s.jobs[s.finished[0]]; s.active[old.key] == old {
+			delete(s.active, old.key)
+		}
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}

@@ -12,7 +12,6 @@ package server
 // address.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -312,47 +311,6 @@ func sweepStatus(sw *sweepJob, offset, limit int) sweepResponse {
 	return resp
 }
 
-// markTraceGroups enables the contact-trace fast path for a sweep's
-// uncached cells: cells sharing a recorded world (protocol/routing-only
-// axes — same experiment.TraceGroup) with at least two distinct content
-// addresses are marked Trace="auto", so the first cell's live run
-// doubles as the world recording and every later cell replays the
-// script instead of re-simulating mobility (jobs run sequentially under
-// the default one-permit semaphore). Trace never enters the cache key,
-// so marking after expansion changes no cell's address. Cells whose
-// spec sets trace explicitly keep the user's choice; with caching
-// disabled there is nowhere to store a script and nothing is marked.
-func (s *Server) markTraceGroups(refs []sweepCellRef) {
-	if s.store == nil {
-		return
-	}
-	groups := map[string][]int{}
-	keys := map[string]map[string]bool{} // group -> distinct cell cache keys
-	for i := range refs {
-		if refs[i].cached != nil || refs[i].cell.Spec.Trace != nil {
-			continue
-		}
-		g, ok := experiment.TraceGroup(refs[i].cell.Spec)
-		if !ok {
-			continue
-		}
-		groups[g] = append(groups[g], i)
-		if keys[g] == nil {
-			keys[g] = map[string]bool{}
-		}
-		keys[g][refs[i].cell.Key] = true
-	}
-	auto := "auto"
-	for g, idxs := range groups {
-		if len(keys[g]) < 2 {
-			continue // a lone (or fully duplicate) cell gains nothing
-		}
-		for _, i := range idxs {
-			refs[i].cell.Spec.Trace = &auto
-		}
-	}
-}
-
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
@@ -370,108 +328,22 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Cache pass, before any lock: cells the store already holds never
-	// touch the queue.
-	refs := make([]sweepCellRef, len(cells))
-	allCached := true
-	for i, c := range cells {
-		refs[i] = sweepCellRef{cell: c}
-		if res, ok := s.store.Get(c.Key); ok && len(res.PerSeed) == len(c.Spec.SeedList()) {
-			refs[i].cached = res
-		} else {
-			allCached = false
+	// A half-admitted grid helps nobody: admit refuses the sweep whole.
+	adm, units, code, err := s.admit(cells)
+	if err != nil {
+		s.m.sweepRejected.Add(1)
+		writeErr(w, code, err)
+		return
+	}
+	refs := make([]sweepCellRef, len(adm))
+	started := 0
+	for i := range adm {
+		refs[i] = adm[i].sweepCellRef
+		if adm[i].started {
+			started++
 		}
 	}
-	s.markTraceGroups(refs)
-
 	s.mu.Lock()
-	// A fully-cached sweep needs no simulation and no queue slot, so —
-	// like handleSubmit's cached fast path — it is served even while
-	// draining.
-	if s.draining && !allCached {
-		s.mu.Unlock()
-		s.m.sweepRejected.Add(1)
-		writeErr(w, http.StatusServiceUnavailable, errors.New("server draining, not accepting jobs"))
-		return
-	}
-	// Attach decision per key, memoized so the admission count below and
-	// the fan-out loop after it cannot disagree (a job may reach a
-	// terminal state between the two passes — its snapshot is taken
-	// once). Mirrors handleSubmit: a live non-terminal in-flight job is
-	// coalescible; a done one's result is taken from its snapshot as if
-	// cached (the window between j.finish and runJob's delete from
-	// s.active); a cancelled or failed one will never serve this cell,
-	// so the cell queues fresh.
-	type attachDecision struct {
-		j   *job    // coalesce onto this live job
-		res *Result // or serve this terminal snapshot result
-	}
-	decisions := map[string]attachDecision{}
-	decide := func(key string) attachDecision {
-		if d, ok := decisions[key]; ok {
-			return d
-		}
-		var d attachDecision
-		if j := s.active[key]; j != nil && j.ctx.Err() == nil {
-			snap := j.snapshot()
-			switch {
-			case !terminalState(snap.state):
-				d.j = j
-			case snap.state == stateDone && snap.result != nil:
-				d.res = snap.result
-			}
-		}
-		decisions[key] = d
-		return d
-	}
-	// Admission: count cells that would become new queue entries (not
-	// cached, not attachable, not an earlier duplicate cell of this same
-	// sweep) and refuse the sweep whole if they don't fit — a
-	// half-admitted grid helps nobody.
-	newNeeded := 0
-	seenKeys := map[string]bool{}
-	for i := range refs {
-		key := refs[i].cell.Key
-		d := decide(key)
-		if refs[i].cached == nil && d.j == nil && d.res == nil && !seenKeys[key] {
-			newNeeded++
-			seenKeys[key] = true
-		}
-	}
-	if s.queued+newNeeded > s.cfg.MaxQueuedJobs {
-		s.mu.Unlock()
-		s.m.sweepRejected.Add(1)
-		writeErr(w, http.StatusTooManyRequests,
-			fmt.Errorf("sweep needs %d queue slots, %d free", newNeeded, s.cfg.MaxQueuedJobs-s.queued))
-		return
-	}
-	var started []*job
-	owned := map[string]*job{}
-	for i := range refs {
-		if refs[i].cached != nil {
-			continue
-		}
-		key := refs[i].cell.Key
-		d := decide(key)
-		if d.res != nil { // terminal done in-flight job: take its result
-			refs[i].cached = d.res
-			continue
-		}
-		j := owned[key]
-		switch {
-		case j != nil: // duplicate cell within this sweep
-			j.holders++
-		case d.j != nil: // coalesce with a live in-flight job
-			j = d.j
-			j.holders++
-			owned[key] = j
-		default:
-			j = s.newJobLocked(key, refs[i].cell.Spec)
-			started = append(started, j)
-			owned[key] = j
-		}
-		refs[i].job = j
-	}
 	s.m.sweepSubmissions.Add(1)
 	s.nextID++
 	sw := newSweepJob(fmt.Sprintf("s%d", s.nextID), refs)
@@ -480,15 +352,16 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	s.pruneSweepsLocked()
 	s.mu.Unlock()
 
-	s.log.Info("sweep accepted", "sweep", sw.id, "cells", len(refs), "started", len(started))
-
-	for _, j := range started {
-		s.log.Info("job accepted", "job", j.id, "key", j.key, "sweep", sw.id)
+	s.log.Info("sweep accepted", "sweep", sw.id, "cells", len(refs), "started", started)
+	for _, u := range units {
+		for _, j := range u {
+			s.log.Info("job accepted", "job", j.id, "key", j.key, "sweep", sw.id)
+		}
 	}
-	// Launch: locally, or — on a coordinator — partitioned into dispatch
-	// units that keep each trace group's record-then-replay chain on one
-	// worker (see fabric.go).
-	s.startJobs(started)
+	// Launch: locally, or — on a coordinator — as the plan's dispatch
+	// units, which keep each trace group's record-then-replay chain on
+	// one worker (see fabric.go).
+	s.startJobs(units)
 	// Subscribe to every cell job, folding its history and every later
 	// event into the aggregate, then seal — which emits the terminal
 	// event right away when every cell was already satisfied.
@@ -503,7 +376,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	sw.seal()
 
 	resp := sweepStatus(sw, 0, -1)
-	code := http.StatusAccepted
+	code = http.StatusAccepted
 	if terminalState(jobState(resp.Status)) {
 		code = http.StatusOK
 	}

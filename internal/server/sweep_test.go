@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -533,9 +534,8 @@ func TestSweepTraceReplay(t *testing.T) {
 		}
 	}
 
-	// A single-spec job over the same world replays the sweep's trace: the
-	// daemon marks nothing (lone cell), but an explicit trace=replay spec
-	// is honoured end to end.
+	// An explicit trace=replay spec over the same world is honoured end to
+	// end: the user's trace value is kept and replays the sweep's trace.
 	sub2, code := postSpec(t, ts, `{"preset": "quick", "protocol": "CR", "nodes": 16, "duration": 400, "seeds": [1], "trace": "replay"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("replay job submit status %d: %+v", code, sub2)
@@ -546,5 +546,62 @@ func TestSweepTraceReplay(t *testing.T) {
 	}
 	if d := experiment.TraceReplays() - rep0; d != 2 {
 		t.Errorf("explicit replay job did not replay (replays delta %d, want 2)", d)
+	}
+}
+
+// TestSubmitReplaysRecordedWorld: a single job with no trace field is
+// planned like any sweep cell — over a world whose scripts are already
+// stored, the lone cell is marked auto and replays (one seed, one replay)
+// instead of re-simulating mobility, and its stored result bytes equal a
+// live run's.
+func TestSubmitReplaysRecordedWorld(t *testing.T) {
+	const spec = `{"preset": "quick", "protocol": "CR", "nodes": 16, "duration": 400, "seeds": [3]}`
+	rawResult := func(ts *httptest.Server, key string) []byte {
+		resp, err := http.Get(ts.URL + "/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET result: %d %v", resp.StatusCode, err)
+		}
+		return body
+	}
+
+	_, live := newTestServer(t, Config{})
+	rep0 := experiment.TraceReplays()
+	sub, code := postSpec(t, live, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("live submit status %d", code)
+	}
+	waitDone(t, live, sub.JobID)
+	if d := experiment.TraceReplays() - rep0; d != 0 {
+		t.Fatalf("job over an unrecorded world replayed %d runs", d)
+	}
+
+	s, ts := newTestServer(t, Config{})
+	parsed, err := experiment.ParseSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := parsed.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := experiment.RecordTrace(context.Background(), sc, s.store); err != nil {
+		t.Fatal(err)
+	}
+	before := scrapeMetrics(t, ts)["dtnd_trace_replays_total"]
+	sub2, code := postSpec(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("replay submit status %d", code)
+	}
+	waitDone(t, ts, sub2.JobID)
+	if d := scrapeMetrics(t, ts)["dtnd_trace_replays_total"] - before; d != 1 {
+		t.Errorf("dtnd_trace_replays_total rose by %g, want 1", d)
+	}
+	if a, b := rawResult(live, sub.Key), rawResult(ts, sub2.Key); !bytes.Equal(a, b) {
+		t.Errorf("replayed result bytes differ from the live run's:\n%s\n%s", a, b)
 	}
 }

@@ -19,8 +19,9 @@ package trace
 //	  flag    1 byte: 0 = contact down, 1 = contact up
 //	  a, b    node ids, a < b
 //
-// Decoding is strict: any truncation, bad magic, out-of-range id or
-// unknown flag is an error. Callers treat a decode error as a cache miss
+// Decoding is strict: any truncation, bad magic, out-of-range id,
+// unknown flag or non-minimal varint is an error, so a blob that decodes
+// re-encodes to the identical bytes. Callers treat a decode error as a cache miss
 // and re-record, so a corrupt or torn blob can never replay garbage.
 
 import (
@@ -70,6 +71,10 @@ func (s *Script) Encode() []byte {
 // errCorrupt is wrapped by every DecodeScript failure.
 var errCorrupt = errors.New("corrupt contact script")
 
+// errVarint is built once: a per-varint fmt.Errorf would push the decode
+// loop's varint reader past the inlining budget.
+var errVarint = fmt.Errorf("trace: %w: truncated or non-minimal varint", errCorrupt)
+
 // DecodeScript parses a binary script, validating structure and every
 // event. Any deviation from the wire contract is an error.
 func DecodeScript(data []byte) (*Script, error) {
@@ -79,8 +84,8 @@ func DecodeScript(data []byte) (*Script, error) {
 	data = data[len(scriptMagic):]
 	uv := func() (uint64, error) {
 		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, fmt.Errorf("trace: %w: truncated varint", errCorrupt)
+		if n <= 0 || n > 1 && data[n-1] == 0 { // Encode writes minimal varints only
+			return 0, errVarint
 		}
 		data = data[n:]
 		return v, nil
@@ -93,7 +98,7 @@ func DecodeScript(data []byte) (*Script, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<31 || count > uint64(len(data)) { // every event is >= 4 bytes; cheap bound pre-alloc
+	if n > 1<<31 || count > uint64(len(data)/4) { // every event is >= 4 bytes: bounds the pre-allocation
 		return nil, fmt.Errorf("trace: %w: implausible header", errCorrupt)
 	}
 	s := &Script{N: int(n), Events: make([]Event, 0, count)}

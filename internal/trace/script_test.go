@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -42,12 +43,11 @@ func TestScriptEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// TestScriptDecodeCorrupt feeds every class of damage the wire contract
-// names — truncation at each region, bad magic, bad flag, bad pair,
-// trailing bytes — and requires a decode error for each. Callers map any
-// error to a cache miss, so these are the lines that keep a torn blob
-// from replaying garbage.
-func TestScriptDecodeCorrupt(t *testing.T) {
+// CorruptScripts returns every class of damage the wire contract names —
+// truncation at each region, bad magic, bad flag, bad pair, trailing
+// bytes, an implausible event count, a non-minimal varint — keyed by
+// name. Each must fail to decode; FuzzDecodeScript seeds from them too.
+func CorruptScripts() map[string][]byte {
 	good := sampleScript().Encode()
 	cases := map[string][]byte{
 		"empty":            {},
@@ -67,14 +67,41 @@ func TestScriptDecodeCorrupt(t *testing.T) {
 	cases["pair a==b"] = badPair
 	outOfRange := (&Script{N: 10, Events: []Event{{Tick: 1, Up: true, A: 5, B: 10}}}).Encode()
 	cases["pair b==n"] = outOfRange
+	// The node count 40 spelled in two bytes instead of one.
+	cases["non-minimal varint"] = append(append([]byte(scriptMagic), 0x80|40, 0), good[9:]...)
+	cases["implausible count"] = implausibleCount()
+	return cases
+}
 
-	for name, data := range cases {
+// implausibleCount is a header claiming one event per remaining byte:
+// every event takes at least 4 bytes, so the count cannot be honest.
+func implausibleCount() []byte {
+	rest := make([]byte, 40)
+	return append(append([]byte(scriptMagic), 10, byte(len(rest))), rest...)
+}
+
+// TestScriptDecodeCorrupt requires a decode error for every damage class.
+// Callers map any error to a cache miss, so these are the lines that keep
+// a torn blob from replaying garbage.
+func TestScriptDecodeCorrupt(t *testing.T) {
+	for name, data := range CorruptScripts() {
 		if _, err := DecodeScript(data); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	if _, err := DecodeScript(good); err != nil {
+	if _, err := DecodeScript(sampleScript().Encode()); err != nil {
 		t.Fatalf("control: good blob failed to decode: %v", err)
+	}
+}
+
+// TestScriptDecodeImplausibleCount: a header whose event count exceeds a
+// quarter of the remaining bytes is refused before anything is allocated
+// for it — a peer blob of up to 64 MiB cannot force a pre-allocation of
+// its claimed event count.
+func TestScriptDecodeImplausibleCount(t *testing.T) {
+	_, err := DecodeScript(implausibleCount())
+	if err == nil || !strings.Contains(err.Error(), "implausible header") {
+		t.Fatalf("count == len(rest): err %v, want implausible header", err)
 	}
 }
 
