@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,12 +36,15 @@ func run(args []string, stderr io.Writer) int {
 		preset   = fs.String("preset", "", "base preset: quick, cityscale, metroscale (empty = paper defaults)")
 		nodes    = fs.Int("nodes", 0, "node count override")
 		duration = fs.Float64("duration", 0, "simulated seconds override")
-		mobility = fs.String("mobility", "", "mobility model override: bus or rwp")
+		mobility = fs.String("mobility", "", "mobility model override: bus, rwp or city")
 		seeds    = fs.String("seeds", "", "comma-separated seeds to record (default the spec's seed list)")
 		storeDir = fs.String("store", "", "content-addressed store directory shared with dtnd/sweep/figures; recorded traces land there under their trace key")
 		out      = fs.String("o", "", "also write the binary contact script to this file (single-seed runs only)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	if *storeDir == "" && *out == "" {
@@ -108,7 +112,7 @@ func run(args []string, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stderr, "seed %d: trace %s (%d nodes, %d events)\n", seed, key, script.N, len(script.Events))
-		printStats(stderr, script.Episodes(sc.Tick, sc.Duration), sc.Duration, sc.Nodes)
+		printStats(stderr, script, sc.Tick, sc.Duration)
 		if *out != "" {
 			if err := os.WriteFile(*out, script.Encode(), 0o644); err != nil {
 				fmt.Fprintf(stderr, "tracegen: %v\n", err)
@@ -132,22 +136,35 @@ func parseSeeds(s string) ([]int64, error) {
 	return out, nil
 }
 
-func printStats(w io.Writer, tr *trace.Trace, duration float64, n int) {
-	if len(tr.Contacts) == 0 {
+// printStats reports the contact rate and duration quantiles from the
+// script's up/down events; contacts still up at the end close there.
+func printStats(w io.Writer, sc *trace.Script, tick, duration float64) {
+	up := make(map[[2]int32]uint64) // open contacts' up ticks
+	var durs []float64
+	for _, e := range sc.Events {
+		pair := [2]int32{e.A, e.B}
+		if e.Up {
+			up[pair] = e.Tick
+			continue
+		}
+		durs = append(durs, float64(e.Tick-up[pair])*tick)
+		delete(up, pair)
+	}
+	for _, start := range up {
+		durs = append(durs, duration-float64(start)*tick)
+	}
+	if len(durs) == 0 {
 		fmt.Fprintln(w, "no contacts recorded")
 		return
 	}
-	durs := make([]float64, 0, len(tr.Contacts))
+	sort.Float64s(durs)
 	sum := 0.0
-	for _, c := range tr.Contacts {
-		d := c.End - c.Start
-		durs = append(durs, d)
+	for _, d := range durs {
 		sum += d
 	}
-	sort.Float64s(durs)
 	q := func(p float64) float64 { return durs[int(p*float64(len(durs)-1))] }
 	fmt.Fprintf(w, "contacts: %d over %.0fs, %.2f per node-hour\n",
-		len(tr.Contacts), duration, float64(len(tr.Contacts))*2*3600/(float64(n)*duration))
+		len(durs), duration, float64(len(durs))*2*3600/(float64(sc.N)*duration))
 	fmt.Fprintf(w, "contact duration: mean %.1fs median %.1fs p90 %.1fs\n",
 		sum/float64(len(durs)), q(0.5), q(0.9))
 }

@@ -84,3 +84,15 @@ func TestTracegenBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestTracegenHelp: -h prints the usage, which names every mobility
+// model, and exits 0 as dtnsim and sweep do.
+func TestTracegenHelp(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stderr); code != 0 {
+		t.Fatalf("run(-h) exited %d, want 0", code)
+	}
+	if !strings.Contains(stderr.String(), "bus, rwp or city") {
+		t.Errorf("usage does not list the mobility models:\n%s", stderr.String())
+	}
+}

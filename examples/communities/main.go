@@ -13,45 +13,55 @@ import (
 	repro "repro"
 	"repro/internal/buffer"
 	"repro/internal/community"
+	"repro/internal/mobility"
 	"repro/internal/network"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
+// tick is the schedule's world tick interval in seconds.
+const tick = 0.5
+
 // Figure 1: communities C1 = {A, B}, C2 = {C, E}, C3 = {D, F}.
 // Node ids:              A=0, B=1,        C=2, E=3,       D=4, F=5.
 // Periodic schedule (one period = 100 s), mirroring the t1..t4 snapshots:
 // A-B touch constantly inside C1; A-E touch at t≈20; E-F at t≈50;
-// F-D constantly inside C3. The useful path A→D is A→E→F→D.
-func figure1Trace(periods int) *trace.Trace {
-	tr := &trace.Trace{N: 6}
+// F-D constantly inside C3. The useful path A→D is A→E→F→D. The script
+// holds each contact's up and down at its tick index; no two contacts
+// overlap, so appending them in time order is already the engine's
+// firing order.
+func figure1Script(periods int) *trace.Script {
+	sc := &trace.Script{N: 6}
+	contact := func(start, end float64, a, b int32) {
+		sc.Events = append(sc.Events,
+			trace.Event{Tick: uint64(start / tick), Up: true, A: a, B: b},
+			trace.Event{Tick: uint64(end / tick), A: a, B: b})
+	}
 	for k := 0; k < periods; k++ {
 		base := float64(k) * 100
-		tr.Contacts = append(tr.Contacts,
-			trace.Contact{Start: base + 5, End: base + 15, A: 0, B: 1},  // A-B (C1)
-			trace.Contact{Start: base + 20, End: base + 28, A: 0, B: 3}, // A-E (bridge C1-C2)
-			trace.Contact{Start: base + 35, End: base + 43, A: 2, B: 3}, // C-E (C2)
-			trace.Contact{Start: base + 50, End: base + 58, A: 3, B: 5}, // E-F (bridge C2-C3)
-			trace.Contact{Start: base + 70, End: base + 80, A: 4, B: 5}, // F-D (C3)
-		)
+		contact(base+5, base+15, 0, 1)  // A-B (C1)
+		contact(base+20, base+28, 0, 3) // A-E (bridge C1-C2)
+		contact(base+35, base+43, 2, 3) // C-E (C2)
+		contact(base+50, base+58, 3, 5) // E-F (bridge C2-C3)
+		contact(base+70, base+80, 4, 5) // F-D (C3)
 	}
-	tr.Sort()
-	return tr
+	return sc
 }
 
 func run(mk func() network.Router, periods int, sendAt float64, ttl float64) repro.Summary {
-	tr := figure1Trace(periods)
-	runner := sim.NewRunner(0.5)
+	sc := figure1Script(periods)
+	runner := sim.NewRunner(tick)
 	w := network.New(network.Config{Range: 10, Bandwidth: 1e6}, runner)
-	for _, mv := range tr.ReplayMovers(10) {
-		w.AddNode(mv, buffer.New(0, nil), mk())
+	w.SetContactScript(sc.Events)
+	for i := 0; i < sc.N; i++ {
+		w.AddNode(&mobility.Stationary{}, buffer.New(0, nil), mk())
 	}
 	w.Start()
 	runner.Events.Schedule(sendAt, func(t float64) {
 		w.CreateMessage(t, 0, 4, 1000, ttl) // A → D
 	})
-	runner.Run(tr.Duration() + 1)
+	runner.Run(float64(sc.Events[len(sc.Events)-1].Tick)*tick + 1)
 	return w.Metrics.Summary()
 }
 

@@ -1,97 +1,62 @@
-// Tracereplay: record the contact trace of one bus-scenario run, then
-// replay the *identical* contact sequence under two protocols — a paired
-// comparison with mobility variance removed, which is sharper than
-// comparing independent runs.
+// Tracereplay: record the contact script of one bus-scenario world, then
+// replay the *identical* contact sequence under three protocols — a
+// paired comparison with mobility variance removed, which is sharper than
+// comparing independent runs. Every replay must see exactly the recorded
+// contacts; the example exits 1 if one does not.
 //
 //	go run ./examples/tracereplay
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	repro "repro"
-	"repro/internal/buffer"
 	"repro/internal/experiment"
-	"repro/internal/network"
-	"repro/internal/routing"
-	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/traffic"
-	"repro/internal/xrand"
 )
-
-// recorder observes contacts without routing anything.
-type recorder struct {
-	routing.Base
-	rec *trace.Recorder
-}
-
-func (r *recorder) ContactUp(t float64, peer *network.Node) {
-	if r.Self.ID < peer.ID {
-		r.rec.Up(t, r.Self.ID, peer.ID)
-	}
-}
-
-func (r *recorder) ContactDown(t float64, peer *network.Node) {
-	r.Base.ContactDown(t, peer)
-	if r.Self.ID < peer.ID {
-		r.rec.Down(t, r.Self.ID, peer.ID)
-	}
-}
-
-func (r *recorder) NextTransfer(float64, *network.Node) *network.Plan { return nil }
 
 func main() {
 	s := repro.QuickScenario()
 	s.Nodes = 40
 	s.Duration = 2000
 
-	// Step 1: record the contact trace of the mobility.
+	// Step 1: record the world's contact script (mobility only).
 	fmt.Fprintf(os.Stderr, "recording contact trace (%d nodes, %.0fs)...\n", s.Nodes, s.Duration)
-	rec := trace.NewRecorder(s.Nodes)
-	w, runner := experiment.BuildBare(s, func(int) network.Router { return &recorder{rec: rec} })
-	_ = w
-	runner.Run(s.Duration)
-	tr := rec.Finish(s.Duration)
-	fmt.Printf("recorded %d contacts\n", len(tr.Contacts))
+	script, _, err := experiment.RecordTrace(context.Background(), s, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	recorded := 0
+	for _, e := range script.Events {
+		if e.Up {
+			recorded++
+		}
+	}
+	fmt.Printf("recorded %d contacts\n", recorded)
 
-	// Step 2: replay the same trace under each protocol with the same
-	// traffic seed.
-	replay := func(name string, mk func() network.Router) repro.Summary {
-		runner := sim.NewRunner(s.Tick)
-		w := network.New(network.Config{Range: s.Range, Bandwidth: s.Bandwidth}, runner)
-		for _, mv := range tr.ReplayMovers(s.Range) {
-			w.AddNode(mv, buffer.New(s.BufBytes, nil), mk())
-		}
-		w.Start()
-		gen := &traffic.Uniform{
-			MinInterval: s.MsgIntervalMin, MaxInterval: s.MsgIntervalMax,
-			Size: s.MsgSize, TTL: s.TTL, Stop: s.Duration,
-			Rng: xrand.Derive(1, "traffic"),
-		}
-		gen.Install(w)
-		runner.Run(s.Duration)
+	// Step 2: replay the script under each protocol. Traffic derives from
+	// the scenario seed, so every protocol also sees the same messages.
+	sums := map[repro.Protocol]repro.Summary{}
+	for _, p := range []repro.Protocol{repro.Epidemic, repro.EER, repro.SprayAndWait} {
+		sc := s
+		sc.Protocol = p
+		w, runner := sc.BuildReplay(script)
+		runner.Run(sc.Duration)
 		sum := w.Metrics.Summary()
-		fmt.Printf("%-14s delivery=%.3f latency=%.1fs goodput=%.4f relays=%d\n",
-			name, sum.DeliveryRatio, sum.AvgLatency, sum.Goodput, sum.Relays)
-		return sum
+		fmt.Printf("%-14s contacts=%d/%d delivery=%.3f latency=%.1fs goodput=%.4f relays=%d\n",
+			p, sum.Contacts, recorded, sum.DeliveryRatio, sum.AvgLatency, sum.Goodput, sum.Relays)
+		if sum.Contacts != recorded {
+			fmt.Fprintf(os.Stderr, "%s replayed %d contacts, recorded %d\n", p, sum.Contacts, recorded)
+			os.Exit(1)
+		}
+		sums[p] = sum
 	}
 
-	eerFactory := routing.EERFactory(routing.DefaultEERConfig(10), s.Nodes)
-	epi := replay("Epidemic", func() network.Router { return routing.NewEpidemic() })
-	eer := replay("EER", func() network.Router { return eerFactory() })
-	swt := replay("SprayAndWait", func() network.Router { return routing.NewSprayAndWait(10) })
-
+	epi, eer, swt := sums[repro.Epidemic], sums[repro.EER], sums[repro.SprayAndWait]
 	fmt.Println("\npaired on identical contacts and traffic:")
 	fmt.Printf("  epidemic relays %.1fx EER's; spray-and-wait delivers %.0f%% of epidemic\n",
 		float64(epi.Relays)/float64(max(eer.Relays, 1)),
 		100*float64(swt.Delivered)/float64(max(epi.Delivered, 1)))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

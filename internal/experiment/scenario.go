@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/xrand"
 )
@@ -220,12 +221,12 @@ func (s Scenario) Build() (*network.World, *sim.Runner) {
 // from a recording of this exact world (the trace content address
 // guarantees it), in which case every summary field is bit-identical to
 // the live run.
-func (s Scenario) BuildReplay(script []network.ScriptEvent) (*network.World, *sim.Runner) {
+func (s Scenario) BuildReplay(script *trace.Script) (*network.World, *sim.Runner) {
 	return s.build(script)
 }
 
 // build is the shared world constructor; script != nil selects replay.
-func (s Scenario) build(script []network.ScriptEvent) (*network.World, *sim.Runner) {
+func (s Scenario) build(script *trace.Script) (*network.World, *sim.Runner) {
 	if s.Nodes < 2 {
 		panic("experiment: need at least two nodes")
 	}
@@ -236,7 +237,7 @@ func (s Scenario) build(script []network.ScriptEvent) (*network.World, *sim.Runn
 	}
 	w := network.New(cfg, runner)
 	if script != nil {
-		w.SetContactScript(script)
+		w.SetContactScript(script.Events)
 	}
 
 	// The road map is still loaded for replay builds: community

@@ -121,15 +121,6 @@ func loadScript(store *resultcache.Store, s Scenario, key string) (*trace.Script
 	return sc, true
 }
 
-// scriptEvents converts a decoded script to the engine's event type.
-func scriptEvents(sc *trace.Script) []network.ScriptEvent {
-	evs := make([]network.ScriptEvent, len(sc.Events))
-	for i, e := range sc.Events {
-		evs[i] = network.ScriptEvent(e)
-	}
-	return evs
-}
-
 // nullRouter is the passive router of bare recording worlds: with no
 // traffic generator installed, no messages ever exist and contacts carry
 // no transfers, so a bare run costs mobility + detection only — and its
@@ -222,7 +213,7 @@ func runScenario(ctx context.Context, s Scenario, store *resultcache.Store, hook
 	}
 
 	if script != nil {
-		w, runner := s.BuildReplay(scriptEvents(script))
+		w, runner := s.BuildReplay(script)
 		prof := s.attachProfiler(w, runner)
 		if runner.RunContext(ctx, s.Duration, pollEvery(s), hook) != nil {
 			return sum, false, nil // cancelled mid-run

@@ -37,7 +37,7 @@ func openStore(t testing.TB) *resultcache.Store {
 // sequence it was fed.
 func reRecord(t testing.TB, s Scenario, script *trace.Script) []byte {
 	t.Helper()
-	w, runner := s.BuildReplay(scriptEvents(script))
+	w, runner := s.BuildReplay(script)
 	if !w.Scripted() {
 		t.Fatal("BuildReplay world is not scripted")
 	}
@@ -448,7 +448,6 @@ func BenchmarkReplayVsLive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	evs := scriptEvents(script)
 	b.Run("live", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, runner := s.Build()
@@ -457,7 +456,7 @@ func BenchmarkReplayVsLive(b *testing.B) {
 	})
 	b.Run("replay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, runner := s.BuildReplay(evs)
+			_, runner := s.BuildReplay(script)
 			runner.Run(s.Duration)
 		}
 	})

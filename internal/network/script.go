@@ -1,25 +1,21 @@
 package network
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/trace"
+)
 
 // Scripted (trace-replay) worlds: instead of moving nodes and detecting
-// contacts geometrically, the world fires a pre-recorded contact event
-// script. Mobility advance, grid maintenance and pair sweeps are skipped
-// entirely — the per-tick cost reduces to the contacts that actually
-// happen — while transfers, buffers, routers, traffic and metrics run
-// through the exact same code as a live world. Because the script stores
-// events in engine firing order (downs before ups within a tick, ups in
-// ascending pair order), a replayed world is bit-identical to the
-// recording run for every quantity that does not read node positions.
-
-// ScriptEvent is one scripted contact transition: at world tick Tick the
-// contact between nodes A and B (A < B) comes up or goes down. Tick
-// indexes count from 1, matching World.TickCount during live runs.
-type ScriptEvent struct {
-	Tick uint64
-	Up   bool
-	A, B int32
-}
+// contacts geometrically, the world fires a contact script (trace.Event:
+// at world tick Tick, counted from 1 like TickCount, the contact between
+// A < B comes up or goes down). Mobility advance, grid maintenance and
+// pair sweeps are skipped entirely — the per-tick cost reduces to the
+// contacts that actually happen — while transfers, buffers, routers,
+// traffic and metrics run through the exact same code as a live world.
+// Because a recorded script stores events in engine firing order (downs
+// before ups within a tick, ups in ascending pair order), a replayed
+// world is bit-identical to the recording run for every quantity that
+// does not read node positions.
 
 // OnContact registers a contact observer fired on every contact
 // transition (up and down) from both the serial and sharded tick paths,
@@ -33,12 +29,13 @@ func (w *World) OnContact(f func(tick uint64, up bool, a, b int32)) {
 func (w *World) TickCount() uint64 { return w.tickCount }
 
 // SetContactScript switches the world to scripted replay before Start:
-// ticks fire the given events (which must be tick-ordered, in engine
-// firing order) instead of advancing movers and detecting contacts. The
-// world's node count and tick interval must match the recording; the
-// caller guarantees that via the script's content address. Sharding is
-// forced off — a scripted tick is too cheap to split.
-func (w *World) SetContactScript(events []ScriptEvent) {
+// ticks fire the given events instead of advancing movers and detecting
+// contacts. Events must be tick-ordered, in engine firing order, and
+// consistent (no up of a pair already up; trace.DecodeScript enforces
+// this for stored blobs). For a recording, the world's node count and
+// tick interval must match it; the script's content address guarantees
+// that. Sharding is forced off — a scripted tick is too cheap to split.
+func (w *World) SetContactScript(events []trace.Event) {
 	if w.started {
 		panic("network: SetContactScript after Start")
 	}

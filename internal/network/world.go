@@ -17,6 +17,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Config holds the physical-layer parameters of a scenario. The paper's
@@ -83,7 +84,7 @@ type World struct {
 	// Scripted replay state (script.go): when scripted, ticks fire the
 	// recorded contact events instead of moving nodes.
 	scripted  bool
-	script    []ScriptEvent
+	script    []trace.Event
 	scriptPos int
 
 	// prof, when non-nil, books per-phase wall time for every tick path

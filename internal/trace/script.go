@@ -1,13 +1,11 @@
-package trace
-
-// Binary contact scripts: the exact up/down event sequence of a recorded
-// world, tick-indexed and in engine firing order, so a replayed world can
-// drive links straight from the script and reproduce the recording
-// bit-for-bit (within-tick ordering included — downs in link-list order
-// before ups in ascending pair order, exactly as the live detector fires
-// them). This is the fast-path counterpart of the episode-based Trace
-// text format above: Trace is for human-readable interchange, Script is
-// for content-addressed record/replay through the result store.
+// Package trace holds the repo's one contact-trace representation: the
+// binary DTNTRC1 contact script, the exact up/down event sequence of a
+// recorded world, tick-indexed and in engine firing order, so a replayed
+// world can drive links straight from the script and reproduce the
+// recording bit-for-bit (within-tick ordering included — downs in
+// link-list order before ups in ascending pair order, exactly as the live
+// detector fires them). Scripts are recorded from live worlds, built by
+// hand (examples, tests) and stored content-addressed in the result store.
 //
 // Wire format (all integers unsigned varints unless noted):
 //
@@ -21,8 +19,11 @@ package trace
 //
 // Decoding is strict: any truncation, bad magic, out-of-range id,
 // unknown flag or non-minimal varint is an error, so a blob that decodes
-// re-encodes to the identical bytes. Callers treat a decode error as a cache miss
-// and re-record, so a corrupt or torn blob can never replay garbage.
+// re-encodes to the identical bytes. Events must also be consistent: an
+// up for a pair that is already up, or a down for a pair that is not, is
+// an error. Callers treat a decode error as a cache miss and re-record,
+// so a corrupt or torn blob can never replay garbage.
+package trace
 
 import (
 	"encoding/binary"
@@ -102,6 +103,7 @@ func DecodeScript(data []byte) (*Script, error) {
 		return nil, fmt.Errorf("trace: %w: implausible header", errCorrupt)
 	}
 	s := &Script{N: int(n), Events: make([]Event, 0, count)}
+	open := make(map[uint64]struct{}) // pairs currently up, keyed a<<32|b
 	tick := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		d, err := uv()
@@ -127,6 +129,21 @@ func DecodeScript(data []byte) (*Script, error) {
 		}
 		if a >= b || b >= n {
 			return nil, fmt.Errorf("trace: %w: bad pair (%d,%d) of %d nodes", errCorrupt, a, b, n)
+		}
+		// One map operation per event: an up must grow the open set and
+		// a down must shrink it, else the pair was already up / not up.
+		was := len(open)
+		if flag == 1 {
+			open[a<<32|b] = struct{}{}
+		} else {
+			delete(open, a<<32|b)
+		}
+		if len(open) == was {
+			state := "down"
+			if flag == 1 {
+				state = "up"
+			}
+			return nil, fmt.Errorf("trace: %w: pair (%d,%d) already %s at tick %d", errCorrupt, a, b, state, tick)
 		}
 		s.Events = append(s.Events, Event{Tick: tick, Up: flag == 1, A: int32(a), B: int32(b)})
 	}
@@ -157,20 +174,4 @@ func (r *ScriptRecorder) Note(tick uint64, up bool, a, b int32) {
 // the returned script snapshots the events seen so far.
 func (r *ScriptRecorder) Script() *Script {
 	return &Script{N: r.n, Events: r.events}
-}
-
-// Episodes converts the script into the episode-based Trace form (open
-// contacts closed at end), for stats and text interchange. tick is the
-// world tick interval in seconds.
-func (s *Script) Episodes(tick, end float64) *Trace {
-	r := NewRecorder(s.N)
-	for _, e := range s.Events {
-		t := float64(e.Tick) * tick
-		if e.Up {
-			r.Up(t, int(e.A), int(e.B))
-		} else {
-			r.Down(t, int(e.A), int(e.B))
-		}
-	}
-	return r.Finish(end)
 }

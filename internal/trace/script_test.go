@@ -45,8 +45,8 @@ func TestScriptEncodeDeterministic(t *testing.T) {
 
 // CorruptScripts returns every class of damage the wire contract names —
 // truncation at each region, bad magic, bad flag, bad pair, trailing
-// bytes, an implausible event count, a non-minimal varint — keyed by
-// name. Each must fail to decode; FuzzDecodeScript seeds from them too.
+// bytes, an implausible event count, a non-minimal varint, an up of an
+// open pair, a down of a closed one — keyed by name. Each must fail to decode; FuzzDecodeScript seeds from them too.
 func CorruptScripts() map[string][]byte {
 	good := sampleScript().Encode()
 	cases := map[string][]byte{
@@ -70,6 +70,14 @@ func CorruptScripts() map[string][]byte {
 	// The node count 40 spelled in two bytes instead of one.
 	cases["non-minimal varint"] = append(append([]byte(scriptMagic), 0x80|40, 0), good[9:]...)
 	cases["implausible count"] = implausibleCount()
+	// Well-formed but inconsistent: a second up of a pair already up (a
+	// flipped pair id can produce one), and a down of a pair never up.
+	cases["up of open pair"] = (&Script{N: 10, Events: []Event{
+		{Tick: 1, Up: true, A: 0, B: 1}, {Tick: 2, Up: true, A: 0, B: 1}, {Tick: 3, A: 0, B: 1},
+	}}).Encode()
+	cases["down of closed pair"] = (&Script{N: 10, Events: []Event{
+		{Tick: 1, Up: true, A: 0, B: 1}, {Tick: 2, A: 0, B: 1}, {Tick: 3, A: 0, B: 1},
+	}}).Encode()
 	return cases
 }
 
@@ -102,26 +110,5 @@ func TestScriptDecodeImplausibleCount(t *testing.T) {
 	_, err := DecodeScript(implausibleCount())
 	if err == nil || !strings.Contains(err.Error(), "implausible header") {
 		t.Fatalf("count == len(rest): err %v, want implausible header", err)
-	}
-}
-
-// TestScriptEpisodes pins the Script → Trace conversion: paired up/down
-// events become closed episodes, unpaired ups close at end.
-func TestScriptEpisodes(t *testing.T) {
-	s := &Script{N: 4, Events: []Event{
-		{Tick: 2, Up: true, A: 0, B: 1},
-		{Tick: 6, Up: false, A: 0, B: 1},
-		{Tick: 8, Up: true, A: 2, B: 3}, // never closed
-	}}
-	tr := s.Episodes(0.5, 10)
-	if len(tr.Contacts) != 2 {
-		t.Fatalf("got %d episodes, want 2", len(tr.Contacts))
-	}
-	tr.Sort()
-	if c := tr.Contacts[0]; c.Start != 1 || c.End != 3 || c.A != 0 || c.B != 1 {
-		t.Errorf("episode 0 = %+v, want {1 3 0 1}", c)
-	}
-	if c := tr.Contacts[1]; c.Start != 4 || c.End != 10 {
-		t.Errorf("open episode closed at %g-%g, want 4-10", c.Start, c.End)
 	}
 }
