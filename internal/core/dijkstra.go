@@ -64,8 +64,8 @@ func (h *dijHeap) pop() dijItem {
 // IndexDijkstra is the heap Dijkstra behind the dense estimators (MEMD
 // and MaxProp's Σ(1−p) path costs): vertices are local indices 0..n-1,
 // distances live in a dense slice, and the caller feeds each settled
-// vertex's edges from a per-row neighbour index instead of scanning a full
-// matrix row. A run costs O(n + E log V) over the indexed edges rather than
+// vertex's edges from its row's entries (see Row) instead of scanning a
+// full matrix row. A run costs O(n + E log V) over the stored edges rather than
 // the O(n²) of an array Dijkstra, and its distances are bit-identical to
 // one: with strictly positive weights every final distance is the minimum
 // over settled in-neighbours u of dist[u]+w(u,v), whatever the settle

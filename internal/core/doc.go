@@ -13,11 +13,17 @@
 //   - History.ENEC / History.CommunityProb — Theorem 4: the expected number
 //     of communities a node will encounter within (t, t+τ], and the
 //     probability of encountering one given community.
-//   - MeetingMatrix — the link-state MI matrix of average meeting intervals
-//     with per-row freshness timestamps and the merge rule of Section
-//     III-B.2 (footnote 1: only fresher rows are exchanged).
-//   - MEMD — Theorem 3: the minimum expected meeting delay, computed by
-//     dense Dijkstra over the MD matrix whose own row holds Theorem-2 EMDs
+//   - Row, RowSet — a published estimator row (freshness timestamp plus
+//     its known entries) is an immutable value: only its owner builds new
+//     versions, and the merge rule of Section III-B.2 (footnote 1: only
+//     fresher rows are exchanged) swaps whole rows, so every store shares
+//     row pointers instead of copying entries. DenseRows (one slot per
+//     node) and SparseRows (observed owners only) hold them.
+//   - MeetingMatrix / SparseMeetingStore — the link-state MI matrix of
+//     average meeting intervals over those rows, dense-slotted at figure
+//     scale, sparse at city scale.
+//   - MEMD — Theorem 3: the minimum expected meeting delay, computed by a
+//     heap Dijkstra over the MD matrix whose own row holds Theorem-2 EMDs
 //     and whose remaining rows hold MI averages.
 //
 // Conventions for cases the paper leaves open (documented in DESIGN.md and

@@ -86,174 +86,62 @@ func (m ExchangeMode) String() string {
 func SyncMode(a, b MeetingStore, aID, bID int, mode ExchangeMode) ExchangeStats {
 	switch x := a.(type) {
 	case *MeetingMatrix:
-		return SyncPairMode(x, b.(*MeetingMatrix), aID, bID, mode)
+		y := b.(*MeetingMatrix)
+		sameIDs(x, y)
+		return SyncRows(&x.rows, &y.rows, aID, bID, mode)
 	case *SparseMeetingStore:
-		return SyncRowsMode(x.rows, b.(*SparseMeetingStore).rows, aID, bID, mode)
+		return SyncRows(x.rows, b.(*SparseMeetingStore).rows, aID, bID, mode)
 	default:
 		panic(fmt.Sprintf("core: SyncMode over unknown MeetingStore implementation %T", a))
 	}
 }
 
-// --- dense ---
-
-// SyncPairMode is SyncPair with metered-mode selection.
-func SyncPairMode(a, b *MeetingMatrix, aID, bID int, mode ExchangeMode) ExchangeStats {
+// SyncRows merges two row sets of the same implementation both ways — the
+// exchange behind every MI sync and MaxProp's vector flood — metering under
+// the given mode. a absorbs b's fresher rows first, then b reads a's merged
+// state; rows a just learned carry equal freshness, so they never ship
+// back.
+func SyncRows(a, b RowSet, aID, bID int, mode ExchangeMode) ExchangeStats {
 	switch mode {
 	case ExchangeFlood:
 		var st ExchangeStats
 		st.Add(a.floodVolume())
 		st.Add(b.floodVolume())
-		a.Merge(b)
-		b.Merge(a)
+		a.mergeFrom(b, 0, true)
+		b.mergeFrom(a, 0, true)
 		return st
 	case ExchangeDelta:
-		return syncPairDelta(a, b, aID, bID)
+		return syncDelta(a, b, aID, bID)
 	default:
-		return SyncPair(a, b)
-	}
-}
-
-// floodVolume is the cost of transmitting every published row.
-func (m *MeetingMatrix) floodVolume() ExchangeStats {
-	var st ExchangeStats
-	for i, u := range m.updated {
-		if u >= 0 {
-			st.AddRow(m.nbrs.Len(i))
-		}
-	}
-	return st
-}
-
-// advertised counts and sizes the rows a delta digest to the peer with
-// watermark seen carries: published rows mutated since the peers last
-// met, each costing a varint (owner, stamp) entry.
-func (m *MeetingMatrix) advertised(seen uint64) (rows, payloadBytes int) {
-	for i, u := range m.updated {
-		if u >= 0 && m.rowVer[i] > seen {
-			rows++
-			payloadBytes += DigestEntryLen(m.ids[i], u)
-		}
-	}
-	return rows, payloadBytes
-}
-
-// mergeDelta is Merge restricted to the rows other advertised (mutated
-// past otherSeen). The dense matrix never evicts, so the watermark alone
-// is sound and there is no full-digest fallback beyond seen == 0.
-func (m *MeetingMatrix) mergeDelta(other *MeetingMatrix, otherSeen uint64) ExchangeStats {
-	if len(m.ids) != len(other.ids) {
-		panic("core: merging meeting matrices over different node sets")
-	}
-	var st ExchangeStats
-	for i := range m.ids {
-		if m.ids[i] != other.ids[i] {
-			panic("core: merging meeting matrices over different node sets")
-		}
-		if other.updated[i] < 0 || other.rowVer[i] <= otherSeen {
-			continue
-		}
-		if other.updated[i] > m.updated[i] {
-			m.copyRow(other, i)
-			st.AddRow(m.nbrs.Len(i))
-		}
-	}
-	return st
-}
-
-func syncPairDelta(a, b *MeetingMatrix, aID, bID int) ExchangeStats {
-	aSeen, bSeen := a.seen[bID], b.seen[aID]
-	var st ExchangeStats
-	st.AddDigest(a.advertised(aSeen))
-	st.AddDigest(b.advertised(bSeen))
-	// Same sequential direction order as SyncPair: a absorbs b's rows
-	// first, then b reads a's merged state. Rows a just learned carry a
-	// fresh stamp past aSeen but equal freshness, so they never re-ship.
-	fwd := a.mergeDelta(b, bSeen)
-	back := b.mergeDelta(a, aSeen)
-	st.Add(fwd)
-	st.Add(back)
-	st.AddRequests(fwd.Rows + back.Rows)
-	if a.seen == nil {
-		a.seen = make(map[int]uint64)
-	}
-	if b.seen == nil {
-		b.seen = make(map[int]uint64)
-	}
-	a.seen[bID] = a.version
-	b.seen[aID] = b.version
-	return st
-}
-
-// --- sparse ---
-
-// SyncRowsMode merges two sparse row sets both ways (the exchange of
-// SyncSparse and of MaxProp's sparse vector flood), metering under the
-// given mode.
-func SyncRowsMode(a, b *SparseRows, aID, bID int, mode ExchangeMode) ExchangeStats {
-	switch mode {
-	case ExchangeFlood:
-		var st ExchangeStats
-		st.Add(a.floodVolume())
-		st.Add(b.floodVolume())
-		a.MergeFresher(b)
-		b.MergeFresher(a)
-		return st
-	case ExchangeDelta:
-		return syncRowsDelta(a, b, aID, bID)
-	default:
-		st := a.MergeFresher(b)
-		st.Add(b.MergeFresher(a))
+		st := a.mergeFrom(b, 0, true)
+		st.Add(b.mergeFrom(a, 0, true))
 		return st
 	}
 }
 
-// floodVolume is the cost of transmitting every published row.
-func (s *SparseRows) floodVolume() ExchangeStats {
-	var st ExchangeStats
-	for _, r := range s.rows {
-		if r.Updated >= 0 {
-			st.AddRow(r.Len())
-		}
-	}
-	return st
-}
-
-// advertised counts and sizes the rows a delta digest carries: published
-// rows mutated past the watermark, or all published rows for a full
-// digest, each costing a varint (owner, stamp) entry.
-func (s *SparseRows) advertised(seen uint64, full bool) (rows, payloadBytes int) {
-	for id, r := range s.rows {
-		if r.Updated >= 0 && (full || r.ver > seen) {
-			rows++
-			payloadBytes += DigestEntryLen(id, r.Updated)
-		}
-	}
-	return rows, payloadBytes
-}
-
-func syncRowsDelta(a, b *SparseRows, aID, bID int) ExchangeStats {
+func syncDelta(a, b RowSet, aID, bID int) ExchangeStats {
+	ga, gb := a.gossip(), b.gossip()
 	// A side evicted rows since the peers last met (or mid-sync, hence the
 	// pre-merge snapshot below) may be missing rows its peer never
 	// re-mutated; the peer answers with a full digest.
-	aFull := b.evictGen != b.evictSeen[aID]
-	bFull := a.evictGen != a.evictSeen[bID]
-	aSeen, bSeen := a.seen[bID], b.seen[aID]
-	aEvictPre, bEvictPre := a.evictGen, b.evictGen
+	aFull := gb.evictGen != gb.evictSeen[aID]
+	bFull := ga.evictGen != ga.evictSeen[bID]
+	aSeen, bSeen := ga.seen[bID], gb.seen[aID]
+	aEvictPre, bEvictPre := ga.evictGen, gb.evictGen
 	var st ExchangeStats
 	st.AddDigest(a.advertised(aSeen, aFull))
 	st.AddDigest(b.advertised(bSeen, bFull))
-	// Same sequential direction order as the fresher path (a absorbs b
-	// first, b then reads a's merged — and possibly just-evicted — state),
-	// so the shipped row sets match fresher exactly even when a's cap
-	// evicts mid-sync; the eviction itself is caught by the evictGen
-	// fallback at the pair's next meeting.
-	fwd := a.mergeFresherDelta(b, bSeen, bFull)
-	back := b.mergeFresherDelta(a, aSeen, aFull)
+	// Same sequential direction order as the fresher path, so the shipped
+	// row sets match fresher exactly even when a's cap evicts mid-sync;
+	// the eviction itself is caught by the evictGen fallback at the pair's
+	// next meeting.
+	fwd := a.mergeFrom(b, bSeen, bFull)
+	back := b.mergeFrom(a, aSeen, aFull)
 	st.Add(fwd)
 	st.Add(back)
 	st.AddRequests(fwd.Rows + back.Rows)
-	a.noteSynced(bID, aEvictPre)
-	b.noteSynced(aID, bEvictPre)
+	ga.noteSynced(bID, aEvictPre)
+	gb.noteSynced(aID, bEvictPre)
 	return st
 }
 
@@ -261,11 +149,16 @@ func syncRowsDelta(a, b *SparseRows, aID, bID int) ExchangeStats {
 // the current version (rows learned during the sync need no re-advertising
 // — the peer sent them) and the pre-sync eviction generation (evictions
 // during the sync still demand a full digest next time).
-func (s *SparseRows) noteSynced(peer int, evictPre uint64) {
-	if s.seen == nil {
-		s.seen = make(map[int]uint64)
-		s.evictSeen = make(map[int]uint64)
+func (g *gossipMarks) noteSynced(peer int, evictPre uint64) {
+	if g.seen == nil {
+		g.seen = make(map[int]uint64)
 	}
-	s.seen[peer] = s.version
-	s.evictSeen[peer] = evictPre
+	g.seen[peer] = g.version
+	// A missing entry reads 0, so stores that never evicted keep no map.
+	if evictPre != 0 || g.evictSeen != nil {
+		if g.evictSeen == nil {
+			g.evictSeen = make(map[int]uint64)
+		}
+		g.evictSeen[peer] = evictPre
+	}
 }

@@ -203,12 +203,9 @@ func TestSparseEvictionForcesFullDigest(t *testing.T) {
 	a, b := NewSparseRows(), NewSparseRows()
 	// b publishes rows 1..4; a learns them all on the first sync.
 	for id := 1; id <= 4; id++ {
-		r := b.Ensure(id)
-		r.Set(9, float64(id))
-		r.Updated = float64(id)
-		b.Touch(r)
+		b.Publish(id, NewRow(float64(id), []int32{9}, []float64{float64(id)}))
 	}
-	SyncRowsMode(a, b, 0, 1, ExchangeDelta)
+	SyncRows(a, b, 0, 1, ExchangeDelta)
 	if a.Len() != 4 {
 		t.Fatalf("first sync: a holds %d rows, want 4", a.Len())
 	}
@@ -218,7 +215,7 @@ func TestSparseEvictionForcesFullDigest(t *testing.T) {
 		t.Fatalf("cap did not evict the stalest row")
 	}
 	a.SetCap(0, -1) // lift the cap; the eviction already happened
-	st := SyncRowsMode(a, b, 0, 1, ExchangeDelta)
+	st := SyncRows(a, b, 0, 1, ExchangeDelta)
 	if a.Row(1) == nil {
 		t.Fatalf("re-sync after eviction did not restore the evicted row")
 	}
@@ -229,7 +226,7 @@ func TestSparseEvictionForcesFullDigest(t *testing.T) {
 		t.Fatalf("post-eviction sync advertised %d rows, want full digest of 4", st.DigestRows)
 	}
 	// With no further evictions the next idle sync is quiet again.
-	st = SyncRowsMode(a, b, 0, 1, ExchangeDelta)
+	st = SyncRows(a, b, 0, 1, ExchangeDelta)
 	if st.Rows != 0 || st.DigestRows != 0 {
 		t.Fatalf("idle re-sync after recovery still active: %+v", st)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Unknown marks an MI entry for which no meeting-interval estimate exists.
@@ -148,105 +149,68 @@ func (e *ExchangeStats) Add(o ExchangeStats) {
 // SyncPair. Mixing implementations panics: a world runs one storage mode.
 // It returns the combined exchange volume of both directions.
 func Sync(a, b MeetingStore) ExchangeStats {
-	switch x := a.(type) {
-	case *MeetingMatrix:
-		return SyncPair(x, b.(*MeetingMatrix))
-	case *SparseMeetingStore:
-		return SyncSparse(x, b.(*SparseMeetingStore))
-	default:
-		panic(fmt.Sprintf("core: Sync over unknown MeetingStore implementation %T", a))
-	}
+	return SyncMode(a, b, -1, -1, ExchangeFresher)
 }
 
 // MeetingMatrix is the link-state MI matrix of Section III-B.2: for a node
-// set {ids}, entry (i, j) holds node ids[i]'s published average meeting
-// interval to ids[j]. Each row is owned by the node it describes and
-// carries the timestamp of its last update, so that two encountering nodes
-// can exchange only the fresher rows (footnote 1 of the paper).
+// set {ids}, row i holds node ids[i]'s published average meeting intervals
+// to the other covered nodes. Each row is owned by the node it describes
+// and carries the timestamp of its last update, so that two encountering
+// nodes can exchange only the fresher rows (footnote 1 of the paper).
 //
 // The same type serves the full network (EER) and a single community
 // (CR's intra-community MI) — the latter simply covers fewer ids.
 //
-// Each row also carries a neighbour index (RowIndex): the local columns of
-// its known (finite, off-diagonal) entries. Figure-scale MI rows are
-// mostly Unknown — a few known entries out of hundreds — so the MEMD
-// Dijkstra, the exchange metering and row copies walk the index instead of
-// the full row. Invariant: every off-diagonal entry outside the index is
-// Unknown and the diagonal is 0.
+// The matrix is dense in its slots, not in its entries: one shared,
+// immutable Row pointer per covered node (see Row), whose entries are the
+// row's known (finite, off-diagonal) intervals keyed by local index.
+// Every entry outside a row is Unknown and the diagonal is 0. Figure-scale
+// rows hold a few known entries out of hundreds, so the MEMD Dijkstra and
+// the exchange metering walk those alone, and a merge moves pointers.
 type MeetingMatrix struct {
-	ids     []int       // global node ids covered, ascending
-	idx     map[int]int // global id -> local index; nil when ids are 0..n-1
-	rows    [][]float64 // rows[i][j] = I(ids[i], ids[j]); Unknown if none
-	nbrs    RowIndex    // row i: the j != i with rows[i][j] finite
-	updated []float64   // last update time per row; -1 = never
-
-	// Delta-gossip bookkeeping (see exchange.go): version counts local
-	// row mutations (own refreshes and merge copies), rowVer stamps each
-	// row with the version of its last mutation, and seen records the
-	// local version as of the end of the last delta sync with each peer —
-	// a row is advertised to a peer iff it mutated since they last met.
-	version uint64
-	rowVer  []uint64
-	seen    map[int]uint64
+	idx  map[int]int // global id -> local index; nil when ids are 0..n-1
+	rows DenseRows   // rows.ids: covered global ids, ascending; nil when 0..n-1
 }
 
 // NewMeetingMatrix returns an all-Unknown matrix over the given global node
-// ids. The id list is copied; it must contain no duplicates. A matrix over
-// exactly 0..n-1 (EER's) maps ids to local indices by identity and keeps
-// no id map: at figure scale the per-node maps cost as much memory as the
-// neighbour indexes.
+// ids, which must contain no duplicates. The matrix keeps a sorted copy, so
+// local indices ascend with global ids. A matrix over exactly 0..n-1
+// (EER's) maps ids to local indices by identity and keeps neither the id
+// list nor an id map.
 func NewMeetingMatrix(ids []int) *MeetingMatrix {
-	m := &MeetingMatrix{
-		ids:     append([]int(nil), ids...),
-		rows:    make([][]float64, len(ids)),
-		nbrs:    NewRowIndex(len(ids)),
-		updated: make([]float64, len(ids)),
-		rowVer:  make([]uint64, len(ids)),
-	}
-	for i, id := range m.ids {
-		if id != i {
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	m := &MeetingMatrix{rows: *NewDenseRows(len(ids))}
+	for i, id := range sorted {
+		if i > 0 && id == sorted[i-1] {
+			panic(fmt.Sprintf("core: duplicate id %d in meeting matrix", id))
+		}
+		if id != i && m.idx == nil {
 			m.idx = make(map[int]int, len(ids))
-			break
+			m.rows.ids = sorted
 		}
 	}
-	flat := make([]float64, len(ids)*len(ids))
-	for i := range flat {
-		flat[i] = Unknown
-	}
-	for i, id := range m.ids {
-		if m.idx != nil {
-			if _, dup := m.idx[id]; dup {
-				panic(fmt.Sprintf("core: duplicate id %d in meeting matrix", id))
-			}
+	if m.idx != nil {
+		for i, id := range sorted {
 			m.idx[id] = i
 		}
-		m.rows[i], flat = flat[:len(ids)], flat[len(ids):]
-		m.rows[i][i] = 0
-		m.updated[i] = -1
 	}
 	return m
 }
 
 // NewFullMeetingMatrix returns a matrix over nodes 0..n-1.
 func NewFullMeetingMatrix(n int) *MeetingMatrix {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return NewMeetingMatrix(ids)
+	return &MeetingMatrix{rows: *NewDenseRows(n)}
 }
 
 // Size returns the number of covered nodes.
-func (m *MeetingMatrix) Size() int { return len(m.ids) }
-
-// IDs returns the covered global node ids (shared; do not mutate).
-func (m *MeetingMatrix) IDs() []int { return m.ids }
+func (m *MeetingMatrix) Size() int { return len(m.rows.rows) }
 
 // Index returns the local index of global node id. ok is false when the
 // matrix does not cover id.
 func (m *MeetingMatrix) Index(id int) (int, bool) {
 	if m.idx == nil {
-		return id, id >= 0 && id < len(m.ids)
+		return id, id >= 0 && id < len(m.rows.rows)
 	}
 	i, ok := m.idx[id]
 	return i, ok
@@ -266,7 +230,13 @@ func (m *MeetingMatrix) Interval(a, b int) float64 {
 	if !ok1 || !ok2 {
 		return Unknown
 	}
-	return m.rows[i][j]
+	if i == j {
+		return 0
+	}
+	if v, ok := m.rows.rows[i].Get(j); ok {
+		return v
+	}
+	return Unknown
 }
 
 // RowUpdated returns the timestamp of the last update of global node id's
@@ -276,10 +246,10 @@ func (m *MeetingMatrix) RowUpdated(id int) float64 {
 	if !ok {
 		return -1
 	}
-	return m.updated[i]
+	return updatedOf(m.rows.rows[i])
 }
 
-// UpdateOwnRow refreshes the row owned by global node self from its contact
+// UpdateOwnRow publishes a new row for global node self from its contact
 // history at time t. Only peers covered by the matrix are read, so a
 // community-scoped matrix stores only intra-community averages.
 func (m *MeetingMatrix) UpdateOwnRow(self int, t float64, h *History) {
@@ -287,114 +257,75 @@ func (m *MeetingMatrix) UpdateOwnRow(self int, t float64, h *History) {
 	if !ok {
 		panic(fmt.Sprintf("core: node %d not covered by meeting matrix", self))
 	}
-	row := m.rows[i]
-	m.nbrs.ClearRow(i)
-	for j, id := range m.ids {
-		if id == self {
-			row[j] = 0
-			continue
+	m.rows.Publish(i, ownMIRow(t, h, m.Index))
+}
+
+// ownMIRow builds a node's MI row at time t from its contact history: the
+// finite mean interval to every met peer that col maps into the store,
+// keyed by col's index, which must ascend with the global id. A first
+// pass sizes the row exactly.
+func ownMIRow(t float64, h *History, col func(peer int) (int, bool)) *Row {
+	n := 0
+	h.forEachMet(func(peer int) {
+		if _, ok := col(peer); ok && h.IntervalCount(peer) > 0 {
+			n++
 		}
-		if mean, got := h.MeanInterval(id); got {
-			row[j] = mean
-			if !math.IsInf(mean, 1) {
-				m.nbrs.Set(i, j)
-			}
-		} else {
-			row[j] = Unknown
+	})
+	peers, vals := make([]int32, 0, n), make([]float64, 0, n)
+	h.forEachMet(func(peer int) {
+		j, ok := col(peer)
+		if !ok {
+			return
 		}
-	}
-	m.updated[i] = t
-	m.version++
-	m.rowVer[i] = m.version
+		if mean, got := h.MeanInterval(peer); got && !math.IsInf(mean, 1) {
+			peers = append(peers, int32(j))
+			vals = append(vals, mean)
+		}
+	})
+	return NewRow(t, peers, vals)
 }
 
 // ForEachKnown implements MeetingStore: the finite off-diagonal entries of
-// owner's row, ascending by peer id (the id list is ascending by
-// construction).
+// owner's row, ascending by peer id (local indices ascend with ids).
 func (m *MeetingMatrix) ForEachKnown(owner int, f func(peer int, interval float64)) {
 	i, ok := m.Index(owner)
 	if !ok {
 		return
 	}
-	row := m.rows[i]
-	for j := range m.nbrs.Cols(i) {
-		f(m.ids[j], row[j])
+	peers, vals := m.rows.rows[i].Entries()
+	for k, j := range peers {
+		f(m.rows.owner(int(j)), vals[k])
 	}
 }
 
-// Merge copies into m every row of other that is strictly fresher,
+// Merge takes into m every row of other that is strictly fresher,
 // implementing the exchange of Algorithm 1 line 4. It returns the exchange
-// volume (rows copied, known entries they carried, serialized bytes). Both
+// volume (rows taken, known entries they carried, serialized bytes). Both
 // matrices must cover the same id set.
 func (m *MeetingMatrix) Merge(other *MeetingMatrix) ExchangeStats {
-	if len(m.ids) != len(other.ids) {
+	sameIDs(m, other)
+	return m.rows.mergeFrom(&other.rows, 0, true)
+}
+
+// sameIDs panics unless a and b cover the same id set.
+func sameIDs(a, b *MeetingMatrix) {
+	if !slices.Equal(a.rows.ids, b.rows.ids) || len(a.rows.rows) != len(b.rows.rows) {
 		panic("core: merging meeting matrices over different node sets")
 	}
-	var st ExchangeStats
-	for i := range m.ids {
-		if m.ids[i] != other.ids[i] {
-			panic("core: merging meeting matrices over different node sets")
-		}
-		if other.updated[i] > m.updated[i] {
-			m.copyRow(other, i)
-			st.AddRow(m.nbrs.Len(i))
-		}
-	}
-	return st
-}
-
-// copyRow overwrites row i and its freshness with other's, stamping a local
-// mutation. The index length is the row's known-entry count — exactly what
-// ForEachKnown visits and a sparse row stores, hence the exchange metering.
-func (m *MeetingMatrix) copyRow(other *MeetingMatrix, i int) {
-	m.setRow(i, other)
-	m.updated[i] = other.updated[i]
-	m.version++
-	m.rowVer[i] = m.version
-}
-
-// setRow replaces row i's known entries and index with other's. By the
-// Unknown-outside-the-index invariant only the old and the new indexed
-// entries need writing, not the whole row.
-func (m *MeetingMatrix) setRow(i int, other *MeetingMatrix) {
-	row, src := m.rows[i], other.rows[i]
-	for j := range m.nbrs.Cols(i) {
-		row[j] = Unknown
-	}
-	for j := range other.nbrs.Cols(i) {
-		row[j] = src[j]
-	}
-	m.nbrs.CopyRow(i, other.nbrs)
 }
 
 // SyncPair merges a and b into the identical MI required by Algorithm 1
 // line 4: each ends up with the element-wise fresher rows of the two. It
 // returns the combined exchange volume of both directions.
 func SyncPair(a, b *MeetingMatrix) ExchangeStats {
-	st := a.Merge(b)
-	st.Add(b.Merge(a))
-	return st
+	return SyncMode(a, b, -1, -1, ExchangeFresher)
 }
 
 // KnownRows returns how many rows have ever been updated.
-func (m *MeetingMatrix) KnownRows() int {
-	n := 0
-	for _, u := range m.updated {
-		if u >= 0 {
-			n++
-		}
-	}
-	return n
-}
+func (m *MeetingMatrix) KnownRows() int { return m.rows.knownRows() }
 
-// Clone returns a deep copy of the matrix.
+// Clone returns a copy of the matrix. Rows are immutable, so the copy
+// shares them (and the id list) rather than their entries.
 func (m *MeetingMatrix) Clone() *MeetingMatrix {
-	c := NewMeetingMatrix(m.ids)
-	for i := range m.rows {
-		c.setRow(i, m)
-	}
-	copy(c.updated, m.updated)
-	copy(c.rowVer, m.rowVer)
-	c.version = m.version
-	return c
+	return &MeetingMatrix{idx: m.idx, rows: m.rows.clone()}
 }

@@ -13,8 +13,8 @@ import (
 // all buffered messages.
 //
 // The MD matrix is never materialised: the own row is relaxed as it is
-// computed, and every other settled row is read straight from the MI
-// matrix through its neighbour index. Only the distance vector, visited
+// computed, and every other settled row's known entries are read straight
+// from the MI matrix's shared rows. Only the distance vector, visited
 // flags and heap persist, as scratch reused across computations.
 //
 // This is the dense half of the Theorem-3 machinery, over a *MeetingMatrix:
@@ -41,11 +41,11 @@ func NewMEMD(size int) *MEMD {
 func (m *MEMD) Compute(self int, t float64, h *History, mi *MeetingMatrix) {
 	src := m.begin(self, mi)
 	// Own row: elapsed-time-conditioned EMDs (Theorem 2).
-	for j, id := range mi.ids {
+	for j := range mi.Size() {
 		if j == src {
 			continue
 		}
-		if d, got := h.EMD(id, t); got {
+		if d, got := h.EMD(mi.rows.owner(j), t); got {
 			m.dij.Relax(j, 0, d)
 		}
 	}
@@ -88,11 +88,12 @@ func (m *MEMD) finish(mi *MeetingMatrix) {
 	m.valid = true
 }
 
-// relaxRow relaxes row u's known MI entries from distance base.
+// relaxRow relaxes row u's known MI entries from distance base, in
+// ascending column order.
 func (m *MEMD) relaxRow(mi *MeetingMatrix, u int, base float64) {
-	row := mi.rows[u]
-	for v := range mi.nbrs.Cols(u) {
-		m.dij.Relax(v, base, row[v])
+	peers, vals := mi.rows.rows[u].Entries()
+	for k, v := range peers {
+		m.dij.Relax(int(v), base, vals[k])
 	}
 }
 

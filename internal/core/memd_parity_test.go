@@ -3,19 +3,17 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-// This file pins the dense store's neighbour index and the indexed MEMD
-// Dijkstra: the index must always equal the ascending finite off-diagonal
-// set of its row, and every delay must match a dense Dijkstra over the
-// materialised MD matrix bit for bit.
+// This file pins the MEMD Dijkstra over the dense store's shared rows:
+// every delay must match a dense Dijkstra over the materialised MD matrix
+// bit for bit.
 
-// intn is the op source driving an miWorld: a seeded generator in the
-// tests, the fuzzer's bytes in FuzzMEMDParity.
+// intn is the op source driving an miWorld or a rowWorld: a seeded
+// generator in the tests, the fuzzer's bytes in the fuzz targets.
 type intn interface{ Intn(n int) int }
 
 // byteSource draws ops from fuzz input, reading 0 once exhausted.
@@ -84,34 +82,26 @@ func (w *miWorld) step(src intn) {
 			w.hist[u].RecordContact(v, w.now)
 			w.mi[u].UpdateOwnRow(u, w.now, w.hist[u])
 		}
-		SyncPairMode(w.mi[a], w.mi[b], a, b, ExchangeMode(src.Intn(3)))
+		SyncMode(w.mi[a], w.mi[b], a, b, ExchangeMode(src.Intn(3)))
 	}
 }
 
-// checkIndex fails unless every row's index is exactly its ascending
-// finite off-diagonal column set, the diagonal is 0, and the flood
-// metering (index lengths) matches a full-row count.
-func checkIndex(t testing.TB, m *MeetingMatrix) {
+// checkRows fails unless every row of m holds ascending, finite,
+// off-diagonal entries — the store's known-entry invariant — and the
+// flood metering counts exactly those entries.
+func checkRows(t testing.TB, m *MeetingMatrix) {
 	t.Helper()
 	entries := 0
-	for i, row := range m.rows {
-		if row[i] != 0 {
-			t.Fatalf("row %d: diagonal %v, want 0", i, row[i])
-		}
-		var want []int
-		for j, v := range row {
-			if j != i && !math.IsInf(v, 1) {
-				want = append(want, j)
+	for i, row := range m.rows.rows {
+		peers, vals := row.Entries()
+		for k, j := range peers {
+			if int(j) == i || (k > 0 && j <= peers[k-1]) || math.IsInf(vals[k], 0) || math.IsNaN(vals[k]) {
+				t.Fatalf("row %d: entries %v %v break the known-entry invariant", i, peers, vals)
 			}
 		}
-		if got := slices.Collect(m.nbrs.Cols(i)); !slices.Equal(got, want) || m.nbrs.Len(i) != len(want) {
-			t.Fatalf("row %d: index %v (length %d), want %v", i, got, m.nbrs.Len(i), want)
-		}
-		if m.updated[i] >= 0 {
-			entries += len(want)
-		}
+		entries += len(peers)
 	}
-	if got := m.floodVolume().Entries; got != entries {
+	if got := m.rows.floodVolume().Entries; got != entries {
 		t.Fatalf("flood metering counts %d entries, rows hold %d", got, entries)
 	}
 }
@@ -119,8 +109,8 @@ func checkIndex(t testing.TB, m *MeetingMatrix) {
 // scopedIDs is a community-style subset of a 16-node network.
 var scopedIDs = []int{1, 3, 4, 7, 8, 10, 13, 14}
 
-// wideIDs is a 70-node subset of a 140-node network: rows span two
-// bitmap words.
+// wideIDs is a 70-node subset of a 140-node network whose local indices
+// and global ids differ everywhere past 0.
 var wideIDs = func() []int {
 	ids := make([]int, 70)
 	for i := range ids {
@@ -135,61 +125,6 @@ func fullIDs(n int) []int {
 		ids[i] = i
 	}
 	return ids
-}
-
-// TestRowIndex covers the bitmap across word boundaries: ascending
-// iteration, length, row copies, and clearing the visited column
-// mid-iteration.
-func TestRowIndex(t *testing.T) {
-	const n = 130 // three words per row
-	x, y := NewRowIndex(n), NewRowIndex(n)
-	cols := []int{0, 5, 63, 64, 100, 127, 128, 129}
-	for _, j := range []int{129, 64, 0, 127, 63, 128, 5, 100, 64} {
-		x.Set(7, j)
-	}
-	if got := slices.Collect(x.Cols(7)); !slices.Equal(got, cols) || x.Len(7) != len(cols) {
-		t.Fatalf("row 7 = %v (length %d), want %v", got, x.Len(7), cols)
-	}
-	if x.Len(6) != 0 || x.Len(8) != 0 {
-		t.Fatal("neighbouring rows not empty")
-	}
-	y.CopyRow(7, x)
-	for j := range y.Cols(7) {
-		if j != 64 {
-			y.Clear(7, j)
-		}
-	}
-	if got := slices.Collect(y.Cols(7)); !slices.Equal(got, []int{64}) {
-		t.Fatalf("after clearing all but 64: %v", got)
-	}
-	y.ClearRow(7)
-	if y.Len(7) != 0 || x.Len(7) != len(cols) {
-		t.Fatal("ClearRow emptied the wrong index")
-	}
-}
-
-// TestMeetingMatrixIndexInvariant drives full and scoped matrices through
-// random refresh / fresher / flood / delta / clone sequences, checking the
-// index after every op.
-func TestMeetingMatrixIndexInvariant(t *testing.T) {
-	for _, sc := range []struct {
-		name string
-		n    int
-		ids  []int
-	}{{"full", 10, fullIDs(10)}, {"scoped", 16, scopedIDs}, {"wide", 140, wideIDs}} {
-		for _, seed := range []int64{1, 2, 3} {
-			t.Run(fmt.Sprintf("%s-seed%d", sc.name, seed), func(t *testing.T) {
-				w := newMIWorld(sc.n, sc.ids)
-				rng := xrand.New(seed)
-				for k := 0; k < 400; k++ {
-					w.step(rng)
-					for _, id := range w.ids {
-						checkIndex(t, w.mi[id])
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestRowCopyClearsStaleEntries: a fresher row with fewer known entries —
@@ -208,14 +143,14 @@ func TestRowCopyClearsStaleEntries(t *testing.T) {
 	refreshed := NewFullMeetingMatrix(4)
 	refreshed.UpdateOwnRow(0, 5, rich)
 	refreshed.UpdateOwnRow(0, 9, poor)
-	checkIndex(t, refreshed)
+	checkRows(t, refreshed)
 	for _, mode := range []ExchangeMode{ExchangeFresher, ExchangeFlood, ExchangeDelta} {
 		a, b := NewFullMeetingMatrix(4), NewFullMeetingMatrix(4)
 		a.UpdateOwnRow(0, 5, rich)
 		b.UpdateOwnRow(0, 9, poor)
-		SyncPairMode(a, b, 1, 2, mode)
+		SyncMode(a, b, 1, 2, mode)
 		for _, m := range []*MeetingMatrix{a, a.Clone()} {
-			checkIndex(t, m)
+			checkRows(t, m)
 			if v := m.Interval(0, 1); !math.IsInf(v, 1) {
 				t.Errorf("mode %v: stale entry (0,1) = %v survived the copy", mode, v)
 			}
@@ -231,12 +166,19 @@ func TestRowCopyClearsStaleEntries(t *testing.T) {
 func mdOracle(self int, t float64, h *History, mi *MeetingMatrix, storeOnly bool) []float64 {
 	n := mi.Size()
 	src, _ := mi.Index(self)
+	ids := make([]int, n)
+	for j := range ids {
+		ids[j] = mi.rows.owner(j)
+	}
 	w := make([][]float64, n)
 	for i := range w {
-		w[i] = slices.Clone(mi.rows[i])
+		w[i] = make([]float64, n)
+		for j := range w[i] {
+			w[i][j] = mi.Interval(ids[i], ids[j])
+		}
 	}
 	if !storeOnly {
-		for j, id := range mi.ids {
+		for j, id := range ids {
 			w[src][j] = Unknown
 			if j == src {
 				w[src][j] = 0
@@ -319,7 +261,7 @@ func TestMEMDComputeAllocs(t *testing.T) {
 func FuzzMEMDParity(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 9, 9, 9, 0, 0, 0, 3, 3, 3, 7, 2, 2, 5, 5, 5, 1, 0})
-	f.Add([]byte("dense MEMD over a neighbour index, bit for bit"))
+	f.Add([]byte("dense MEMD over shared rows, bit for bit"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -333,7 +275,7 @@ func FuzzMEMDParity(f *testing.F) {
 			w.step(src)
 		}
 		for _, id := range w.ids {
-			checkIndex(t, w.mi[id])
+			checkRows(t, w.mi[id])
 		}
 		checkMEMDParity(t, w, w.now+5)
 	})

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file holds the sparse half of the estimator core: city-scale
@@ -14,103 +13,11 @@ import (
 // recorded meetings recovers the paper's protocols at 10⁴+ nodes where the
 // dense n×n matrices cannot even be allocated.
 
-// SparseRow is one node's published row in a sparse link-state store: the
-// (peer, value) pairs the row's owner has actually observed, kept ascending
-// by peer id, plus the freshness timestamp the merge protocol compares.
-// Ascending order matters beyond lookup speed: every simulation-visible
-// float reduction over a row (normalisation sums, Dijkstra relaxations)
-// must visit entries in the same order as the dense implementation visits
-// column indices, or dense/sparse parity breaks on float associativity.
-type SparseRow struct {
-	// Updated is the row's last-refresh time; -1 = never published.
-	Updated float64
-
-	// ver stamps the store-local version of the row's last mutation (own
-	// refresh via Touch, or merge copy) for delta digests; see exchange.go.
-	ver uint64
-
-	peers []int32
-	vals  []float64
-}
-
-// Len returns the number of stored entries.
-func (r *SparseRow) Len() int { return len(r.peers) }
-
-// Get returns the stored value for peer.
-func (r *SparseRow) Get(peer int) (float64, bool) {
-	i := sort.Search(len(r.peers), func(i int) bool { return int(r.peers[i]) >= peer })
-	if i < len(r.peers) && int(r.peers[i]) == peer {
-		return r.vals[i], true
-	}
-	return 0, false
-}
-
-// Set inserts or overwrites the value for peer, keeping the row sorted.
-func (r *SparseRow) Set(peer int, v float64) {
-	i := sort.Search(len(r.peers), func(i int) bool { return int(r.peers[i]) >= peer })
-	if i < len(r.peers) && int(r.peers[i]) == peer {
-		r.vals[i] = v
-		return
-	}
-	r.peers = append(r.peers, 0)
-	r.vals = append(r.vals, 0)
-	copy(r.peers[i+1:], r.peers[i:])
-	copy(r.vals[i+1:], r.vals[i:])
-	r.peers[i] = int32(peer)
-	r.vals[i] = v
-}
-
-// Reset drops all entries, retaining capacity.
-func (r *SparseRow) Reset() {
-	r.peers = r.peers[:0]
-	r.vals = r.vals[:0]
-}
-
-// Append adds an entry that must sort after every stored one — the bulk
-// path for callers iterating peers in ascending order.
-func (r *SparseRow) Append(peer int, v float64) {
-	if n := len(r.peers); n > 0 && int(r.peers[n-1]) >= peer {
-		panic(fmt.Sprintf("core: SparseRow.Append out of order: %d after %d", peer, r.peers[n-1]))
-	}
-	r.peers = append(r.peers, int32(peer))
-	r.vals = append(r.vals, v)
-}
-
-// ForEach visits the entries in ascending peer order.
-func (r *SparseRow) ForEach(f func(peer int, v float64)) {
-	for i, p := range r.peers {
-		f(int(p), r.vals[i])
-	}
-}
-
-// Sum returns the ascending-order sum of the stored values — bit-identical
-// to a dense row scan, whose absent entries contribute exact 0.0 no-ops.
-func (r *SparseRow) Sum() float64 {
-	sum := 0.0
-	for _, v := range r.vals {
-		sum += v
-	}
-	return sum
-}
-
-// Div divides every stored value by x, in ascending order.
-func (r *SparseRow) Div(x float64) {
-	for i := range r.vals {
-		r.vals[i] /= x
-	}
-}
-
-// copyFrom overwrites r with o's entries and freshness, reusing capacity.
-func (r *SparseRow) copyFrom(o *SparseRow) {
-	r.peers = append(r.peers[:0], o.peers...)
-	r.vals = append(r.vals[:0], o.vals...)
-	r.Updated = o.Updated
-}
-
-// SparseRows is a set of sparse rows keyed by owner id with the per-row
-// freshness merge of Algorithm 1 line 4 — the sparse counterpart of the
-// dense matrix's rows+updated arrays. The sparse MI store and MaxProp's
-// flooded probability vectors both build on it.
+// SparseRows is a row set keyed by owner id that holds only the rows its
+// store ever published or learned — the sparse RowSet. The sparse MI store
+// and MaxProp's sparse probability vectors both build on it. Each slot
+// keeps the shared row pointer plus the store-local version of the slot's
+// last mutation for delta digests.
 //
 // An optional MaxRows cap (SetCap) bounds the set for long-horizon runs:
 // when a merge would grow the set past the cap, the rows with the oldest
@@ -120,26 +27,21 @@ func (r *SparseRow) copyFrom(o *SparseRow) {
 // fresher gossip; capping trades a little routing accuracy for a hard
 // memory bound.
 type SparseRows struct {
-	rows    map[int]*SparseRow
+	rows    map[int]sparseSlot
 	maxRows int // 0 = unbounded
 	pin     int // owner id never evicted; -1 = none
+	gossipMarks
+}
 
-	// Delta-gossip bookkeeping (see exchange.go): version counts local
-	// row mutations, evictGen counts cap evictions, seen records the
-	// local version as of the end of the last delta sync with each peer,
-	// and evictSeen the local eviction generation as of the start of that
-	// sync — a peer whose counterpart evicted since they last met gets a
-	// full digest, which keeps delta outcomes identical to fresher-wins
-	// even under row caps.
-	version   uint64
-	evictGen  uint64
-	seen      map[int]uint64
-	evictSeen map[int]uint64
+// sparseSlot is one owner's entry in a SparseRows.
+type sparseSlot struct {
+	row *Row
+	ver uint64
 }
 
 // NewSparseRows returns an empty, unbounded row set.
 func NewSparseRows() *SparseRows {
-	return &SparseRows{rows: make(map[int]*SparseRow), pin: -1}
+	return &SparseRows{rows: make(map[int]sparseSlot), pin: -1}
 }
 
 // SetCap bounds the set to maxRows rows (0 = unbounded), never evicting
@@ -163,14 +65,13 @@ func (s *SparseRows) evictOverCap() {
 		return
 	}
 	for len(s.rows) > s.maxRows {
-		victim, found := 0, false
-		for id, r := range s.rows {
+		victim, vu, found := 0, 0.0, false
+		for id, sl := range s.rows {
 			if id == s.pin {
 				continue
 			}
-			if !found || r.Updated < s.rows[victim].Updated ||
-				(r.Updated == s.rows[victim].Updated && id < victim) {
-				victim, found = id, true
+			if u := sl.row.Updated; !found || u < vu || (u == vu && id < victim) {
+				victim, vu, found = id, u, true
 			}
 		}
 		if !found {
@@ -181,37 +82,28 @@ func (s *SparseRows) evictOverCap() {
 	}
 }
 
-// Touch records a local mutation of row r (which must belong to s), so
-// delta digests re-advertise it. Publishers must call it after rebuilding
-// a row in place.
-func (s *SparseRows) Touch(r *SparseRow) {
+// Row implements RowSet.
+func (s *SparseRows) Row(owner int) *Row { return s.rows[owner].row }
+
+// Publish implements RowSet. Publishing never evicts: a new own row may
+// sit one over the cap until the next merge trims the set.
+func (s *SparseRows) Publish(owner int, r *Row) {
 	s.version++
-	r.ver = s.version
+	s.rows[owner] = sparseSlot{row: r, ver: s.version}
 }
 
-// Row returns owner's row, or nil if the set holds none.
-func (s *SparseRows) Row(owner int) *SparseRow { return s.rows[owner] }
+// Version implements RowSet.
+func (s *SparseRows) Version() uint64 { return s.version }
 
-// Ensure returns owner's row, creating an empty never-published one if
-// absent.
-func (s *SparseRows) Ensure(owner int) *SparseRow {
-	r := s.rows[owner]
-	if r == nil {
-		r = &SparseRow{Updated: -1}
-		s.rows[owner] = r
+// clone returns a set holding the same row pointers, stamps and cap;
+// delta watermarks are not carried over.
+func (s *SparseRows) clone() *SparseRows {
+	c := &SparseRows{rows: make(map[int]sparseSlot, len(s.rows)), maxRows: s.maxRows, pin: s.pin}
+	for id, sl := range s.rows {
+		c.rows[id] = sl
 	}
-	return r
-}
-
-// KnownRows returns how many rows have ever been published.
-func (s *SparseRows) KnownRows() int {
-	n := 0
-	for _, r := range s.rows {
-		if r.Updated >= 0 {
-			n++
-		}
-	}
-	return n
+	c.version, c.evictGen = s.version, s.evictGen
+	return c
 }
 
 // MergeFresher copies into s every row of o that is strictly fresher,
@@ -221,39 +113,54 @@ func (s *SparseRows) KnownRows() int {
 // counters are order-independent sums. A configured cap (SetCap) is
 // enforced after the merge, stalest rows first.
 func (s *SparseRows) MergeFresher(o *SparseRows) ExchangeStats {
-	return s.mergeFresherDelta(o, 0, true)
+	return s.mergeFrom(o, 0, true)
 }
 
-// mergeFresherDelta is MergeFresher restricted to the rows o advertised: a
-// row travels only if o mutated it since the peers' last delta sync
-// (or.ver > oSeen), or unconditionally with oFull (a full digest — the
+// mergeFrom is MergeFresher restricted to the rows o advertised: a row
+// travels only if o mutated it since the peers' last delta sync
+// (slot ver > oSeen), or unconditionally with oFull (a full digest — the
 // first sync, an eviction fallback, or plain MergeFresher). Restricting to
 // advertised rows loses nothing: a sound watermark means every
 // strictly-fresher row is advertised, which deltaEquivalence in
 // exchange_test.go pins.
-func (s *SparseRows) mergeFresherDelta(o *SparseRows, oSeen uint64, oFull bool) ExchangeStats {
+func (s *SparseRows) mergeFrom(other RowSet, oSeen uint64, oFull bool) ExchangeStats {
+	o := other.(*SparseRows)
 	var st ExchangeStats
-	for id, or := range o.rows {
-		if or.Updated < 0 {
-			continue // never-published rows don't travel
-		}
-		if !oFull && or.ver <= oSeen {
+	for id, osl := range o.rows {
+		if !oFull && osl.ver <= oSeen {
 			continue // not advertised: unchanged since the peers last met
 		}
-		mine := s.rows[id]
-		if mine == nil {
-			mine = &SparseRow{Updated: -1}
-			s.rows[id] = mine
-		}
-		if or.Updated > mine.Updated {
-			mine.copyFrom(or)
-			s.version++
-			mine.ver = s.version
+		if or := osl.row; or.Updated > updatedOf(s.rows[id].row) {
+			s.Publish(id, or)
 			st.AddRow(or.Len())
 		}
 	}
 	s.evictOverCap()
 	return st
+}
+
+func (s *SparseRows) gossip() *gossipMarks { return &s.gossipMarks }
+
+// floodVolume is the cost of transmitting every published row.
+func (s *SparseRows) floodVolume() ExchangeStats {
+	var st ExchangeStats
+	for _, sl := range s.rows {
+		st.AddRow(sl.row.Len())
+	}
+	return st
+}
+
+// advertised counts and sizes the rows a delta digest carries: rows
+// mutated past the watermark, or all rows for a full digest, each costing
+// a varint (owner, stamp) entry.
+func (s *SparseRows) advertised(seen uint64, full bool) (rows, payloadBytes int) {
+	for id, sl := range s.rows {
+		if full || sl.ver > seen {
+			rows++
+			payloadBytes += DigestEntryLen(id, sl.row.Updated)
+		}
+	}
+	return rows, payloadBytes
 }
 
 // SparseMeetingStore implements MeetingStore with per-row storage over
@@ -339,11 +246,7 @@ func (s *SparseMeetingStore) Interval(a, b int) float64 {
 	if a == b {
 		return 0
 	}
-	row := s.rows.Row(a)
-	if row == nil {
-		return Unknown
-	}
-	if v, ok := row.Get(b); ok {
+	if v, ok := s.rows.Row(a).Get(b); ok {
 		return v
 	}
 	return Unknown
@@ -351,15 +254,11 @@ func (s *SparseMeetingStore) Interval(a, b int) float64 {
 
 // RowUpdated implements MeetingStore.
 func (s *SparseMeetingStore) RowUpdated(id int) float64 {
-	row := s.rows.Row(id)
-	if row == nil {
-		return -1
-	}
-	return row.Updated
+	return updatedOf(s.rows.Row(id))
 }
 
-// KnownRows implements MeetingStore.
-func (s *SparseMeetingStore) KnownRows() int { return s.rows.KnownRows() }
+// KnownRows implements MeetingStore: every stored row was published.
+func (s *SparseMeetingStore) KnownRows() int { return s.rows.Len() }
 
 // UpdateOwnRow implements MeetingStore: rebuild the row owned by self from
 // its contact history at time t, covering only in-scope peers with at least
@@ -368,26 +267,22 @@ func (s *SparseMeetingStore) UpdateOwnRow(self int, t float64, h *History) {
 	if !s.Covers(self) {
 		panic(fmt.Sprintf("core: node %d not covered by sparse meeting store", self))
 	}
-	row := s.rows.Ensure(self)
-	row.Reset()
-	h.forEachMet(func(peer int) {
-		if !s.Covers(peer) {
-			return
-		}
-		if mean, ok := h.MeanInterval(peer); ok {
-			row.Append(peer, mean)
-		}
-	})
-	row.Updated = t
-	s.rows.Touch(row)
+	s.rows.Publish(self, ownMIRow(t, h, func(peer int) (int, bool) { return peer, s.Covers(peer) }))
 }
 
 // ForEachKnown implements MeetingStore: every stored entry is a finite
-// recorded average, so the row is visited verbatim.
+// recorded average, keyed by global id, so the row is visited verbatim.
 func (s *SparseMeetingStore) ForEachKnown(owner int, f func(peer int, interval float64)) {
-	if row := s.rows.Row(owner); row != nil {
-		row.ForEach(f)
+	peers, vals := s.rows.Row(owner).Entries()
+	for k, p := range peers {
+		f(int(p), vals[k])
 	}
+}
+
+// Clone returns a copy of the store that shares its (immutable) rows and
+// scope.
+func (s *SparseMeetingStore) Clone() *SparseMeetingStore {
+	return &SparseMeetingStore{size: s.size, scope: s.scope, rows: s.rows.clone()}
 }
 
 // SyncSparse merges a and b into the identical element-wise fresher rows,
@@ -395,9 +290,7 @@ func (s *SparseMeetingStore) ForEachKnown(owner int, f func(peer int, interval f
 // volume of both directions. With row caps the post-merge stores are no
 // longer necessarily identical — each keeps its own freshest cap-full.
 func SyncSparse(a, b *SparseMeetingStore) ExchangeStats {
-	st := a.rows.MergeFresher(b.rows)
-	st.Add(b.rows.MergeFresher(a.rows))
-	return st
+	return SyncRows(a.rows, b.rows, -1, -1, ExchangeFresher)
 }
 
 // SparseDijkstra runs heap-based Dijkstra over an implicit sparse graph

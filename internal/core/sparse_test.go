@@ -329,21 +329,13 @@ func denseDijkstraRef(w [][]float64, src int, dist []float64) {
 	}
 }
 
-// TestSparseRowOps covers the shared sparse-row machinery MaxProp builds
-// on.
+// TestSparseRowOps covers the shared row machinery the sparse and dense
+// stores and MaxProp build on: ascending lookups, nil rows as empty rows,
+// and the ordering contract NewRow enforces.
 func TestSparseRowOps(t *testing.T) {
-	var r SparseRow
-	r.Set(7, 1)
-	r.Set(2, 2)
-	r.Set(11, 3)
-	r.Set(7, 4) // overwrite
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	var order []int
-	r.ForEach(func(peer int, v float64) { order = append(order, peer) })
-	if order[0] != 2 || order[1] != 7 || order[2] != 11 {
-		t.Fatalf("not ascending: %v", order)
+	r := NewRow(5, []int32{2, 7, 11}, []float64{2, 4, 3})
+	if r.Len() != 3 || r.Updated != 5 {
+		t.Fatalf("Len = %d, Updated = %g; want 3, 5", r.Len(), r.Updated)
 	}
 	if v, ok := r.Get(7); !ok || v != 4 {
 		t.Fatalf("Get(7) = %v,%v want 4,true", v, ok)
@@ -351,12 +343,25 @@ func TestSparseRowOps(t *testing.T) {
 	if _, ok := r.Get(3); ok {
 		t.Fatal("Get(3) should miss")
 	}
-	if s := r.Sum(); s != 9 {
-		t.Fatalf("Sum = %g, want 9", s)
+	var none *Row
+	if peers, vals := none.Entries(); none.Len() != 0 || peers != nil || vals != nil {
+		t.Fatal("nil row not empty")
 	}
-	r.Div(2)
-	if v, _ := r.Get(2); v != 1 {
-		t.Fatalf("Div lost: %g", v)
+	if _, ok := none.Get(2); ok {
+		t.Fatal("nil row Get hit")
+	}
+	if updatedOf(none) != -1 || updatedOf(r) != 5 {
+		t.Fatal("updatedOf wrong")
+	}
+	for _, bad := range [][]int32{{7, 2}, {3, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRow accepted peers %v", bad)
+				}
+			}()
+			NewRow(0, bad, make([]float64, len(bad)))
+		}()
 	}
 }
 
@@ -386,10 +391,7 @@ func TestSparseDijkstraBoundedHeap(t *testing.T) {
 
 // fillRow publishes a single-entry row owned by id at freshness t into s.
 func fillRow(s *SparseRows, id int, t float64) {
-	r := s.Ensure(id)
-	r.Reset()
-	r.Append((id+1)%1000, 1)
-	r.Updated = t
+	s.Publish(id, NewRow(t, []int32{int32((id + 1) % 1000)}, []float64{1}))
 }
 
 // TestSparseRowsCapEviction: a capped row set evicts the stalest rows

@@ -125,6 +125,45 @@ func TestCityScaleSparseEERMemory(t *testing.T) {
 	runtime.KeepAlive(runner)
 }
 
+// TestFigureScaleEstimatorMemory is the dense-store memory gate: at the
+// paper's 240 nodes, EER's MI matrices and MaxProp's probability rows must
+// cost pointers per node, not an n×n float slab per node (~120 MB per
+// world when every store copied every row). A Direct world over the same
+// map and seed runs first, so the memoised map and its path cache are
+// already in the heap before the measurement starts.
+func TestFigureScaleEstimatorMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("240-node worlds in -short mode")
+	}
+	scenario := func(p Protocol) Scenario {
+		s := Default()
+		s.Protocol = p
+		s.Nodes = 240
+		s.Duration = 100
+		return s
+	}
+	warm := scenario(Direct)
+	_, wr := warm.Build()
+	wr.Run(warm.Duration)
+	for _, p := range []Protocol{EER, MaxProp} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := scenario(p)
+		w, runner := s.Build()
+		runner.Run(s.Duration)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		const limit = 16 << 20
+		t.Logf("%s: %d nodes hold %.1f MB after %g s", p, w.N(), float64(delta)/(1<<20), s.Duration)
+		if delta > limit {
+			t.Errorf("%s world holds %d MB, over the %d MB budget", p, delta>>20, int64(limit)>>20)
+		}
+		runtime.KeepAlive(runner)
+	}
+}
+
 // BenchmarkCityScaleSparse measures tick throughput of the 10k-node city
 // world under the estimator-backed protocols the sparse core unlocked
 // (CityScale's default SprayAndWait is covered by BenchmarkCityScale).

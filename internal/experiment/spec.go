@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/mapgen"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/resultcache"
@@ -516,6 +517,25 @@ func validateScenario(s Scenario) error {
 	if s.Map.GridX < 2 || s.Map.GridY < 2 || s.Map.Lines < 1 || s.Map.StopsPerLine < 2 ||
 		s.Map.Districts < 1 || s.Map.Width <= 0 || s.Map.Height <= 0 {
 		return fmt.Errorf("degenerate map config %+v", s.Map)
+	}
+	if !mapgen.DistrictsFit(s.Map) {
+		return fmt.Errorf("map districts: %d districts do not fit a %dx%d grid", s.Map.Districts, s.Map.GridX, s.Map.GridY)
+	}
+	// The comparisons are written so that NaN fails them too.
+	if !(s.MinSpeed > 0 && s.MinSpeed <= s.MaxSpeed) {
+		return fmt.Errorf("speeds must satisfy 0 < min_speed <= max_speed, got [%g, %g]", s.MinSpeed, s.MaxSpeed)
+	}
+	if !(s.MinDwell > 0 && s.MinDwell <= s.MaxDwell) {
+		return fmt.Errorf("dwell times must satisfy 0 < min_dwell <= max_dwell, got [%g, %g]", s.MinDwell, s.MaxDwell)
+	}
+	if s.Window < 0 {
+		return fmt.Errorf("window must be >= 1 (0 selects the default), got %d", s.Window)
+	}
+	if s.BufBytes != 0 && s.BufBytes < s.MsgSize {
+		return fmt.Errorf("buf_bytes must be 0 (unbounded) or >= the %d-byte message size, got %d", s.MsgSize, s.BufBytes)
+	}
+	if !(s.Alpha > 0) {
+		return fmt.Errorf("alpha must be positive, got %g", s.Alpha)
 	}
 	return nil
 }

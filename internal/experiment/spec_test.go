@@ -119,6 +119,47 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsEngineCrashers: specs the engine panics on (invalid
+// bus speed range, empty districts for CR's communities or city mobility)
+// or silently misreads (negative window, buffer and alpha) fail
+// validation. Each case goes the way dtnd takes a submission: ParseSpec,
+// then Scenario().
+func TestValidateRejectsEngineCrashers(t *testing.T) {
+	for _, c := range []struct{ spec, wantErr string }{
+		{`{"preset":"quick","min_speed":0,"max_speed":0}`, "speeds"},
+		{`{"preset":"quick","min_speed":5,"max_speed":1}`, "speeds"},
+		{`{"preset":"quick","protocol":"CR","map":{"districts":1000}}`, "districts"},
+		{`{"preset":"quick","protocol":"CR","map":{"districts":1000},"mobility":"city"}`, "districts"},
+		{`{"preset":"quick","map":{"districts":41}}`, "districts"},
+		{`{"preset":"quick","min_dwell":-1}`, "dwell"},
+		{`{"preset":"quick","min_dwell":40,"max_dwell":30}`, "dwell"},
+		{`{"preset":"quick","window":-1}`, "window"},
+		{`{"preset":"quick","buf_bytes":-1}`, "buf_bytes"},
+		{`{"preset":"quick","buf_bytes":100}`, "buf_bytes"},
+		{`{"preset":"quick","alpha":-0.5}`, "alpha"},
+		{`{"preset":"quick","alpha":0}`, "alpha"},
+	} {
+		sp, err := ParseSpec([]byte(c.spec))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.spec, err)
+		}
+		if _, err := sp.Scenario(); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error = %v, want containing %q", c.spec, err, c.wantErr)
+		}
+	}
+	// The documented defaults stay valid: window 0 selects the default
+	// window and buf_bytes 0 an unbounded buffer.
+	for _, spec := range []string{`{"preset":"quick","window":0}`, `{"preset":"quick","buf_bytes":0}`} {
+		sp, err := ParseSpec([]byte(spec))
+		if err == nil {
+			_, err = sp.Scenario()
+		}
+		if err != nil {
+			t.Errorf("%s rejected: %v", spec, err)
+		}
+	}
+}
+
 // TestParseSpecStrict: unknown JSON fields (typos) fail the parse.
 func TestParseSpecStrict(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"protocl": "EER"}`)); err == nil {

@@ -3,9 +3,9 @@ package graph
 import "math"
 
 // The fused array Dijkstra below computed the Theorem-3 MEMD and MaxProp's
-// path costs over full n×n matrices until the estimators gained per-row
-// neighbour indexes (core.IndexDijkstra). It stays as the dense reference
-// the graph tests cross-check against the heap Dijkstra.
+// path costs over full n×n matrices until the estimators learned to walk
+// only their rows' stored entries (core.IndexDijkstra). It stays as the
+// dense reference the graph tests cross-check against the heap Dijkstra.
 
 // DenseDijkstra runs Dijkstra on a dense n×n weight matrix w, where
 // w[i][j] is the direct edge weight from i to j (+Inf or <=0 off-diagonal

@@ -1,7 +1,7 @@
 // Package graph implements the weighted undirected graphs of the road
 // networks (mobility substrate): adjacency lists, heap-based Dijkstra and
 // a shared shortest-path cache. Meeting-delay Dijkstras run in
-// internal/core over the estimators' own neighbour indexes.
+// internal/core over the estimators' own rows.
 package graph
 
 import (

@@ -166,6 +166,19 @@ func Generate(cfg Config, seed int64) *RoadMap {
 	return rm
 }
 
+// DistrictsFit reports whether every district of cfg covers at least one
+// grid vertex — districtRect's tiling leaves a district empty once there
+// are more slabs than grid columns (or, in the two-column layout, more
+// district rows than grid rows), and stops cannot be placed in an empty
+// district.
+func DistrictsFit(cfg Config) bool {
+	k := cfg.Districts
+	if k >= 4 && k%2 == 0 {
+		return cfg.GridX >= 2 && cfg.GridY >= k/2
+	}
+	return k >= 1 && cfg.GridX >= k
+}
+
 // districtRect returns the sub-rectangle of the grid covered by district d
 // of k districts, tiling the area in vertical slabs of near-equal width.
 func districtRect(d, k, nx, ny int) (x0, x1, y0, y1 int) {

@@ -159,3 +159,24 @@ func TestSingleDistrict(t *testing.T) {
 		t.Errorf("Districts = %d", rm.Districts())
 	}
 }
+
+// TestDistrictsFit checks the closed form against districtRect itself on
+// every small grid: a configuration fits exactly when no district's
+// rectangle is empty.
+func TestDistrictsFit(t *testing.T) {
+	for nx := 2; nx <= 12; nx++ {
+		for ny := 2; ny <= 12; ny++ {
+			for k := 1; k <= 30; k++ {
+				want := true
+				for d := 0; d < k; d++ {
+					if x0, x1, y0, y1 := districtRect(d, k, nx, ny); x1 < x0 || y1 < y0 {
+						want = false
+					}
+				}
+				if got := DistrictsFit(Config{GridX: nx, GridY: ny, Districts: k}); got != want {
+					t.Fatalf("%dx%d grid, %d districts: DistrictsFit = %v, rectangles say %v", nx, ny, k, got, want)
+				}
+			}
+		}
+	}
+}

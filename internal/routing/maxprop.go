@@ -19,15 +19,15 @@ import (
 // priority threshold is a fixed configurable value instead of MaxProp's
 // adaptive byte-based estimate.
 //
-// Probability storage is polymorphic like the estimator core's
-// MeetingStore: dense n×n rows at figure scale, sparse observed-peer rows
-// (core.SparseRows) at city scale, with bit-identical routing decisions —
-// normalisation sums and divisions visit entries in ascending id order in
-// both modes, and the path costs come from Dijkstras whose distances are
-// storage-independent. Dense rows carry a neighbour index of their
-// positive columns, like core.MeetingMatrix, so normalisation, row copies,
-// metering and the cost Dijkstra walk the few positive entries instead of
-// all n.
+// Each node's probability vector is a published core.Row of its positive
+// entries: the own-row update builds a new row, and the vector exchange
+// moves row pointers, so every router that learned a vector shares it.
+// The rows live in a core.RowSet — DenseRows (one slot per node) at figure
+// scale, SparseRows (observed owners only) at city scale — and both run
+// the same update and exchange code. Routing decisions are bit-identical
+// across the two: normalisation sums and divisions visit entries in
+// ascending id order, and the path costs come from Dijkstras whose
+// distances are storage-independent.
 type MaxProp struct {
 	Base
 	// HopThreshold gives messages with fewer hops transmission priority
@@ -46,23 +46,14 @@ type MaxProp struct {
 	// probability state.
 	Gossip core.ExchangeMode
 
-	// Dense storage (nil in sparse mode).
-	probs   [][]float64   // probs[u][v]: u's meeting probability for v
-	nbrs    core.RowIndex // row u: the v with probs[u][v] > 0
-	updated []float64     // freshness per row; -1 = never
-	cost    []float64     // cached path cost to every node
-	kern    *core.IndexDijkstra
-	// Dense delta-gossip bookkeeping, mirroring core.MeetingMatrix's:
-	// version counts local row mutations, rowVer stamps rows with their
-	// last mutation, seen records the version at the end of the last delta
-	// sync with each peer.
-	version uint64
-	rowVer  []uint64
-	seen    map[int]uint64
+	rows core.RowSet // probability rows by owner id
 
-	// Sparse storage (nil in dense mode).
-	rows *core.SparseRows
-	dij  *core.SparseDijkstra // per-router: its dist map doubles as the cost cache
+	// Dense path costs (nil in sparse mode).
+	cost []float64 // cached path cost to every node
+	kern *core.IndexDijkstra
+
+	// Sparse path costs (nil in dense mode).
+	dij *core.SparseDijkstra // per-router: its dist map doubles as the cost cache
 
 	costValid bool
 }
@@ -99,23 +90,14 @@ func (r *MaxProp) Init(self *network.Node, w *network.World) {
 	r.Base.Init(self, w)
 	n := w.N()
 	if r.Sparse {
-		r.rows = core.NewSparseRows()
+		rows := core.NewSparseRows()
 		if r.MaxSparseRows > 0 {
-			r.rows.SetCap(r.MaxSparseRows, self.ID)
+			rows.SetCap(r.MaxSparseRows, self.ID)
 		}
+		r.rows = rows
 		r.dij = core.NewSparseDijkstra()
 	} else {
-		r.probs = make([][]float64, n)
-		flat := make([]float64, n*n)
-		for i := range r.probs {
-			r.probs[i], flat = flat[:n], flat[n:]
-		}
-		r.nbrs = core.NewRowIndex(n)
-		r.updated = make([]float64, n)
-		for i := range r.updated {
-			r.updated[i] = -1
-		}
-		r.rowVer = make([]uint64, n)
+		r.rows = core.NewDenseRows(n)
 		r.cost = make([]float64, n)
 		if r.kern == nil {
 			r.kern = core.NewIndexDijkstra(n)
@@ -143,229 +125,111 @@ func (r *MaxProp) Init(self *network.Node, w *network.World) {
 
 // Prob returns this node's current meeting probability for peer v.
 func (r *MaxProp) Prob(v int) float64 {
-	if r.Sparse {
-		if row := r.rows.Row(r.Self.ID); row != nil {
-			if p, ok := row.Get(v); ok {
-				return p
-			}
-		}
-		return 0
-	}
-	return r.probs[r.Self.ID][v]
+	p, _ := r.rows.Row(r.Self.ID).Get(v)
+	return p
 }
 
 // ContactUp implements network.Router: incremental-average own vector,
 // exchange vectors by freshness, merge delivery acks, purge dead copies.
 func (r *MaxProp) ContactUp(t float64, peer *network.Node) {
+	self := r.Self.ID
+	r.rows.Publish(self, bumpedRow(r.rows.Row(self), peer.ID, t))
+	r.costValid = false
 	pr, _ := peer.Router.(*MaxProp)
-	if r.Sparse {
-		r.contactUpSparse(t, peer, pr)
-	} else {
-		r.contactUpDense(t, peer, pr)
-	}
 	if pr == nil {
 		return
 	}
+	// Vector exchange with per-row freshness, both directions, metered
+	// (and in delta mode restricted) by the configured gossip mode; every
+	// mode leaves the same rows. The peer's cost cache goes stale only if
+	// a row moved to it.
+	v := pr.rows.Version()
+	st := core.SyncRows(r.rows, pr.rows, self, peer.ID, r.Gossip)
+	if pr.rows.Version() != v {
+		pr.costValid = false
+	}
+	r.World.Metrics.EstimatorExchanged(st.Rows, st.Entries, st.Bytes, st.DigestBytes)
 	// Ack merge: each side learns the other's delivered set.
 	r.Self.SyncKnownDelivered(peer)
 	r.PurgeKnownDelivered()
 	pr.PurgeKnownDelivered()
 }
 
-func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
-	self := r.Self.ID
-	own := r.probs[self]
-	own[peer.ID]++
-	r.nbrs.Set(self, peer.ID)
-	// Sum and divide over the positive entries, ascending: the full-row
-	// scan's zero entries are exact no-ops in both. An entry that
-	// underflows to zero leaves the index.
+// bumpedRow returns the own probability row after a meeting with peer at
+// time t: peer's entry incremented (from 0 if absent), then every entry
+// divided by the row sum — MaxProp's incremental averaging. Sum and
+// divisions run in ascending peer order, so the result is bit-identical to
+// a scan of the full vector, whose zero entries are exact no-ops in both.
+// An entry that underflows to zero is dropped: a row holds exactly its
+// positive probabilities, which is also what the exchange meters.
+func bumpedRow(old *core.Row, peer int, t float64) *core.Row {
+	oldPeers, oldVals := old.Entries()
+	peers := make([]int32, 0, len(oldPeers)+1)
+	vals := make([]float64, 0, len(oldPeers)+1)
+	bumped := false
+	for i, p := range oldPeers {
+		if !bumped && int(p) >= peer {
+			bumped = true
+			if int(p) == peer {
+				peers, vals = append(peers, p), append(vals, oldVals[i]+1)
+				continue
+			}
+			peers, vals = append(peers, int32(peer)), append(vals, 1)
+		}
+		peers, vals = append(peers, p), append(vals, oldVals[i])
+	}
+	if !bumped {
+		peers, vals = append(peers, int32(peer)), append(vals, 1)
+	}
 	sum := 0.0
-	for v := range r.nbrs.Cols(self) {
-		sum += own[v]
+	for _, v := range vals {
+		sum += v
 	}
-	for v := range r.nbrs.Cols(self) {
-		if own[v] /= sum; own[v] == 0 {
-			r.nbrs.Clear(self, v)
+	k := 0
+	for i, v := range vals {
+		if v /= sum; v != 0 {
+			peers[k], vals[k] = peers[i], v
+			k++
 		}
 	}
-	r.updated[self] = t
-	r.version++
-	r.rowVer[self] = r.version
-	r.costValid = false
-	if pr == nil {
-		return
-	}
-	// Vector exchange with per-row freshness, both directions. Entries
-	// counted are the positive probabilities — exactly what a sparse row
-	// stores — so dense and sparse exchange volume agree. Delta mode
-	// restricts the exchange to rows mutated since the pair's last sync
-	// (always a superset of the strictly-fresher rows; dense storage never
-	// evicts, so the watermark alone is sound), flood meters full vector
-	// transmission; every mode applies the same freshness merge.
-	var st core.ExchangeStats
-	aSeen, bSeen := uint64(0), uint64(0)
-	switch r.Gossip {
-	case core.ExchangeDelta:
-		aSeen, bSeen = r.seen[peer.ID], pr.seen[self]
-		st.AddDigest(r.advertised(aSeen))
-		st.AddDigest(pr.advertised(bSeen))
-	case core.ExchangeFlood:
-		st.Add(r.floodVolume())
-		st.Add(pr.floodVolume())
-	}
-	var moved core.ExchangeStats
-	for i := range r.probs {
-		if pr.updated[i] > r.updated[i] {
-			if r.Gossip == core.ExchangeDelta && pr.rowVer[i] <= bSeen {
-				continue
-			}
-			r.copyRow(pr, i)
-			r.updated[i] = pr.updated[i]
-			r.version++
-			r.rowVer[i] = r.version
-			moved.AddRow(r.nbrs.Len(i))
-		} else if r.updated[i] > pr.updated[i] {
-			if r.Gossip == core.ExchangeDelta && r.rowVer[i] <= aSeen {
-				continue
-			}
-			pr.copyRow(r, i)
-			pr.updated[i] = r.updated[i]
-			pr.version++
-			pr.rowVer[i] = pr.version
-			pr.costValid = false
-			moved.AddRow(r.nbrs.Len(i))
-		}
-	}
-	switch r.Gossip {
-	case core.ExchangeDelta:
-		st.Add(moved)
-		st.AddRequests(moved.Rows)
-		if r.seen == nil {
-			r.seen = make(map[int]uint64)
-		}
-		if pr.seen == nil {
-			pr.seen = make(map[int]uint64)
-		}
-		r.seen[peer.ID] = r.version
-		pr.seen[self] = pr.version
-	case core.ExchangeFlood:
-		// Volume already accounted pre-merge.
-	default:
-		st = moved
-	}
-	r.World.Metrics.EstimatorExchanged(st.Rows, st.Entries, st.Bytes, st.DigestBytes)
+	return core.NewRow(t, peers[:k], vals[:k])
 }
 
-// advertised counts and sizes the published rows mutated past the
-// watermark — the dense delta digest to one peer, each row costing a
-// varint (owner, stamp) entry.
-func (r *MaxProp) advertised(seen uint64) (rows, payloadBytes int) {
-	for i, u := range r.updated {
-		if u >= 0 && r.rowVer[i] > seen {
-			rows++
-			payloadBytes += core.DigestEntryLen(i, u)
-		}
-	}
-	return rows, payloadBytes
-}
-
-// floodVolume is the cost of transmitting every published probability row.
-func (r *MaxProp) floodVolume() core.ExchangeStats {
-	var st core.ExchangeStats
-	for i, u := range r.updated {
-		if u >= 0 {
-			st.AddRow(r.nbrs.Len(i))
-		}
-	}
-	return st
-}
-
-// copyRow overwrites probability row i with o's. Entries outside a row's
-// index are zero, so only the old and the new indexed entries are written.
-// The index length is the row's positive-entry count — the entries its
-// sparse counterpart stores, hence the exchange metering.
-func (r *MaxProp) copyRow(o *MaxProp, i int) {
-	row, src := r.probs[i], o.probs[i]
-	for v := range r.nbrs.Cols(i) {
-		row[v] = 0
-	}
-	for v := range o.nbrs.Cols(i) {
-		row[v] = src[v]
-	}
-	r.nbrs.CopyRow(i, o.nbrs)
-}
-
-// contactUpSparse mirrors contactUpDense over sparse rows. The own-row
-// update is bit-identical: the normalisation sum and the divisions visit
-// stored entries ascending, and the dense scan's untouched zero entries
-// are exact no-ops in both the sum and the division.
-func (r *MaxProp) contactUpSparse(t float64, peer *network.Node, pr *MaxProp) {
-	own := r.rows.Ensure(r.Self.ID)
-	p, _ := own.Get(peer.ID)
-	own.Set(peer.ID, p+1)
-	own.Div(own.Sum())
-	own.Updated = t
-	r.rows.Touch(own)
-	r.costValid = false
-	if pr == nil {
-		return
-	}
-	// Row exchange with per-row freshness, both directions, metered (and
-	// in delta mode restricted) by the configured gossip mode. The merge
-	// outcome is mode-independent, so invalidating the peer's cost cache
-	// whenever any row moved — rather than only on the return direction —
-	// costs at most a recompute of identical values.
-	st := core.SyncRowsMode(r.rows, pr.rows, r.Self.ID, peer.ID, r.Gossip)
-	if st.Rows > 0 {
-		pr.costValid = false
-	}
-	r.World.Metrics.EstimatorExchanged(st.Rows, st.Entries, st.Bytes, st.DigestBytes)
-}
-
-// refreshCost recomputes the Σ(1−p) Dijkstra costs from this node.
+// refreshCost recomputes the Σ(1−p) Dijkstra costs from this node: the
+// shared indexed heap kernel over dense rows, the heap calculator over
+// sparse ones, each relaxing a row's positive entries in ascending order.
 func (r *MaxProp) refreshCost() {
-	if r.Sparse {
-		r.dij.Run(r.Self.ID, func(u int, relax func(v int, w float64)) {
-			row := r.rows.Row(u)
-			if row == nil || row.Updated < 0 {
-				return
+	switch rows := r.rows.(type) {
+	case *core.DenseRows:
+		k := r.kern
+		u, base := r.Self.ID, 0.0
+		k.Reset(u)
+		for ok := true; ok; u, base, ok = k.Next() {
+			peers, probs := rows.Row(u).Entries()
+			for i, v := range peers {
+				k.Relax(int(v), base, edgeCost(probs[i]))
 			}
-			row.ForEach(func(v int, p float64) {
-				if p <= 0 {
-					return
-				}
-				c := 1 - p
-				if c < 1e-9 {
-					c = 1e-9
-				}
-				relax(v, c)
-			})
-		})
-		r.costValid = true
-		return
-	}
-	// Dense: the shared indexed heap kernel over the rows' positive
-	// entries, weighting each edge at relax time. A never-published row
-	// has an empty index, so it contributes no edges.
-	k := r.kern
-	u, base := r.Self.ID, 0.0
-	k.Reset(u)
-	for ok := true; ok; u, base, ok = k.Next() {
-		row := r.probs[u]
-		for v := range r.nbrs.Cols(u) {
-			if v == u {
-				continue
-			}
-			c := 1 - row[v]
-			if c < 1e-9 {
-				c = 1e-9
-			}
-			k.Relax(v, base, c)
 		}
+		copy(r.cost, k.Dist())
+	case *core.SparseRows:
+		r.dij.Run(r.Self.ID, func(u int, relax func(v int, w float64)) {
+			peers, probs := rows.Row(u).Entries()
+			for i, v := range peers {
+				relax(int(v), edgeCost(probs[i]))
+			}
+		})
 	}
-	copy(r.cost, k.Dist())
 	r.costValid = true
+}
+
+// edgeCost is the Σ(1−p) path-cost weight of a meeting probability,
+// floored at 1e-9 so a certain meeting still counts as an edge.
+func edgeCost(p float64) float64 {
+	c := 1 - p
+	if c < 1e-9 {
+		c = 1e-9
+	}
+	return c
 }
 
 // pathCost returns the cached cost to dst; +Inf when unreached. Callers

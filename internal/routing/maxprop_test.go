@@ -7,20 +7,34 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/xrand"
 )
 
+// probRow is a row accessor for the oracles below: owner u's probability
+// vector as a full n-wide slice (zero where the row holds no entry), and
+// whether u ever published it.
+func probRow(r *MaxProp, n, u int) (row []float64, published bool) {
+	row = make([]float64, n)
+	pr := r.rows.Row(u)
+	peers, vals := pr.Entries()
+	for k, v := range peers {
+		row[v] = vals[k]
+	}
+	return row, pr != nil
+}
+
 // maxPropCostRef is the dense path-cost computation the indexed kernel
 // replaced: the full n×n Σ(1−p) weight matrix, then a dense Dijkstra.
-func maxPropCostRef(r *MaxProp) []float64 {
-	n := len(r.probs)
+func maxPropCostRef(r *MaxProp, n int) []float64 {
 	w := make([][]float64, n)
 	for u := range w {
+		probs, published := probRow(r, n, u)
 		w[u] = make([]float64, n)
 		for v := range w[u] {
 			w[u][v] = math.Inf(1)
-			if p := r.probs[u][v]; u != v && r.updated[u] >= 0 && p > 0 {
+			if p := probs[v]; u != v && published && p > 0 {
 				w[u][v] = max(1-p, 1e-9)
 			}
 		}
@@ -52,7 +66,7 @@ func maxPropCostRef(r *MaxProp) []float64 {
 }
 
 // positiveColumns is the ascending positive-probability column set of a
-// row — what its index must hold.
+// row — exactly the peers a published row must hold.
 func positiveColumns(row []float64) []int {
 	var out []int
 	for v, p := range row {
@@ -64,9 +78,9 @@ func positiveColumns(row []float64) []int {
 }
 
 // TestMaxPropIndexedCostParity drives dense MaxProp worlds through random
-// contact sequences under every gossip mode, then checks each router's row
-// indexes against its probabilities and its path costs against the dense
-// reference, bit for bit. The last node only ever meets node 0, so its own
+// contact sequences under every gossip mode, then checks that each
+// router's rows hold exactly their positive probabilities and that its
+// path costs match the dense reference, bit for bit. The last node only ever meets node 0, so its own
 // row holds a probability of 1 — the edge the 1e-9 cost floor keeps.
 func TestMaxPropIndexedCostParity(t *testing.T) {
 	const n = 10
@@ -86,16 +100,19 @@ func TestMaxPropIndexedCostParity(t *testing.T) {
 				}
 				for i := 0; i < n; i++ {
 					r := h.w.Node(i).Router.(*MaxProp)
-					for u, row := range r.probs {
-						if got, want := slices.Collect(r.nbrs.Cols(u)), positiveColumns(row); !slices.Equal(got, want) {
-							t.Fatalf("node %d row %d: index %v, positive columns %v", i, u, got, want)
+					for u := 0; u < n; u++ {
+						row, _ := probRow(r, n, u)
+						peers, _ := r.rows.Row(u).Entries()
+						var got []int
+						for _, v := range peers {
+							got = append(got, int(v))
 						}
-						if got := r.nbrs.Len(u); got != len(positiveColumns(row)) {
-							t.Fatalf("node %d row %d: index length %d, %d positive entries", i, u, got, len(positiveColumns(row)))
+						if want := positiveColumns(row); !slices.Equal(got, want) {
+							t.Fatalf("node %d row %d: entries at %v, positive columns %v", i, u, got, want)
 						}
 					}
 					r.refreshCost()
-					want := maxPropCostRef(r)
+					want := maxPropCostRef(r, n)
 					for v := range want {
 						if math.Float64bits(r.Cost(v)) != math.Float64bits(want[v]) {
 							t.Fatalf("node %d: Cost(%d) = %v, dense reference %v", i, v, r.Cost(v), want[v])
@@ -108,21 +125,58 @@ func TestMaxPropIndexedCostParity(t *testing.T) {
 }
 
 // TestMaxPropCopyRowClearsStaleEntries: a fresher row with fewer positive
-// entries — which one node's growing vector never produces, but the copy
-// must not assume — replaces the old row entirely.
+// entries — which one node's growing vector never produces, but the
+// exchange must not assume — replaces the old row entirely, in dense and
+// sparse storage alike.
 func TestMaxPropCopyRowClearsStaleEntries(t *testing.T) {
-	router := func(row1 ...float64) *MaxProp {
-		r := &MaxProp{probs: [][]float64{{0, 0, 0}, row1, {0, 0, 0}}, nbrs: core.NewRowIndex(3)}
-		for v, p := range row1 {
-			if p > 0 {
-				r.nbrs.Set(1, v)
+	for _, sparse := range []bool{false, true} {
+		rows := func() core.RowSet {
+			if sparse {
+				return core.NewSparseRows()
 			}
+			return core.NewDenseRows(3)
 		}
-		return r
+		r, o := rows(), rows()
+		r.Publish(1, core.NewRow(1, []int32{0, 2}, []float64{0.5, 0.5}))
+		o.Publish(1, core.NewRow(2, []int32{2}, []float64{1}))
+		core.SyncRows(r, o, 0, 2, core.ExchangeFresher)
+		peers, vals := r.Row(1).Entries()
+		if !slices.Equal(peers, []int32{2}) || !slices.Equal(vals, []float64{1}) {
+			t.Fatalf("sparse=%v: copied row holds %v %v, want [2] [1]", sparse, peers, vals)
+		}
 	}
-	r, o := router(0.5, 0, 0.5), router(0, 0, 1)
-	r.copyRow(o, 1)
-	if got := slices.Collect(r.nbrs.Cols(1)); !slices.Equal(r.probs[1], o.probs[1]) || !slices.Equal(got, []int{2}) {
-		t.Fatalf("copied row %v index %v, want %v index [2]", r.probs[1], got, o.probs[1])
+}
+
+// TestMaxPropUnderflowMeteringParity: node 0 meets node 2 once, then node 1
+// k times, so its probability for node 2 halves at every normalisation
+// until it underflows to zero; then it meets node 2 again. Dense and
+// sparse storage must agree on every summary field, the gossip counters
+// included: a row holds only positive probabilities, so the underflowed
+// entry neither travels nor counts in either mode.
+func TestMaxPropUnderflowMeteringParity(t *testing.T) {
+	for _, tc := range []struct {
+		k    int
+		held []int32 // node 0's own-row peers before meeting node 2 again
+	}{{1000, []int32{1, 2}}, {1100, []int32{1}}} {
+		k := tc.k
+		var sums [2]metrics.Summary
+		for i, sparse := range []bool{false, true} {
+			f := MaxPropFactory(3, sparse, 0, core.ExchangeFresher)
+			h := newHarness(t, 3, func(int) network.Router { return f() })
+			h.meet(0, 2, 1)
+			for range k {
+				h.meet(0, 1, 1)
+			}
+			r0 := h.w.Node(0).Router.(*MaxProp)
+			if peers, _ := r0.rows.Row(0).Entries(); !slices.Equal(peers, tc.held) {
+				t.Errorf("k=%d sparse=%v: own row holds peers %v, want %v", k, sparse, peers, tc.held)
+			}
+			h.meet(0, 2, 1)
+			sums[i] = h.w.Metrics.Summary()
+		}
+		if d, s := sums[0], sums[1]; d != s {
+			t.Errorf("k=%d: gossip entries dense %d, sparse %d; bytes %d, %d (summaries differ)",
+				k, d.GossipEntries, s.GossipEntries, d.GossipBytes, s.GossipBytes)
+		}
 	}
 }
