@@ -70,7 +70,11 @@ type History struct {
 	met   []bool
 	// Sparse storage over observed peers only (nil in dense mode).
 	recs map[int]*peerRec
-	ids  []int // met peer ids, ascending
+	ids  []int // met peer ids, ascending (both modes)
+
+	// Row-building scratch for ownMIRow, reused across refreshes.
+	rowPeers []int32
+	rowVals  []float64
 }
 
 // peerRec is one observed peer's sparse contact record.
@@ -137,17 +141,20 @@ func (h *History) RecordContact(peer int, t float64) {
 		h.recordSparse(peer, t)
 		return
 	}
-	if h.met[peer] {
-		dt := t - h.last[peer]
-		if dt < 0 {
-			panic(fmt.Sprintf("core: contact time going backwards for peer %d: %g after %g", peer, t, h.last[peer]))
-		}
-		if h.ivals[peer].buf == nil {
-			h.ivals[peer] = newIntervalRing(h.window)
-		}
-		h.ivals[peer].push(dt)
+	if !h.met[peer] {
+		h.insertMet(peer)
+		h.met[peer] = true
+		h.last[peer] = t
+		return
 	}
-	h.met[peer] = true
+	dt := t - h.last[peer]
+	if dt < 0 {
+		panic(fmt.Sprintf("core: contact time going backwards for peer %d: %g after %g", peer, t, h.last[peer]))
+	}
+	if h.ivals[peer].buf == nil {
+		h.ivals[peer] = newIntervalRing(h.window)
+	}
+	h.ivals[peer].push(dt)
 	h.last[peer] = t
 }
 
@@ -160,10 +167,7 @@ func (h *History) recordSparse(peer int, t float64) {
 	}
 	rec := h.recs[peer]
 	if rec == nil {
-		i := sort.SearchInts(h.ids, peer)
-		h.ids = append(h.ids, 0)
-		copy(h.ids[i+1:], h.ids[i:])
-		h.ids[i] = peer
+		h.insertMet(peer)
 		h.recs[peer] = &peerRec{last: t}
 		return
 	}
@@ -176,6 +180,14 @@ func (h *History) recordSparse(peer int, t float64) {
 	}
 	rec.ring.push(dt)
 	rec.last = t
+}
+
+// insertMet adds a first-met peer to the ascending met-peer list.
+func (h *History) insertMet(peer int) {
+	i := sort.SearchInts(h.ids, peer)
+	h.ids = append(h.ids, 0)
+	copy(h.ids[i+1:], h.ids[i:])
+	h.ids[i] = peer
 }
 
 // peerState resolves peer's record in either storage mode: the last
@@ -199,32 +211,13 @@ func (h *History) peerState(peer int) (last float64, ring *intervalRing, met boo
 // id order — the shared iteration every cross-peer estimator reduces over,
 // identical in both storage modes.
 func (h *History) forEachMet(f func(peer int)) {
-	if h.recs != nil {
-		for _, id := range h.ids {
-			f(id)
-		}
-		return
-	}
-	for j, m := range h.met {
-		if m {
-			f(j)
-		}
+	for _, id := range h.ids {
+		f(id)
 	}
 }
 
 // MetCount returns the number of distinct peers ever contacted.
-func (h *History) MetCount() int {
-	if h.recs != nil {
-		return len(h.ids)
-	}
-	n := 0
-	for _, m := range h.met {
-		if m {
-			n++
-		}
-	}
-	return n
-}
+func (h *History) MetCount() int { return len(h.ids) }
 
 // Met reports whether the node has ever contacted peer.
 func (h *History) Met(peer int) bool {

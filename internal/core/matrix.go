@@ -262,16 +262,10 @@ func (m *MeetingMatrix) UpdateOwnRow(self int, t float64, h *History) {
 
 // ownMIRow builds a node's MI row at time t from its contact history: the
 // finite mean interval to every met peer that col maps into the store,
-// keyed by col's index, which must ascend with the global id. A first
-// pass sizes the row exactly.
+// keyed by col's index, which must ascend with the global id. One pass
+// fills the history's scratch; the row gets exactly sized copies.
 func ownMIRow(t float64, h *History, col func(peer int) (int, bool)) *Row {
-	n := 0
-	h.forEachMet(func(peer int) {
-		if _, ok := col(peer); ok && h.IntervalCount(peer) > 0 {
-			n++
-		}
-	})
-	peers, vals := make([]int32, 0, n), make([]float64, 0, n)
+	peers, vals := h.rowPeers[:0], h.rowVals[:0]
 	h.forEachMet(func(peer int) {
 		j, ok := col(peer)
 		if !ok {
@@ -282,7 +276,8 @@ func ownMIRow(t float64, h *History, col func(peer int) (int, bool)) *Row {
 			vals = append(vals, mean)
 		}
 	})
-	return NewRow(t, peers, vals)
+	h.rowPeers, h.rowVals = peers, vals
+	return NewRow(t, slices.Clone(peers), slices.Clone(vals))
 }
 
 // ForEachKnown implements MeetingStore: the finite off-diagonal entries of

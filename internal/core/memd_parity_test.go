@@ -87,12 +87,19 @@ func (w *miWorld) step(src intn) {
 }
 
 // checkRows fails unless every row of m holds ascending, finite,
-// off-diagonal entries — the store's known-entry invariant — and the
-// flood metering counts exactly those entries.
+// off-diagonal entries — the store's known-entry invariant — every slot's
+// inline freshness stamp equals its row's, and the flood metering counts
+// exactly those entries.
 func checkRows(t testing.TB, m *MeetingMatrix) {
 	t.Helper()
 	entries := 0
+	if len(m.rows.upd) != len(m.rows.rows) {
+		t.Fatalf("%d freshness stamps for %d slots", len(m.rows.upd), len(m.rows.rows))
+	}
 	for i, row := range m.rows.rows {
+		if u := m.rows.upd[i]; math.Float64bits(u) != math.Float64bits(updatedOf(row)) {
+			t.Fatalf("slot %d: inline stamp %v, row published at %v", i, u, updatedOf(row))
+		}
 		peers, vals := row.Entries()
 		for k, j := range peers {
 			if int(j) == i || (k > 0 && j <= peers[k-1]) || math.IsInf(vals[k], 0) || math.IsNaN(vals[k]) {

@@ -121,20 +121,27 @@ type gossipMarks struct {
 }
 
 // DenseRows is a row set over slots 0..n-1: one row pointer per slot (nil
-// = never published) and the store-local version of each slot's last
-// mutation, the stamp delta digests compare. At 240 nodes that is ~4 KB
+// = never published), each slot's freshness inline (updatedOf the row, so
+// the exchange compares two contiguous arrays and dereferences only the
+// rows it takes) and the store-local version of each slot's last
+// mutation, the stamp delta digests compare. At 240 nodes that is ~6 KB
 // per store, whatever the rows hold; the entries themselves are shared
 // with every other store that learned them.
 type DenseRows struct {
 	ids  []int // global owner id per slot; nil when slot i is owner i
 	rows []*Row
+	upd  []float64 // updatedOf(rows[i]); written only by Publish
 	ver  []uint64
 	gossipMarks
 }
 
 // NewDenseRows returns an empty set over owners 0..n-1.
 func NewDenseRows(n int) *DenseRows {
-	return &DenseRows{rows: make([]*Row, n), ver: make([]uint64, n)}
+	upd := make([]float64, n)
+	for i := range upd {
+		upd[i] = updatedOf(nil)
+	}
+	return &DenseRows{rows: make([]*Row, n), upd: upd, ver: make([]uint64, n)}
 }
 
 // Row implements RowSet.
@@ -143,6 +150,7 @@ func (s *DenseRows) Row(i int) *Row { return s.rows[i] }
 // Publish implements RowSet.
 func (s *DenseRows) Publish(i int, r *Row) {
 	s.rows[i] = r
+	s.upd[i] = updatedOf(r)
 	s.version++
 	s.ver[i] = s.version
 }
@@ -176,6 +184,7 @@ func (s *DenseRows) clone() DenseRows {
 	return DenseRows{
 		ids:         s.ids,
 		rows:        append([]*Row(nil), s.rows...),
+		upd:         append([]float64(nil), s.upd...),
 		ver:         append([]uint64(nil), s.ver...),
 		gossipMarks: gossipMarks{version: s.version},
 	}
@@ -208,24 +217,23 @@ func (s *DenseRows) advertised(seen uint64, full bool) (rows, payloadBytes int) 
 }
 
 // mergeFrom takes every row of o that is strictly fresher than s's and
-// that o advertised (mutated past oSeen, or all with oFull). A row moves
-// as a pointer; the common case of both sets already sharing it costs one
-// comparison.
+// that o advertised (mutated past oSeen, or all with oFull). The scan
+// compares the inline stamps (a never-published slot reads -1, so it is
+// never fresher) and moves a row as a pointer only when it takes it.
 func (s *DenseRows) mergeFrom(other RowSet, oSeen uint64, oFull bool) ExchangeStats {
 	o := other.(*DenseRows)
 	if len(o.rows) != len(s.rows) {
 		panic("core: merging dense row sets of different sizes")
 	}
 	var st ExchangeStats
-	for i, or := range o.rows {
-		mine := s.rows[i]
-		if or == nil || or == mine || (!oFull && o.ver[i] <= oSeen) {
+	upd := s.upd[:len(o.upd)]
+	for i, ou := range o.upd {
+		if ou <= upd[i] || (!oFull && o.ver[i] <= oSeen) {
 			continue
 		}
-		if or.Updated > updatedOf(mine) {
-			s.Publish(i, or)
-			st.AddRow(or.Len())
-		}
+		or := o.rows[i]
+		s.Publish(i, or)
+		st.AddRow(or.Len())
 	}
 	return st
 }

@@ -173,6 +173,7 @@ func (w *rowWorld) check(t testing.TB) {
 			t.Fatalf("node %d: known rows dense %d, sparse %d, oracle %d", self, dm.KnownRows(), sm.KnownRows(), len(want))
 		}
 		checkRows(t, dm)
+		checkRows(t, dm.Clone())
 		for _, owner := range w.ids {
 			o, ok := want[owner]
 			if !ok {

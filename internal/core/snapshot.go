@@ -32,6 +32,9 @@ type EEVSnapshot struct {
 	// without entries — never met, or met with an empty window — read as
 	// probability 0 exactly as in dense mode. Slices are truncated, never
 	// freed, so recycled snapshots reuse their backing arrays.
+	//
+	// In dense mode ids lists the met peers, ascending: the only slots a
+	// build writes, so a recycled snapshot clears those instead of all n.
 	sparse bool
 	ids    []int
 	offs   [][]float64
@@ -51,23 +54,21 @@ func (h *History) SnapshotEEVInto(t float64, s *EEVSnapshot) *EEVSnapshot {
 	if h.recs != nil {
 		return h.snapshotSparse(t, s)
 	}
-	s.sparse = false
-	if len(s.offsets) != h.n {
+	if len(s.offsets) != h.n || s.sparse {
 		s.offsets = make([][]float64, h.n)
 		s.backing = make([][]float64, h.n)
 		s.overdue = make([]bool, h.n)
 		s.met = make([]bool, h.n)
 	} else {
-		for j := range s.offsets {
+		for _, j := range s.ids {
 			s.offsets[j] = nil
 			s.overdue[j] = false
 			s.met[j] = false
 		}
 	}
-	for j := 0; j < h.n; j++ {
-		if j == h.self || !h.met[j] {
-			continue
-		}
+	s.sparse = false
+	s.ids = append(s.ids[:0], h.ids...)
+	for _, j := range s.ids {
 		s.met[j] = true
 		elapsed := t - h.last[j]
 		if elapsed < 0 {
@@ -197,7 +198,7 @@ func (s *EEVSnapshot) EEV(tau float64) float64 {
 		}
 		return sum
 	}
-	for j := 0; j < s.h.n; j++ {
+	for _, j := range s.ids {
 		sum += s.Prob(j, tau)
 	}
 	return sum

@@ -164,6 +164,39 @@ func TestFigureScaleEstimatorMemory(t *testing.T) {
 	}
 }
 
+// TestFigureScaleCRAllocation is the CR contact-path allocation gate: a
+// 240-node CR world (seed 2, 1000 s) must allocate at most 30 MB in
+// total, Build included. Pooled contacts keep their EEV snapshot storage
+// across recycling; building a fresh n-wide snapshot for each side of
+// every contact allocated ~91 MB. The map is warmed by a Direct world
+// first, as in TestFigureScaleEstimatorMemory.
+func TestFigureScaleCRAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("240-node world in -short mode")
+	}
+	s := Default()
+	s.Nodes = 240
+	s.Duration = 1000
+	s.Seed = 2
+	warm := s
+	warm.Protocol = Direct
+	warm.Duration = 1
+	_, wr := warm.Build()
+	wr.Run(warm.Duration)
+	s.Protocol = CR
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, runner := s.Build()
+	runner.Run(s.Duration)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	const limit = 30 << 20
+	t.Logf("CR world allocated %.1f MB over %g s", float64(alloc)/(1<<20), s.Duration)
+	if alloc > limit {
+		t.Errorf("CR world allocated %d MB, over the %d MB budget", alloc>>20, limit>>20)
+	}
+}
+
 // BenchmarkCityScaleSparse measures tick throughput of the 10k-node city
 // world under the estimator-backed protocols the sparse core unlocked
 // (CityScale's default SprayAndWait is covered by BenchmarkCityScale).

@@ -435,6 +435,20 @@ const (
 	maxEvents = 10_000_000 // generated messages per seed (duration/min interval)
 	maxSeeds  = 64         // seeds per job
 	maxShards = 256        // per-shard scratch is allocated eagerly; beyond cores it only slows ticks
+	maxWindow = 1024       // intervals per met peer; each ring is allocated at full size
+	// Every mover pauses at least min_dwell per leg, so this bounds the
+	// legs one mover crosses per tick (a 1e9 s tick hung the first tick).
+	maxLegsPerTick = 100
+
+	// Road-map ceilings. Generation is linear in the grid and diagonals
+	// and quadratic in stops per line (the nearest-neighbour tour), and it
+	// runs before the job can be cancelled; the largest accepted map
+	// generates in ~0.3 s on a 2-vCPU container. MetroScale, the largest
+	// preset, uses 60x45 vertices, 12 diagonals, 120 lines of 10 stops.
+	maxMapVertices  = 250_000 // grid_x·grid_y
+	maxMapDiagonals = 1_000
+	maxMapLines     = 1_000
+	maxStopsPerLine = 100
 )
 
 // CheckProtocol reports whether p names a registered protocol — the check
@@ -518,6 +532,18 @@ func validateScenario(s Scenario) error {
 		s.Map.Districts < 1 || s.Map.Width <= 0 || s.Map.Height <= 0 {
 		return fmt.Errorf("degenerate map config %+v", s.Map)
 	}
+	if m := s.Map; m.GridX > maxMapVertices || m.GridY > maxMapVertices || m.GridX*m.GridY > maxMapVertices {
+		return fmt.Errorf("map grid_x·grid_y must be at most %d vertices, got %dx%d", maxMapVertices, m.GridX, m.GridY)
+	}
+	if s.Map.Diagonals > maxMapDiagonals {
+		return fmt.Errorf("map diagonals must be at most %d, got %d", maxMapDiagonals, s.Map.Diagonals)
+	}
+	if s.Map.Lines > maxMapLines {
+		return fmt.Errorf("map lines must be at most %d, got %d", maxMapLines, s.Map.Lines)
+	}
+	if s.Map.StopsPerLine > maxStopsPerLine {
+		return fmt.Errorf("map stops_per_line must be at most %d, got %d", maxStopsPerLine, s.Map.StopsPerLine)
+	}
 	if !mapgen.DistrictsFit(s.Map) {
 		return fmt.Errorf("map districts: %d districts do not fit a %dx%d grid", s.Map.Districts, s.Map.GridX, s.Map.GridY)
 	}
@@ -528,8 +554,11 @@ func validateScenario(s Scenario) error {
 	if !(s.MinDwell > 0 && s.MinDwell <= s.MaxDwell) {
 		return fmt.Errorf("dwell times must satisfy 0 < min_dwell <= max_dwell, got [%g, %g]", s.MinDwell, s.MaxDwell)
 	}
-	if s.Window < 0 {
-		return fmt.Errorf("window must be >= 1 (0 selects the default), got %d", s.Window)
+	if s.Tick > maxLegsPerTick*s.MinDwell {
+		return fmt.Errorf("tick must be at most %d x min_dwell = %g, got %g", maxLegsPerTick, maxLegsPerTick*s.MinDwell, s.Tick)
+	}
+	if s.Window < 0 || s.Window > maxWindow {
+		return fmt.Errorf("window must be in [1, %d] (0 selects the default), got %d", maxWindow, s.Window)
 	}
 	if s.BufBytes != 0 && s.BufBytes < s.MsgSize {
 		return fmt.Errorf("buf_bytes must be 0 (unbounded) or >= the %d-byte message size, got %d", s.MsgSize, s.BufBytes)

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/mapgen"
 	"repro/internal/metrics"
 )
 
@@ -119,26 +121,42 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsEngineCrashers: specs the engine panics on (invalid
-// bus speed range, empty districts for CR's communities or city mobility)
-// or silently misreads (negative window, buffer and alpha) fail
-// validation. Each case goes the way dtnd takes a submission: ParseSpec,
-// then Scenario().
+// engineCrashers are specs the engine panics on (invalid bus speed range,
+// empty districts for CR's communities or city mobility), silently
+// misreads (negative window, buffer and alpha), or stalls or exhausts
+// memory on (road maps past the generation ceilings, huge history
+// windows, ticks that walk movers across millions of legs), each with the
+// error validation must give.
+var engineCrashers = []struct{ spec, wantErr string }{
+	{`{"preset":"quick","min_speed":0,"max_speed":0}`, "speeds"},
+	{`{"preset":"quick","min_speed":5,"max_speed":1}`, "speeds"},
+	{`{"preset":"quick","protocol":"CR","map":{"districts":1000}}`, "districts"},
+	{`{"preset":"quick","protocol":"CR","map":{"districts":1000},"mobility":"city"}`, "districts"},
+	{`{"preset":"quick","map":{"districts":41}}`, "districts"},
+	{`{"preset":"quick","min_dwell":-1}`, "dwell"},
+	{`{"preset":"quick","min_dwell":40,"max_dwell":30}`, "dwell"},
+	{`{"preset":"quick","window":-1}`, "window"},
+	{`{"preset":"quick","window":1000000000}`, "window"},
+	{`{"preset":"quick","buf_bytes":-1}`, "buf_bytes"},
+	{`{"preset":"quick","buf_bytes":100}`, "buf_bytes"},
+	{`{"preset":"quick","alpha":-0.5}`, "alpha"},
+	{`{"preset":"quick","alpha":0}`, "alpha"},
+	{`{"preset":"quick","map":{"stops_per_line":100000}}`, "stops_per_line"},
+	{`{"preset":"quick","map":{"stops_per_line":101}}`, "stops_per_line"},
+	{`{"preset":"quick","map":{"grid_x":3000,"grid_y":3000}}`, "grid_x·grid_y"},
+	{`{"preset":"quick","map":{"grid_x":2,"grid_y":125001}}`, "grid_x·grid_y"},
+	{`{"preset":"quick","map":{"grid_x":4294967296,"grid_y":4294967296}}`, "grid_x·grid_y"},
+	{`{"preset":"quick","map":{"lines":100000}}`, "lines"},
+	{`{"preset":"quick","map":{"diagonals":1000000000}}`, "diagonals"},
+	{`{"preset":"quick","tick":1e9,"duration":1e9,"msg_interval_min":1e7,"msg_interval_max":1e7}`, "tick"},
+	{`{"preset":"quick","tick":1001,"duration":2000}`, "tick"},
+}
+
+// TestValidateRejectsEngineCrashers: every engineCrashers spec fails
+// validation with its error. Each case goes the way dtnd takes a
+// submission: ParseSpec, then Scenario().
 func TestValidateRejectsEngineCrashers(t *testing.T) {
-	for _, c := range []struct{ spec, wantErr string }{
-		{`{"preset":"quick","min_speed":0,"max_speed":0}`, "speeds"},
-		{`{"preset":"quick","min_speed":5,"max_speed":1}`, "speeds"},
-		{`{"preset":"quick","protocol":"CR","map":{"districts":1000}}`, "districts"},
-		{`{"preset":"quick","protocol":"CR","map":{"districts":1000},"mobility":"city"}`, "districts"},
-		{`{"preset":"quick","map":{"districts":41}}`, "districts"},
-		{`{"preset":"quick","min_dwell":-1}`, "dwell"},
-		{`{"preset":"quick","min_dwell":40,"max_dwell":30}`, "dwell"},
-		{`{"preset":"quick","window":-1}`, "window"},
-		{`{"preset":"quick","buf_bytes":-1}`, "buf_bytes"},
-		{`{"preset":"quick","buf_bytes":100}`, "buf_bytes"},
-		{`{"preset":"quick","alpha":-0.5}`, "alpha"},
-		{`{"preset":"quick","alpha":0}`, "alpha"},
-	} {
+	for _, c := range engineCrashers {
 		sp, err := ParseSpec([]byte(c.spec))
 		if err != nil {
 			t.Fatalf("%s: parse: %v", c.spec, err)
@@ -158,6 +176,92 @@ func TestValidateRejectsEngineCrashers(t *testing.T) {
 			t.Errorf("%s rejected: %v", spec, err)
 		}
 	}
+}
+
+// TestMapCeilings: the largest map the ceilings accept is valid and
+// generates, and every preset stays at most a fifth of each ceiling.
+func TestMapCeilings(t *testing.T) {
+	sp := QuickSpec()
+	sp.Map = &MapSpec{GridX: ptr(500), GridY: ptr(500), Diagonals: ptr(maxMapDiagonals),
+		Lines: ptr(maxMapLines), StopsPerLine: ptr(maxStopsPerLine)}
+	s, err := sp.Scenario()
+	if err != nil {
+		t.Fatalf("largest accepted map rejected: %v", err)
+	}
+	if !testing.Short() {
+		start := time.Now()
+		rm := mapgen.Generate(s.Map, s.MapSeed)
+		t.Logf("%d vertices, %d lines generated in %v", len(rm.Points), len(rm.Lines), time.Since(start))
+	}
+	for name, p := range PresetSpecs() {
+		ps, err := p.Scenario()
+		if err != nil {
+			t.Fatalf("preset %s: %v", name, err)
+		}
+		m := ps.Map
+		if 5*m.GridX*m.GridY > maxMapVertices || 5*m.Diagonals > maxMapDiagonals ||
+			5*m.Lines > maxMapLines || 5*m.StopsPerLine > maxStopsPerLine {
+			t.Errorf("preset %s map %+v is within 5x of a ceiling", name, m)
+		}
+	}
+}
+
+// fuzzSized bounds the worlds FuzzParseSpec builds so one execution stays
+// in milliseconds: at most a few hundred nodes on a small map, and a
+// bounded number of message events before until.
+func fuzzSized(s Scenario, until float64) bool {
+	m := s.Map
+	return s.Nodes <= 300 && m.GridX*m.GridY <= 10_000 && m.Lines*m.StopsPerLine <= 5_000 &&
+		until/s.MsgIntervalMin <= 10_000
+}
+
+// FuzzParseSpec: any spec ParseSpec and Scenario accept — the way dtnd
+// takes a submission — builds and runs its first ticks without panicking,
+// for size-bounded specs (fuzzSized). Seeds are the presets, the engine
+// crashers and one small spec per paper protocol.
+func FuzzParseSpec(f *testing.F) {
+	for _, sp := range PresetSpecs() {
+		b, err := json.Marshal(sp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, c := range engineCrashers {
+		f.Add([]byte(c.spec))
+	}
+	for _, p := range AllPaperProtocols {
+		f.Add([]byte(`{"preset":"quick","nodes":12,"protocol":"` + string(p) + `"}`))
+	}
+	f.Add([]byte(`{"preset":"quick","nodes":30,"protocol":"CR","mobility":"city","gossip":"delta","shards":2}`))
+	// Every numeric field written out, so byte mutations reach them all.
+	for _, mob := range []string{"bus", "rwp", "city"} {
+		f.Add([]byte(`{"preset":"quick","protocol":"EER","nodes":20,"seeds":[3],"lambda":3,"alpha":0.5,` +
+			`"window":4,"forward_hysteresis":1,"sparse_estimators":true,"max_sparse_rows":5,"duration":60,` +
+			`"tick":0.5,"shards":2,"range":30,"bandwidth":1000,"buf_bytes":9000,"msg_size":1000,"ttl":60,` +
+			`"msg_interval_min":1,"msg_interval_max":3,"traffic_stop":50,"mobility":"` + mob + `","min_speed":1,` +
+			`"max_speed":9,"min_dwell":1,"max_dwell":4,"map_seed":7,"map":{"width":900,"height":700,` +
+			`"grid_x":5,"grid_y":4,"diagonals":2,"jitter":5,"lines":4,"stops_per_line":3,"districts":2}}`))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			return
+		}
+		sp, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		s, err := sp.Scenario()
+		if err != nil {
+			return
+		}
+		until := min(s.Duration, 3*s.Tick)
+		if !fuzzSized(s, until) {
+			return
+		}
+		_, runner := s.Build()
+		runner.Run(until)
+	})
 }
 
 // TestParseSpecStrict: unknown JSON fields (typos) fail the parse.

@@ -23,9 +23,16 @@ type memoEntry struct {
 	rm   *RoadMap
 }
 
+// memoCap bounds the registry: dtnd loads maps from untrusted specs, so
+// distinct configs must not accumulate for the life of the process. Past
+// the cap the oldest key is forgotten; worlds holding its map keep it, and
+// a later load regenerates the identical map.
+const memoCap = 64
+
 var memo struct {
-	mu sync.Mutex
-	m  map[memoKey]*memoEntry
+	mu    sync.Mutex
+	m     map[memoKey]*memoEntry
+	order []memoKey // insertion order, oldest first
 }
 
 // Load returns the shared road map for (cfg, seed), generating it on first
@@ -40,8 +47,13 @@ func Load(cfg Config, seed int64) *RoadMap {
 	}
 	e := memo.m[key]
 	if e == nil {
+		if len(memo.order) == memoCap {
+			delete(memo.m, memo.order[0])
+			memo.order = append(memo.order[:0], memo.order[1:]...)
+		}
 		e = &memoEntry{}
 		memo.m[key] = e
+		memo.order = append(memo.order, key)
 	}
 	memo.mu.Unlock()
 	e.once.Do(func() { e.rm = Generate(cfg, seed) })

@@ -96,3 +96,31 @@ func TestLoadSharedPathCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLoadForgetsPastCap: the registry holds at most memoCap maps. Past
+// the cap the oldest key is forgotten and regenerated on its next load,
+// while recent keys keep their shared instance.
+func TestLoadForgetsPastCap(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GridX, cfg.GridY = 4, 4 // small maps: this test generates many
+	const seed = 51000          // private to this test
+	first := Load(cfg, seed)
+	var last *RoadMap
+	for i := 1; i <= memoCap; i++ {
+		last = Load(cfg, seed+int64(i))
+	}
+	memo.mu.Lock()
+	size := len(memo.m)
+	memo.mu.Unlock()
+	if size > memoCap {
+		t.Fatalf("memo holds %d maps, cap %d", size, memoCap)
+	}
+	if Load(cfg, seed+memoCap) != last {
+		t.Fatal("most recent map was not kept")
+	}
+	if again := Load(cfg, seed); again == first {
+		t.Fatal("oldest map survived past the cap")
+	} else if len(again.Points) != len(first.Points) || again.Lines[0].Stops[0] != first.Lines[0].Stops[0] {
+		t.Fatal("regenerated map differs from the forgotten one")
+	}
+}

@@ -116,6 +116,9 @@ type CR struct {
 type crContact struct {
 	t0   float64
 	snap *core.EEVSnapshot
+	// snapBuf is the pooled contact's snapshot storage, retained across
+	// recycling (snap points at it once built).
+	snapBuf *core.EEVSnapshot
 	// Dense mode: intra-community MEMD by MI-local index; nil until built.
 	memd    []float64
 	memdBuf []float64 // retained backing array for memd across recycling
@@ -212,9 +215,18 @@ func (r *CR) ContactDown(t float64, peer *network.Node) {
 	}
 }
 
+// snapshot lazily builds the meeting-time EEV snapshot for a contact,
+// into the contact's retained storage when it is pooled.
 func (r *CR) snapshot(st *crContact) *core.EEVSnapshot {
 	if st.snap == nil {
-		st.snap = r.hist.SnapshotEEV(st.t0)
+		if st.pooled {
+			if st.snapBuf == nil {
+				st.snapBuf = &core.EEVSnapshot{}
+			}
+			st.snap = r.hist.SnapshotEEVInto(st.t0, st.snapBuf)
+		} else {
+			st.snap = r.hist.SnapshotEEV(st.t0)
+		}
 	}
 	return st.snap
 }

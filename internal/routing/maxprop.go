@@ -55,7 +55,16 @@ type MaxProp struct {
 	// Sparse path costs (nil in dense mode).
 	dij *core.SparseDijkstra // per-router: its dist map doubles as the cost cache
 
-	costValid bool
+	// costValid is set when a decision validates the cost cache and
+	// cleared when a row of this router changes; the drop policy reads
+	// costs only while it is set. costComputed records that the Dijkstra
+	// has run since the last row change: the cost cache fills on first
+	// read, so contacts whose decisions never compare costs skip it.
+	costValid    bool
+	costComputed bool
+	// Tests compare the Dijkstras run with those an eager refresh at every
+	// validation would have run.
+	costValidations, costRuns int
 }
 
 // NewMaxProp returns a MaxProp router; use MaxPropFactory so dense routers
@@ -103,24 +112,26 @@ func (r *MaxProp) Init(self *network.Node, w *network.World) {
 			r.kern = core.NewIndexDijkstra(n)
 		}
 	}
-	// MaxProp's drop order: prefer evicting high-cost (unlikely to be
-	// delivered) copies, approximated with the last computed cost vector;
-	// ties and cold caches fall back to most-hops.
-	self.Buf.SetPolicy(func(_ float64, copies []*msg.Copy) int {
-		best, bestScore := 0, math.Inf(-1)
-		for i, c := range copies {
-			score := float64(c.Hops)
-			if r.costValid {
-				if pc := r.pathCost(c.M.To); !math.IsInf(pc, 1) {
-					score = 1e6 * pc
-				}
-			}
-			if score > bestScore {
-				best, bestScore = i, score
+	self.Buf.SetPolicy(r.dropVictim)
+}
+
+// dropVictim is MaxProp's drop order: prefer evicting high-cost (unlikely
+// to be delivered) copies, approximated with the cost cache as of the
+// last decision; ties and cold caches fall back to most-hops.
+func (r *MaxProp) dropVictim(_ float64, copies []*msg.Copy) int {
+	best, bestScore := 0, math.Inf(-1)
+	for i, c := range copies {
+		score := float64(c.Hops)
+		if r.costValid {
+			if pc := r.pathCost(c.M.To); !math.IsInf(pc, 1) {
+				score = 1e6 * pc
 			}
 		}
-		return best
-	})
+		if score > bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
 }
 
 // Prob returns this node's current meeting probability for peer v.
@@ -134,7 +145,7 @@ func (r *MaxProp) Prob(v int) float64 {
 func (r *MaxProp) ContactUp(t float64, peer *network.Node) {
 	self := r.Self.ID
 	r.rows.Publish(self, bumpedRow(r.rows.Row(self), peer.ID, t))
-	r.costValid = false
+	r.invalidateCost()
 	pr, _ := peer.Router.(*MaxProp)
 	if pr == nil {
 		return
@@ -146,7 +157,7 @@ func (r *MaxProp) ContactUp(t float64, peer *network.Node) {
 	v := pr.rows.Version()
 	st := core.SyncRows(r.rows, pr.rows, self, peer.ID, r.Gossip)
 	if pr.rows.Version() != v {
-		pr.costValid = false
+		pr.invalidateCost()
 	}
 	r.World.Metrics.EstimatorExchanged(st.Rows, st.Entries, st.Bytes, st.DigestBytes)
 	// Ack merge: each side learns the other's delivered set.
@@ -195,10 +206,27 @@ func bumpedRow(old *core.Row, peer int, t float64) *core.Row {
 	return core.NewRow(t, peers[:k], vals[:k])
 }
 
+// validateCost marks the cost cache as the one the drop policy reads,
+// as of the current rows.
+func (r *MaxProp) validateCost() {
+	if !r.costValid {
+		r.costValid = true
+		r.costValidations++
+	}
+}
+
+// invalidateCost marks the cost cache stale after a row of this router
+// changed.
+func (r *MaxProp) invalidateCost() {
+	r.costValid = false
+	r.costComputed = false
+}
+
 // refreshCost recomputes the Σ(1−p) Dijkstra costs from this node: the
 // shared indexed heap kernel over dense rows, the heap calculator over
 // sparse ones, each relaxing a row's positive entries in ascending order.
 func (r *MaxProp) refreshCost() {
+	r.costRuns++
 	switch rows := r.rows.(type) {
 	case *core.DenseRows:
 		k := r.kern
@@ -219,7 +247,7 @@ func (r *MaxProp) refreshCost() {
 			}
 		})
 	}
-	r.costValid = true
+	r.costComputed = true
 }
 
 // edgeCost is the Σ(1−p) path-cost weight of a meeting probability,
@@ -232,9 +260,15 @@ func edgeCost(p float64) float64 {
 	return c
 }
 
-// pathCost returns the cached cost to dst; +Inf when unreached. Callers
-// must have refreshed the cache (costValid).
+// pathCost returns the cost to dst; +Inf when unreached. The Dijkstra
+// runs on the first read after a row change. That is bit-identical to
+// refreshing when the cache was validated: every row change clears both
+// flags, so a read under costValid sees exactly the rows the validating
+// decision saw.
 func (r *MaxProp) pathCost(dst int) float64 {
+	if !r.costComputed {
+		r.refreshCost()
+	}
 	if r.Sparse {
 		if d, ok := r.dij.Dist(dst); ok {
 			return d
@@ -246,9 +280,7 @@ func (r *MaxProp) pathCost(dst int) float64 {
 
 // Cost returns the current path cost estimate to dst.
 func (r *MaxProp) Cost(dst int) float64 {
-	if !r.costValid {
-		r.refreshCost()
-	}
+	r.validateCost()
 	return r.pathCost(dst)
 }
 
@@ -262,9 +294,7 @@ func (r *MaxProp) NextTransfer(t float64, peer *network.Node) *network.Plan {
 	if len(cands) == 0 {
 		return nil
 	}
-	if !r.costValid {
-		r.refreshCost()
-	}
+	r.validateCost()
 	sort.SliceStable(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
 		aLow, bLow := a.Hops < r.HopThreshold, b.Hops < r.HopThreshold

@@ -38,3 +38,30 @@ func BenchmarkMaxPropRefreshCost(b *testing.B) {
 		rs[i%len(rs)].RefreshCost()
 	}
 }
+
+// TestMaxPropDeferredCostWork: on a 240-node, 1000 s Figure-2 MaxProp
+// world (seed 2), path costs computed on first read must run at least 10×
+// fewer Dijkstras than refreshing at every validation — most contacts'
+// decisions never compare a cost.
+func TestMaxPropDeferredCostWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("240-node world in -short mode")
+	}
+	s := experiment.Default()
+	s.Protocol = experiment.MaxProp
+	s.Nodes = 240
+	s.Duration = 1000
+	s.Seed = 2
+	w, runner := s.Build()
+	runner.Run(s.Duration)
+	validations, runs := 0, 0
+	for _, n := range w.Nodes() {
+		v, r := n.Router.(*routing.MaxProp).CostWork()
+		validations += v
+		runs += r
+	}
+	t.Logf("%d cost Dijkstras for %d validations", runs, validations)
+	if validations == 0 || 10*runs > validations {
+		t.Fatalf("%d cost Dijkstras for %d validations, want at most a tenth", runs, validations)
+	}
+}

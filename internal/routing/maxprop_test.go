@@ -6,9 +6,12 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/msg"
 	"repro/internal/network"
+	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
@@ -177,6 +180,123 @@ func TestMaxPropUnderflowMeteringParity(t *testing.T) {
 		if d, s := sums[0], sums[1]; d != s {
 			t.Errorf("k=%d: gossip entries dense %d, sparse %d; bytes %d, %d (summaries differ)",
 				k, d.GossipEntries, s.GossipEntries, d.GossipBytes, s.GossipBytes)
+		}
+	}
+}
+
+// dropVictimRef is MaxProp's drop order over given path costs: the
+// highest-cost copy, hops when its cost is unknown (or no costs at all),
+// first index on ties.
+func dropVictimRef(copies []*msg.Copy, cost []float64) int {
+	best, bestScore := 0, math.Inf(-1)
+	for i, c := range copies {
+		score := float64(c.Hops)
+		if cost != nil && !math.IsInf(cost[c.M.To], 1) {
+			score = 1e6 * cost[c.M.To]
+		}
+		if score > bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
+
+// checkLazyCosts audits every router whose cost cache is validated: each
+// pathCost must match the dense reference bit for bit, and the drop policy
+// must pick the victim the reference costs pick, whether its reads fill
+// the cache (the lazy path) or find it filled (an eager refresh). The
+// audit restores the lazy state it found, so the simulation's own reads
+// still run the deferred Dijkstras.
+func checkLazyCosts(t *testing.T, h *harness, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		r := h.w.Node(i).Router.(*MaxProp)
+		copies := r.Self.Buf.All()
+		if !r.costValid {
+			if got, want := r.dropVictim(0, copies), dropVictimRef(copies, nil); got != want {
+				t.Fatalf("node %d cold cache: drop victim %d, reference %d", i, got, want)
+			}
+			continue
+		}
+		computed, runs := r.costComputed, r.costRuns
+		want := maxPropCostRef(r, n)
+		for v := range want {
+			r.costComputed = computed
+			if got := r.pathCost(v); math.Float64bits(got) != math.Float64bits(want[v]) {
+				t.Fatalf("node %d (computed=%v): pathCost(%d) = %v, dense reference %v", i, computed, v, got, want[v])
+			}
+		}
+		if len(copies) > 0 {
+			wantVictim := dropVictimRef(copies, want)
+			r.costComputed = computed
+			if got := r.dropVictim(0, copies); got != wantVictim {
+				t.Fatalf("node %d lazy drop victim %d, reference %d", i, got, wantVictim)
+			}
+			r.refreshCost()
+			if got := r.dropVictim(0, copies); got != wantVictim {
+				t.Fatalf("node %d eager drop victim %d, reference %d", i, got, wantVictim)
+			}
+		}
+		r.costComputed, r.costRuns = computed, runs
+	}
+}
+
+// TestMaxPropLazyCostParity drives dense and sparse MaxProp worlds under
+// every gossip mode through random meetings with messages in flight:
+// small buffers force drops, transfers take one tick each so the audit
+// runs after every transfer, and hop thresholds 0–2 make the transmission
+// sort compare costs. After every meet and transfer, checkLazyCosts holds
+// and the deferred path costs did fewer Dijkstras than an eager refresh
+// at every validation would have.
+func TestMaxPropLazyCostParity(t *testing.T) {
+	const n = 10
+	for _, sparse := range []bool{false, true} {
+		for _, mode := range []core.ExchangeMode{core.ExchangeFresher, core.ExchangeFlood, core.ExchangeDelta} {
+			t.Run(fmt.Sprintf("sparse=%v-%v", sparse, mode), func(t *testing.T) {
+				f := MaxPropFactory(n, sparse, 0, mode)
+				runner := sim.NewRunner(1)
+				// 1000-byte messages at 1000 B/s: one transfer per tick.
+				w := network.New(network.Config{Range: 10, Bandwidth: 1000}, runner)
+				h := &harness{t: t, w: w, runner: runner}
+				for i := 0; i < n; i++ {
+					mv := &switchMover{}
+					h.movers = append(h.movers, mv)
+					r := f().(*MaxProp)
+					r.HopThreshold = i % 3
+					w.AddNode(mv, buffer.New(3000, nil), r)
+				}
+				h.scatter()
+				w.Start()
+				rng := xrand.New(int64(mode) + 1)
+				for k := 0; k < 150; k++ {
+					if from, to := rng.Intn(n), rng.Intn(n); from != to {
+						h.send(from, to, 5000)
+					}
+					a, b := rng.Intn(n), rng.Intn(n-1)
+					if b >= a {
+						b++
+					}
+					h.movers[a].moveTo(-500, -500)
+					h.movers[b].moveTo(-495, -500)
+					for range 4 {
+						h.runner.Run(h.runner.Now() + 1)
+						checkLazyCosts(t, h, n)
+					}
+					h.scatter()
+					h.runner.Run(h.runner.Now() + 2)
+					checkLazyCosts(t, h, n)
+				}
+				validations, runs := 0, 0
+				for i := 0; i < n; i++ {
+					r := h.w.Node(i).Router.(*MaxProp)
+					validations += r.costValidations
+					runs += r.costRuns
+				}
+				if drops := h.w.Metrics.Drops(); drops == 0 || runs == 0 || runs >= validations {
+					t.Fatalf("%d drops, %d Dijkstras for %d validations: the run did not exercise deferred costs", drops, runs, validations)
+				}
+				t.Logf("%d drops, %d Dijkstras for %d validations", h.w.Metrics.Drops(), runs, validations)
+			})
 		}
 	}
 }
