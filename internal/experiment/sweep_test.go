@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,64 @@ func TestParseSweepSpecStrict(t *testing.T) {
 		t.Fatalf("parsed %+v", sw)
 	}
 }
+
+// FuzzParseSweepSpec: any sweep ParseSweepSpec and Cells accept — the
+// way dtnd takes POST /v1/sweeps — resolves every cell and builds and runs
+// its first ticks without panicking, for size-bounded sweeps (at most
+// fuzzSweepCells cells, each fuzzSized). Seeds are the presets and the
+// engine crashers as sweep bases, the Figure-2 sweep, and a sweep that
+// writes every axis.
+func FuzzParseSweepSpec(f *testing.F) {
+	add := func(sw SweepSpec) {
+		b, err := json.Marshal(sw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, sp := range PresetSpecs() {
+		add(SweepSpec{Base: sp})
+	}
+	for _, c := range engineCrashers {
+		f.Add([]byte(`{"base":` + c.spec + `,"lambda":[2,4]}`))
+	}
+	protos := make([]string, len(AllPaperProtocols))
+	for i, p := range AllPaperProtocols {
+		protos[i] = string(p)
+	}
+	add(SweepSpec{Base: ScenarioSpec{Preset: "figure2"}, Protocols: protos, Nodes: []int{40, 80, 120, 160, 200, 240}})
+	f.Add([]byte(`{"base":{"preset":"quick","nodes":12,"duration":60},"protocols":["EER","CR"],` +
+		`"nodes":[8,16],"alpha":[0.5],"ttl":[30],"buf_bytes":[0,9000],"window":[2],"lambda":[1,3]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			return
+		}
+		sw, err := ParseSweepSpec(data)
+		if err != nil {
+			return
+		}
+		cells, err := sw.Cells()
+		if err != nil || len(cells) > fuzzSweepCells {
+			return
+		}
+		for _, c := range cells {
+			s, err := c.Spec.Scenario()
+			if err != nil {
+				t.Fatalf("cell %v passed Cells but does not resolve: %v", c.Axes, err)
+			}
+			until := min(s.Duration, 3*s.Tick)
+			if !fuzzSized(s, until) {
+				continue
+			}
+			_, runner := s.Build()
+			runner.Run(until)
+		}
+	})
+}
+
+// fuzzSweepCells bounds the sweeps FuzzParseSweepSpec runs; the Figure-2
+// sweep (36 cells) is the largest seed.
+const fuzzSweepCells = 36
 
 // TestRunSweepMatchesSweep1D pins the acceptance criterion: the sweep
 // path produces bit-identical summaries to the pre-refactor per-cell

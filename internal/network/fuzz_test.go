@@ -35,6 +35,9 @@ func FuzzGridParity(f *testing.F) {
 	f.Add([]byte{12, 1, 200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Add([]byte{20, 0, 2, 250, 5, 2, 5, 250, 3, 0, 0, 3, 1, 1, 0, 40, 40, 1, 200, 200})
 	f.Add([]byte{5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// Parking and returning empties buckets whose cells share a probe
+	// run with live ones: fails unless deletion keeps the run reachable.
+	f.Add([]byte("y00000002000x0700000000000000700000700000000000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -104,6 +107,8 @@ func FuzzGridParity(f *testing.F) {
 			rp.Run(float64(tick))
 			comparePairSets(t, tick, bruteForcePairs(ws), linkPairs(ws))
 			comparePairSets(t, tick, bruteForcePairs(wp), linkPairs(wp))
+			checkGrid(t, &ws.grid)
+			checkGrid(t, &wp.grid)
 			if len(ws.linkList) != len(wp.linkList) {
 				t.Fatalf("tick %d: serial has %d links, sharded %d", tick, len(ws.linkList), len(wp.linkList))
 			}
@@ -116,4 +121,133 @@ func FuzzGridParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzGridTable drives one region table with fuzz-chosen add / drop
+// operations against a map oracle, checking the whole table and looking
+// up every pool cell after every operation. The key pool holds clusters of cells that all hash to
+// the last slots of a 256- and a 512-slot table, so probe runs wrap the
+// table end and backward-shift deletion has to move entries across it,
+// plus a block of nearby cells that pushes the table through growth.
+//
+// Input layout: 2 bytes per operation, at most gridTableMaxOps of them.
+// The first byte's low 2 bits pick add (0, 1), drop (2) or a bare check
+// (3), and its high 6 bits a node id (add) or an index into the cell's
+// bucket (drop); the second byte picks the key.
+func FuzzGridTable(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 1, 8, 2, 0, 3, 2, 0, 3, 1, 3, 2, 2, 1, 3, 3})
+	f.Add([]byte{0, 16, 0, 17, 0, 18, 0, 19, 2, 16, 3, 17, 3, 18, 3, 19, 0, 20, 2, 17, 3, 20})
+	// Fill the wrapping clusters, drop every fifth cell and look up its
+	// successor, then add enough cells to grow the table.
+	var wrap []byte
+	for k := 0; k < 32; k++ {
+		wrap = append(wrap, byte(k)<<2, byte(k))
+	}
+	for k := 0; k < 32; k += 5 {
+		wrap = append(wrap, 2, byte(k), 3, byte(k+1))
+	}
+	for k := 32; k < 100; k++ {
+		wrap = append(wrap, byte(k%64)<<2, byte(k))
+	}
+	f.Add(wrap)
+	pool := gridTablePool()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2*gridTableMaxOps {
+			data = data[:2*gridTableMaxOps]
+		}
+		var tb gridTable
+		tb.resize(gridInitialSlots)
+		oracle := map[uint64][]int32{}
+		for ; len(data) >= 2; data = data[2:] {
+			op, key := data[0], pool[int(data[1])%len(pool)]
+			arg := int32(op >> 2)
+			list := oracle[key]
+			switch op & 3 {
+			case 0, 1:
+				k := 0
+				for k < len(list) && list[k] < arg {
+					k++
+				}
+				if k < len(list) && list[k] == arg {
+					continue
+				}
+				list = append(list[:k], append([]int32{arg}, list[k:]...)...)
+				oracle[key] = list
+				tb.add(key, arg)
+			case 2:
+				if len(list) == 0 {
+					continue
+				}
+				k := int(arg) % len(list)
+				tb.drop(key, list[k])
+				list = append(list[:k], list[k+1:]...)
+				if len(list) == 0 {
+					delete(oracle, key)
+				} else {
+					oracle[key] = list
+				}
+			}
+			checkTable(t, &tb, oracle, pool)
+		}
+	})
+}
+
+// gridTableMaxOps caps one FuzzGridTable input, so the fuzzer spends its
+// time mutating rather than minimising long inputs.
+const gridTableMaxOps = 128
+
+// gridTablePool returns FuzzGridTable's keys: 16 cells homed at each of
+// slots 254 and 255 of a 256-slot table, 16 homed at slot 511 of a
+// 512-slot table, and a 12×12 block of cells around the origin.
+func gridTablePool() []uint64 {
+	var pool []uint64
+	for _, c := range []struct {
+		size  int
+		homes []uint32
+	}{{256, []uint32{254, 255}}, {512, []uint32{511}}} {
+		var tb gridTable
+		tb.resize(c.size)
+		for _, h := range c.homes {
+			found := 0
+			for cx := int32(0); found < 16; cx++ {
+				for cy := int32(-64); cy < 64 && found < 16; cy++ {
+					if key := cellKeyOf(cx, cy); tb.home(key) == h {
+						pool = append(pool, key)
+						found++
+					}
+				}
+			}
+		}
+	}
+	for cx := int32(-6); cx < 6; cx++ {
+		for cy := int32(-6); cy < 6; cy++ {
+			pool = append(pool, cellKeyOf(cx, cy))
+		}
+	}
+	return pool
+}
+
+// checkTable compares a table with its oracle: checkSlots, no deleted
+// cell left in a slot, and every pool cell's lookup (a miss when absent).
+func checkTable(t *testing.T, tb *gridTable, oracle map[uint64][]int32, pool []uint64) {
+	t.Helper()
+	for _, s := range checkSlots(t, tb) {
+		if _, ok := oracle[s.key]; !ok {
+			t.Fatalf("table holds deleted cell %#x", s.key)
+		}
+	}
+	if tb.used != len(oracle) {
+		t.Fatalf("used = %d, oracle holds %d cells", tb.used, len(oracle))
+	}
+	for _, key := range pool {
+		got, want := tb.lookup(key), oracle[key]
+		if len(got) != len(want) {
+			t.Fatalf("cell %#x: lookup %v, want %v", key, got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("cell %#x: lookup %v, want %v", key, got, want)
+			}
+		}
+	}
 }

@@ -9,11 +9,6 @@ import (
 // This file is the engine's broad phase: a persistent, incrementally
 // maintained spatial grid plus a conservative pair re-check scheduler.
 //
-// The previous implementation rebuilt a map[uint64][]int32 spatial hash
-// from scratch every tick and distance-tested every 3x3-neighbourhood
-// candidate pair, which dominated whole-run CPU profiles. The incremental
-// design exploits two facts:
-//
 //  1. Nodes cross cell boundaries rarely (a bus at 13.9 m/s crosses a
 //     10 m cell every ~3 ticks at the paper's 0.25 s tick, and not at all
 //     while dwelling), so bucket membership is nearly static. The grid
@@ -35,45 +30,43 @@ import (
 // (unknown bound, e.g. scripted or trace-replay movers) tracked pairs are
 // simply re-checked every tick.
 //
+// Buckets live in open-addressed, linearly probed tables that hold only
+// occupied cells: a bucket is created when the first node enters its cell
+// and deleted (backward-shift deletion, so no tombstones) when the last
+// one leaves, its node array going to a spare list for the next creation.
+// A table therefore sizes to at most n occupied cells, not to every cell
+// ever visited, and stays small enough for the nine lookups of a
+// neighbourhood scan to hit the CPU cache. The load is kept at or below
+// 1/4 because most of those lookups miss, and a miss probes until the
+// next free slot. Slot positions are unobservable: scans visit the nine
+// cells at fixed offsets and each bucket in ascending id order.
+//
 // Sub-grids (sharded worlds): the grid is split into `regions` independent
-// open-addressed tables over a static spatial partition — vertical stripes
-// of gridStripeCells cells, striped round-robin across regions. A cell's
+// tables over a static spatial partition — vertical stripes of
+// gridStripeCells cells, striped round-robin across regions. A cell's
 // table depends only on its x coordinate, so region membership is a pure
-// function of position and never migrates. The sharded tick path re-buckets
-// movers that stay inside one region on one goroutine per region (all
-// mutations — removal, insertion, table growth — touch only that region's
-// table); only stripe-boundary crossings fall back to the serial merge.
-// With regions == 1 (the serial path) the exact single-table behaviour is
-// preserved. See shard.go for the phase structure and DESIGN.md for the
-// safety argument.
+// function of position and never migrates. A re-bucket mutates only the
+// old and the new cell's own tables, so the sharded tick re-buckets movers
+// that stay inside one region on one goroutine per region; only region
+// crossings fall back to the serial merge. With regions == 1 (the serial
+// path) there is a single table. See shard.go for the phase structure and
+// DESIGN.md for the safety argument.
 
 // gridSlot is one open-addressed bucket: the nodes currently inside one
-// grid cell, kept in ascending id order so scans are deterministic.
-// Buckets are reused across ticks: emptied buckets keep their backing
-// array and are stamped with the epoch they emptied instead of being
-// deleted (open-addressed tables cannot tombstone cheaply); stale empties
-// are dropped wholesale on the next table growth.
+// grid cell, kept in ascending id order so scans are deterministic. A slot
+// is occupied iff its node list is non-empty.
 type gridSlot struct {
-	key        uint64
-	used       bool
-	emptySince uint64 // epoch the bucket last became empty (diagnostics/compaction)
-	nodes      []int32
-
-	// nbr caches packed (region, slot) references of the 3x3 cell
-	// neighbourhood (-1 for cells with no bucket), valid while nbrGen
-	// matches the layout-generation sum of the regions the neighbourhood
-	// spans (gensum). Neighbourhood scans are the engine's hottest loop;
-	// the cache removes all nine hash probes from the steady state.
-	nbrGen uint64
-	nbr    [9]int64
+	key   uint64
+	nodes []int32
 }
 
-// gridTable is one region's open-addressed hash table of buckets.
+// gridTable is one region's open-addressed hash table of occupied cells.
 type gridTable struct {
-	slots     []gridSlot
-	mask      uint32
-	used      int    // occupied (used==true) slot count, including empty buckets
-	layoutGen uint64 // bumped on growth: slot indices into this table are stale
+	slots []gridSlot
+	mask  uint32
+	shift uint32    // 64 - log2(len(slots)): Fibonacci hash shift
+	used  int       // occupied slot count
+	spare [][]int32 // emptied bucket arrays (length 0), reused on creation
 }
 
 // cellGrid is the persistent spatial hash over node positions with cell
@@ -87,7 +80,7 @@ type cellGrid struct {
 	tables  []gridTable
 
 	cellOf    []uint64 // per node: packed cell key of the current bucket
-	slotOf    []int32  // per node: slot index of the current bucket, -1 if none
+	placed    []bool   // per node: bucketed (false until the first update)
 	prevCell  []uint64 // per node: cell key before the last cell change
 	prevValid []bool   // per node: prevCell holds a real cell (not first insertion)
 	moveEpoch []uint64 // per node: epoch of the last cell change
@@ -95,9 +88,8 @@ type cellGrid struct {
 }
 
 // gridStripeCells is the stripe width of the static spatial partition in
-// cells. It must be >= 4 so a stripe has interior cells whose whole
-// two-ring (the cells a bucket creation may read or patch) stays inside
-// one region; tests shrink it to force boundary traffic.
+// cells. Any width >= 1 is correct; wide stripes keep most moves inside
+// one region. Tests shrink it to force boundary traffic.
 const gridStripeCells = 32
 
 const gridInitialSlots = 256
@@ -111,12 +103,7 @@ func (g *cellGrid) init(cell float64, regions int) {
 	g.stripe = gridStripeCells
 	g.tables = make([]gridTable, regions)
 	for r := range g.tables {
-		t := &g.tables[r]
-		t.slots = make([]gridSlot, gridInitialSlots)
-		t.mask = gridInitialSlots - 1
-		// Fresh slots carry nbrGen 0; starting the layout generation above
-		// it keeps their zeroed neighbour caches from ever reading as valid.
-		t.layoutGen = 1
+		g.tables[r].resize(gridInitialSlots)
 	}
 }
 
@@ -124,7 +111,7 @@ func (g *cellGrid) init(cell float64, regions int) {
 func (g *cellGrid) ensure(n int) {
 	for len(g.cellOf) < n {
 		g.cellOf = append(g.cellOf, 0)
-		g.slotOf = append(g.slotOf, -1)
+		g.placed = append(g.placed, false)
 		g.prevCell = append(g.prevCell, 0)
 		g.prevValid = append(g.prevValid, false)
 		g.moveEpoch = append(g.moveEpoch, 0)
@@ -133,6 +120,11 @@ func (g *cellGrid) ensure(n int) {
 
 func cellKeyOf(cx, cy int32) uint64 {
 	return uint64(uint32(cx))<<32 | uint64(uint32(cy))
+}
+
+// cellAt returns the coordinates of the cell containing pos.
+func (g *cellGrid) cellAt(pos geo.Point) (cx, cy int32) {
+	return int32(math.Floor(pos.X / g.cell)), int32(math.Floor(pos.Y / g.cell))
 }
 
 // floorDiv32 is floored (not truncated) integer division for b > 0, so
@@ -162,102 +154,116 @@ func (g *cellGrid) regionOfKey(key uint64) int {
 	return g.regionOfCx(int32(uint32(key >> 32)))
 }
 
-// gensum is the neighbour-cache validity stamp for a bucket in cell column
-// cx: the sum of the layout generations of the regions its 3x3
-// neighbourhood can span (columns cx-1..cx+1). Generations only grow, so
-// the sum strictly increases whenever any involved table reorganises,
-// invalidating exactly the caches whose stored slot indices could have
-// moved.
-func (g *cellGrid) gensum(cx int32) uint64 {
-	if g.regions == 1 {
-		return 3 * g.tables[0].layoutGen
+// resize replaces the slot array with an empty one of size slots (a power
+// of two).
+func (t *gridTable) resize(size int) {
+	t.slots = make([]gridSlot, size)
+	t.mask = uint32(size - 1)
+	t.shift = 64
+	for s := size; s > 1; s >>= 1 {
+		t.shift--
 	}
-	return g.tables[g.regionOfCx(cx-1)].layoutGen +
-		g.tables[g.regionOfCx(cx)].layoutGen +
-		g.tables[g.regionOfCx(cx+1)].layoutGen
+	t.used = 0
 }
 
-// packSlot packs a (region, slot) bucket reference into one int64 cache
-// entry; -1 marks "no bucket".
-func packSlot(region int, slot int32) int64 {
-	return int64(region)<<32 | int64(uint32(slot))
+// home is key's preferred slot: Fibonacci hashing, whose top bits mix
+// both packed coordinates.
+func (t *gridTable) home(key uint64) uint32 {
+	return uint32((key * 0x9e3779b97f4a7c15) >> t.shift)
 }
 
-// hash64 is the splitmix64 finaliser; cell keys are sequential in each
-// coordinate, so they need real mixing before masking.
-func hash64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// findSlot returns the slot index for key, probing linearly from its hash.
-// If absent it returns the first free slot (not yet marked used).
-func (t *gridTable) findSlot(key uint64) int32 {
-	i := uint32(hash64(key)) & t.mask
+// findSlot returns the slot holding key, or the free slot that ends its
+// probe sequence if key has no bucket.
+func (t *gridTable) findSlot(key uint64) uint32 {
+	i := t.home(key)
 	for {
 		s := &t.slots[i]
-		if !s.used || s.key == key {
-			return int32(i)
+		if len(s.nodes) == 0 || s.key == key {
+			return i
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// grow doubles the table and re-inserts every bucket. Buckets that have
-// sat empty for more than one wheel revolution are reclaimed — their epoch
-// stamp proves no node has been near them recently — while freshly-emptied
-// ones are kept so cells on active routes are not churned. Node slot
-// indices are rebuilt and every neighbour cache referencing this table is
-// invalidated via the layout generation (all mutations stay within this
-// region: nodes bucketed here have their current cell here by definition).
-func (t *gridTable) grow(g *cellGrid) {
-	old := t.slots
-	t.slots = make([]gridSlot, len(old)*2)
-	t.mask = uint32(len(t.slots) - 1)
-	t.used = 0
-	t.layoutGen++
-	for i := range old {
-		s := &old[i]
-		if !s.used {
-			continue
+// lookup returns the nodes bucketed in cell key (empty if none). It only
+// reads, so shard workers call it concurrently while no table mutates.
+func (t *gridTable) lookup(key uint64) []int32 {
+	return t.slots[t.findSlot(key)].nodes
+}
+
+// add inserts node id into cell key's bucket, creating the bucket (from a
+// spare array when one is left) if the cell was empty, and grows the table
+// once more than a quarter of it is occupied.
+func (t *gridTable) add(key uint64, id int32) {
+	j := t.findSlot(key)
+	s := &t.slots[j]
+	created := len(s.nodes) == 0
+	if created {
+		s.key = key
+		if k := len(t.spare) - 1; k >= 0 {
+			s.nodes = t.spare[k]
+			t.spare[k] = nil
+			t.spare = t.spare[:k]
 		}
-		if len(s.nodes) == 0 && g.epoch > s.emptySince+wheelSize {
-			continue
-		}
-		j := t.findSlot(s.key)
-		t.slots[j] = gridSlot{key: s.key, used: true, emptySince: s.emptySince, nodes: s.nodes}
+	}
+	// Insert keeping ascending id order (buckets are small).
+	s.nodes = append(s.nodes, id)
+	for k := len(s.nodes) - 1; k > 0 && s.nodes[k-1] > id; k-- {
+		s.nodes[k], s.nodes[k-1] = s.nodes[k-1], s.nodes[k]
+	}
+	if created {
 		t.used++
-		for _, id := range s.nodes {
-			g.slotOf[id] = j
+		if t.used*4 > len(t.slots) {
+			t.grow()
 		}
 	}
 }
 
-// patchNeighborCaches splices freshly-created bucket j (region r) for cell
-// key into the still-valid neighbour caches around it, so a bucket
-// creation does not invalidate every cache in the table.
-func (g *cellGrid) patchNeighborCaches(r int, j int32, key uint64) {
-	cx := int32(uint32(key >> 32))
-	cy := int32(uint32(key))
-	for dx := int32(-1); dx <= 1; dx++ {
-		ncx := cx + dx
-		nr := g.regionOfCx(ncx)
-		nt := &g.tables[nr]
-		for dy := int32(-1); dy <= 1; dy++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			ni := nt.findSlot(cellKeyOf(ncx, cy+dy))
-			ns := &nt.slots[ni]
-			if !ns.used || ns.nbrGen != g.gensum(ncx) {
-				continue
-			}
-			// The neighbour sees the new cell at the inverse offset.
-			ns.nbr[(1-dx)*3+(1-dy)] = packSlot(r, j)
+// drop removes node id from cell key's bucket, preserving order, and
+// deletes the bucket once it is empty.
+func (t *gridTable) drop(key uint64, id int32) {
+	j := t.findSlot(key)
+	s := &t.slots[j]
+	for k, x := range s.nodes {
+		if x == id {
+			s.nodes = append(s.nodes[:k], s.nodes[k+1:]...)
+			break
+		}
+	}
+	if len(s.nodes) == 0 {
+		t.deleteAt(j)
+	}
+}
+
+// deleteAt frees the (emptied) slot i by backward-shift deletion: each
+// later entry of the probe run moves back into the gap unless its home
+// lies cyclically in (gap, entry], so every key stays reachable from its
+// home without tombstones.
+func (t *gridTable) deleteAt(i uint32) {
+	t.spare = append(t.spare, t.slots[i].nodes[:0])
+	t.used--
+	for j := i; ; {
+		j = (j + 1) & t.mask
+		s := &t.slots[j]
+		if len(s.nodes) == 0 {
+			break
+		}
+		if (j-t.home(s.key))&t.mask >= (j-i)&t.mask {
+			t.slots[i] = *s
+			i = j
+		}
+	}
+	t.slots[i] = gridSlot{}
+}
+
+// grow doubles the table and re-inserts every bucket.
+func (t *gridTable) grow() {
+	old := t.slots
+	t.resize(2 * len(old))
+	for _, s := range old {
+		if len(s.nodes) > 0 {
+			t.slots[t.findSlot(s.key)] = s
+			t.used++
 		}
 	}
 }
@@ -267,146 +273,31 @@ func (g *cellGrid) patchNeighborCaches(r int, j int32, key uint64) {
 // goroutine per region for movers rebucketParallelSafe vouched for, and
 // serially for everything else.
 func (g *cellGrid) update(i int32, pos geo.Point) bool {
-	cx := int32(math.Floor(pos.X / g.cell))
-	cy := int32(math.Floor(pos.Y / g.cell))
+	cx, cy := g.cellAt(pos)
 	key := cellKeyOf(cx, cy)
-	if g.slotOf[i] >= 0 && g.cellOf[i] == key {
-		return false
-	}
-	if g.slotOf[i] >= 0 {
+	if g.placed[i] {
+		if g.cellOf[i] == key {
+			return false
+		}
 		g.prevCell[i] = g.cellOf[i]
 		g.prevValid[i] = true
-		g.removeFromBucket(i)
+		g.tables[g.regionOfKey(g.cellOf[i])].drop(g.cellOf[i], i)
 	} else {
 		g.prevValid[i] = false
+		g.placed[i] = true
 	}
 	g.moveEpoch[i] = g.epoch
-	r := g.regionOfCx(cx)
-	t := &g.tables[r]
-	j := t.findSlot(key)
-	s := &t.slots[j]
-	if !s.used {
-		s.used = true
-		s.key = key
-		t.used++
-		g.patchNeighborCaches(r, j, key)
-	}
-	// Insert keeping ascending id order (buckets are small).
-	s.nodes = append(s.nodes, i)
-	for k := len(s.nodes) - 1; k > 0 && s.nodes[k-1] > i; k-- {
-		s.nodes[k], s.nodes[k-1] = s.nodes[k-1], s.nodes[k]
-	}
+	g.tables[g.regionOfCx(cx)].add(key, i)
 	g.cellOf[i] = key
-	g.slotOf[i] = j
-	if t.used*4 > len(t.slots)*3 {
-		t.grow(g)
-	}
 	return true
 }
 
 // rebucketParallelSafe reports whether re-bucketing node i into cell
-// (cx, key) mutates only that cell's own region, so the sharded tick may
-// run it on the region's goroutine. It must hold until the re-bucket
-// executes, given that only region goroutines (region-local mutations) run
-// in between. True when the node stays in one region and either
-//
-//   - the destination column is interior to its stripe with a 2-column
-//     margin, so a bucket creation's cache patching (columns cx±1) and the
-//     gensum reads it performs (columns cx±2) stay inside the region, or
-//   - the destination bucket already exists and is non-empty, so no
-//     creation happens (non-empty this tick means grow cannot reclaim it
-//     before the re-bucket runs: reclaim needs a whole wheel revolution of
-//     emptiness).
-//
-// It only reads the grid; the sharded phase that calls it runs no mutator.
-func (g *cellGrid) rebucketParallelSafe(i int32, cx int32, key uint64) bool {
-	if g.regions == 1 {
-		return true
-	}
-	r := g.regionOfCx(cx)
-	if g.slotOf[i] >= 0 && g.regionOfKey(g.cellOf[i]) != r {
-		return false
-	}
-	m := cx % g.stripe
-	if m < 0 {
-		m += g.stripe
-	}
-	if m >= 2 && m <= g.stripe-3 {
-		return true
-	}
-	t := &g.tables[r]
-	s := &t.slots[t.findSlot(key)]
-	return s.used && len(s.nodes) > 0
-}
-
-// removeFromBucket takes node i out of its current bucket, preserving
-// order.
-func (g *cellGrid) removeFromBucket(i int32) {
-	t := &g.tables[g.regionOfKey(g.cellOf[i])]
-	s := &t.slots[g.slotOf[i]]
-	for k, id := range s.nodes {
-		if id == i {
-			s.nodes = append(s.nodes[:k], s.nodes[k+1:]...)
-			break
-		}
-	}
-	if len(s.nodes) == 0 {
-		s.emptySince = g.epoch
-	}
-	g.slotOf[i] = -1
-}
-
-// neighborSlots returns the cached 3x3 neighbour bucket references (-1
-// where no bucket exists) of node i's bucket, recomputing the cache when
-// any involved table's layout changed. Index k maps to offset
-// (k/3-1, k%3-1). The sharded path calls it from the goroutine owning the
-// bucket's region (the only writer of its cache) while no table mutates;
-// the cross-region probes are plain reads.
-func (g *cellGrid) neighborSlots(i int32) *[9]int64 {
-	key := g.cellOf[i]
-	cx := int32(uint32(key >> 32))
-	cy := int32(uint32(key))
-	s := &g.tables[g.regionOfCx(cx)].slots[g.slotOf[i]]
-	gen := g.gensum(cx)
-	if s.nbrGen != gen {
-		k := 0
-		for dx := int32(-1); dx <= 1; dx++ {
-			ncx := cx + dx
-			nr := g.regionOfCx(ncx)
-			nt := &g.tables[nr]
-			for dy := int32(-1); dy <= 1; dy++ {
-				j := nt.findSlot(cellKeyOf(ncx, cy+dy))
-				p := int64(-1)
-				if nt.slots[j].used {
-					p = packSlot(nr, j)
-				}
-				s.nbr[k] = p
-				k++
-			}
-		}
-		s.nbrGen = gen
-	}
-	return &s.nbr
-}
-
-// neighborsCached returns the 3x3 neighbour bucket references of node i's
-// bucket, requiring the cache to be warm already. Shard workers use it
-// concurrently: unlike neighborSlots it never writes, so concurrent scans
-// of one bucket are race-free. The cache-warming phase covers every moved
-// node's bucket (the only buckets scanned) before workers run.
-func (g *cellGrid) neighborsCached(i int32) *[9]int64 {
-	key := g.cellOf[i]
-	cx := int32(uint32(key >> 32))
-	s := &g.tables[g.regionOfCx(cx)].slots[g.slotOf[i]]
-	if s.nbrGen != g.gensum(cx) {
-		panic("network: neighborsCached on a stale neighbour cache")
-	}
-	return &s.nbr
-}
-
-// bucket returns the node list of a packed (region, slot) reference.
-func (g *cellGrid) bucket(p int64) []int32 {
-	return g.tables[p>>32].slots[uint32(p)].nodes
+// column cx mutates only that column's region table, so the sharded tick
+// may run it on the region's goroutine: the node's old cell (if any) is
+// in the same region. It reads only node i's own bookkeeping.
+func (g *cellGrid) rebucketParallelSafe(i int32, cx int32) bool {
+	return g.regions == 1 || !g.placed[i] || g.regionOfKey(g.cellOf[i]) == g.regionOfCx(cx)
 }
 
 // --- pair re-check scheduler ---

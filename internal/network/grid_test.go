@@ -111,6 +111,7 @@ func TestIncrementalGridParityRandomized(t *testing.T) {
 			for tick := 1; tick <= 400; tick++ {
 				runner.Run(float64(tick))
 				comparePairSets(t, tick, bruteForcePairs(w), linkPairs(w))
+				checkGrid(t, &w.grid)
 			}
 		})
 	}
@@ -133,6 +134,7 @@ func TestIncrementalGridParityTeleport(t *testing.T) {
 	for tick := 1; tick <= 300; tick++ {
 		runner.Run(float64(tick))
 		comparePairSets(t, tick, bruteForcePairs(w), linkPairs(w))
+		checkGrid(t, &w.grid)
 	}
 }
 
@@ -149,20 +151,54 @@ func (m *teleporter) Step(float64) geo.Point {
 	return m.pos
 }
 
-// TestUpdateContactsZeroAllocSteadyState proves a static fleet ticks with
-// zero steady-state heap allocations in the contact path.
+// TestUpdateContactsZeroAllocSteadyState proves the contact path ticks
+// with zero steady-state heap allocations, both for a static fleet and for
+// one whose nodes cross a cell boundary every tick (each crossing deletes
+// a bucket and creates one, so spare node arrays must be recycled).
 func TestUpdateContactsZeroAllocSteadyState(t *testing.T) {
-	runner := sim.NewRunner(1)
-	w := New(Config{Range: 10, Bandwidth: 1000}, runner)
-	// A grid of stationary nodes, some in range of each other.
-	for i := 0; i < 30; i++ {
-		x := float64(i%6) * 7
-		y := float64(i/6) * 7
-		w.AddNode(fixed(x, y), buffer.New(0, nil), &probe{})
-	}
-	w.Start()
-	// Warm up: first ticks insert nodes, establish contacts and size the
-	// wheel and scratch buffers.
+	t.Run("static", func(t *testing.T) {
+		runner := sim.NewRunner(1)
+		w := New(Config{Range: 10, Bandwidth: 1000}, runner)
+		// A grid of stationary nodes, some in range of each other.
+		for i := 0; i < 30; i++ {
+			x := float64(i%6) * 7
+			y := float64(i/6) * 7
+			w.AddNode(fixed(x, y), buffer.New(0, nil), &probe{})
+		}
+		w.Start()
+		assertZeroAllocTicks(t, w)
+	})
+	t.Run("moving", func(t *testing.T) {
+		runner := sim.NewRunner(1)
+		w := New(Config{Range: 10, Bandwidth: 1000}, runner)
+		// Nodes 20 m apart, each hopping ±2 m across a cell boundary every
+		// tick (half of them in antiphase): neighbouring cells stay
+		// occupied, so pairs are tracked and re-checked, but no two nodes
+		// ever come within 16 m, so no link (an allocation) ever forms.
+		for i := 0; i < 36; i++ {
+			x0 := float64(i%6) * 20
+			y0 := float64(i/6)*20 + 5
+			phase := float64(i % 2)
+			w.AddNode(&scriptMover{at: func(tt float64) geo.Point {
+				if int(tt+phase)%2 == 0 {
+					return geo.Point{X: x0 - 2, Y: y0}
+				}
+				return geo.Point{X: x0 + 2, Y: y0}
+			}}, buffer.New(0, nil), &probe{})
+		}
+		w.Start()
+		assertZeroAllocTicks(t, w)
+		if c := w.Metrics.Summary().Contacts; c != 0 {
+			t.Fatalf("fleet formed %d contacts, want none", c)
+		}
+	})
+}
+
+// assertZeroAllocTicks warms w up (first ticks insert nodes, establish
+// contacts and size the wheel, scratch buffers and spare arrays) and then
+// requires ticks to allocate nothing.
+func assertZeroAllocTicks(t *testing.T, w *World) {
+	t.Helper()
 	tick := 0.0
 	for i := 0; i < wheelSize*2; i++ {
 		tick++
@@ -195,27 +231,153 @@ func TestPairSetModes(t *testing.T) {
 	}
 }
 
-// TestGridGrowthAndReclaim drives one node across thousands of cells so
-// the slot table grows and reclaims long-empty buckets, with a second
-// pinned pair proving contacts survive table reorganisation.
+// TestGridGrowthAndReclaim checks that a table sizes to the cells that
+// are occupied now, not to every cell ever visited, and that contacts
+// survive table growth.
 func TestGridGrowthAndReclaim(t *testing.T) {
-	runner := sim.NewRunner(1)
-	w := New(Config{Range: 10, Bandwidth: 1000}, runner)
-	sweepMover := &scriptMover{at: func(tt float64) geo.Point {
-		// Visit a fresh distant cell every tick.
-		return geo.Point{X: 25 * tt, Y: -60 * tt}
-	}}
-	w.AddNode(sweepMover, buffer.New(0, nil), &probe{})
-	w.AddNode(fixed(3, 3), buffer.New(0, nil), &probe{})
-	w.AddNode(fixed(6, 3), buffer.New(0, nil), &probe{})
-	w.Start()
-	for tick := 1; tick <= 800; tick++ {
-		runner.Run(float64(tick))
-		if len(w.linkList) != 1 {
-			t.Fatalf("tick %d: pinned contact lost during grid growth (links=%d)", tick, len(w.linkList))
+	t.Run("sweepStaysSmall", func(t *testing.T) {
+		// One node visits a fresh distant cell every tick: each visit
+		// creates a bucket and deletes the previous one, so the table
+		// never holds more than three cells and keeps its initial size.
+		runner := sim.NewRunner(1)
+		w := New(Config{Range: 10, Bandwidth: 1000}, runner)
+		sweepMover := &scriptMover{at: func(tt float64) geo.Point {
+			return geo.Point{X: 25 * tt, Y: -60 * tt}
+		}}
+		w.AddNode(sweepMover, buffer.New(0, nil), &probe{})
+		w.AddNode(fixed(3, 3), buffer.New(0, nil), &probe{})
+		w.AddNode(fixed(6, 3), buffer.New(0, nil), &probe{})
+		w.Start()
+		for tick := 1; tick <= 800; tick++ {
+			runner.Run(float64(tick))
+			if len(w.linkList) != 1 {
+				t.Fatalf("tick %d: pinned contact lost (links=%d)", tick, len(w.linkList))
+			}
+		}
+		checkGrid(t, &w.grid)
+		if got := len(w.grid.tables[0].slots); got != gridInitialSlots {
+			t.Fatalf("table has %d slots after the sweep, want its initial %d", got, gridInitialSlots)
+		}
+	})
+	t.Run("distinctCellsGrow", func(t *testing.T) {
+		// 240 nodes on a 15 m lattice, each alone in its cell, drift
+		// diagonally: more than a quarter of 256 slots is occupied, so
+		// the table must grow while the pinned pair stays in contact.
+		runner := sim.NewRunner(1)
+		w := New(Config{Range: 10, Bandwidth: 1000}, runner)
+		w.AddNode(fixed(-3, -3), buffer.New(0, nil), &probe{})
+		w.AddNode(fixed(-6, -3), buffer.New(0, nil), &probe{})
+		for i := 0; i < 240; i++ {
+			x0 := float64(i%16) * 15
+			y0 := float64(i/16) * 15
+			w.AddNode(&scriptMover{at: func(tt float64) geo.Point {
+				return geo.Point{X: x0 + 0.7*tt, Y: y0 + 0.3*tt}
+			}}, buffer.New(0, nil), &probe{})
+		}
+		w.Start()
+		pinned := [2]int32{0, 1}
+		for tick := 1; tick <= 60; tick++ {
+			runner.Run(float64(tick))
+			got := linkPairs(w)
+			if !got[pinned] {
+				t.Fatalf("tick %d: pinned contact lost", tick)
+			}
+			comparePairSets(t, tick, bruteForcePairs(w), got)
+			checkGrid(t, &w.grid)
+		}
+		if got := len(w.grid.tables[0].slots); got <= gridInitialSlots {
+			t.Fatalf("table never grew: %d slots for %d occupied cells", got, w.grid.tables[0].used)
+		}
+	})
+}
+
+// TestGridMemoryLinearInNodes drives a city-density walker fleet long
+// enough for every node to visit dozens of cells and requires the tables
+// to stay sized to the fleet (at most 8 slots per node), not to the cells
+// the fleet has ever visited.
+func TestGridMemoryLinearInNodes(t *testing.T) {
+	const n = 5000
+	w, runner := walkerWorld(n, 3)
+	runner.Run(150) // 300 ticks of 0.5 s
+	slots := 0
+	for r := range w.grid.tables {
+		slots += len(w.grid.tables[r].slots)
+	}
+	if slots > 8*n {
+		t.Fatalf("grid holds %d slots for %d nodes, want at most %d", slots, n, 8*n)
+	}
+	checkGrid(t, &w.grid)
+}
+
+// checkGrid verifies the grid's structural invariants: every placed node
+// sits exactly once in the bucket of its cellOf cell, in that cell's
+// region table; every bucket is in the right region, ascending and holds
+// only nodes placed in its cell; and each table passes checkSlots.
+func checkGrid(t testing.TB, g *cellGrid) {
+	t.Helper()
+	placed := 0
+	for i, key := range g.cellOf {
+		if !g.placed[i] {
+			continue
+		}
+		placed++
+		seen := 0
+		for _, id := range g.tables[g.regionOfKey(key)].lookup(key) {
+			if id == int32(i) {
+				seen++
+			}
+		}
+		if seen != 1 {
+			t.Fatalf("node %d appears %d times in the bucket of its cell %#x", i, seen, key)
 		}
 	}
-	if len(w.grid.tables[0].slots) <= 256 {
-		t.Fatalf("table never grew: %d slots", len(w.grid.tables[0].slots))
+	entries := 0
+	for r := range g.tables {
+		for _, s := range checkSlots(t, &g.tables[r]) {
+			entries += len(s.nodes)
+			if g.regionOfKey(s.key) != r {
+				t.Fatalf("cell %#x bucketed in region %d, belongs to %d", s.key, r, g.regionOfKey(s.key))
+			}
+			for k, id := range s.nodes {
+				if k > 0 && s.nodes[k-1] >= id {
+					t.Fatalf("region %d: bucket %#x not ascending: %v", r, s.key, s.nodes)
+				}
+				if !g.placed[id] || g.cellOf[id] != s.key {
+					t.Fatalf("node %d bucketed in cell %#x, recorded in %#x", id, s.key, g.cellOf[id])
+				}
+			}
+		}
 	}
+	if entries != placed {
+		t.Fatalf("buckets hold %d entries for %d placed nodes", entries, placed)
+	}
+}
+
+// checkSlots verifies one table's own invariants — free slots zeroed,
+// every occupied slot reachable by findSlot from its home, used equal to
+// the occupied count, spare arrays empty — and returns the occupied slots.
+func checkSlots(t testing.TB, tb *gridTable) []gridSlot {
+	t.Helper()
+	var occupied []gridSlot
+	for j, s := range tb.slots {
+		if len(s.nodes) == 0 {
+			if s.nodes != nil || s.key != 0 {
+				t.Fatalf("free slot %d not zeroed", j)
+			}
+			continue
+		}
+		occupied = append(occupied, s)
+		if got := tb.findSlot(s.key); got != uint32(j) {
+			t.Fatalf("cell %#x at slot %d but findSlot reaches %d", s.key, j, got)
+		}
+	}
+	if len(occupied) != tb.used {
+		t.Fatalf("used = %d, %d slots occupied", tb.used, len(occupied))
+	}
+	for _, a := range tb.spare {
+		if len(a) != 0 {
+			t.Fatalf("spare array holds %v", a)
+		}
+	}
+	return occupied
 }

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/obs"
@@ -23,26 +22,22 @@ import (
 // serial merges:
 //
 //	A (parallel) advance movers; detect cell changes; classify each mover
-//	  as region-local (its re-bucket provably mutates only the
-//	  destination cell's own sub-grid region, see rebucketParallelSafe)
-//	  or boundary (stripe crossings and creations near a stripe edge).
+//	  as region-local (its old cell, if any, lies in the destination
+//	  cell's sub-grid region, so its re-bucket mutates only that region's
+//	  table, see rebucketParallelSafe) or boundary (a region crossing).
 //	  Movers touch only their own state plus the concurrency-safe
 //	  road-map PathCache; movers land in per-(worker, region) lists whose
 //	  worker-order concatenation is ascending in node id, because workers
 //	  cover ascending contiguous index ranges.
 //	A2 (parallel) re-bucket the region-local movers on one goroutine per
-//	  region — removal, insertion, cache patching and table growth all
-//	  stay inside the region's own table, so regions never share a
-//	  mutable byte. This was the serial merge's dominant cost.
-//	A2 (merge)   re-bucket the boundary movers in ascending id order —
-//	  cross-region cache patching is safe serially. The grid state after
-//	  A2 equals the serial path's exactly: bucket contents are sorted
-//	  sets, per-node prev/epoch stamps depend only on each node's own
-//	  move, and slot indices are unobservable.
-//	A3 (parallel) warm the neighbour caches phase B reads lock-free, one
-//	  goroutine per region (a bucket's cache is written only by the
-//	  region owning it; probes into neighbouring regions are plain reads
-//	  since no table mutates during A3).
+//	  region — removal, bucket deletion, insertion, bucket creation and
+//	  table growth all stay inside the region's own table, so regions
+//	  never share a mutable byte. This was the serial merge's dominant
+//	  cost.
+//	A2 (merge)   re-bucket the region crossings in ascending id order.
+//	  The grid state after A2 equals the serial path's exactly: bucket
+//	  contents are sorted sets, per-node prev/epoch stamps depend only on
+//	  each node's own move, and slot positions are unobservable.
 //	B (parallel) scan moved nodes' 3x3 neighbourhoods, collecting
 //	  untracked candidate pairs into per-shard buffers. Purely read-only
 //	  against grid and tracked set.
@@ -63,8 +58,8 @@ import (
 //	  just adds the counts to the metrics collector.
 //
 // Work is chunked by contiguous index ranges (nodes, moved list, due
-// list, link list) except the grid phases A2/A3, which are chunked by
-// grid region: the grid is the one structure where spatial partitioning
+// list, link list) except grid phase A2, which is chunked by grid
+// region: the grid is the one structure where spatial partitioning
 // pays, because re-bucketing mutates shared tables. Node-to-region
 // assignment is a pure function of position (x-stripes), so no state
 // migrates between regions and the ordered merge lists stay trivial.
@@ -153,7 +148,7 @@ func (w *World) parallel(shards, n int, fn func(shard, lo, hi int)) {
 // tickSharded is the Shards > 0 twin of the serial Tick + updateContacts
 // pair. Every mutation of grid, scheduler, links, routers and metrics
 // happens either on one region goroutine (grid sub-table mutations in
-// A2/A3) or on this goroutine in serial-path order; the other workers
+// A2) or on this goroutine in serial-path order; the other workers
 // only compute.
 func (w *World) tickSharded(t float64) {
 	dt := t - w.lastTick
@@ -182,15 +177,13 @@ func (w *World) tickSharded(t float64) {
 		for i := lo; i < hi; i++ {
 			nd := w.nodes[i]
 			nd.pos = nd.Mover.Step(dt)
-			cx := int32(math.Floor(nd.pos.X / g.cell))
-			cy := int32(math.Floor(nd.pos.Y / g.cell))
-			key := cellKeyOf(cx, cy)
+			cx, cy := g.cellAt(nd.pos)
 			id := int32(i)
-			if g.slotOf[id] >= 0 && g.cellOf[id] == key {
+			if g.placed[id] && g.cellOf[id] == cellKeyOf(cx, cy) {
 				continue
 			}
 			movedL = append(movedL, id)
-			if g.rebucketParallelSafe(id, cx, key) {
+			if g.rebucketParallelSafe(id, cx) {
 				r := shard*regions + g.regionOfCx(cx)
 				w.shard.regW[r] = append(w.shard.regW[r], id)
 			} else {
@@ -214,41 +207,20 @@ func (w *World) tickSharded(t float64) {
 		}
 	})
 	st = w.prof.Lap(obs.PhaseRebucket, st)
-	// Merge A2: reconcile the boundary crossings in ascending id order —
-	// the only grid mutations that may touch more than one region.
+	// Merge A2: reconcile the region crossings in ascending id order —
+	// the only grid mutations that touch two regions.
 	for s := 0; s < shards; s++ {
 		for _, i := range w.shard.bndW[s] {
 			g.update(i, w.nodes[i].pos)
 		}
 	}
-	st = w.prof.Lap(obs.PhaseMerge, st)
-	// Phase A3 (parallel): warm the neighbour caches phase B reads
-	// lock-free, per region (each bucket's cache has one writer). grow()
-	// inside A2 may have invalidated caches, so warming strictly follows
-	// all updates.
-	w.parallel(regions, regions, func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			for s := 0; s < shards; s++ {
-				for _, i := range w.shard.regW[s*regions+r] {
-					g.neighborSlots(i)
-				}
-			}
-			for s := 0; s < shards; s++ {
-				for _, i := range w.shard.bndW[s] {
-					if g.regionOfKey(g.cellOf[i]) == r {
-						g.neighborSlots(i)
-					}
-				}
-			}
-		}
-	})
 	// The moved list for phases B+ in ascending id order: workers cover
 	// ascending contiguous ranges, so concatenation preserves order.
 	moved := w.movedBuf[:0]
 	for s := 0; s < shards; s++ {
 		moved = append(moved, w.shard.movedW[s]...)
 	}
-	st = w.prof.Lap(obs.PhaseRebucket, st) // A3 cache warm + concat
+	st = w.prof.Lap(obs.PhaseMerge, st)
 
 	// Phase B: collect untracked candidate pairs around moved nodes.
 	for s := 0; s < shards; s++ {
@@ -384,27 +356,30 @@ func (w *World) collectNeighborhood(i int32, buf [][2]int32) [][2]int32 {
 		pcx = int32(uint32(pk >> 32))
 		pcy = int32(uint32(pk))
 	}
-	nbr := g.neighborsCached(i)
-	for k, p := range nbr {
-		if p < 0 {
-			continue
-		}
-		ccx := cx + int32(k/3) - 1
-		ccy := cy + int32(k%3) - 1
-		retained := hadPrev && chebWithin1(ccx, pcx) && chebWithin1(ccy, pcy)
-		for _, j := range g.bucket(p) {
-			if j == i {
+	for dx := int32(-1); dx <= 1; dx++ {
+		ccx := cx + dx
+		t := &g.tables[g.regionOfCx(ccx)]
+		for dy := int32(-1); dy <= 1; dy++ {
+			ccy := cy + dy
+			nodes := t.lookup(cellKeyOf(ccx, ccy))
+			if len(nodes) == 0 {
 				continue
 			}
-			if retained && g.moveEpoch[j] != g.epoch {
-				continue
-			}
-			a, b := i, j
-			if b < a {
-				a, b = b, a
-			}
-			if !w.sched.tracked.has(a, b) {
-				buf = append(buf, [2]int32{a, b})
+			retained := hadPrev && chebWithin1(ccx, pcx) && chebWithin1(ccy, pcy)
+			for _, j := range nodes {
+				if j == i {
+					continue
+				}
+				if retained && g.moveEpoch[j] != g.epoch {
+					continue
+				}
+				a, b := i, j
+				if b < a {
+					a, b = b, a
+				}
+				if !w.sched.tracked.has(a, b) {
+					buf = append(buf, [2]int32{a, b})
+				}
 			}
 		}
 	}

@@ -122,6 +122,7 @@ func runMixed(t *testing.T, w *World, runner *sim.Runner, ticks int) {
 	for tick := 1; tick <= ticks; tick++ {
 		runner.Run(float64(tick))
 		comparePairSets(t, tick, bruteForcePairs(w), linkPairs(w))
+		checkGrid(t, &w.grid)
 		if tick%10 == 0 {
 			from := tick % w.N()
 			to := (tick + 7) % w.N()

@@ -355,7 +355,6 @@ func (w *World) establishNewContacts(newPairs [][2]int32, t float64) {
 // lives in collectNeighborhood, shared with the sharded path; tracking the
 // collected pairs in order is exactly what the sharded merge does too.
 func (w *World) scanNeighborhood(i int32, tick uint64) {
-	w.grid.neighborSlots(i) // refresh the cache collectNeighborhood reads
 	w.scanBuf = w.collectNeighborhood(i, w.scanBuf[:0])
 	for _, p := range w.scanBuf {
 		w.sched.track(p[0], p[1], tick)
