@@ -176,8 +176,9 @@ var log = slog.New(slog.DiscardHandler)
 
 // reportTiming folds the timing blocks of every point in the series (each
 // point's mean already folds its seeds) and prints one phase breakdown for
-// the figure. Cached cells carry no timing, so a fully-cached figure
-// prints how much of it was served from disk instead.
+// the figure. Cached and shared cells carry no timing, so each
+// simulation counts once and a fully-cached figure prints how much of it
+// was served without simulating instead.
 func reportTiming(title string, series []experiment.Series) {
 	if !profileRuns {
 		return
@@ -196,7 +197,7 @@ func reportTiming(title string, series []experiment.Series) {
 	fmt.Printf("\n%s — engine phase breakdown:\n", title)
 	tm.Report(os.Stdout)
 	if missing > 0 {
-		fmt.Printf("(%d points served from cache, not profiled)\n", missing)
+		fmt.Printf("(%d points served from cache or shared, not profiled)\n", missing)
 	}
 }
 
@@ -229,7 +230,7 @@ func figure2(base experiment.ScenarioSpec, counts []int, seeds int, csvPrefix st
 		protos[i] = string(p)
 	}
 	sw := experiment.SweepSpec{Base: base, Protocols: protos, Nodes: counts}
-	log.Info("figure starting", "figure", "2", "simulations", len(protos)*len(counts)*seeds)
+	log.Info("figure starting", "figure", "2", "cells", len(protos)*len(counts), "seeds", seeds)
 	results, err := experiment.RunSweep(context.Background(), sw, store)
 	if err != nil && results == nil {
 		log.Error("figure failed", "figure", "2", "err", err)
@@ -238,22 +239,17 @@ func figure2(base experiment.ScenarioSpec, counts []int, seeds int, csvPrefix st
 	if err != nil {
 		log.Warn("cache write failed; results are complete", "figure", "2", "err", err)
 	}
-	cached := 0
 	series := make([]experiment.Series, len(protos))
 	for i, p := range protos {
 		se := experiment.Series{Name: p}
 		for j, n := range counts {
-			res := results[i*len(counts)+j]
-			if res.Cached {
-				cached++
-			}
-			se.Points = append(se.Points, experiment.Point{X: float64(n), Summary: res.Mean})
+			se.Points = append(se.Points, experiment.Point{X: float64(n), Summary: results[i*len(counts)+j].Mean})
 		}
 		series[i] = se
 	}
-	if cached > 0 {
-		log.Info("cells served from cache", "figure", "2", "cached", cached, "total", len(results))
-	}
+	tally := experiment.Tally(results)
+	log.Info("figure done", "figure", "2", "cells", len(results), "simulated", tally.Simulated,
+		"runs", tally.Runs, "shared", tally.Shared, "cached", tally.Cached)
 	// The protocol axis shares one recorded world per (nodes, seed): with
 	// -cache, mobility simulates once and the other protocols replay.
 	if rec, rep := experiment.TraceRecordings(), experiment.TraceReplays(); rec > 0 || rep > 0 {

@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	log.Info("sweep starting", "param", *param, "protocol", *protocol, "nodes", *nodes,
-		"simulations", len(values)**seeds, "workers", runtime.GOMAXPROCS(0))
+		"cells", len(values), "seeds", *seeds, "workers", runtime.GOMAXPROCS(0))
 	results, err := experiment.RunSweep(context.Background(), sw, store)
 	if err != nil && results == nil {
 		log.Error("sweep failed", "param", *param, "err", err)
@@ -146,17 +146,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		log.Warn("cache write failed; results are complete", "err", err)
 	}
-	cached := 0
 	se := experiment.Series{Name: *protocol}
 	for i, res := range results {
-		if res.Cached {
-			cached++
-		}
 		se.Points = append(se.Points, experiment.Point{X: values[i], Summary: res.Mean})
 	}
-	if cached > 0 {
-		log.Info("cells served from cache", "param", *param, "cached", cached, "total", len(results), "cache", *cache)
-	}
+	// A cell whose protocol ignores the swept field (Epidemic over lambda)
+	// shares the first such cell's simulation instead of running again.
+	tally := experiment.Tally(results)
+	log.Info("sweep done", "param", *param, "cells", len(results), "simulated", tally.Simulated,
+		"runs", tally.Runs, "shared", tally.Shared, "cached", tally.Cached, "cache", *cache)
 	// Routing/traffic-only axes share one recorded world per seed, so with
 	// -cache most cells replay the contact script instead of re-simulating
 	// mobility (see DESIGN.md "Trace record/replay").

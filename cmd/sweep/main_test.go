@@ -32,3 +32,20 @@ func TestSweepUnknownProtocol(t *testing.T) {
 		t.Errorf("sweep ran anyway:\n%s%s", stderr.String(), stdout.String())
 	}
 }
+
+// TestSweepLogsSharedRuns: Epidemic never reads lambda, so a lambda sweep
+// simulates one run per seed and logs the other cells as shared; a second
+// pass over the same cache serves every cell from it.
+func TestSweepLogsSharedRuns(t *testing.T) {
+	args := []string{"-param", "lambda", "-protocol", "Epidemic", "-nodes", "20", "-duration", "300", "-seeds", "2",
+		"-cache", t.TempDir()}
+	for _, want := range []string{"simulated=1 runs=2 shared=6 cached=0", "simulated=0 runs=0 shared=0 cached=7"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run exited %d: %s", code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("log does not report %q:\n%s", want, stderr.String())
+		}
+	}
+}

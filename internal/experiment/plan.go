@@ -1,6 +1,10 @@
 package experiment
 
-import "repro/internal/resultcache"
+import (
+	"encoding/json"
+
+	"repro/internal/resultcache"
+)
 
 // CellPlan is Plan's verdict on a cell list — the one answer to "which of
 // these cells run, which share a recorded world, and in which groups they
@@ -16,13 +20,16 @@ type CellPlan struct {
 	// the rest replay it. Every other to-run cell is a singleton unit.
 	Units [][]int
 	// Record lists the (world, seed) scenarios the store lacks for marked
-	// groups of two or more cells: recorded first, as bare worlds, every
-	// cell of the group replays.
+	// groups of two or more distinct runs: recorded first, as bare worlds,
+	// every run of the group replays. A marked group of one run (an
+	// Epidemic λ sweep) records while it runs instead; recording it first
+	// would simulate its mobility twice.
 	Record []Scenario
 }
 
 // PlannedCell is one cell's outcome: exactly one of cached (Cached set),
-// duplicate (DupOf >= 0) or to run.
+// duplicate (DupOf >= 0) or to run. A to-run cell may also share its run
+// with an earlier one (SameRun >= 0).
 type PlannedCell struct {
 	// Cell is the input cell; Plan sets its Spec.Trace to "auto" when it
 	// marks the cell's world as shared.
@@ -34,6 +41,12 @@ type PlannedCell struct {
 	// DupOf is the index of the earlier to-run cell with the same key, or
 	// -1.
 	DupOf int
+	// SameRun is the index of the earlier to-run cell that runs the same
+	// simulation under another key, or -1: the two cells differ only in
+	// routing fields their protocol never reads (Scenario.runIdentity).
+	// RunSweep serves such a cell a copy of that cell's summaries; dtnd
+	// and the fabric keep one job per key and run it as its own job.
+	SameRun int
 }
 
 // ToRun reports whether the cell must simulate: neither cached nor a
@@ -55,8 +68,11 @@ func ServesSpec(res *resultcache.Result, sp ScenarioSpec) bool {
 // trace unset are grouped by recorded world (the seed-zeroed trace key),
 // and a group is marked Trace="auto" when it holds two or more cells or
 // every seed's script is already stored. A lone cell whose world is not
-// recorded stays live: recording it first would run the world twice. A
-// cell whose spec sets trace keeps the user's value. The input is never
+// recorded stays live: recording it first would run the world twice.
+// Missing scripts are pre-recorded only for groups of two or more
+// distinct runs, by the same reasoning. A to-run cell whose run identity
+// matches an earlier to-run cell's points at it through SameRun. A cell
+// whose spec sets trace keeps the user's value. The input is never
 // modified.
 func Plan(cells []SweepCell, store *resultcache.Store) CellPlan {
 	p := CellPlan{Cells: make([]PlannedCell, len(cells))}
@@ -64,7 +80,7 @@ func Plan(cells []SweepCell, store *resultcache.Store) CellPlan {
 	primary := map[string]int{}
 	for i, c := range cells {
 		pc := &p.Cells[i]
-		pc.Cell, pc.DupOf = c, -1
+		pc.Cell, pc.DupOf, pc.SameRun = c, -1, -1
 		if res, raw, ok := store.GetRaw(c.Key); ok && ServesSpec(res, c.Spec) {
 			pc.Cached, pc.Raw = res, raw
 		} else if first, seen := primary[c.Key]; seen {
@@ -78,16 +94,23 @@ func Plan(cells []SweepCell, store *resultcache.Store) CellPlan {
 	// World of every to-run cell; "" when the spec does not resolve (the
 	// cell fails later, at job resolution, and groups with nothing).
 	worlds := make([]string, len(run))
+	runs := make([]string, len(run))
 	scens := make([]Scenario, len(run))
 	var groups [][]int // positions in run, by world in first-appearance order
 	groupOf := map[string]int{}
+	firstRun := map[string]int{}
 	for k, i := range run {
 		sp := cells[i].Spec
 		s, err := sp.Scenario()
 		if err != nil {
 			continue
 		}
-		scens[k], worlds[k] = s, traceGroupKey(s)
+		scens[k], worlds[k], runs[k] = s, traceGroupKey(s), runKey(s, sp.SeedList())
+		if first, ok := firstRun[runs[k]]; ok {
+			p.Cells[i].SameRun = first
+		} else {
+			firstRun[runs[k]] = i
+		}
 		if store == nil || sp.Trace != nil {
 			continue
 		}
@@ -113,7 +136,13 @@ func Plan(cells []SweepCell, store *resultcache.Store) CellPlan {
 		if len(g) < 2 && len(missing) > 0 {
 			continue
 		}
-		p.Record = append(p.Record, missing...)
+		distinct := map[string]bool{}
+		for _, k := range g {
+			distinct[runs[k]] = true
+		}
+		if len(distinct) >= 2 {
+			p.Record = append(p.Record, missing...)
+		}
 		for _, k := range g {
 			p.Cells[run[k]].Cell.Spec.Trace = ptr("auto")
 		}
@@ -131,4 +160,17 @@ func Plan(cells []SweepCell, store *resultcache.Store) CellPlan {
 		p.Units = append(p.Units, []int{i})
 	}
 	return p
+}
+
+// runKey identifies a cell's run: its canonical job with the routing
+// fields its protocol never reads reset. Cells with equal run keys
+// simulate identically, whatever their cache keys.
+func runKey(s Scenario, seeds []int64) string {
+	s = s.runIdentity()
+	s.Seed = 0
+	data, err := json.Marshal(canonicalJob{Version: SpecVersion, Scenario: s, Seeds: seeds})
+	if err != nil {
+		panic("experiment: run key marshal: " + err.Error()) // fixed struct, cannot fail
+	}
+	return string(data)
 }

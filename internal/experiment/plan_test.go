@@ -15,7 +15,7 @@ import (
 // world per unit, and pre-recordings only for the groups Plan marked.
 func TestPlanProperties(t *testing.T) {
 	traces := []*string{nil, nil, nil, ptr("auto"), ptr("record"), ptr("replay"), ptr("")}
-	var seen struct{ cached, dups, shared, records int }
+	var seen struct{ cached, dups, shared, records, sameRun int }
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		store := openStore(t)
@@ -24,7 +24,8 @@ func TestPlanProperties(t *testing.T) {
 		for i := range pool {
 			sp := ScenarioSpec{
 				Preset:   "quick",
-				Protocol: ptr([]string{"EER", "CR", "SprayAndWait"}[rng.Intn(3)]),
+				Protocol: ptr([]string{"EER", "CR", "SprayAndWait", "Epidemic", "Epidemic"}[rng.Intn(5)]),
+				Lambda:   ptr([]int{4, 10}[rng.Intn(2)]),
 				Nodes:    ptr([]int{12, 16}[rng.Intn(2)]),
 				Seeds:    [][]int64{{1}, {1, 2}}[rng.Intn(2)],
 				Trace:    traces[rng.Intn(len(traces))],
@@ -76,7 +77,8 @@ func TestPlanProperties(t *testing.T) {
 			return traceGroupKey(s)
 		}
 		runKeys := map[string]int{}
-		runInWorld := map[string]int{} // to-run cells Plan was free to mark, per world
+		runInWorld := map[string]int{}              // to-run cells Plan was free to mark, per world
+		runsInWorld := map[string]map[string]bool{} // the distinct runs among them
 		for i, pc := range plan.Cells {
 			outcomes := 0
 			if pc.Cached != nil {
@@ -102,8 +104,24 @@ func TestPlanProperties(t *testing.T) {
 					t.Errorf("trial %d cell %d: key runs twice", trial, i)
 				}
 				runKeys[pc.Cell.Key] = i
+				if r := pc.SameRun; r >= 0 {
+					seen.sameRun++
+					first := plan.Cells[r]
+					if r >= i || !first.ToRun() || first.SameRun >= 0 || first.Cell.Key == pc.Cell.Key ||
+						first.Cell.Spec.Protocol == nil || *first.Cell.Spec.Protocol != "Epidemic" {
+						t.Errorf("trial %d cell %d: bad same run as %d", trial, i, r)
+					}
+				}
 				if cells[i].Spec.Trace == nil {
 					runInWorld[world(i)]++
+					s, err := pc.Cell.Spec.Scenario()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if runsInWorld[world(i)] == nil {
+						runsInWorld[world(i)] = map[string]bool{}
+					}
+					runsInWorld[world(i)][runKey(s, pc.Cell.Spec.SeedList())] = true
 				}
 			}
 			if outcomes != 1 {
@@ -145,8 +163,8 @@ func TestPlanProperties(t *testing.T) {
 		seen.records += len(plan.Record)
 		for _, rec := range plan.Record {
 			g := traceGroupKey(rec)
-			if store.HasTrace(TraceKey(rec)) || runInWorld[g] < 2 {
-				t.Errorf("trial %d: pre-record of a stored or unshared world", trial)
+			if store.HasTrace(TraceKey(rec)) || len(runsInWorld[g]) < 2 {
+				t.Errorf("trial %d: pre-record of a stored world or one with fewer than two runs", trial)
 			}
 			marked := false
 			for i, pc := range plan.Cells {
@@ -158,7 +176,7 @@ func TestPlanProperties(t *testing.T) {
 			}
 		}
 	}
-	if seen.cached == 0 || seen.dups == 0 || seen.shared == 0 || seen.records == 0 {
+	if seen.cached == 0 || seen.dups == 0 || seen.shared == 0 || seen.records == 0 || seen.sameRun == 0 {
 		t.Errorf("random lists missed an outcome class: %+v", seen)
 	}
 }
@@ -169,5 +187,47 @@ func putPlanResult(t *testing.T, store *resultcache.Store, c SweepCell, n int) {
 	res := &resultcache.Result{Key: c.Key, Seeds: c.Spec.SeedList(), PerSeed: make([]metrics.Summary, n)}
 	if err := store.Put(res); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanRecordCountsRuns pins the record rule: a world is pre-recorded
+// only for two or more distinct runs. An Epidemic λ sweep is one run per
+// seed (Epidemic never reads λ), so its cells are marked and share one
+// dispatch unit, the later ones point at the first through SameRun, and
+// nothing is pre-recorded: the one run records while it simulates. A
+// SprayAndWait λ sweep is one run per cell and pre-records every seed.
+func TestPlanRecordCountsRuns(t *testing.T) {
+	seeds := []int64{1, 2}
+	for _, tc := range []struct {
+		proto   Protocol
+		records int
+		sameRun []int
+	}{
+		{Epidemic, 0, []int{-1, 0, 0}},
+		{SprayAndWait, len(seeds), []int{-1, -1, -1}},
+	} {
+		sw := SweepSpec{
+			Base:   ScenarioSpec{Protocol: ptr(string(tc.proto)), Nodes: ptr(20), Duration: ptr(300.0), Seeds: seeds},
+			Lambda: []int{4, 8, 12},
+		}
+		cells, err := sw.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := Plan(cells, openStore(t))
+		if len(plan.Record) != tc.records {
+			t.Errorf("%s: %d pre-recordings, want %d", tc.proto, len(plan.Record), tc.records)
+		}
+		if len(plan.Units) != 1 || len(plan.Units[0]) != len(cells) {
+			t.Errorf("%s: units %v, want one unit of every cell", tc.proto, plan.Units)
+		}
+		for i, pc := range plan.Cells {
+			if tr := pc.Cell.Spec.Trace; tr == nil || *tr != "auto" {
+				t.Errorf("%s cell %d: not marked auto", tc.proto, i)
+			}
+			if !pc.ToRun() || pc.SameRun != tc.sameRun[i] {
+				t.Errorf("%s cell %d: to run %v, same run %d, want %d", tc.proto, i, pc.ToRun(), pc.SameRun, tc.sameRun[i])
+			}
+		}
 	}
 }

@@ -291,64 +291,124 @@ func (s Scenario) sparseEstimators() bool {
 	return s.SparseEstimators || s.Nodes >= SparseNodeThreshold
 }
 
-// routerFactories is the protocol registry: each entry builds the shared
-// per-world router factory for one protocol. Registered constructors
-// return the world-level factory directly — routing factories already
-// produce network.Router, so no adapter closures are needed.
-var routerFactories = map[Protocol]func(s Scenario, reg *community.Registry) func() network.Router{
-	EER: func(s Scenario, _ *community.Registry) func() network.Router {
+// routingField is one routing parameter of Scenario. A protocol's
+// registry entry names the ones its router reads; the rest cannot change
+// its run (see runIdentity).
+type routingField uint8
+
+const (
+	readsLambda routingField = 1 << iota
+	readsAlpha
+	readsWindow
+	readsHysteresis
+	readsSparse
+	readsMaxSparseRows
+	readsGossip
+
+	// readsEstimator are the estimator-core fields EER, CR and MaxProp read.
+	readsEstimator = readsSparse | readsMaxSparseRows | readsGossip
+	readsAll       = readsLambda | readsAlpha | readsWindow | readsHysteresis | readsEstimator
+)
+
+// protocolEntry registers one protocol: the routing fields its router
+// reads, and the constructor of its shared per-world router factory.
+// Registered constructors return the world-level factory directly —
+// routing factories already produce network.Router, so no adapter
+// closures are needed.
+type protocolEntry struct {
+	reads routingField
+	build func(s Scenario, reg *community.Registry) func() network.Router
+}
+
+// routerFactories is the protocol registry. TestRegistryReadsSound pins
+// every entry's reads: a field left out must not change the protocol's
+// summaries, live or replayed.
+var routerFactories = map[Protocol]protocolEntry{
+	EER: {readsAll, func(s Scenario, _ *community.Registry) func() network.Router {
 		return routing.EERFactory(s.eerConfig(), s.Nodes)
-	},
-	EERFixedEV: func(s Scenario, _ *community.Registry) func() network.Router {
+	}},
+	EERFixedEV: {readsAll, func(s Scenario, _ *community.Registry) func() network.Router {
 		cfg := s.eerConfig()
 		cfg.FixedHorizon = s.TTL
 		return routing.EERFactory(cfg, s.Nodes)
-	},
-	EERMeanMD: func(s Scenario, _ *community.Registry) func() network.Router {
+	}},
+	EERMeanMD: {readsAll, func(s Scenario, _ *community.Registry) func() network.Router {
 		cfg := s.eerConfig()
 		cfg.MeanIntervalMD = true
 		return routing.EERFactory(cfg, s.Nodes)
-	},
-	CR: func(s Scenario, reg *community.Registry) func() network.Router {
+	}},
+	CR: {readsAll &^ readsHysteresis, func(s Scenario, reg *community.Registry) func() network.Router {
 		cfg := routing.CRConfig{Lambda: s.Lambda, Alpha: s.Alpha, Window: s.Window,
 			SparseEstimators: s.sparseEstimators(), MaxSparseRows: s.MaxSparseRows,
 			Gossip: s.gossipMode()}
 		return routing.CRFactory(cfg, reg)
-	},
-	MaxProp: func(s Scenario, _ *community.Registry) func() network.Router {
+	}},
+	MaxProp: {readsEstimator, func(s Scenario, _ *community.Registry) func() network.Router {
 		return routing.MaxPropFactory(s.Nodes, s.sparseEstimators(), s.MaxSparseRows, s.gossipMode())
-	},
-	EBR: func(s Scenario, _ *community.Registry) func() network.Router {
+	}},
+	EBR: {readsLambda, func(s Scenario, _ *community.Registry) func() network.Router {
 		return func() network.Router { return routing.NewEBR(s.Lambda) }
-	},
-	SprayAndWait: func(s Scenario, _ *community.Registry) func() network.Router {
+	}},
+	SprayAndWait: {readsLambda, func(s Scenario, _ *community.Registry) func() network.Router {
 		return func() network.Router { return routing.NewSprayAndWait(s.Lambda) }
-	},
-	SprayAndFocus: func(s Scenario, _ *community.Registry) func() network.Router {
+	}},
+	SprayAndFocus: {readsLambda, func(s Scenario, _ *community.Registry) func() network.Router {
 		return func() network.Router { return routing.NewSprayAndFocus(s.Lambda) }
-	},
-	Epidemic: func(Scenario, *community.Registry) func() network.Router {
+	}},
+	Epidemic: {0, func(Scenario, *community.Registry) func() network.Router {
 		return func() network.Router { return routing.NewEpidemic() }
-	},
-	Prophet: func(Scenario, *community.Registry) func() network.Router {
+	}},
+	Prophet: {0, func(Scenario, *community.Registry) func() network.Router {
 		return func() network.Router { return routing.NewProphet() }
-	},
-	Direct: func(Scenario, *community.Registry) func() network.Router {
+	}},
+	Direct: {0, func(Scenario, *community.Registry) func() network.Router {
 		return func() network.Router { return routing.NewDirect() }
-	},
-	FirstContact: func(Scenario, *community.Registry) func() network.Router {
+	}},
+	FirstContact: {0, func(Scenario, *community.Registry) func() network.Router {
 		return func() network.Router { return routing.NewFirstContact() }
-	},
+	}},
 }
 
 // routerFactory returns a fresh-router constructor for the scenario's
 // protocol.
 func (s Scenario) routerFactory(reg *community.Registry) func() network.Router {
-	mk, ok := routerFactories[s.Protocol]
+	e, ok := routerFactories[s.Protocol]
 	if !ok {
 		panic("experiment: unknown protocol " + string(s.Protocol))
 	}
-	return mk(s, reg)
+	return e.build(s, reg)
+}
+
+// runIdentity returns the scenario with every routing field its protocol
+// does not read reset to zero. Two scenarios with equal identities run
+// the same simulation — an Epidemic cell at λ=4 and one at λ=8 — even
+// though their cache keys differ. World, traffic, buffer and seed fields
+// always stay in it. The result is a comparison key, not a runnable
+// scenario (a reset λ of 0 would not validate).
+func (s Scenario) runIdentity() Scenario {
+	reads := routerFactories[s.Protocol].reads
+	if reads&readsLambda == 0 {
+		s.Lambda = 0
+	}
+	if reads&readsAlpha == 0 {
+		s.Alpha = 0
+	}
+	if reads&readsWindow == 0 {
+		s.Window = 0
+	}
+	if reads&readsHysteresis == 0 {
+		s.ForwardHysteresis = 0
+	}
+	if reads&readsSparse == 0 {
+		s.SparseEstimators = false
+	}
+	if reads&readsMaxSparseRows == 0 {
+		s.MaxSparseRows = 0
+	}
+	if reads&readsGossip == 0 {
+		s.Gossip = ""
+	}
+	return s
 }
 
 // BuildBare constructs the scenario's world and mobility with

@@ -718,7 +718,8 @@ func RunSpecsContext(ctx context.Context, sps []ScenarioSpec) ([][]metrics.Summa
 
 // RunSpecsStore is RunSpecsContext with a result store attached: each
 // spec's trace mode runs against it (see RunSpecStore). The sweep path
-// uses it so protocol-only cells replay one recorded world per seed.
+// uses it so protocol-only cells replay one recorded world per seed; each
+// recorded world is read and decoded once per call (scriptTable).
 func RunSpecsStore(ctx context.Context, sps []ScenarioSpec, store *resultcache.Store) ([][]metrics.Summary, error) {
 	type cellJob struct {
 		scenario Scenario
@@ -741,9 +742,10 @@ func RunSpecsStore(ctx context.Context, sps []ScenarioSpec, store *resultcache.S
 		}
 	}
 	errs := make([]error, len(jobs))
+	scripts := newScriptTable()
 	forEachJobCtx(ctx, len(jobs), func(i int) {
 		j := jobs[i]
-		sum, done, err := runScenario(ctx, j.scenario, store, nil)
+		sum, done, err := runScenarioScripts(ctx, j.scenario, store, scripts, nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("spec %d seed %d: %w", j.spec, j.scenario.Seed, err)
 			return

@@ -160,10 +160,47 @@ func ParseSweepSpec(data []byte) (SweepSpec, error) {
 
 // CellResult is one cell's outcome in a sweep result table.
 type CellResult struct {
-	Cell    SweepCell
-	Cached  bool // served from the store, no simulation
+	Cell   SweepCell
+	Cached bool // served from the store, no simulation
+	// Shared marks a cell served by an earlier cell's simulation in the
+	// same sweep: a duplicate key, or the same run under another key. Its
+	// summaries carry no Timing, so timing aggregates count each
+	// simulation once.
+	Shared  bool
 	PerSeed []metrics.Summary
 	Mean    metrics.Summary
+}
+
+// SweepTally counts how a sweep's cells were served: simulated (Runs is
+// their seed total, one simulation each), shared from an earlier cell's
+// simulation, or read from the store.
+type SweepTally struct {
+	Simulated, Runs, Shared, Cached int
+}
+
+// Tally counts the cells of a sweep result table.
+func Tally(cells []CellResult) SweepTally {
+	var t SweepTally
+	for _, c := range cells {
+		switch {
+		case c.Cached:
+			t.Cached++
+		case c.Shared:
+			t.Shared++
+		default:
+			t.Simulated++
+			t.Runs += len(c.PerSeed)
+		}
+	}
+	return t
+}
+
+// sharedFrom returns cell's result as a copy of src's simulation, with
+// the timing blocks stripped.
+func sharedFrom(cell SweepCell, src CellResult) CellResult {
+	mean := src.Mean
+	mean.Timing = nil
+	return CellResult{Cell: cell, Shared: true, PerSeed: StripTiming(src.PerSeed), Mean: mean}
 }
 
 // CellResultOf packages a cell's per-seed summaries as the store's
@@ -210,13 +247,16 @@ func StripTiming(ss []metrics.Summary) []metrics.Summary {
 
 // RunSweep expands and executes a sweep as Plan decides it: cells found
 // in store are served from disk, the rest run as one flattened (cell,
-// seed) job list on the shared pool and are persisted back. Cells sharing
-// a content address (an axis repeating a value, or overriding the base to
-// itself) simulate once and share their summaries, matching the daemon's
-// coalescing. A nil store disables caching. Results come back in cell
-// order. When every simulation succeeded but a cache write failed, the
-// full results are returned alongside the write error — callers may
-// report and keep the summaries.
+// seed) job list on the shared pool and are persisted back. Each distinct
+// run simulates once: cells sharing a content address (an axis repeating
+// a value, or overriding the base to itself) share their summaries,
+// matching the daemon's coalescing, and so do cells whose protocol
+// ignores every field they differ in (Plan's SameRun). A shared cell is
+// still persisted under its own key with its own canonical spec, so
+// content addresses are those of a per-cell run. A nil store disables
+// caching. Results come back in cell order. When every simulation
+// succeeded but a cache write failed, the full results are returned
+// alongside the write error — callers may report and keep the summaries.
 func RunSweep(ctx context.Context, sw SweepSpec, store *resultcache.Store) ([]CellResult, error) {
 	cells, err := sw.Cells()
 	if err != nil {
@@ -224,15 +264,28 @@ func RunSweep(ctx context.Context, sw SweepSpec, store *resultcache.Store) ([]Ce
 	}
 	plan := Plan(cells, store)
 	out := make([]CellResult, len(cells))
-	var todo []int // cell indices that must simulate
+	var todo, shared []int // cell indices that simulate, or take an earlier run's copy
 	for i, pc := range plan.Cells {
-		if pc.Cached != nil {
+		switch {
+		case pc.Cached != nil:
 			out[i] = CellResult{Cell: cells[i], Cached: true, PerSeed: pc.Cached.PerSeed, Mean: pc.Cached.Mean}
-		} else if pc.ToRun() {
+		case pc.DupOf >= 0: // filled in below, once its primary has run
+		case pc.SameRun >= 0:
+			shared = append(shared, i)
+		default:
 			todo = append(todo, i)
 		}
 	}
 	var putErr error
+	put := func(i int) {
+		res, err := CellResultOf(cells[i], out[i].PerSeed)
+		if err == nil {
+			err = store.Put(res)
+		}
+		if err != nil && putErr == nil {
+			putErr = fmt.Errorf("cache cell %s: %w", cells[i].Key[:12], err)
+		}
+	}
 	if len(todo) > 0 {
 		specs := make([]ScenarioSpec, len(todo))
 		for k, i := range todo {
@@ -253,18 +306,16 @@ func RunSweep(ctx context.Context, sw SweepSpec, store *resultcache.Store) ([]Ce
 		}
 		for k, i := range todo {
 			out[i] = CellResult{Cell: cells[i], PerSeed: perSpec[k], Mean: metrics.Mean(perSpec[k])}
-			res, err := CellResultOf(cells[i], perSpec[k])
-			if err == nil {
-				err = store.Put(res)
-			}
-			if err != nil && putErr == nil {
-				putErr = fmt.Errorf("cache cell %s: %w", cells[i].Key[:12], err)
-			}
+			put(i)
 		}
+	}
+	for _, i := range shared {
+		out[i] = sharedFrom(cells[i], out[plan.Cells[i].SameRun])
+		put(i)
 	}
 	for i, pc := range plan.Cells {
 		if pc.DupOf >= 0 {
-			out[i] = CellResult{Cell: cells[i], PerSeed: out[pc.DupOf].PerSeed, Mean: out[pc.DupOf].Mean}
+			out[i] = sharedFrom(cells[i], out[pc.DupOf])
 		}
 	}
 	return out, putErr

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/mapgen"
@@ -121,6 +122,52 @@ func loadScript(store *resultcache.Store, s Scenario, key string) (*trace.Script
 	return sc, true
 }
 
+// scriptTable decodes each recorded world once per RunSpecsStore call:
+// every replay of one (world, seed) in the call shares one immutable
+// *trace.Script. Only hits are kept. A miss is read from the store again
+// on the next lookup, because an auto run may have recorded the world
+// meanwhile, and the store stays the source of truth across calls. A nil
+// table reads the store on every lookup.
+type scriptTable struct {
+	mu    sync.Mutex
+	slots map[string]*scriptSlot
+}
+
+// scriptSlot is one trace key's entry; once guards the load.
+type scriptSlot struct {
+	once   sync.Once
+	script *trace.Script
+}
+
+func newScriptTable() *scriptTable {
+	return &scriptTable{slots: map[string]*scriptSlot{}}
+}
+
+// load returns the decoded script for the scenario's trace key, from the
+// table or, on its first use in the call, from the store.
+func (t *scriptTable) load(store *resultcache.Store, s Scenario, key string) (*trace.Script, bool) {
+	if t == nil {
+		return loadScript(store, s, key)
+	}
+	t.mu.Lock()
+	slot := t.slots[key]
+	if slot == nil {
+		slot = &scriptSlot{}
+		t.slots[key] = slot
+	}
+	t.mu.Unlock()
+	slot.once.Do(func() { slot.script, _ = loadScript(store, s, key) })
+	if slot.script != nil {
+		return slot.script, true
+	}
+	t.mu.Lock()
+	if t.slots[key] == slot {
+		delete(t.slots, key) // misses are not kept
+	}
+	t.mu.Unlock()
+	return nil, false
+}
+
 // nullRouter is the passive router of bare recording worlds: with no
 // traffic generator installed, no messages ever exist and contacts carry
 // no transfers, so a bare run costs mobility + detection only — and its
@@ -187,6 +234,12 @@ func recordTraces(ctx context.Context, scens []Scenario, store *resultcache.Stor
 // what the store holds. hook (optional) observes tick progress. It
 // returns done=false without error when ctx cancelled the run mid-way.
 func runScenario(ctx context.Context, s Scenario, store *resultcache.Store, hook func(t float64)) (sum metrics.Summary, done bool, err error) {
+	return runScenarioScripts(ctx, s, store, nil, hook)
+}
+
+// runScenarioScripts is runScenario reading recorded scripts through
+// scripts (nil: straight from the store).
+func runScenarioScripts(ctx context.Context, s Scenario, store *resultcache.Store, scripts *scriptTable, hook func(t float64)) (sum metrics.Summary, done bool, err error) {
 	mode := s.Trace
 	if store == nil && mode != "" {
 		if mode == "record" || mode == "replay" {
@@ -203,7 +256,7 @@ func runScenario(ctx context.Context, s Scenario, store *resultcache.Store, hook
 		key = TraceKey(s)
 	case "replay", "auto":
 		key = TraceKey(s)
-		if sc, ok := loadScript(store, s, key); ok {
+		if sc, ok := scripts.load(store, s, key); ok {
 			script = sc
 		} else if mode == "replay" {
 			return sum, false, fmt.Errorf("no recorded trace %s for replay", key)

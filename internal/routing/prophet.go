@@ -54,21 +54,23 @@ func (r *Prophet) P(t float64, k int) float64 {
 }
 
 // ContactUp implements network.Router: direct update then the transitive
-// rule over the peer's table.
+// rule over the peer's table. The rule skips both contact ends; the loop
+// runs over every entry and restores the own one instead, which keeps the
+// skip tests out of the loop. The peer's entry needs no restore: the
+// peer's own predictability is always 0, so its term never wins.
 func (r *Prophet) ContactUp(t float64, peer *network.Node) {
 	r.age(t)
 	r.p[peer.ID] += (1 - r.p[peer.ID]) * r.PInit
 	if pr, ok := peer.Router.(*Prophet); ok {
 		pr.age(t)
-		pij := r.p[peer.ID]
+		pij, beta, own := r.p[peer.ID], r.Beta, r.p[r.Self.ID]
+		p := r.p[:len(pr.p)]
 		for k, pjk := range pr.p {
-			if k == r.Self.ID || k == peer.ID {
-				continue
-			}
-			if v := pij * pjk * r.Beta; v > r.p[k] {
-				r.p[k] = v
+			if v := pij * pjk * beta; v > p[k] {
+				p[k] = v
 			}
 		}
+		r.p[r.Self.ID] = own
 	}
 }
 

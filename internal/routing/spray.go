@@ -87,18 +87,20 @@ func (r *SprayAndFocus) Init(self *network.Node, w *network.World) {
 }
 
 // ContactUp implements network.Router: refresh the direct timer and adopt
-// the peer's fresher timers (the scheme's transitive timer update).
+// the peer's fresher timers (the scheme's transitive timer update). The
+// own timer is never adopted; the loop runs over every entry and restores
+// it afterwards, which keeps the skip test out of the loop.
 func (r *SprayAndFocus) ContactUp(t float64, peer *network.Node) {
 	r.lastSeen[peer.ID] = t
 	if pr, ok := peer.Router.(*SprayAndFocus); ok {
+		own, penalty := r.lastSeen[r.Self.ID], r.TransitivityPenalty
+		seen := r.lastSeen[:len(pr.lastSeen)]
 		for k, ts := range pr.lastSeen {
-			if k == r.Self.ID {
-				continue
-			}
-			if adopted := ts - r.TransitivityPenalty; adopted > r.lastSeen[k] {
-				r.lastSeen[k] = adopted
+			if adopted := ts - penalty; adopted > seen[k] {
+				seen[k] = adopted
 			}
 		}
+		r.lastSeen[r.Self.ID] = own
 	}
 }
 
