@@ -38,7 +38,7 @@ func main() {
 		csv      = flag.String("csv", "", "also write CSV data to this file prefix (e.g. fig)")
 		nodes    = flag.String("nodes", "", "override node counts, comma-separated")
 		outDur   = flag.Float64("duration", 10000, "simulated seconds per run")
-		shards   = flag.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 = serial; summaries identical). The pool already fills all cores, so set this only for few huge runs")
+		shards   = flag.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; summaries identical). The pool already fills all cores, so set this only for few huge runs")
 		sparse   = flag.Bool("sparse", false, "force the sparse estimator core (auto at >= 1000 nodes; summaries identical)")
 		cache    = flag.String("cache", "", "content-addressed result cache shared with dtnd and cmd/sweep; Figure-2 cells hit it (empty disables)")
 		timing   = flag.Bool("timing", false, "profile the engine and print a per-figure phase breakdown (results stay bit-identical; cached cells carry no timing)")

@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds    = fs.Int("seeds", 3, "seeds per point")
 		duration = fs.Float64("duration", 6000, "simulated seconds")
 		workers  = fs.Int("workers", 0, "cap simulation workers (0 = all cores)")
-		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 = serial; summaries identical)")
+		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; summaries identical)")
 		sparse   = fs.Bool("sparse", false, "force the sparse estimator core (auto at >= 1000 nodes; summaries identical)")
 		cache    = fs.String("cache", "", "content-addressed result cache directory shared with dtnd (empty disables)")
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")

@@ -67,7 +67,7 @@ func TestShardParityScenarios(t *testing.T) {
 				sc := tc.s
 				sc.Shards = shards
 				if got := sc.Run(); got != want {
-					t.Fatalf("Shards=%d diverged from serial:\n  serial  %+v\n  sharded %+v", shards, want, got)
+					t.Fatalf("Shards=%d diverged from Shards=0:\n  Shards=0  %+v\n  Shards=%d  %+v", shards, want, shards, got)
 				}
 			}
 		})
@@ -75,7 +75,7 @@ func TestShardParityScenarios(t *testing.T) {
 }
 
 // BenchmarkCityScale measures tick throughput of one >=10k-node city
-// world, serial versus sharded across all cores. The sharded run must be
+// world, one worker versus one worker per core. The sharded run must be
 // bit-identical (TestShardParityScenarios pins that at test scale); this
 // benchmark exists to show the throughput win on multicore hardware.
 func BenchmarkCityScale(b *testing.B) {

@@ -154,7 +154,7 @@ func TestMetroScaleSmartProtocols(t *testing.T) {
 }
 
 // BenchmarkMetroScale measures tick throughput of the 100k-node metro
-// world, serial versus sharded across all cores. CI's bench-smoke job runs
+// world, one worker versus one worker per core. CI's bench-smoke job runs
 // this at one iteration so the 100k path cannot silently rot.
 func BenchmarkMetroScale(b *testing.B) {
 	for _, shards := range []int{0, runtime.GOMAXPROCS(0)} {

@@ -12,14 +12,14 @@ import (
 
 // TestProfiledParity pins the profiler's bit-neutrality contract: a
 // profiled run's summary, minus the timing block itself, is byte-for-byte
-// identical to an unprofiled run's — on the serial and the sharded tick
-// path. If instrumentation ever perturbs simulation state (an extra RNG
-// draw, a reordered callback), this catches it.
+// identical to an unprofiled run's — with one worker and with two. If
+// instrumentation ever perturbs simulation state (an extra RNG draw, a
+// reordered callback), this catches it.
 func TestProfiledParity(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-	}{{"serial", 0}, {"sharded", 2}} {
+	}{{"one-worker", 0}, {"sharded", 2}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := Quick()
 			s.Nodes = 30
@@ -47,20 +47,19 @@ func TestProfiledParity(t *testing.T) {
 			if tm.Runs != 1 || tm.Ticks == 0 {
 				t.Fatalf("timing header runs=%d ticks=%d", tm.Runs, tm.Ticks)
 			}
-			for _, ph := range []string{"mobility", "scan"} {
+			for _, ph := range []string{"mobility", "scan", "merge"} {
 				if tm.PhaseSeconds(ph) <= 0 {
 					t.Fatalf("phase %q booked no time: %+v", ph, tm.Phases)
 				}
 			}
-			if tc.shards > 0 {
+			// Busy time is the imbalance lens: booked only when more than
+			// one worker ran.
+			if tc.shards > 1 {
 				if len(tm.ShardBusySeconds) < tc.shards {
 					t.Fatalf("sharded run reported %d shard busy entries, want >= %d", len(tm.ShardBusySeconds), tc.shards)
 				}
-				if tm.PhaseSeconds("merge") <= 0 {
-					t.Fatal("sharded run booked no merge time")
-				}
-			} else if tm.PhaseSeconds("merge") != 0 {
-				t.Fatal("serial run booked merge time")
+			} else if len(tm.ShardBusySeconds) != 0 {
+				t.Fatalf("one-worker run reported shard busy time: %v", tm.ShardBusySeconds)
 			}
 			if tm.ExchangeCount == 0 {
 				t.Fatal("no routing exchanges booked despite contacts")

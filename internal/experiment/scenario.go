@@ -90,8 +90,8 @@ type Scenario struct {
 	Duration float64
 	Tick     float64
 	// Shards runs each world's per-tick work on that many goroutines with
-	// a deterministic merge (network.Config.Shards). 0 = single-threaded
-	// tick path; results are bit-identical for every value. Useful for
+	// a deterministic merge (network.Config.Shards). 0 and 1 = one worker,
+	// inline; results are bit-identical for every value. Useful for
 	// single huge worlds (CityScale); multi-run sweeps already saturate
 	// cores through the worker pool, so leave it 0 there.
 	Shards int
@@ -173,10 +173,11 @@ func Quick() Scenario {
 	return mustResolve(QuickSpec())
 }
 
-// CityScale returns the >=10k-node city scenario the sharded tick path
-// targets: a metropolitan-sized map with a large bus fleet threading
+// CityScale returns the >=10k-node city scenario multi-worker ticks
+// target: a metropolitan-sized map with a large bus fleet threading
 // districts full of community walkers ("city" mobility). One world at this
-// scale is where Config.Shards pays off — BenchmarkCityScale measures it.
+// scale is where Config.Shards > 1 could pay off on a many-core host —
+// BenchmarkCityScale measures it against one worker.
 //
 // The default protocol stays SprayAndWait — O(1) per-contact router work
 // keeps this preset an engine benchmark — but the fleet size is over
@@ -231,11 +232,7 @@ func (s Scenario) build(script *trace.Script) (*network.World, *sim.Runner) {
 		panic("experiment: need at least two nodes")
 	}
 	runner := sim.NewRunner(s.Tick)
-	cfg := s.networkConfig()
-	if script != nil {
-		cfg.Shards = 0 // scripted ticks are too cheap to split
-	}
-	w := network.New(cfg, runner)
+	w := network.New(s.networkConfig(), runner)
 	if script != nil {
 		w.SetContactScript(script.Events)
 	}

@@ -203,8 +203,8 @@ func CityScaleSpec() ScenarioSpec {
 
 // MetroScaleSpec declares the 100k-node metropolitan scenario: a city map
 // double CityScale's extent with triple the transit lines and districts,
-// auto-sized tick sharding (sub-grid re-bucketing keeps the serial merge
-// boundary-only at this density) and delta gossip — at 100k nodes a smart
+// auto-sized tick sharding (sub-grid re-bucketing keeps the re-bucket
+// merge boundary-only at this density) and delta gossip — at 100k nodes a smart
 // protocol's link-state exchange is the dominant byte stream, so the
 // estimator runs the digest protocol rather than the accounting-only
 // default. The default protocol is EER over the sparse estimator core;

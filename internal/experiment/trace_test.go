@@ -41,6 +41,9 @@ func reRecord(t testing.TB, s Scenario, script *trace.Script) []byte {
 	if !w.Scripted() {
 		t.Fatal("BuildReplay world is not scripted")
 	}
+	if got := w.Config().Shards; got != 0 {
+		t.Fatalf("replay world runs Shards=%d, want 0", got)
+	}
 	rec := trace.NewScriptRecorder(s.Nodes)
 	w.OnContact(rec.Note)
 	runner.Run(s.Duration)
@@ -81,6 +84,12 @@ func TestReplayParityQuick(t *testing.T) {
 	}
 	if got := reRecord(t, s, script); !bytes.Equal(got, data) {
 		t.Error("re-recorded replay events differ from the recorded script")
+	}
+	// The world owns the replay shard rule: a scenario asking for
+	// workers still replays on one, event for event.
+	s.Shards = 4
+	if got := reRecord(t, s, script); !bytes.Equal(got, data) {
+		t.Error("re-recorded Shards=4 replay events differ from the recorded script")
 	}
 }
 

@@ -104,6 +104,16 @@ func TestLoadSmokeMixed(t *testing.T) {
 	if rep.Streamed == 0 || rep.Cancelled == 0 {
 		t.Fatalf("stream/cancel paths never ran: streamed=%d cancelled=%d", rep.Streamed, rep.Cancelled)
 	}
+	assertNoJobPanics(t, scrape(t, ts.URL))
+}
+
+// assertNoJobPanics fails unless a scrape shows the job panic backstop
+// exposed and never reached: spec validation screened every job.
+func assertNoJobPanics(t *testing.T, m map[string]float64) {
+	t.Helper()
+	if v, ok := m["dtnd_job_panics_total"]; !ok || v != 0 {
+		t.Fatalf("dtnd_job_panics_total = %g (exposed %v), want 0", v, ok)
+	}
 }
 
 // TestLoadSmokeNoDuplicateSimulation: with cancellation off, every
@@ -157,6 +167,7 @@ func TestLoadSmokeNoDuplicateSimulation(t *testing.T) {
 	if m["dtnd_jobs_simulated_total"] != float64(s.Simulated()) {
 		t.Fatalf("metrics simulated=%g, server says %d", m["dtnd_jobs_simulated_total"], s.Simulated())
 	}
+	assertNoJobPanics(t, m)
 }
 
 // TestRunConfigValidation pins the config contract.
@@ -240,6 +251,9 @@ func TestLoadSmokeCoordinator(t *testing.T) {
 	}
 	if dispatched == 0 || completed != dispatched {
 		t.Errorf("dispatch accounting: dispatched=%d completed=%d", dispatched, completed)
+	}
+	for _, u := range []string{ts1.URL, ts2.URL} {
+		assertNoJobPanics(t, scrape(t, u))
 	}
 
 	// A plain worker is not a coordinator: FetchFleet skips it.

@@ -11,8 +11,8 @@ import (
 // FuzzGridParity drives the incremental broad phase with fuzz-chosen
 // move / teleport / park ("insert") sequences and checks, tick by tick,
 // that the engine's contact set equals the naive O(N²) distance sweep —
-// for the serial path and the sharded path simultaneously, which must
-// additionally agree on link order.
+// for a one-worker world and a two-worker world with narrow sub-grid
+// stripes simultaneously, which must additionally agree on link order.
 //
 // Input layout: data[0] picks the node count, data[1] bit 0 picks
 // whether a speed bound is configured. The rest is consumed 3 bytes per
@@ -51,8 +51,8 @@ func FuzzGridParity(f *testing.F) {
 			// Per-axis steps are clamped to 4 below: speed <= 4*sqrt(2) < 6.
 			cfg.MaxSpeed = 6
 		}
-		shardedCfg := cfg
-		shardedCfg.Shards = 2
+		twoCfg := cfg
+		twoCfg.Shards = 2
 
 		build := func(cfg Config) (*World, *sim.Runner, []*fuzzPuppet) {
 			runner := sim.NewRunner(1)
@@ -67,10 +67,10 @@ func FuzzGridParity(f *testing.F) {
 			return w, runner, puppets
 		}
 		ws, rs, ps := build(cfg)
-		wp, rp, pp := build(shardedCfg)
+		wp, rp, pp := build(twoCfg)
 		// Narrow sub-grid stripes: teleports and even small moves cross
 		// region boundaries constantly, stressing the parallel-safe
-		// classification and the serial boundary reconcile.
+		// classification and the boundary reconcile on the caller.
 		wp.grid.stripe = 4
 
 		signed := func(b byte, scale float64) float64 { return (float64(b) - 128) * scale }
@@ -110,7 +110,7 @@ func FuzzGridParity(f *testing.F) {
 			checkGrid(t, &ws.grid)
 			checkGrid(t, &wp.grid)
 			if len(ws.linkList) != len(wp.linkList) {
-				t.Fatalf("tick %d: serial has %d links, sharded %d", tick, len(ws.linkList), len(wp.linkList))
+				t.Fatalf("tick %d: one worker has %d links, two workers %d", tick, len(ws.linkList), len(wp.linkList))
 			}
 			for x := range ws.linkList {
 				a, b := ws.linkList[x], wp.linkList[x]

@@ -48,8 +48,8 @@ import (
 // function of position and never migrates. A re-bucket mutates only the
 // old and the new cell's own tables, so the sharded tick re-buckets movers
 // that stay inside one region on one goroutine per region; only region
-// crossings fall back to the serial merge. With regions == 1 (the serial
-// path) there is a single table. See shard.go for the phase structure and
+// crossings fall back to the merge on the caller. With regions == 1 (one
+// worker) there is a single table. See shard.go for the phase structure and
 // DESIGN.md for the safety argument.
 
 // gridSlot is one open-addressed bucket: the nodes currently inside one
@@ -71,8 +71,8 @@ type gridTable struct {
 
 // cellGrid is the persistent spatial hash over node positions with cell
 // size equal to the radio range, so in-range pairs always sit in the same
-// or adjacent cells. Buckets live in per-region tables (one region when
-// serial).
+// or adjacent cells. Buckets live in per-region tables (one region for a
+// one-worker world).
 type cellGrid struct {
 	cell    float64
 	regions int   // region (sub-grid table) count; 1 = unpartitioned
@@ -269,9 +269,9 @@ func (t *gridTable) grow() {
 }
 
 // update re-buckets node i at position pos and reports whether its cell
-// changed (including first insertion). The sharded path calls it from one
-// goroutine per region for movers rebucketParallelSafe vouched for, and
-// serially for everything else.
+// changed (including first insertion). The tick pipeline calls it from
+// one worker per region for movers rebucketParallelSafe vouched for, and
+// from the merge on the caller for everything else.
 func (g *cellGrid) update(i int32, pos geo.Point) bool {
 	cx, cy := g.cellAt(pos)
 	key := cellKeyOf(cx, cy)

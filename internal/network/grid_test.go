@@ -154,44 +154,56 @@ func (m *teleporter) Step(float64) geo.Point {
 // TestUpdateContactsZeroAllocSteadyState proves the contact path ticks
 // with zero steady-state heap allocations, both for a static fleet and for
 // one whose nodes cross a cell boundary every tick (each crossing deletes
-// a bucket and creates one, so spare node arrays must be recycled).
+// a bucket and creates one, so spare node arrays must be recycled). Shards
+// 0 and 1 both run the pipeline with one worker inline, which must build
+// no per-tick closures or goroutines.
 func TestUpdateContactsZeroAllocSteadyState(t *testing.T) {
-	t.Run("static", func(t *testing.T) {
-		runner := sim.NewRunner(1)
-		w := New(Config{Range: 10, Bandwidth: 1000}, runner)
-		// A grid of stationary nodes, some in range of each other.
-		for i := 0; i < 30; i++ {
-			x := float64(i%6) * 7
-			y := float64(i/6) * 7
-			w.AddNode(fixed(x, y), buffer.New(0, nil), &probe{})
-		}
-		w.Start()
-		assertZeroAllocTicks(t, w)
-	})
-	t.Run("moving", func(t *testing.T) {
-		runner := sim.NewRunner(1)
-		w := New(Config{Range: 10, Bandwidth: 1000}, runner)
-		// Nodes 20 m apart, each hopping ±2 m across a cell boundary every
-		// tick (half of them in antiphase): neighbouring cells stay
-		// occupied, so pairs are tracked and re-checked, but no two nodes
-		// ever come within 16 m, so no link (an allocation) ever forms.
-		for i := 0; i < 36; i++ {
-			x0 := float64(i%6) * 20
-			y0 := float64(i/6)*20 + 5
-			phase := float64(i % 2)
-			w.AddNode(&scriptMover{at: func(tt float64) geo.Point {
-				if int(tt+phase)%2 == 0 {
-					return geo.Point{X: x0 - 2, Y: y0}
-				}
-				return geo.Point{X: x0 + 2, Y: y0}
-			}}, buffer.New(0, nil), &probe{})
-		}
-		w.Start()
-		assertZeroAllocTicks(t, w)
-		if c := w.Metrics.Summary().Contacts; c != 0 {
-			t.Fatalf("fleet formed %d contacts, want none", c)
-		}
-	})
+	fleets := []struct {
+		name string
+		add  func(w *World)
+	}{
+		{"static", func(w *World) {
+			// A grid of stationary nodes, some in range of each other.
+			for i := 0; i < 30; i++ {
+				x := float64(i%6) * 7
+				y := float64(i/6) * 7
+				w.AddNode(fixed(x, y), buffer.New(0, nil), &probe{})
+			}
+		}},
+		{"moving", func(w *World) {
+			// Nodes 20 m apart, each hopping ±2 m across a cell boundary
+			// every tick (half of them in antiphase): neighbouring cells
+			// stay occupied, so pairs are tracked and re-checked, but no
+			// two nodes ever come within 16 m, so no link (an allocation)
+			// ever forms.
+			for i := 0; i < 36; i++ {
+				x0 := float64(i%6) * 20
+				y0 := float64(i/6)*20 + 5
+				phase := float64(i % 2)
+				w.AddNode(&scriptMover{at: func(tt float64) geo.Point {
+					if int(tt+phase)%2 == 0 {
+						return geo.Point{X: x0 - 2, Y: y0}
+					}
+					return geo.Point{X: x0 + 2, Y: y0}
+				}}, buffer.New(0, nil), &probe{})
+			}
+		}},
+	}
+	for _, fl := range fleets {
+		t.Run(fl.name, func(t *testing.T) {
+			for _, shards := range []int{0, 1} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					w := New(Config{Range: 10, Bandwidth: 1000, Shards: shards}, sim.NewRunner(1))
+					fl.add(w)
+					w.Start()
+					assertZeroAllocTicks(t, w)
+					if fl.name == "moving" && w.Metrics.Summary().Contacts != 0 {
+						t.Fatalf("fleet formed %d contacts, want none", w.Metrics.Summary().Contacts)
+					}
+				})
+			}
+		})
+	}
 }
 
 // assertZeroAllocTicks warms w up (first ticks insert nodes, establish

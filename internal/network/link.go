@@ -16,7 +16,7 @@ type Link struct {
 	cur  *transfer
 	ev   *sim.Event
 	turn int  // 0: a sends next, 1: b sends next
-	gone bool // torn down by a scripted event; linkList compaction flag
+	gone bool // torn down (contactDown); linkList compaction flag
 }
 
 type transfer struct {

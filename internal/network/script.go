@@ -18,9 +18,9 @@ import (
 // does not read node positions.
 
 // OnContact registers a contact observer fired on every contact
-// transition (up and down) from both the serial and sharded tick paths,
-// in the engine's deterministic firing order. Recorders use it to capture
-// a world's contact script.
+// transition (up and down), live or scripted, in the engine's
+// deterministic firing order, which no shard count changes. Recorders
+// use it to capture a world's contact script.
 func (w *World) OnContact(f func(tick uint64, up bool, a, b int32)) {
 	w.onContact = append(w.onContact, f)
 }
@@ -34,7 +34,8 @@ func (w *World) TickCount() uint64 { return w.tickCount }
 // consistent (no up of a pair already up; trace.DecodeScript enforces
 // this for stored blobs). For a recording, the world's node count and
 // tick interval must match it; the script's content address guarantees
-// that. Sharding is forced off — a scripted tick is too cheap to split.
+// that. Sharding is forced off — a scripted tick is too cheap to split —
+// here, for every caller, so the world alone owns that rule.
 func (w *World) SetContactScript(events []trace.Event) {
 	if w.started {
 		panic("network: SetContactScript after Start")
@@ -65,22 +66,13 @@ func (w *World) tickScripted(t float64) {
 			w.contactUp(w.nodes[e.A], w.nodes[e.B], t)
 			continue
 		}
-		// The live detector removes a downed link from linkList in its
-		// keep-sweep; here we mark it and compact once per tick below.
 		if l := w.nodes[e.A].linkTo(w.nodes[e.B]); l != nil {
 			w.contactDown(l, t)
-			l.gone = true
 			downs = true
 		}
 	}
 	if downs {
-		keep := w.linkList[:0]
-		for _, l := range w.linkList {
-			if !l.gone {
-				keep = append(keep, l)
-			}
-		}
-		w.linkList = keep
+		w.dropGoneLinks()
 	}
 	st = w.prof.Lap(obs.PhaseScript, st)
 	if w.tickCount%uint64(w.cfg.ExpirySweepEvery) == 0 {

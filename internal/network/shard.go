@@ -6,20 +6,20 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the sharded tick pipeline selected by Config.Shards > 0:
-// the engine's per-tick work split across a bounded set of shard workers
-// for >10k-node scenarios, with every simulation-state mutation applied
-// either inside a region of the partitioned grid (sub-grids, one writer
-// per region) or in a serial merge phase in exactly the order the
-// single-threaded path uses.
+// This file is the live tick pipeline: the engine's per-tick work split
+// across Config.Shards workers (one worker, inline on the caller, for
+// Shards 0 and 1), with every simulation-state mutation applied either
+// inside a region of the partitioned grid (sub-grids, one writer per
+// region) or in a merge phase on the caller, in an order that does not
+// depend on the worker count.
 //
 // The determinism contract (same scenario + seed => bit-identical
 // metrics.Summary, identical contact callback order) therefore holds for
 // every shard count, which shard_test.go and the experiment-level parity
-// suite pin for Shards in {0, 1, 2, 8}.
+// suite pin for Shards in {0, 1, 2, 8} against a brute-force oracle.
 //
 // Each tick alternates data-parallel phases over disjoint work ranges with
-// serial merges:
+// merges on the caller:
 //
 //	A (parallel) advance movers; detect cell changes; classify each mover
 //	  as region-local (its old cell, if any, lies in the destination
@@ -32,29 +32,29 @@ import (
 //	A2 (parallel) re-bucket the region-local movers on one goroutine per
 //	  region — removal, bucket deletion, insertion, bucket creation and
 //	  table growth all stay inside the region's own table, so regions
-//	  never share a mutable byte. This was the serial merge's dominant
-//	  cost.
+//	  never share a mutable byte. This was the merge's dominant cost.
 //	A2 (merge)   re-bucket the region crossings in ascending id order.
-//	  The grid state after A2 equals the serial path's exactly: bucket
+//	  The grid state after A2 equals a one-region grid's exactly: bucket
 //	  contents are sorted sets, per-node prev/epoch stamps depend only on
 //	  each node's own move, and slot positions are unobservable.
 //	B (parallel) scan moved nodes' 3x3 neighbourhoods, collecting
-//	  untracked candidate pairs into per-shard buffers. Purely read-only
+//	  untracked candidate pairs into per-worker buffers. Purely read-only
 //	  against grid and tracked set.
 //	B (merge)    track the collected pairs in concatenation order, which
-//	  equals the serial scan order (moved nodes ascending, buckets in
+//	  equals the one-worker scan order (moved nodes ascending, buckets in
 //	  neighbour order); pairSched.track dedupes pairs both of whose
-//	  endpoints moved, exactly as it does serially.
+//	  endpoints moved.
 //	C (parallel) distance-classify the re-check pairs due this tick into
 //	  verdict slots (in range / drop / re-park delay).
 //	C (merge)    apply verdicts in due-list order: the wheel and tracked
-//	  set see the same mutation sequence as the serial path.
-//	D (parallel) distance-test active links into per-link slots.
-//	D (merge)    tear down out-of-range links in establishment order,
-//	  then establish new contacts in ascending pair order — router
-//	  callbacks all fire on the caller's goroutine, in the serial order.
+//	  set see the same mutation sequence for every worker count.
+//	D (parallel) distance-test active links, collecting the out-of-range
+//	  ones into per-worker lists.
+//	D (merge)    tear those down in establishment order and drop them
+//	  from the link list, then establish new contacts in ascending pair
+//	  order — router callbacks all fire on the caller's goroutine.
 //	E (parallel, every ExpirySweepEvery ticks) purge expired copies from
-//	  per-node buffers (disjoint state), counting per shard; the merge
+//	  per-node buffers (disjoint state), counting per worker; the merge
 //	  just adds the counts to the metrics collector.
 //
 // Work is chunked by contiguous index ranges (nodes, moved list, due
@@ -71,192 +71,132 @@ const (
 	verdictUntrack = ^uint64(0) - 1
 )
 
-// shardScratch holds the sharded path's reusable buffers. Shard workers
-// write disjoint ranges (or whole per-shard slots) of these; no slice is
-// ever appended to concurrently.
+// tickPhase names the data-parallel phase a parallel call runs. Workers
+// dispatch on it to code whose per-tick inputs live in shardScratch, so
+// a tick builds no closures and a one-worker tick allocates nothing.
+type tickPhase uint8
+
+const (
+	phaseAdvance  tickPhase = iota // A: step movers, classify cell changes
+	phaseRebucket                  // A2: re-bucket region-local movers, per region
+	phaseScan                      // B: collect candidate pairs around movers
+	phaseVerdicts                  // C: distance-classify due re-checks
+	phaseLinks                     // D: distance-test active links
+	phaseExpiry                    // E: purge expired copies
+)
+
+// shardScratch holds the pipeline's reusable buffers and per-tick inputs.
+// Workers write disjoint ranges (or whole per-worker slots) of these; no
+// slice is ever appended to concurrently.
 type shardScratch struct {
+	dt       float64      // this tick's mover step, for phase A
+	moved    []int32      // this tick's movers in ascending id order, for phase B
 	movedW   [][]int32    // per worker: movers, ascending ids within each worker
 	regW     [][]int32    // [worker*regions+region]: region-local movers (phase A)
-	bndW     [][]int32    // per worker: boundary movers for the serial merge
-	scanBufs [][][2]int32 // per shard: candidate pairs from phase B
+	bndW     [][]int32    // per worker: boundary movers for the merge
+	scanBufs [][][2]int32 // per worker: candidate pairs from phase B
 	verdicts []uint64     // per due-list index: phase C classification
-	linkD2   []float64    // per link-list index: phase D distances
-	expired  []int        // per shard: expiry counts from phase E
+	downW    [][]*Link    // per worker: links out of range, in list order (phase D)
+	expired  []int        // per worker: expiry counts from phase E
+	wg       sync.WaitGroup
 }
 
-func (sc *shardScratch) ensure(shards, regions int) {
-	for len(sc.movedW) < shards {
-		sc.movedW = append(sc.movedW, nil)
-	}
-	for len(sc.bndW) < shards {
-		sc.bndW = append(sc.bndW, nil)
-	}
-	for len(sc.regW) < shards*regions {
-		sc.regW = append(sc.regW, nil)
-	}
-	for len(sc.scanBufs) < shards {
-		sc.scanBufs = append(sc.scanBufs, nil)
-	}
-	if len(sc.expired) < shards {
-		sc.expired = make([]int, shards)
-	}
+// init sizes the per-worker slots for workers workers over a grid of
+// regions regions.
+func (sc *shardScratch) init(workers, regions int) {
+	sc.movedW = make([][]int32, workers)
+	sc.bndW = make([][]int32, workers)
+	sc.regW = make([][]int32, workers*regions)
+	sc.scanBufs = make([][][2]int32, workers)
+	sc.downW = make([][]*Link, workers)
+	sc.expired = make([]int, workers)
 }
 
-// parallel splits [0, n) into one contiguous chunk per shard and runs fn
-// on up to shards goroutines, executing shard 0's chunk on the caller.
-// Chunk boundaries depend only on (n, shards), so shard-indexed output
-// buffers line up deterministically with the merge that follows. It
-// returns once every chunk completed.
-func (w *World) parallel(shards, n int, fn func(shard, lo, hi int)) {
+// parallel splits [0, n) into one contiguous chunk per worker and runs
+// phase ph on each, shard 0's chunk on the caller. Chunk boundaries
+// depend only on (n, workers), so worker-indexed output buffers line up
+// deterministically with the merge that follows. One worker is a plain
+// call: no goroutine, no closure. It returns once every chunk completed.
+func (w *World) parallel(ph tickPhase, workers, n int) {
 	if n == 0 {
 		return
 	}
-	// Profiled runs book each worker's busy span against its shard index
-	// (the imbalance lens). The wrapper exists only when profiling, so
-	// the disabled path pays nothing per chunk.
-	if p := w.prof; p != nil {
-		inner := fn
-		fn = func(shard, lo, hi int) {
-			t0 := obs.Now()
-			inner(shard, lo, hi)
-			p.AddShardBusy(shard, obs.Now()-t0)
-		}
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 1; s < shards; s++ {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		if lo == hi {
-			continue
-		}
+	// Profiled multi-worker worlds book each worker's busy span against
+	// its shard index (the imbalance lens); one worker has no imbalance
+	// to show, so it pays nothing per chunk.
+	timed := w.prof != nil && workers > 1
+	workers = min(workers, n)
+	wg := &w.shard.wg
+	for s := 1; s < workers; s++ {
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
+			w.runChunk(ph, s, lo, hi, timed)
+		}(s, s*n/workers, (s+1)*n/workers)
 	}
-	fn(0, 0, n/shards)
+	w.runChunk(ph, 0, 0, n/workers, timed)
 	wg.Wait()
 }
 
-// tickSharded is the Shards > 0 twin of the serial Tick + updateContacts
-// pair. Every mutation of grid, scheduler, links, routers and metrics
-// happens either on one region goroutine (grid sub-table mutations in
-// A2) or on this goroutine in serial-path order; the other workers
-// only compute.
-func (w *World) tickSharded(t float64) {
-	dt := t - w.lastTick
-	w.lastTick = t
-	w.tickCount++
-	tick := w.tickCount
-	w.grid.epoch = tick
-	shards := w.cfg.Shards
-	regions := w.grid.regions
-	n := len(w.nodes)
-	w.shard.ensure(shards, regions)
-	g := &w.grid
-
-	// Phase A: advance movers, detect cell changes and classify movers.
-	st := w.prof.Start()
-	for s := 0; s < shards; s++ {
-		w.shard.movedW[s] = w.shard.movedW[s][:0]
-		w.shard.bndW[s] = w.shard.bndW[s][:0]
-		for r := 0; r < regions; r++ {
-			w.shard.regW[s*regions+r] = w.shard.regW[s*regions+r][:0]
-		}
+// runChunk runs one chunk of phase ph, booking its busy span when timed.
+func (w *World) runChunk(ph tickPhase, shard, lo, hi int, timed bool) {
+	if !timed {
+		w.work(ph, shard, lo, hi)
+		return
 	}
-	w.parallel(shards, n, func(shard, lo, hi int) {
-		movedL := w.shard.movedW[shard]
-		bndL := w.shard.bndW[shard]
-		for i := lo; i < hi; i++ {
-			nd := w.nodes[i]
+	t0 := obs.Now()
+	w.work(ph, shard, lo, hi)
+	w.prof.AddShardBusy(shard, obs.Now()-t0)
+}
+
+// work runs one worker's chunk [lo, hi) of phase ph. It writes only the
+// worker's own scratch slots, the chunk's index range of the shared
+// scratch slices, per-node state of the chunk's nodes, and (phase A2)
+// the grid tables of the chunk's regions.
+func (w *World) work(ph tickPhase, shard, lo, hi int) {
+	g := &w.grid
+	sc := &w.shard
+	nodes := w.nodes
+	switch ph {
+	case phaseAdvance:
+		movedL, bndL, regW := sc.movedW[shard], sc.bndW[shard], sc.regW
+		dt, regions := sc.dt, g.regions
+		for i, nd := range nodes[lo:hi] {
 			nd.pos = nd.Mover.Step(dt)
 			cx, cy := g.cellAt(nd.pos)
-			id := int32(i)
+			id := int32(lo + i)
 			if g.placed[id] && g.cellOf[id] == cellKeyOf(cx, cy) {
 				continue
 			}
 			movedL = append(movedL, id)
 			if g.rebucketParallelSafe(id, cx) {
 				r := shard*regions + g.regionOfCx(cx)
-				w.shard.regW[r] = append(w.shard.regW[r], id)
+				regW[r] = append(regW[r], id)
 			} else {
 				bndL = append(bndL, id)
 			}
 		}
-		w.shard.movedW[shard] = movedL
-		w.shard.bndW[shard] = bndL
-	})
-	st = w.prof.Lap(obs.PhaseMobility, st)
-
-	// Phase A2 (parallel): re-bucket region-local movers, one goroutine
-	// per region; every mutation stays inside the region's table.
-	w.parallel(regions, regions, func(_, lo, hi int) {
+		sc.movedW[shard], sc.bndW[shard] = movedL, bndL
+	case phaseRebucket:
 		for r := lo; r < hi; r++ {
-			for s := 0; s < shards; s++ {
-				for _, i := range w.shard.regW[s*regions+r] {
-					g.update(i, w.nodes[i].pos)
+			for k := r; k < len(sc.regW); k += g.regions { // each worker's list for r
+				for _, i := range sc.regW[k] {
+					g.update(i, nodes[i].pos)
 				}
 			}
 		}
-	})
-	st = w.prof.Lap(obs.PhaseRebucket, st)
-	// Merge A2: reconcile the region crossings in ascending id order —
-	// the only grid mutations that touch two regions.
-	for s := 0; s < shards; s++ {
-		for _, i := range w.shard.bndW[s] {
-			g.update(i, w.nodes[i].pos)
-		}
-	}
-	// The moved list for phases B+ in ascending id order: workers cover
-	// ascending contiguous ranges, so concatenation preserves order.
-	moved := w.movedBuf[:0]
-	for s := 0; s < shards; s++ {
-		moved = append(moved, w.shard.movedW[s]...)
-	}
-	st = w.prof.Lap(obs.PhaseMerge, st)
-
-	// Phase B: collect untracked candidate pairs around moved nodes.
-	for s := 0; s < shards; s++ {
-		w.shard.scanBufs[s] = w.shard.scanBufs[s][:0]
-	}
-	w.parallel(shards, len(moved), func(shard, lo, hi int) {
-		buf := w.shard.scanBufs[shard]
-		for _, i := range moved[lo:hi] {
+	case phaseScan:
+		buf := sc.scanBufs[shard]
+		for _, i := range sc.moved[lo:hi] {
 			buf = w.collectNeighborhood(i, buf)
 		}
-		w.shard.scanBufs[shard] = buf
-	})
-	st = w.prof.Lap(obs.PhaseScan, st)
-	for s := 0; s < shards; s++ {
-		for _, p := range w.shard.scanBufs[s] {
-			w.sched.track(p[0], p[1], tick)
-		}
-	}
-	w.movedBuf = moved[:0]
-	st = w.prof.Lap(obs.PhaseMerge, st)
-
-	// Phase C: classify the due re-checks (cf. updateContacts phase 2).
-	slot := tick % wheelSize
-	due := w.sched.wheel[slot]
-	r2 := w.cfg.Range * w.cfg.Range
-	bandMax2 := 9 * w.grid.cell * w.grid.cell
-	if cap(w.shard.verdicts) < len(due) {
-		w.shard.verdicts = make([]uint64, len(due))
-	}
-	verdicts := w.shard.verdicts[:len(due)]
-	w.parallel(shards, len(due), func(_, lo, hi int) {
-		for x := lo; x < hi; x++ {
-			k := due[x]
-			a := int32(uint32(k >> 32))
-			b := int32(uint32(k))
-			d2 := w.nodes[a].pos.Dist2(w.nodes[b].pos)
+		sc.scanBufs[shard] = buf
+	case phaseVerdicts:
+		verdicts := sc.verdicts[lo:hi]
+		r2 := w.cfg.Range * w.cfg.Range
+		bandMax2 := 9 * g.cell * g.cell
+		for x, k := range w.sched.wheel[w.tickCount%wheelSize][lo:hi] {
+			d2 := nodes[int32(uint32(k>>32))].pos.Dist2(nodes[int32(uint32(k))].pos)
 			switch {
 			case d2 <= r2:
 				verdicts[x] = verdictInRange
@@ -266,14 +206,115 @@ func (w *World) tickSharded(t float64) {
 				verdicts[x] = w.recheckDelay(d2)
 			}
 		}
-	})
+	case phaseLinks:
+		downL := sc.downW[shard]
+		r2 := w.cfg.Range * w.cfg.Range
+		for _, l := range w.linkList[lo:hi] {
+			if !(l.a.pos.Dist2(l.b.pos) <= r2) {
+				downL = append(downL, l)
+			}
+		}
+		sc.downW[shard] = downL
+	case phaseExpiry:
+		c := 0
+		for _, nd := range nodes[lo:hi] {
+			c += len(nd.Buf.DropExpired(w.lastTick))
+		}
+		sc.expired[shard] = c
+	}
+}
+
+// tickLive advances one live tick: moves nodes, updates contacts and
+// sweeps expired messages. Every mutation of grid, scheduler, links,
+// routers and metrics happens either on one region's worker (grid
+// sub-table mutations in A2) or on this goroutine in an order that does
+// not depend on the worker count; the other workers only compute.
+//
+// The contact set it maintains is identical to a naive all-pairs sweep
+// every tick (grid_test.go proves it), at a fraction of the work: moved
+// nodes are re-bucketed and their neighbourhoods rescanned, then exactly
+// the pairs whose parked re-check is due are distance-tested.
+func (w *World) tickLive(t float64) {
+	w.shard.dt = t - w.lastTick
+	w.lastTick = t
+	w.tickCount++
+	tick := w.tickCount
+	w.grid.epoch = tick
+	workers := len(w.shard.movedW)
+	g := &w.grid
+
+	// Phase A: advance movers, detect cell changes and classify movers.
+	st := w.prof.Start()
+	for s := 0; s < workers; s++ {
+		w.shard.movedW[s] = w.shard.movedW[s][:0]
+		w.shard.bndW[s] = w.shard.bndW[s][:0]
+	}
+	for r := range w.shard.regW {
+		w.shard.regW[r] = w.shard.regW[r][:0]
+	}
+	w.parallel(phaseAdvance, workers, len(w.nodes))
+	st = w.prof.Lap(obs.PhaseMobility, st)
+
+	// Phase A2 (parallel): re-bucket region-local movers, one worker per
+	// region; every mutation stays inside the region's table.
+	w.parallel(phaseRebucket, g.regions, g.regions)
+	st = w.prof.Lap(obs.PhaseRebucket, st)
+	// Merge A2: reconcile the region crossings in ascending id order —
+	// the only grid mutations that touch two regions.
+	for s := 0; s < workers; s++ {
+		for _, i := range w.shard.bndW[s] {
+			g.update(i, w.nodes[i].pos)
+		}
+	}
+	// The moved list for phases B+ in ascending id order: workers cover
+	// ascending contiguous ranges, so concatenation preserves order.
+	moved := w.shard.moved[:0]
+	for s := 0; s < workers; s++ {
+		moved = append(moved, w.shard.movedW[s]...)
+	}
+	w.shard.moved = moved
+	st = w.prof.Lap(obs.PhaseMerge, st)
+
+	// Phase B: collect untracked candidate pairs around moved nodes and
+	// track each for an immediate check, in collection order.
+	for s := 0; s < workers; s++ {
+		w.shard.scanBufs[s] = w.shard.scanBufs[s][:0]
+	}
+	w.parallel(phaseScan, workers, len(moved))
+	st = w.prof.Lap(obs.PhaseScan, st)
+	for s := 0; s < workers; s++ {
+		for _, p := range w.shard.scanBufs[s] {
+			w.sched.track(p[0], p[1], tick)
+		}
+	}
+	st = w.prof.Lap(obs.PhaseMerge, st)
+
+	// Phase C: classify the re-checks due this tick, then apply the
+	// verdicts in due-list order. Link pairs are never parked on the
+	// wheel (the link list below is their check), so an in-range hit here
+	// is always a new contact. Out-of-range pairs are parked as far out
+	// as the speed bound allows, or dropped entirely once they are
+	// provably beyond grid adjacency.
+	slot := tick % wheelSize
+	due := w.sched.wheel[slot]
+	if cap(w.shard.verdicts) < len(due) {
+		w.shard.verdicts = make([]uint64, len(due))
+	}
+	w.shard.verdicts = w.shard.verdicts[:len(due)]
+	verdicts := w.shard.verdicts
+	w.parallel(phaseVerdicts, workers, len(due))
 	st = w.prof.Lap(obs.PhasePairs, st)
 	newPairs := w.newPairs[:0]
 	for x, k := range due {
 		switch v := verdicts[x]; v {
 		case verdictInRange:
+			// New contact: its wheel entry is consumed here and the pair
+			// stays tracked; the link sweep re-parks it on contact loss.
 			newPairs = append(newPairs, [2]int32{int32(uint32(k >> 32)), int32(uint32(k))})
 		case verdictUntrack:
+			// Beyond any adjacent-cell distance: stop tracking; a future
+			// cell change of either node re-tracks the pair before it can
+			// come back into range.
 			w.sched.untrack(int32(uint32(k>>32)), int32(uint32(k)))
 		default:
 			w.sched.reschedule(k, tick+v)
@@ -282,45 +323,37 @@ func (w *World) tickSharded(t float64) {
 	w.sched.wheel[slot] = due[:0]
 	st = w.prof.Lap(obs.PhaseMerge, st)
 
-	// Phase D: distance-test the active links, tear down in list order,
-	// then establish new contacts (cf. updateContacts phase 3).
-	if cap(w.shard.linkD2) < len(w.linkList) {
-		w.shard.linkD2 = make([]float64, len(w.linkList))
+	// Phase D: distance-sweep the active links — cheaper than parking the
+	// (frequently-checked) in-range pairs on the wheel — collecting the
+	// out-of-range ones. Tear those down first, in link-list order for
+	// determinism, so buffers/state settle before new contacts exchange
+	// metadata.
+	for s := 0; s < workers; s++ {
+		w.shard.downW[s] = w.shard.downW[s][:0]
 	}
-	linkD2 := w.shard.linkD2[:len(w.linkList)]
-	w.parallel(shards, len(w.linkList), func(_, lo, hi int) {
-		for x := lo; x < hi; x++ {
-			l := w.linkList[x]
-			linkD2[x] = l.a.pos.Dist2(l.b.pos)
-		}
-	})
+	w.parallel(phaseLinks, workers, len(w.linkList))
 	st = w.prof.Lap(obs.PhaseLinks, st)
-	keep := w.linkList[:0]
-	for x, l := range w.linkList {
-		if linkD2[x] <= r2 {
-			keep = append(keep, l)
-			continue
+	downs := false
+	for s := 0; s < workers; s++ {
+		for _, l := range w.shard.downW[s] {
+			w.contactDown(l, t)
+			w.sched.reschedule(pairKey(int32(l.a.ID), int32(l.b.ID)), tick+w.recheckDelay(l.a.pos.Dist2(l.b.pos)))
+			downs = true
 		}
-		w.contactDown(l, t)
-		w.sched.reschedule(pairKey(int32(l.a.ID), int32(l.b.ID)), tick+w.recheckDelay(linkD2[x]))
 	}
-	w.linkList = keep
+	if downs {
+		w.dropGoneLinks()
+	}
 	st = w.prof.Lap(obs.PhaseMerge, st)
 	w.establishNewContacts(newPairs, t)
 	st = w.prof.Lap(obs.PhaseContacts, st)
 
 	// Phase E: expiry sweep over disjoint per-node buffers.
 	if tick%uint64(w.cfg.ExpirySweepEvery) == 0 {
-		for s := 0; s < shards; s++ {
+		for s := 0; s < workers; s++ {
 			w.shard.expired[s] = 0
 		}
-		w.parallel(shards, n, func(shard, lo, hi int) {
-			c := 0
-			for _, nd := range w.nodes[lo:hi] {
-				c += len(nd.Buf.DropExpired(t))
-			}
-			w.shard.expired[shard] = c
-		})
+		w.parallel(phaseExpiry, workers, len(w.nodes))
 		for _, c := range w.shard.expired {
 			w.Metrics.MessagesExpired(c)
 		}
@@ -331,13 +364,10 @@ func (w *World) tickSharded(t float64) {
 
 // collectNeighborhood appends to buf every untracked candidate pair
 // between freshly-moved node i and the nodes bucketed in its 3x3 cell
-// neighbourhood. It is the single traversal both tick paths share:
-// scanNeighborhood (serial) tracks the collected pairs immediately, the
-// sharded merge tracks whole per-shard collections in order. It reads but
-// never mutates grid and tracker state, so shard workers run it
-// concurrently; pairs collected twice because both endpoints moved (each
-// side blind to the other worker's collection) are deduped by track in
-// the merge, preserving the serial wheel order.
+// neighbourhood. It reads but never mutates grid and tracker state, so
+// workers run it concurrently; pairs collected twice because both
+// endpoints moved (each side blind to the other worker's collection) are
+// deduped by track in the merge.
 //
 // Cells that were already adjacent before i's move are filtered to nodes
 // that themselves moved this tick: an untracked pair that was

@@ -7,17 +7,21 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
-// Sharded-vs-serial parity: Config.Shards must never change simulation
-// results — not the metrics, not the set of contacts, and not the order in
-// which contact callbacks fire. These tests rebuild identical randomized
-// worlds per shard count and compare everything observable.
+// Shard-count parity: Config.Shards must never change simulation results
+// — not the metrics, not the set of contacts, and not the order in which
+// contact callbacks fire. These tests rebuild identical randomized worlds
+// per shard count, check each one's contact set against the brute-force
+// all-pairs oracle every tick, and compare everything observable across
+// counts.
 
-// shardCounts are the configurations the parity suite sweeps; 0 is the
-// serial reference path.
+// shardCounts are the configurations the parity suite sweeps: one worker
+// (0 and 1, both inline on the caller) and two multi-worker counts. Each
+// run is compared with the first.
 var shardCounts = []int{0, 1, 2, 8}
 
 // shardTrace is everything observable about one run: the final metrics
@@ -41,28 +45,32 @@ func traceOf(w *World, probes []*probe) shardTrace {
 	return tr
 }
 
+// compareTraces fails unless the run with got shards traced exactly what
+// the reference run (shardCounts[0] workers) did.
 func compareTraces(t *testing.T, shards int, want, got shardTrace) {
 	t.Helper()
+	ref := fmt.Sprintf("shards=%d", shardCounts[0])
+	run := fmt.Sprintf("shards=%d", shards)
 	if want.summary != got.summary {
-		t.Fatalf("shards=%d: summary diverged\n  serial  %s\n  sharded %s", shards, want.summary, got.summary)
+		t.Fatalf("%s: summary diverged\n  %-8s %s\n  %-8s %s", run, ref, want.summary, run, got.summary)
 	}
 	if len(want.ups) != len(got.ups) {
-		t.Fatalf("shards=%d: node count diverged", shards)
+		t.Fatalf("%s: node count diverged", run)
 	}
 	for i := range want.ups {
 		if !equalInts(want.ups[i], got.ups[i]) {
-			t.Fatalf("shards=%d: node %d ContactUp order diverged\n  serial  %v\n  sharded %v", shards, i, want.ups[i], got.ups[i])
+			t.Fatalf("%s: node %d ContactUp order diverged\n  %-8s %v\n  %-8s %v", run, i, ref, want.ups[i], run, got.ups[i])
 		}
 		if !equalInts(want.downs[i], got.downs[i]) {
-			t.Fatalf("shards=%d: node %d ContactDown order diverged\n  serial  %v\n  sharded %v", shards, i, want.downs[i], got.downs[i])
+			t.Fatalf("%s: node %d ContactDown order diverged\n  %-8s %v\n  %-8s %v", run, i, ref, want.downs[i], run, got.downs[i])
 		}
 	}
 	if len(want.links) != len(got.links) {
-		t.Fatalf("shards=%d: link count diverged: %d vs %d", shards, len(want.links), len(got.links))
+		t.Fatalf("%s: link count diverged: %d vs %d", run, len(want.links), len(got.links))
 	}
 	for i := range want.links {
 		if want.links[i] != got.links[i] {
-			t.Fatalf("shards=%d: link list order diverged at %d: %v vs %v", shards, i, want.links[i], got.links[i])
+			t.Fatalf("%s: link list order diverged at %d: %v vs %v", run, i, want.links[i], got.links[i])
 		}
 	}
 }
@@ -115,8 +123,8 @@ func buildMixedWorld(cfg Config, seed int64) (*World, *sim.Runner, []*probe) {
 }
 
 // runMixed drives the mixed world for the given ticks, injecting
-// short-TTL messages so the (sharded) expiry sweep has work, and checks
-// naive O(N²) parity along the way.
+// short-TTL messages so the expiry sweep has work, and checks naive
+// O(N²) parity along the way.
 func runMixed(t *testing.T, w *World, runner *sim.Runner, ticks int) {
 	t.Helper()
 	for tick := 1; tick <= ticks; tick++ {
@@ -160,8 +168,8 @@ func TestShardParityMixedMotion(t *testing.T) {
 // sub-grid stripe width shrunk to the minimum, so nearly every cell sits
 // in a stripe's boundary band: teleporters and walkers constantly cross
 // region boundaries and almost all re-bucketing funnels through the
-// serial reconcile instead of the per-region parallel phase. Results must
-// not depend on the partition at all.
+// reconcile on the caller instead of the per-region parallel phase.
+// Results must not depend on the partition at all.
 func TestShardParityNarrowStripes(t *testing.T) {
 	for _, seed := range []int64{3, 101} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -184,7 +192,7 @@ func TestShardParityNarrowStripes(t *testing.T) {
 
 // TestAutoShards pins the AutoShards sentinel: New resolves it to a
 // GOMAXPROCS-derived worker count, and the resolved world still matches
-// the serial reference bit for bit.
+// the one-worker reference bit for bit.
 func TestAutoShards(t *testing.T) {
 	runner := sim.NewRunner(1)
 	w := New(Config{Range: 10, Bandwidth: 1000, Shards: AutoShards}, runner)
@@ -202,6 +210,26 @@ func TestAutoShards(t *testing.T) {
 			continue
 		}
 		compareTraces(t, shards, ref, tr)
+	}
+}
+
+// TestScriptedWorldRunsOneWorker pins that SetContactScript owns the
+// replay shard rule for every caller: whatever Shards the world was built
+// with, a scripted world reports Shards 0, allocates no grid tables or
+// worker slots, and sizes no profiler busy table.
+func TestScriptedWorldRunsOneWorker(t *testing.T) {
+	w := New(Config{Range: 10, Bandwidth: 1000, Shards: 4}, sim.NewRunner(1))
+	w.SetContactScript(nil)
+	w.AddNode(fixed(0, 0), buffer.New(0, nil), &probe{})
+	w.Start()
+	if got := w.Config().Shards; got != 0 || len(w.grid.tables) != 0 || len(w.shard.regW) != 0 {
+		t.Fatalf("scripted world: Shards=%d, %d grid tables, %d region lists; want 0, 0, 0",
+			got, len(w.grid.tables), len(w.shard.regW))
+	}
+	prof := &obs.EngineProf{}
+	w.SetProfiler(prof)
+	if busy := prof.Timing().ShardBusySeconds; len(busy) != 0 {
+		t.Fatalf("scripted world sized a busy table: %v", busy)
 	}
 }
 
@@ -230,10 +258,10 @@ func TestShardParitySpeedBound(t *testing.T) {
 	}
 }
 
-// TestShardedTransfersParity exercises the full transfer pipeline under
-// sharding: a stationary relay chain with real message forwarding, torn
-// by a teleporter crossing the chain. Shards must not perturb delivery
-// accounting.
+// TestShardedTransfersParity exercises the full transfer pipeline for
+// every shard count: a stationary relay chain with real message
+// forwarding, torn by a teleporter crossing the chain. Shards must not
+// perturb delivery accounting.
 func TestShardedTransfersParity(t *testing.T) {
 	build := func(shards int) (*World, *sim.Runner, []*probe) {
 		runner := sim.NewRunner(1)
@@ -259,6 +287,7 @@ func TestShardedTransfersParity(t *testing.T) {
 		probes[0].queue = append(probes[0].queue, &Plan{Msg: m, Give: 1, KeepAfter: -1})
 		for tick := 1; tick <= 60; tick++ {
 			runner.Run(float64(tick))
+			comparePairSets(t, tick, bruteForcePairs(w), linkPairs(w))
 		}
 		tr := traceOf(w, probes)
 		if shards == 0 {

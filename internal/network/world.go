@@ -37,11 +37,11 @@ type Config struct {
 	MaxSpeed float64
 	// Shards runs the per-tick work (mobility advance, cell-change
 	// detection and re-bucketing, pair distance sweeps, expiry sweeps) on
-	// that many goroutines with a deterministic serial merge phase (see
-	// shard.go). 0 keeps the single-threaded tick path; AutoShards (-1)
-	// picks a GOMAXPROCS-derived count at New. Any value produces
-	// bit-identical results to Shards == 0; values beyond GOMAXPROCS or
-	// the world size only add scheduling overhead.
+	// that many workers, with deterministic merge phases on the caller
+	// (see shard.go). 0 and 1 run one worker inline on the caller, with no
+	// goroutines; AutoShards (-1) picks a GOMAXPROCS-derived count at New.
+	// Every value produces bit-identical results; values beyond
+	// GOMAXPROCS or the world size only add scheduling overhead.
 	Shards int
 }
 
@@ -66,10 +66,8 @@ type World struct {
 
 	grid      cellGrid
 	sched     pairSched
-	shard     shardScratch // sharded tick path buffers (Config.Shards > 0)
-	movedBuf  []int32      // scratch: nodes that changed cell this tick
+	shard     shardScratch // live tick pipeline buffers
 	newPairs  [][2]int32   // scratch: pairs that came into range this tick
-	scanBuf   [][2]int32   // scratch: candidates from one neighbourhood scan
 	tickDt    float64      // runner tick interval, for re-check scheduling
 	lastTick  float64
 	tickCount uint64
@@ -87,8 +85,8 @@ type World struct {
 	script    []trace.Event
 	scriptPos int
 
-	// prof, when non-nil, books per-phase wall time for every tick path
-	// (obs package). nil — the default — costs one pointer check per
+	// prof, when non-nil, books per-phase wall time for live and scripted
+	// ticks (obs package). nil — the default — costs one pointer check per
 	// phase boundary; profiling never touches simulation state, so
 	// results are bit-identical either way.
 	prof *obs.EngineProf
@@ -111,13 +109,6 @@ func New(cfg Config, runner *sim.Runner) *World {
 		runner:  runner,
 		tickDt:  runner.Tick,
 	}
-	// One grid region (sub-grid) per shard worker so phase A2 re-buckets
-	// in parallel; the serial path keeps the single unpartitioned table.
-	regions := 1
-	if cfg.Shards > 1 {
-		regions = cfg.Shards
-	}
-	w.grid.init(cfg.Range, regions)
 	runner.AddTicker(w)
 	return w
 }
@@ -132,11 +123,9 @@ func (w *World) Config() Config { return w.cfg }
 // one Timing block.
 func (w *World) SetProfiler(p *obs.EngineProf) {
 	w.prof = p
-	workers := w.cfg.Shards
-	if w.grid.regions > workers {
-		workers = w.grid.regions
+	if w.cfg.Shards > 1 {
+		p.EnsureShards(w.cfg.Shards)
 	}
-	p.EnsureShards(workers)
 }
 
 // Runner returns the simulation driver.
@@ -184,9 +173,18 @@ func (w *World) Start() {
 	}
 	w.started = true
 	if !w.scripted {
-		// A scripted world never touches the detector: skip its O(n) state.
+		// A scripted world never touches the detector: skip its state.
+		// One grid region (sub-grid) per shard worker so phase A2
+		// re-buckets in parallel; one worker keeps the single
+		// unpartitioned table.
+		regions := 1
+		if w.cfg.Shards > 1 {
+			regions = w.cfg.Shards
+		}
+		w.grid.init(w.cfg.Range, regions)
 		w.grid.ensure(len(w.nodes))
 		w.sched.init(len(w.nodes))
+		w.shard.init(max(w.cfg.Shards, 1), regions)
 	}
 	for _, n := range w.nodes {
 		n.Router.Init(n, w)
@@ -225,110 +223,15 @@ func (w *World) wake(n *Node, t float64) {
 	}
 }
 
-// Tick implements sim.Ticker: moves nodes, updates contacts and sweeps
-// expired messages. With Config.Shards > 0 the data-parallel parts run on
-// shard goroutines (shard.go); results are bit-identical either way.
+// Tick implements sim.Ticker: a scripted world fires its recorded
+// contact events (script.go); a live one runs the tick pipeline
+// (shard.go), whose results are bit-identical for every Config.Shards.
 func (w *World) Tick(t float64) {
 	if w.scripted {
 		w.tickScripted(t)
 		return
 	}
-	if w.cfg.Shards > 0 {
-		w.tickSharded(t)
-		return
-	}
-	dt := t - w.lastTick
-	w.lastTick = t
-	w.tickCount++
-	st := w.prof.Start()
-	for _, n := range w.nodes {
-		n.pos = n.Mover.Step(dt)
-	}
-	w.prof.Lap(obs.PhaseMobility, st)
-	w.updateContacts(t)
-	if w.tickCount%uint64(w.cfg.ExpirySweepEvery) == 0 {
-		st = w.prof.Start()
-		w.sweepExpired(t)
-		w.prof.Lap(obs.PhaseExpiry, st)
-	}
-	w.prof.TickDone()
-}
-
-// updateContacts maintains the in-range pair set incrementally: moved
-// nodes are re-bucketed and their neighbourhoods rescanned, then exactly
-// the pairs whose parked re-check is due are distance-tested. The
-// resulting contact set is identical to a naive all-pairs sweep every
-// tick (grid_test.go proves it), at a fraction of the work.
-func (w *World) updateContacts(t float64) {
-	tick := w.tickCount
-	w.grid.epoch = tick
-
-	// Phase 1: re-bucket nodes whose cell changed and track every
-	// untracked pair in their new 3x3 neighbourhood for an immediate
-	// check. Node order keeps runs deterministic.
-	st := w.prof.Start()
-	moved := w.movedBuf[:0]
-	for i, n := range w.nodes {
-		if w.grid.update(int32(i), n.pos) {
-			moved = append(moved, int32(i))
-		}
-	}
-	st = w.prof.Lap(obs.PhaseRebucket, st)
-	for _, i := range moved {
-		w.scanNeighborhood(i, tick)
-	}
-	w.movedBuf = moved[:0]
-	st = w.prof.Lap(obs.PhaseScan, st)
-
-	// Phase 2: run the distance checks due this tick. Link pairs are
-	// never parked on the wheel (the link list below is their check), so
-	// an in-range hit here is always a new contact. Out-of-range pairs
-	// are parked as far out as the speed bound allows, or dropped
-	// entirely once they are provably beyond grid adjacency.
-	slot := tick % wheelSize
-	due := w.sched.wheel[slot]
-	r2 := w.cfg.Range * w.cfg.Range
-	bandMax2 := 9 * w.grid.cell * w.grid.cell
-	newPairs := w.newPairs[:0]
-	for _, k := range due {
-		a := int32(uint32(k >> 32))
-		b := int32(uint32(k))
-		d2 := w.nodes[a].pos.Dist2(w.nodes[b].pos)
-		switch {
-		case d2 <= r2:
-			// New contact: its wheel entry is consumed here and the pair
-			// stays tracked; the link sweep re-parks it on contact loss.
-			newPairs = append(newPairs, [2]int32{a, b})
-		case d2 > bandMax2:
-			// Beyond any adjacent-cell distance: stop tracking; a future
-			// cell change of either node re-tracks the pair before it can
-			// come back into range.
-			w.sched.untrack(a, b)
-		default:
-			w.sched.reschedule(k, tick+w.recheckDelay(d2))
-		}
-	}
-	w.sched.wheel[slot] = due[:0]
-	st = w.prof.Lap(obs.PhasePairs, st)
-
-	// Phase 3: distance-sweep the active links — cheaper than parking
-	// the (frequently-checked) in-range pairs on the wheel. Tear down
-	// stale links first so buffers/state settle before new contacts
-	// exchange metadata, iterating the ordered list for determinism.
-	keep := w.linkList[:0]
-	for _, l := range w.linkList {
-		d2 := l.a.pos.Dist2(l.b.pos)
-		if d2 <= r2 {
-			keep = append(keep, l)
-			continue
-		}
-		w.contactDown(l, t)
-		w.sched.reschedule(pairKey(int32(l.a.ID), int32(l.b.ID)), tick+w.recheckDelay(d2))
-	}
-	w.linkList = keep
-	st = w.prof.Lap(obs.PhaseLinks, st)
-	w.establishNewContacts(newPairs, t)
-	w.prof.Lap(obs.PhaseContacts, st)
+	w.tickLive(t)
 }
 
 // establishNewContacts fires contactUp for every pair in ascending pair
@@ -347,18 +250,6 @@ func (w *World) establishNewContacts(newPairs [][2]int32, t float64) {
 		w.contactUp(w.nodes[p[0]], w.nodes[p[1]], t)
 	}
 	w.newPairs = newPairs[:0]
-}
-
-// scanNeighborhood tracks every untracked pair between freshly-moved node
-// i and the nodes bucketed in its 3x3 cell neighbourhood, parking an
-// immediate check. The traversal (and its already-adjacent-cell filter)
-// lives in collectNeighborhood, shared with the sharded path; tracking the
-// collected pairs in order is exactly what the sharded merge does too.
-func (w *World) scanNeighborhood(i int32, tick uint64) {
-	w.scanBuf = w.collectNeighborhood(i, w.scanBuf[:0])
-	for _, p := range w.scanBuf {
-		w.sched.track(p[0], p[1], tick)
-	}
 }
 
 // chebWithin1 reports |a-b| <= 1.
@@ -408,7 +299,10 @@ func (w *World) contactUp(a, b *Node, t float64) {
 	l.pump(w, t)
 }
 
+// contactDown tears l down and marks it gone; the caller drops it from
+// linkList with dropGoneLinks once all of the tick's downs fired.
 func (w *World) contactDown(l *Link, t float64) {
+	l.gone = true
 	for _, f := range w.onContact {
 		f(w.tickCount, false, int32(l.a.ID), int32(l.b.ID))
 	}
@@ -419,6 +313,18 @@ func (w *World) contactDown(l *Link, t float64) {
 	l.a.Router.ContactDown(t, l.b)
 	l.b.Router.ContactDown(t, l.a)
 	w.prof.Exchange(ex)
+}
+
+// dropGoneLinks removes torn-down links from linkList, keeping the rest in
+// establishment order. Ticks batch their downs and compact once.
+func (w *World) dropGoneLinks() {
+	keep := w.linkList[:0]
+	for _, l := range w.linkList {
+		if !l.gone {
+			keep = append(keep, l)
+		}
+	}
+	w.linkList = keep
 }
 
 // completeTransfer applies a finished transfer: delivery or relay, quota

@@ -13,8 +13,9 @@
 // Two halves live here:
 //
 //   - EngineProf / Timing: per-tick phase breakdown for the simulation
-//     engine (serial, sharded and scripted tick paths), per-shard busy
-//     time for imbalance detection, and routing-exchange timing.
+//     engine (live and scripted ticks), per-shard busy time of
+//     multi-worker ticks for imbalance detection, and routing-exchange
+//     timing.
 //   - Histogram: a fixed-bucket atomic histogram for the service layer
 //     (HTTP request duration, queue wait), rendered by the daemon in
 //     Prometheus text format.
@@ -29,11 +30,11 @@ import (
 	"time"
 )
 
-// Phase identifies one segment of engine work. The serial tick path
-// populates Mobility..Expiry; the sharded path additionally attributes
-// its serial reconciliation loops to Merge; the scripted (trace-replay)
-// path books contact dispatch under Script; Events is the discrete
-// event queue drained between ticks by sim.Runner.
+// Phase identifies one segment of engine work. The live tick pipeline
+// books its data-parallel phases under Mobility..Expiry and the
+// reconciliation loops between them under Merge; the scripted
+// (trace-replay) path books contact dispatch under Script; Events is the
+// discrete event queue drained between ticks by sim.Runner.
 type Phase int
 
 const (
@@ -45,7 +46,7 @@ const (
 	PhaseLinks                 // active-link distance sweep
 	PhaseContacts              // contact establishment + router callbacks
 	PhaseExpiry                // buffer TTL expiry sweep
-	PhaseMerge                 // sharded mode: serial reconciliation between parallel phases
+	PhaseMerge                 // reconciliation on the caller between parallel phases
 	PhaseScript                // trace replay: scripted contact dispatch
 	NumPhases
 )
@@ -75,7 +76,7 @@ var epoch = time.Now()
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // EngineProf accumulates phase time for one engine run. All fields are
-// atomics: the sharded tick path records per-shard busy time from worker
+// atomics: a multi-worker tick records per-shard busy time from worker
 // goroutines while the coordinating goroutine laps phases.
 //
 // The nil receiver is the disabled state: every method is nil-safe and
@@ -87,7 +88,7 @@ type EngineProf struct {
 	ticks      atomic.Int64
 	exchNanos  atomic.Int64 // router contact callbacks (estimator gossip)
 	exchCount  atomic.Int64
-	shardBusy  []atomic.Int64 // per-shard worker busy nanos (sharded mode)
+	shardBusy  []atomic.Int64 // per-shard worker busy nanos (multi-worker ticks)
 }
 
 // Start opens a lap window; pass the result to Lap. Returns 0 when
@@ -131,8 +132,9 @@ func (p *EngineProf) Exchange(start int64) {
 	p.exchCount.Add(1)
 }
 
-// EnsureShards sizes the per-shard busy table. Called once at world
-// construction; not safe concurrently with AddShardBusy.
+// EnsureShards sizes the per-shard busy table. Called once when a
+// multi-worker world attaches the profiler; not safe concurrently with
+// AddShardBusy.
 func (p *EngineProf) EnsureShards(n int) {
 	if p == nil || n <= len(p.shardBusy) {
 		return
@@ -202,12 +204,12 @@ type Timing struct {
 	// blocks align by index and reports are shape-stable.
 	Phases []PhaseTiming `json:"phases"`
 
-	// Exchange time is nested inside the contacts/links/script phases
+	// Exchange time is nested inside the contacts/merge/script phases
 	// (router ContactUp/Down callbacks), reported as an "of which" line.
 	ExchangeSeconds float64 `json:"exchange_seconds"`
 	ExchangeCount   int64   `json:"exchange_count,omitempty"`
 
-	// ShardBusySeconds is per-shard worker busy time (sharded runs
+	// ShardBusySeconds is per-shard worker busy time (multi-worker runs
 	// only) — the imbalance lens: max/mean > ~1.2 means uneven shards.
 	ShardBusySeconds []float64 `json:"shard_busy_seconds,omitempty"`
 }
@@ -270,7 +272,8 @@ func (t *Timing) PhaseSeconds(name string) float64 {
 
 // Report renders the block as an aligned human-readable table: phase
 // seconds, share of measured time, and per-tick cost; then the exchange
-// "of which" line and — for sharded runs — the busy-time imbalance.
+// "of which" line and — when more than one worker ran — the busy-time
+// imbalance.
 func (t *Timing) Report(w io.Writer) {
 	if t == nil {
 		fmt.Fprintln(w, "timing: not profiled")
@@ -295,7 +298,7 @@ func (t *Timing) Report(w io.Writer) {
 	if t.ExchangeCount > 0 || t.ExchangeSeconds > 0 {
 		fmt.Fprintf(w, "  of which routing exchange: %.3f s over %d contacts\n", t.ExchangeSeconds, t.ExchangeCount)
 	}
-	if n := len(t.ShardBusySeconds); n > 0 {
+	if n := len(t.ShardBusySeconds); n > 1 {
 		var sum, max float64
 		for _, s := range t.ShardBusySeconds {
 			sum += s
@@ -303,8 +306,8 @@ func (t *Timing) Report(w io.Writer) {
 				max = s
 			}
 		}
-		// Serial runs size the table but never book busy time into it;
-		// only report when sharded workers actually ran.
+		// One worker has no imbalance to show, and only multi-worker
+		// ticks book busy time: report only when they actually ran.
 		if max > 0 {
 			mean := sum / float64(n)
 			fmt.Fprintf(w, "  shard busy: %d shards, mean %.3f s, max %.3f s (imbalance %.2fx)\n", n, mean, max, max/mean)

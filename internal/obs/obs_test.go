@@ -139,6 +139,16 @@ func TestReport(t *testing.T) {
 	if strings.Contains(out, "merge") {
 		t.Fatalf("report should omit zero phases:\n%s", out)
 	}
+	// One worker has no imbalance: neither a one-entry table nor an
+	// all-zero one prints a busy line.
+	for _, busy := range [][]float64{{0.7}, {0, 0}} {
+		tm.ShardBusySeconds = busy
+		var ob strings.Builder
+		tm.Report(&ob)
+		if strings.Contains(ob.String(), "shard busy") {
+			t.Fatalf("busy table %v printed a busy line:\n%s", busy, ob.String())
+		}
+	}
 	var nb strings.Builder
 	(*Timing)(nil).Report(&nb)
 	if !strings.Contains(nb.String(), "not profiled") {

@@ -40,6 +40,7 @@ type serverCounters struct {
 	jobsDone      atomic.Int64 // jobs reaching state done
 	jobsFailed    atomic.Int64 // jobs reaching state failed
 	jobsCancelled atomic.Int64 // jobs reaching state cancelled
+	jobPanics     atomic.Int64 // job runs whose panic runJob contained
 
 	progressEvents atomic.Int64 // simulation progress events published
 	simMillis      atomic.Int64 // simulated scenario-milliseconds completed
@@ -109,6 +110,7 @@ func (s *Server) metricDefs() []metricDef {
 		counter("dtnd_jobs_done_total", "Jobs finished successfully.", &m.jobsDone),
 		counter("dtnd_jobs_failed_total", "Jobs finished in failure.", &m.jobsFailed),
 		counter("dtnd_jobs_cancelled_total", "Jobs cancelled before completion.", &m.jobsCancelled),
+		counter("dtnd_job_panics_total", "Job runs that panicked and were failed by the recover backstop behind spec validation (0 = never reached).", &m.jobPanics),
 		{name: "dtnd_jobs_simulated_total", help: "Jobs that actually ran a simulation (cache misses that completed).", typ: "counter",
 			value: func() float64 { return float64(s.simulated.Load()) }},
 		counter("dtnd_progress_events_total", "Simulation progress events published to streams and sweeps.", &m.progressEvents),

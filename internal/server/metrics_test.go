@@ -61,6 +61,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dtnd_submit_cache_misses_total", "dtnd_submit_coalesced_total",
 		"dtnd_submit_rejected_total", "dtnd_sweep_submissions_total",
 		"dtnd_jobs_done_total", "dtnd_jobs_failed_total", "dtnd_jobs_cancelled_total",
+		"dtnd_job_panics_total",
 		"dtnd_jobs_simulated_total", "dtnd_progress_events_total", "dtnd_sim_seconds_total",
 		"dtnd_queue_depth", "dtnd_jobs_retained", "dtnd_sweeps_retained",
 		"dtnd_stream_subscribers", "dtnd_cache_hits_total", "dtnd_cache_misses_total",
@@ -150,6 +151,25 @@ func TestMetricsTerminalWindowHit(t *testing.T) {
 	// panic on a nil store.
 	if m["dtnd_cache_hits_total"] != 0 || m["dtnd_cache_bytes"] != 0 {
 		t.Errorf("nil store scrape: %+v", m)
+	}
+}
+
+// TestJobPanicCounted: a panicking job run is contained by runJob's
+// backstop — the job fails with the panic's message, the daemon lives on
+// — and counted in dtnd_job_panics_total, which otherwise reads 0.
+func TestJobPanicCounted(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	j, _ := fabricateJob(t, s, testSpec)
+	func() {
+		defer s.containPanic(j)
+		panic("unscreened shape")
+	}()
+	if snap := j.snapshot(); snap.state != stateFailed || snap.errMsg != "job panicked: unscreened shape" {
+		t.Fatalf("contained job: state %q, error %q", snap.state, snap.errMsg)
+	}
+	m := scrapeMetrics(t, ts)
+	if m["dtnd_job_panics_total"] != 1 || m["dtnd_jobs_failed_total"] != 1 {
+		t.Fatalf("panics=%g failed=%g, want 1 and 1", m["dtnd_job_panics_total"], m["dtnd_jobs_failed_total"])
 	}
 }
 

@@ -571,20 +571,25 @@ func (s *Server) jobDone(j *job) {
 	s.wg.Done()
 }
 
+// containPanic is runJob's backstop, deferred directly so recover sees
+// the panic. Spec validation screens known-bad shapes, but the engine
+// panics on combinations nobody has tried yet; contain those to the one
+// job instead of killing the daemon (and every queued job) with it, and
+// count them: dtnd_job_panics_total above 0 names a shape Validate misses.
+func (s *Server) containPanic(j *job) {
+	if r := recover(); r != nil {
+		s.m.jobPanics.Add(1)
+		j.fail(fmt.Errorf("job panicked: %v", r))
+	}
+}
+
 // runJob executes one accepted job on the local engine: wait for a
 // concurrency permit (or cancellation — a cancelled queued job never
 // takes a permit), simulate with live progress, persist and publish the
 // result.
 func (s *Server) runJob(j *job) {
 	defer s.jobDone(j)
-	// Spec validation screens known-bad shapes, but the engine panics on
-	// combinations nobody has tried yet; contain those to the one job
-	// instead of killing the daemon (and every queued job) with it.
-	defer func() {
-		if r := recover(); r != nil {
-			j.fail(fmt.Errorf("job panicked: %v", r))
-		}
-	}()
+	defer s.containPanic(j)
 	select {
 	case s.sem <- struct{}{}:
 	case <-j.ctx.Done():
