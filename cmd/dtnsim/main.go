@@ -28,7 +28,8 @@ func main() {
 
 // run is the command body: it parses args, writes the report to stdout and
 // diagnostics to stderr, and returns the exit status — 2 for usage errors
-// such as an unknown protocol or mobility model.
+// such as an unknown protocol or mobility model, or any value the spec
+// validation rejects.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dtnsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -91,50 +92,68 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	s := experiment.Default()
-	preset := *city || *metro
+	// The run is a spec: a preset plus the flags the user set. Every flag
+	// default equals the paper default (experiment.Default), so an unset
+	// flag leaves the preset's value — the paper's, -city's or -metro's.
+	var sp experiment.ScenarioSpec
 	if *city {
-		// Preset first; explicitly-set flags below still override it.
-		s = experiment.CityScale()
+		sp.Preset = "cityscale"
 	}
 	if *metro {
-		s = experiment.MetroScale()
+		sp.Preset = "metroscale"
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	apply := func(name string, f func()) {
-		if set[name] || !preset {
-			f()
-		}
-	}
-	apply("protocol", func() { s.Protocol = experiment.Protocol(*protocol) })
-	apply("nodes", func() { s.Nodes = *nodes })
-	apply("duration", func() { s.Duration = *duration })
-	apply("lambda", func() { s.Lambda = *lambda })
-	apply("alpha", func() { s.Alpha = *alpha })
-	apply("ttl", func() { s.TTL = *ttl })
-	apply("buffer", func() { s.BufBytes = *bufKB * 1024 })
-	apply("msgsize", func() { s.MsgSize = *msgKB * 1024 })
-	apply("tick", func() { s.Tick = *tick })
-	apply("mobility", func() { s.Mobility = *mobility })
 	var shardsErr error
-	apply("shards", func() { s.Shards, shardsErr = experiment.ParseShards(*shards) })
-	apply("gossip", func() { s.Gossip = *gossip })
-	apply("sparse", func() { s.SparseEstimators = *sparse })
-	s.Seed = *seed
-	s.Profile = *timing
-	// Reject unknown names here: the engine panics on them mid-build.
-	if err := errors.Join(shardsErr, experiment.CheckProtocol(s.Protocol), experiment.CheckMobility(s.Mobility)); err != nil {
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "protocol":
+			sp.Protocol = experiment.Ptr(*protocol)
+		case "nodes":
+			sp.Nodes = experiment.Ptr(*nodes)
+		case "duration":
+			sp.Duration = experiment.Ptr(*duration)
+		case "lambda":
+			sp.Lambda = experiment.Ptr(*lambda)
+		case "alpha":
+			sp.Alpha = experiment.Ptr(*alpha)
+		case "ttl":
+			sp.TTL = experiment.Ptr(*ttl)
+		case "buffer":
+			sp.BufBytes = experiment.Ptr(*bufKB * 1024)
+		case "msgsize":
+			sp.MsgSize = experiment.Ptr(*msgKB * 1024)
+		case "tick":
+			sp.Tick = experiment.Ptr(*tick)
+		case "mobility":
+			sp.Mobility = experiment.Ptr(*mobility)
+		case "shards":
+			var n int
+			n, shardsErr = experiment.ParseShards(*shards)
+			sp.Shards = experiment.Ptr(experiment.ShardCount(n))
+		case "gossip":
+			sp.Gossip = experiment.Ptr(*gossip)
+		case "sparse":
+			sp.SparseEstimators = experiment.Ptr(*sparse)
+		case "timing":
+			sp.Profile = experiment.Ptr(*timing)
+		}
+	})
+	sp.Seeds = []int64{*seed}
+	if *seeds > 1 {
+		sp.Seeds = experiment.Seeds(*seeds)
+	}
+	// Spec validation rejects unknown names and values beyond the job
+	// ceilings before any world is built.
+	s, err := sp.Scenario()
+	if err = errors.Join(shardsErr, err); err != nil {
 		fmt.Fprintln(stderr, "dtnsim:", err)
 		return 2
 	}
 
 	start := time.Now()
-	var sums []metrics.Summary
-	if *seeds <= 1 {
-		sums = []metrics.Summary{s.Run()}
-	} else {
-		sums = experiment.RunSeeds(s, experiment.Seeds(*seeds))
+	sums, err := experiment.RunSpecStore(nil, sp, nil, nil)
+	if err != nil {
+		fmt.Fprintln(stderr, "dtnsim:", err)
+		return 1
 	}
 	elapsed := time.Since(start)
 

@@ -19,7 +19,9 @@ func TestDtnsimSmoke(t *testing.T) {
 }
 
 // TestDtnsimUnknownNames pins the usage errors for names the engine would
-// panic on: an error line and exit status 2, before any world is built.
+// panic on, and for every other value the spec validation rejects (job
+// ceilings included): an error line and exit status 2, before any world
+// is built.
 func TestDtnsimUnknownNames(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -28,6 +30,10 @@ func TestDtnsimUnknownNames(t *testing.T) {
 		{[]string{"-protocol", "Bogus"}, `unknown protocol "Bogus"`},
 		{[]string{"-mobility", "teleport"}, `unknown mobility model "teleport"`},
 		{[]string{"-city", "-protocol", "eer"}, `unknown protocol "eer"`},
+		{[]string{"-nodes", "1"}, "need at least two nodes"},
+		{[]string{"-seeds", "100"}, "at most 64 seeds per job"},
+		{[]string{"-msgsize", "2048"}, "buf_bytes must be 0 (unbounded) or >="},
+		{[]string{"-shards", "many"}, `bad shards "many"`},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -40,5 +46,18 @@ func TestDtnsimUnknownNames(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: unexpected report:\n%s", c.args, stdout.String())
 		}
+	}
+}
+
+// TestDtnsimPresetKeepsUnsetFields: flags the user set override the
+// preset; every other field keeps the preset's value, not the flag's
+// default (CityScale runs SprayAndWait, the flag default is EER).
+func TestDtnsimPresetKeepsUnsetFields(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-city", "-nodes", "100", "-duration", "20", "-lambda", "4"}, &stdout, &stderr); code > 1 {
+		t.Fatalf("run exited %d: %s", code, stderr.String())
+	}
+	if want := "protocol=SprayAndWait nodes=100 duration=20s lambda=4 alpha=0.28 seeds=1\n"; !strings.HasPrefix(stdout.String(), want) {
+		t.Errorf("header:\n%s\nwant prefix %q", stdout.String(), want)
 	}
 }

@@ -9,6 +9,12 @@
 //	A2      — EER vs mean-interval-MD (MEED-style) ablation
 //	A3      — EER forwarding-hysteresis sweep (estimator-noise ping-pong)
 //
+// Every figure is an experiment.SweepSpec over one base spec, run through
+// experiment.RunSweep — the path cmd/sweep and dtnd's /v1/sweeps use — so
+// each cell is validated and content-addressed. With -cache, a cell any
+// earlier figure, sweep or daemon job computed is read from disk: Figure
+// 3's λ=10 cells and A1/A2's EER cells are Figure 2's EER cells.
+//
 // Full paper parameters take tens of minutes; -quick runs a reduced but
 // shape-preserving sweep in a few minutes.
 //
@@ -19,10 +25,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/experiment"
@@ -31,57 +41,85 @@ import (
 )
 
 func main() {
-	var (
-		fig      = flag.String("fig", "all", "which figure: 2, 3, 4, a1, a2, a3 or all")
-		seeds    = flag.Int("seeds", 5, "seeds per data point (paper used 10)")
-		quick    = flag.Bool("quick", false, "reduced sweep: fewer nodes, 4000 s runs, 2 seeds")
-		csv      = flag.String("csv", "", "also write CSV data to this file prefix (e.g. fig)")
-		nodes    = flag.String("nodes", "", "override node counts, comma-separated")
-		outDur   = flag.Float64("duration", 10000, "simulated seconds per run")
-		shards   = flag.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; summaries identical). The pool already fills all cores, so set this only for few huge runs")
-		sparse   = flag.Bool("sparse", false, "force the sparse estimator core (auto at >= 1000 nodes; summaries identical)")
-		cache    = flag.String("cache", "", "content-addressed result cache shared with dtnd and cmd/sweep; Figure-2 cells hit it (empty disables)")
-		timing   = flag.Bool("timing", false, "profile the engine and print a per-figure phase breakdown (results stay bit-identical; cached cells carry no timing)")
-		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-	)
-	flag.Parse()
-	profileRuns = *timing
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// figure is one figure of the evaluation: a sweep and how its cells
+// become curves — one series per value of the by axis (named prefix +
+// value), each point at the cell's value of the x axis.
+type figure struct {
+	id     string // the -fig value
+	title  string
+	sweep  experiment.SweepSpec
+	by, x  string
+	prefix string // series name before the by-axis value
+	xLabel string // table x header
+	csvX   string // CSV x column
+	csv    string // CSV file suffix after the -csv prefix
+}
+
+// run is the command body: it parses args, writes the tables to stdout and
+// log lines to stderr, and returns the exit status — 2 for usage errors
+// such as an unknown figure or a scenario the spec validation rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig      = fs.String("fig", "all", "which figure: 2, 3, 4, a1, a2, a3 or all")
+		seeds    = fs.Int("seeds", 5, "seeds per data point (paper used 10)")
+		quick    = fs.Bool("quick", false, "reduced sweep: fewer nodes, 4000 s runs, 2 seeds")
+		csv      = fs.String("csv", "", "also write CSV data to this file prefix (e.g. fig)")
+		nodes    = fs.String("nodes", "", "override node counts, comma-separated")
+		outDur   = fs.Float64("duration", 10000, "simulated seconds per run")
+		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; summaries identical). The pool already fills all cores, so set this only for few huge runs")
+		sparse   = fs.Bool("sparse", false, "force the sparse estimator core (auto at >= 1000 nodes; summaries identical)")
+		cache    = fs.String("cache", "", "content-addressed result cache shared with dtnd and cmd/sweep; every figure's cells hit it (empty disables)")
+		timing   = fs.Bool("timing", false, "profile the engine and print a per-figure phase breakdown (results stay bit-identical; cached cells carry no timing)")
+		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintf(os.Stderr, "figures: bad -log-level %q: %v\n", *logLevel, err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "figures: bad -log-level %q: %v\n", *logLevel, err)
+		return 2
 	}
-	log = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	shardCount, err := experiment.ParseShards(*shards)
 	if err != nil {
 		log.Error("bad -shards", "err", err)
-		os.Exit(2)
+		return 2
 	}
-	base := experiment.Default()
-	base.Duration = *outDur
-	base.Shards = shardCount
-	base.SparseEstimators = *sparse
-	base.Profile = *timing
+	duration, tick := *outDur, 0.25
 	counts := []int{40, 80, 120, 160, 200, 240}
 	if *quick {
-		base.Duration = 4000
-		base.Tick = 0.5
+		duration, tick = 4000, 0.5
 		counts = []int{40, 120, 200}
-		if !flagSet("seeds") {
+		seedsSet := false
+		fs.Visit(func(f *flag.Flag) { seedsSet = seedsSet || f.Name == "seeds" })
+		if !seedsSet {
 			*seeds = 2
 		}
 	}
 	if *nodes != "" {
-		counts = parseInts(*nodes)
+		counts = nil
+		for _, part := range strings.Split(*nodes, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				log.Error("bad node count", "value", part)
+				return 2
+			}
+			counts = append(counts, n)
+		}
 	}
-	// The Figure-2 grid travels the declarative sweep path (the same
-	// expansion dtnd's /v1/sweeps uses), so its base is a spec mirroring
-	// the scenario the other figures mutate directly.
-	baseSpec := experiment.ScenarioSpec{
-		Duration:         experiment.Ptr(base.Duration),
-		Tick:             experiment.Ptr(base.Tick),
+	base := experiment.ScenarioSpec{
+		Duration:         experiment.Ptr(duration),
+		Tick:             experiment.Ptr(tick),
 		Shards:           experiment.Ptr(experiment.ShardCount(shardCount)),
 		SparseEstimators: experiment.Ptr(*sparse),
 		Seeds:            experiment.Seeds(*seeds),
@@ -89,100 +127,174 @@ func main() {
 	if *timing {
 		// Profile is excluded from cell cache keys, so profiled figure
 		// runs still hit (and write) the same cached cells.
-		baseSpec.Profile = experiment.Ptr(true)
+		base.Profile = experiment.Ptr(true)
+	}
+
+	var todo []figure
+	for _, f := range figures(base, counts) {
+		if *fig == "all" || *fig == f.id {
+			todo = append(todo, f)
+		}
+	}
+	if len(todo) == 0 {
+		log.Error("unknown figure", "fig", *fig)
+		return 2
+	}
+	// Expand every figure up front: a cell the spec validation rejects is
+	// a usage error, reported before any simulation starts.
+	for _, f := range todo {
+		if _, err := f.sweep.Cells(); err != nil {
+			log.Error("bad figure sweep", "figure", f.id, "err", err)
+			return 2
+		}
 	}
 	var store *resultcache.Store
 	if *cache != "" {
 		st, err := resultcache.Open(*cache, 0)
 		if err != nil {
 			log.Error("open cache", "dir", *cache, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		store = st
 	}
 
 	start := time.Now()
-	switch *fig {
-	case "2":
-		figure2(baseSpec, counts, *seeds, *csv, store)
-	case "3":
-		figureLambda(base, experiment.EER, "Figure 3 (EER)", counts, *seeds, *csv)
-	case "4":
-		figureLambda(base, experiment.CR, "Figure 4 (CR)", counts, *seeds, *csv)
-	case "a1":
-		ablation(base, "Ablation A1 (TTL-aware EEV)", []experiment.Protocol{experiment.EER, experiment.EERFixedEV}, counts, *seeds, *csv)
-	case "a2":
-		ablation(base, "Ablation A2 (elapsed-conditioned EMD)", []experiment.Protocol{experiment.EER, experiment.EERMeanMD}, counts, *seeds, *csv)
-	case "a3":
-		hysteresis(base, counts, *seeds, *csv)
-	case "all":
-		figure2(baseSpec, counts, *seeds, *csv, store)
-		figureLambda(base, experiment.EER, "Figure 3 (EER)", counts, *seeds, *csv)
-		figureLambda(base, experiment.CR, "Figure 4 (CR)", counts, *seeds, *csv)
-		ablation(base, "Ablation A1 (TTL-aware EEV)", []experiment.Protocol{experiment.EER, experiment.EERFixedEV}, counts, *seeds, *csv)
-		ablation(base, "Ablation A2 (elapsed-conditioned EMD)", []experiment.Protocol{experiment.EER, experiment.EERMeanMD}, counts, *seeds, *csv)
-		hysteresis(base, counts, *seeds, *csv)
-	default:
-		log.Error("unknown figure", "fig", *fig)
-		os.Exit(2)
-	}
-	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Second))
-}
-
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
+	for _, f := range todo {
+		series, ok := runFigure(log, f, store)
+		if !ok {
+			return 1
 		}
-	})
-	return set
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, part := range splitComma(s) {
-		var v int
-		if _, err := fmt.Sscanf(part, "%d", &v); err != nil {
-			log.Error("bad node count", "value", part)
-			os.Exit(2)
+		if err := emit(stdout, f, series, *timing, *csv); err != nil {
+			log.Error("write csv", "figure", f.id, "err", err)
+			return 1
 		}
-		out = append(out, v)
 	}
-	return out
+	fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Second))
+	return 0
 }
 
-func splitComma(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == ',' {
-			out = append(out, cur)
-			cur = ""
-			continue
+// figures lists the evaluation's figures as sweeps over base, in the
+// order -fig all runs them.
+func figures(base experiment.ScenarioSpec, counts []int) []figure {
+	protocols := func(ps ...experiment.Protocol) []string {
+		out := make([]string, len(ps))
+		for i, p := range ps {
+			out[i] = string(p)
 		}
-		cur += string(r)
+		return out
 	}
-	return append(out, cur)
+	lambdas := []int{6, 8, 10, 12}
+	mid := counts[len(counts)/2]
+	byNodes := func(f figure) figure {
+		f.x, f.xLabel, f.csvX = "nodes", "nodes", "nodes"
+		return f
+	}
+	return []figure{
+		byNodes(figure{id: "2", title: "Figure 2 — protocol comparison (λ=10)", csv: "2",
+			sweep: experiment.SweepSpec{Base: base, Protocols: protocols(experiment.AllPaperProtocols...), Nodes: counts},
+			by:    "protocol"}),
+		byNodes(figure{id: "3", title: "Figure 3 (EER) — effect of λ", csv: "3",
+			sweep: experiment.SweepSpec{Base: base, Protocols: protocols(experiment.EER), Nodes: counts, Lambda: lambdas},
+			by:    "lambda", prefix: "λ="}),
+		byNodes(figure{id: "4", title: "Figure 4 (CR) — effect of λ", csv: "4",
+			sweep: experiment.SweepSpec{Base: base, Protocols: protocols(experiment.CR), Nodes: counts, Lambda: lambdas},
+			by:    "lambda", prefix: "λ="}),
+		byNodes(figure{id: "a1", title: "Ablation A1 (TTL-aware EEV)", csv: "_" + string(experiment.EERFixedEV),
+			sweep: experiment.SweepSpec{Base: base, Protocols: protocols(experiment.EER, experiment.EERFixedEV), Nodes: counts},
+			by:    "protocol"}),
+		byNodes(figure{id: "a2", title: "Ablation A2 (elapsed-conditioned EMD)", csv: "_" + string(experiment.EERMeanMD),
+			sweep: experiment.SweepSpec{Base: base, Protocols: protocols(experiment.EER, experiment.EERMeanMD), Nodes: counts},
+			by:    "protocol"}),
+		// A3 sweeps the single-copy forwarding hysteresis at the middle
+		// node count.
+		{id: "a3", title: fmt.Sprintf("Ablation A3 — forwarding hysteresis (n=%d)", mid), csv: "_a3",
+			sweep: experiment.SweepSpec{Base: base, Protocols: protocols(experiment.EER), Nodes: []int{mid},
+				ForwardHysteresis: []float64{0, 30, 60, 120, 300}},
+			by: "protocol", x: "forward_hysteresis", xLabel: "hysteresis (s)", csvX: "hysteresis_s"},
+	}
 }
 
-// profileRuns mirrors the -timing flag for the figure helpers: when set,
-// every emitted figure is followed by its aggregated engine-phase report.
-var profileRuns bool
+// runFigure runs a figure's sweep and turns its cells into curves. It
+// logs how the cells were served — simulated, shared with another cell's
+// run, or read from the cache — and the figure's trace fast-path work.
+func runFigure(log *slog.Logger, f figure, store *resultcache.Store) ([]experiment.Series, bool) {
+	log.Info("figure starting", "figure", f.id, "seeds", len(f.sweep.Base.Seeds))
+	rec0, rep0 := experiment.TraceRecordings(), experiment.TraceReplays()
+	results, err := experiment.RunSweep(context.Background(), f.sweep, store)
+	if err != nil && results == nil {
+		log.Error("figure failed", "figure", f.id, "err", err)
+		return nil, false
+	}
+	if err != nil {
+		log.Warn("cache write failed; results are complete", "figure", f.id, "err", err)
+	}
+	tally := experiment.Tally(results)
+	log.Info("figure done", "figure", f.id, "cells", len(results), "simulated", tally.Simulated,
+		"runs", tally.Runs, "shared", tally.Shared, "cached", tally.Cached)
+	// Cells that differ only in routing share one recorded world per
+	// (nodes, seed): with -cache, mobility simulates once and the rest
+	// replay it.
+	if rec, rep := experiment.TraceRecordings()-rec0, experiment.TraceReplays()-rep0; rec > 0 || rep > 0 {
+		log.Info("trace fast path", "figure", f.id, "recorded_worlds", rec, "replayed_runs", rep)
+	}
 
-// log is the command's structured logger (stderr), set in main once
-// -log-level is parsed; the discard default keeps helpers safe in tests.
-var log = slog.New(slog.DiscardHandler)
+	var series []experiment.Series
+	index := map[string]int{}
+	for _, r := range results {
+		v := axisValue(r.Cell, f.by)
+		i, ok := index[v]
+		if !ok {
+			i = len(series)
+			index[v] = i
+			series = append(series, experiment.Series{Name: f.prefix + v})
+		}
+		x, _ := strconv.ParseFloat(axisValue(r.Cell, f.x), 64) // axis values print as numbers
+		series[i].Points = append(series[i].Points, experiment.Point{X: x, Summary: r.Mean})
+	}
+	return series, true
+}
+
+// axisValue returns the cell's coordinate on the named axis.
+func axisValue(c experiment.SweepCell, axis string) string {
+	for _, av := range c.Axes {
+		if av.Axis == axis {
+			return av.Value
+		}
+	}
+	return ""
+}
+
+// emit prints the figure's tables (and, with timing, its phase
+// breakdown) and writes its CSV when a prefix is given.
+func emit(w io.Writer, f figure, series []experiment.Series, timing bool, csvPrefix string) error {
+	for _, m := range experiment.PaperMetrics {
+		experiment.RenderTable(w, f.title, f.xLabel, series, m)
+	}
+	if timing {
+		reportTiming(w, f.title, series)
+	}
+	if csvPrefix == "" {
+		return nil
+	}
+	path := csvPrefix + f.csv + ".csv"
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	experiment.WriteCSV(file, f.csvX, series, experiment.PaperMetrics)
+	if err := file.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", path)
+	return nil
+}
 
 // reportTiming folds the timing blocks of every point in the series (each
 // point's mean already folds its seeds) and prints one phase breakdown for
 // the figure. Cached and shared cells carry no timing, so each
 // simulation counts once and a fully-cached figure prints how much of it
 // was served without simulating instead.
-func reportTiming(title string, series []experiment.Series) {
-	if !profileRuns {
-		return
-	}
+func reportTiming(w io.Writer, title string, series []experiment.Series) {
 	var tm *obs.Timing
 	missing := 0
 	for _, se := range series {
@@ -194,132 +306,9 @@ func reportTiming(title string, series []experiment.Series) {
 			tm = obs.MergeTiming(tm, pt.Summary.Timing)
 		}
 	}
-	fmt.Printf("\n%s — engine phase breakdown:\n", title)
-	tm.Report(os.Stdout)
+	fmt.Fprintf(w, "\n%s — engine phase breakdown:\n", title)
+	tm.Report(w)
 	if missing > 0 {
-		fmt.Printf("(%d points served from cache or shared, not profiled)\n", missing)
+		fmt.Fprintf(w, "(%d points served from cache or shared, not profiled)\n", missing)
 	}
-}
-
-func emit(title string, series []experiment.Series, csvPrefix, suffix string) {
-	for _, m := range experiment.PaperMetrics {
-		experiment.RenderTable(os.Stdout, title, "nodes", series, m)
-	}
-	reportTiming(title, series)
-	if csvPrefix != "" {
-		path := csvPrefix + suffix + ".csv"
-		f, err := os.Create(path)
-		if err != nil {
-			log.Error("write csv", "path", path, "err", err)
-			os.Exit(1)
-		}
-		experiment.WriteCSV(f, "nodes", series, experiment.PaperMetrics)
-		f.Close()
-		fmt.Printf("wrote %s\n", path)
-	}
-}
-
-// figure2 reproduces the six-protocol comparison. The (protocol × nodes)
-// grid expands through experiment.SweepSpec — one code path with dtnd's
-// /v1/sweeps — so cells carry content addresses: with -cache, points any
-// prior sweep, figures run or daemon job computed are read from disk,
-// and the rest run as one flattened batch over the worker pool.
-func figure2(base experiment.ScenarioSpec, counts []int, seeds int, csvPrefix string, store *resultcache.Store) {
-	protos := make([]string, len(experiment.AllPaperProtocols))
-	for i, p := range experiment.AllPaperProtocols {
-		protos[i] = string(p)
-	}
-	sw := experiment.SweepSpec{Base: base, Protocols: protos, Nodes: counts}
-	log.Info("figure starting", "figure", "2", "cells", len(protos)*len(counts), "seeds", seeds)
-	results, err := experiment.RunSweep(context.Background(), sw, store)
-	if err != nil && results == nil {
-		log.Error("figure failed", "figure", "2", "err", err)
-		os.Exit(1)
-	}
-	if err != nil {
-		log.Warn("cache write failed; results are complete", "figure", "2", "err", err)
-	}
-	series := make([]experiment.Series, len(protos))
-	for i, p := range protos {
-		se := experiment.Series{Name: p}
-		for j, n := range counts {
-			se.Points = append(se.Points, experiment.Point{X: float64(n), Summary: results[i*len(counts)+j].Mean})
-		}
-		series[i] = se
-	}
-	tally := experiment.Tally(results)
-	log.Info("figure done", "figure", "2", "cells", len(results), "simulated", tally.Simulated,
-		"runs", tally.Runs, "shared", tally.Shared, "cached", tally.Cached)
-	// The protocol axis shares one recorded world per (nodes, seed): with
-	// -cache, mobility simulates once and the other protocols replay.
-	if rec, rep := experiment.TraceRecordings(), experiment.TraceReplays(); rec > 0 || rep > 0 {
-		log.Info("trace fast path", "figure", "2", "recorded_worlds", rec, "replayed_runs", rep)
-	}
-	emit("Figure 2 — protocol comparison (λ=10)", series, csvPrefix, "2")
-}
-
-// figureLambda reproduces the λ sensitivity figures (3 for EER, 4 for CR).
-func figureLambda(base experiment.Scenario, p experiment.Protocol, title string, counts []int, seeds int, csvPrefix string) {
-	lambdas := []int{6, 8, 10, 12}
-	bases := make([]experiment.Scenario, 0, len(lambdas))
-	for _, lambda := range lambdas {
-		s := base
-		s.Protocol = p
-		s.Lambda = lambda
-		bases = append(bases, s)
-	}
-	log.Info("figure starting", "figure", title, "simulations", len(bases)*len(counts)*seeds)
-	series := experiment.NodeSweepMulti(bases, counts, seeds)
-	for i, lambda := range lambdas {
-		series[i].Name = fmt.Sprintf("λ=%d", lambda)
-	}
-	suffix := "3"
-	if p == experiment.CR {
-		suffix = "4"
-	}
-	emit(title+" — effect of λ", series, csvPrefix, suffix)
-}
-
-// ablation compares EER against one of its ablated variants.
-func ablation(base experiment.Scenario, title string, ps []experiment.Protocol, counts []int, seeds int, csvPrefix string) {
-	bases := make([]experiment.Scenario, 0, len(ps))
-	for _, p := range ps {
-		s := base
-		s.Protocol = p
-		bases = append(bases, s)
-	}
-	log.Info("figure starting", "figure", title, "simulations", len(bases)*len(counts)*seeds)
-	series := experiment.NodeSweepMulti(bases, counts, seeds)
-	emit(title, series, csvPrefix, "_"+string(ps[len(ps)-1]))
-}
-
-// hysteresis sweeps the single-copy forwarding hysteresis (A3), using the
-// middle node count.
-func hysteresis(base experiment.Scenario, counts []int, seeds int, csvPrefix string) {
-	n := counts[len(counts)/2]
-	var series []experiment.Series
-	se := experiment.Sweep1D("EER", withNodes(base, n), []float64{0, 30, 60, 120, 300}, func(s *experiment.Scenario, v float64) {
-		s.ForwardHysteresis = v
-	}, seeds)
-	series = append(series, se)
-	for _, m := range experiment.PaperMetrics {
-		experiment.RenderTable(os.Stdout, fmt.Sprintf("Ablation A3 — forwarding hysteresis (n=%d)", n), "hysteresis (s)", series, m)
-	}
-	reportTiming("Ablation A3", series)
-	if csvPrefix != "" {
-		path := csvPrefix + "_a3.csv"
-		f, err := os.Create(path)
-		if err != nil {
-			log.Error("write csv", "path", path, "err", err)
-			os.Exit(1)
-		}
-		experiment.WriteCSV(f, "hysteresis_s", series, experiment.PaperMetrics)
-		f.Close()
-		fmt.Printf("wrote %s\n", path)
-	}
-}
-
-func withNodes(s experiment.Scenario, n int) experiment.Scenario {
-	s.Nodes = n
-	return s
 }

@@ -36,7 +36,7 @@ func main() {
 
 // run is the command body: it parses args, writes the tables to stdout and
 // log lines to stderr, and returns the exit status — 2 for usage errors
-// such as an unknown protocol.
+// such as an unknown protocol or a scenario the spec validation rejects.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -68,12 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
-	// Reject an unknown protocol before any cell runs.
-	if err := experiment.CheckProtocol(experiment.Protocol(*protocol)); err != nil {
-		log.Error("bad -protocol", "err", err)
-		return 2
-	}
-
 	shardCount, err := experiment.ParseShards(*shards)
 	if err != nil {
 		log.Error("bad -shards", "err", err)
@@ -86,6 +80,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Shards:           experiment.Ptr(experiment.ShardCount(shardCount)),
 		SparseEstimators: experiment.Ptr(*sparse),
 		Seeds:            experiment.Seeds(*seeds),
+	}
+	// Resolve the base before any cell runs: an unknown protocol or a value
+	// beyond the job ceilings is a usage error.
+	if _, err := base.Scenario(); err != nil {
+		log.Error("bad flags", "err", err)
+		return 2
 	}
 
 	sw := experiment.SweepSpec{Base: base}

@@ -15,6 +15,19 @@
 //	s.Protocol = repro.EER
 //	s.Nodes = 120
 //	fmt.Println(s.Run())
+//
+// Multi-run studies go through one path: a SweepSpec (a base
+// ScenarioSpec plus axes such as protocols, node counts or λ) expands
+// into validated, content-addressed cells that RunSweep simulates once
+// each, serving what a ResultStore already holds — the path cmd/figures,
+// cmd/sweep and dtnd use:
+//
+//	sw := repro.SweepSpec{
+//		Base:      repro.ScenarioSpec{Seeds: repro.Seeds(5)},
+//		Protocols: []string{"EER", "CR"},
+//		Nodes:     []int{40, 120, 240},
+//	}
+//	cells, err := repro.RunSweep(ctx, sw, nil) // nil store: no caching
 package repro
 
 import (
@@ -36,10 +49,6 @@ type Protocol = experiment.Protocol
 // Summary holds one run's metrics: the paper's delivery ratio, latency and
 // goodput plus auxiliary counters.
 type Summary = metrics.Summary
-
-// Series is a named sweep curve (one protocol across node counts, one λ
-// across the sweep, ...).
-type Series = experiment.Series
 
 // Metric selects one plotted quantity from a Summary.
 type Metric = experiment.Metric
@@ -110,15 +119,16 @@ type ScenarioSpec = experiment.ScenarioSpec
 // errors).
 func ParseSpec(data []byte) (ScenarioSpec, error) { return experiment.ParseSpec(data) }
 
-// RunSpec resolves and executes a spec over its seed list through the
-// bounded worker pool, returning per-seed summaries.
-func RunSpec(sp ScenarioSpec) ([]Summary, error) { return experiment.RunSpec(sp) }
+// RunSpec resolves, validates and executes a spec over its seed list
+// through the bounded worker pool, returning per-seed summaries.
+func RunSpec(sp ScenarioSpec) ([]Summary, error) { return experiment.RunSpecStore(nil, sp, nil, nil) }
 
 // SweepSpec is a declarative parameter study: a base ScenarioSpec plus
-// axes (protocols, node counts and the Section V-B parameters) that
-// deterministically expand into content-addressed cells. It is the
-// payload of dtnd's /v1/sweeps endpoint and the grid form cmd/sweep and
-// cmd/figures expand through.
+// axes (protocols, node counts, the Section V-B parameters and the A3
+// forwarding hysteresis) that deterministically expand into
+// content-addressed cells. It is the payload of dtnd's /v1/sweeps
+// endpoint and the grid form cmd/sweep and every cmd/figures figure
+// expand through.
 type SweepSpec = experiment.SweepSpec
 
 // SweepCell is one expanded sweep point: its spec, content address and
@@ -162,28 +172,12 @@ func QuickScenario() Scenario { return experiment.Quick() }
 // pool, returning the per-seed summaries.
 func RunSeeds(s Scenario, seeds []int64) []Summary { return experiment.RunSeeds(s, seeds) }
 
-// RunBatch executes arbitrary scenarios through the bounded worker pool,
-// returning summaries in input order.
-func RunBatch(ss []Scenario) []Summary { return experiment.RunBatch(ss) }
-
 // RunAveraged executes a scenario over n seeds and returns the mean
 // summary.
 func RunAveraged(s Scenario, n int) Summary { return experiment.RunAveraged(s, n) }
 
 // Seeds returns the canonical seed list 1..n.
 func Seeds(n int) []int64 { return experiment.Seeds(n) }
-
-// NodeSweep runs a scenario at every node count, averaging seeds per
-// point.
-func NodeSweep(base Scenario, counts []int, nSeeds int) Series {
-	return experiment.NodeSweep(base, counts, nSeeds)
-}
-
-// NodeSweepMulti runs several scenarios across node counts as one
-// flattened batch saturating all cores.
-func NodeSweepMulti(bases []Scenario, counts []int, nSeeds int) []Series {
-	return experiment.NodeSweepMulti(bases, counts, nSeeds)
-}
 
 // MeanSummary averages summaries component-wise.
 func MeanSummary(ss []Summary) Summary { return metrics.Mean(ss) }

@@ -17,10 +17,10 @@ func TestQuickScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunBatchDeterministicOrder proves pooled parallel execution returns
+// TestRunSeedsDeterministicOrder proves pooled parallel execution returns
 // summaries by input index with per-job results independent of worker
 // scheduling.
-func TestRunBatchDeterministicOrder(t *testing.T) {
+func TestRunSeedsDeterministicOrder(t *testing.T) {
 	s := Quick()
 	s.Nodes = 20
 	s.Duration = 400

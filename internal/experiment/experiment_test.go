@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -98,13 +99,29 @@ func TestRunSeedsIndependent(t *testing.T) {
 	}
 }
 
-func TestNodeSweepShape(t *testing.T) {
-	se := NodeSweep(tiny(Direct), []int{10, 20}, 1)
-	if se.Name != string(Direct) || len(se.Points) != 2 {
-		t.Fatalf("series = %+v", se)
+// tinySpec is tiny(p) as a spec, for the sweep path.
+func tinySpec(p Protocol) ScenarioSpec {
+	return ScenarioSpec{Protocol: ptr(string(p)), Nodes: ptr(24), Duration: ptr(1200.0), Tick: ptr(0.5)}
+}
+
+// TestSweepNodeAxisShape: a node axis yields one cell per count, in
+// order, each labelled with and running at its count.
+func TestSweepNodeAxisShape(t *testing.T) {
+	res, err := RunSweep(nil, SweepSpec{Base: tinySpec(Direct), Nodes: []int{10, 20}}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if se.Points[0].X != 10 || se.Points[1].X != 20 {
-		t.Error("x values wrong")
+	if len(res) != 2 {
+		t.Fatalf("%d cells, want 2", len(res))
+	}
+	for i, n := range []int{10, 20} {
+		c := res[i].Cell
+		if len(c.Axes) != 1 || c.Axes[0] != (AxisValue{Axis: "nodes", Value: strconv.Itoa(n)}) || *c.Spec.Nodes != n {
+			t.Errorf("cell %d = %+v, want nodes=%d", i, c, n)
+		}
+		if len(res[i].PerSeed) != 1 || res[i].Mean.Generated == 0 {
+			t.Errorf("cell %d ran nothing: %+v", i, res[i])
+		}
 	}
 }
 
@@ -132,15 +149,16 @@ func TestRenderTableAndCSV(t *testing.T) {
 	}
 }
 
-func TestSweep1D(t *testing.T) {
-	se := Sweep1D("lambda", tiny(SprayAndWait), []float64{2, 6}, func(s *Scenario, v float64) {
-		s.Lambda = int(v)
-	}, 1)
-	if len(se.Points) != 2 {
-		t.Fatalf("points = %d", len(se.Points))
+func TestSweepLambdaRelays(t *testing.T) {
+	res, err := RunSweep(nil, SweepSpec{Base: tinySpec(SprayAndWait), Lambda: []int{2, 6}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 {
+		t.Fatalf("cells = %d", len(res))
 	}
 	// More replicas must not reduce relays on identical traffic.
-	if se.Points[1].Summary.Relays < se.Points[0].Summary.Relays {
+	if res[1].Mean.Relays < res[0].Mean.Relays {
 		t.Error("λ=6 produced fewer relays than λ=2")
 	}
 }

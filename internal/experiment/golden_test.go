@@ -41,23 +41,23 @@ func goldenScenario() Scenario {
 
 const goldenSeeds = 3
 
-func computeGolden() map[string][]goldenPoint {
-	base := goldenScenario()
-	var batch []Scenario
-	for _, p := range AllPaperProtocols {
-		s := base
-		s.Protocol = p
-		for seed := 1; seed <= goldenSeeds; seed++ {
-			sc := s
-			sc.Seed = int64(seed)
-			batch = append(batch, sc)
-		}
+// computeGolden runs the fixture's sweep point as the Figure-2 sweep
+// does: a protocol axis over the point's base spec, through RunSweep.
+func computeGolden(t *testing.T) map[string][]goldenPoint {
+	g := goldenScenario()
+	sw := SweepSpec{
+		Base: ScenarioSpec{Nodes: ptr(g.Nodes), Duration: ptr(g.Duration), Tick: ptr(g.Tick), Seeds: Seeds(goldenSeeds)},
 	}
-	sums := RunBatch(batch)
+	for _, p := range AllPaperProtocols {
+		sw.Protocols = append(sw.Protocols, string(p))
+	}
+	res, err := RunSweep(nil, sw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make(map[string][]goldenPoint, len(AllPaperProtocols))
 	for i, p := range AllPaperProtocols {
-		for j := 0; j < goldenSeeds; j++ {
-			sum := sums[i*goldenSeeds+j]
+		for _, sum := range res[i].PerSeed {
 			out[string(p)] = append(out[string(p)], goldenPoint{
 				Delivery: sum.DeliveryRatio,
 				Latency:  sum.AvgLatency,
@@ -72,7 +72,7 @@ func TestGoldenFigure2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("18 simulations in -short mode")
 	}
-	got := computeGolden()
+	got := computeGolden(t)
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

@@ -45,7 +45,8 @@ type PlannedCell struct {
 	// simulation under another key, or -1: the two cells differ only in
 	// routing fields their protocol never reads (Scenario.runIdentity).
 	// RunSweep serves such a cell a copy of that cell's summaries; dtnd
-	// and the fabric keep one job per key and run it as its own job.
+	// gives it a job of its own key that follows the job serving that
+	// cell instead of simulating.
 	SameRun int
 }
 

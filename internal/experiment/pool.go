@@ -5,34 +5,20 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/metrics"
 )
 
 // This file is the experiment layer's execution engine: one bounded worker
 // pool that every sweep and multi-seed run funnels through.
 //
-// The previous design parallelised only across seeds — RunSeeds spawned
-// one goroutine per seed with no cap — while sweep points and protocols
-// ran sequentially. A Figure-2 regeneration (6 protocols x 6 node counts
-// x 5 seeds = 180 simulations) therefore alternated between bursts of
-// unbounded goroutines (each world is tens of MB) and single-threaded
-// stretches. Flattening every (protocol, point, seed) combination into one
-// job list executed by GOMAXPROCS workers keeps all cores busy for the
-// whole sweep with bounded memory, and scales to arbitrarily long job
-// lists. Results are written by index, so output order — and every
-// simulation itself, seeded independently — is deterministic regardless
-// of scheduling.
-
-// RunBatch executes every scenario through the shared bounded worker pool
-// and returns their summaries in input order.
-func RunBatch(ss []Scenario) []metrics.Summary {
-	out := make([]metrics.Summary, len(ss))
-	forEachJob(len(ss), func(i int) {
-		out[i] = ss[i].Run()
-	})
-	return out
-}
+// Parallelising only across seeds, with sweep points and protocols run
+// one after another, would alternate bursts of per-seed goroutines (each
+// world is tens of MB) with single-threaded stretches. Flattening every
+// (cell, seed) combination of a sweep into one job list executed by
+// GOMAXPROCS workers (RunSpecsStore) keeps all cores busy for the whole
+// sweep with bounded memory, and scales to arbitrarily long job lists.
+// Results are written by index, so output order — and every simulation
+// itself, seeded independently — is deterministic regardless of
+// scheduling.
 
 // simSlots bounds the simulations *executing* at any instant across the
 // whole process at GOMAXPROCS (sized at init; later GOMAXPROCS changes
@@ -115,28 +101,4 @@ func forEachJobCtx(ctx context.Context, n int, job func(i int)) {
 	if panicVal != nil {
 		panic(panicVal)
 	}
-}
-
-// expand returns one scenario per (base, seed 1..nSeeds) pair, flattening
-// the seed axis into the job list.
-func expand(bases []Scenario, nSeeds int) []Scenario {
-	out := make([]Scenario, 0, len(bases)*nSeeds)
-	for _, b := range bases {
-		for s := 1; s <= nSeeds; s++ {
-			sc := b
-			sc.Seed = int64(s)
-			out = append(out, sc)
-		}
-	}
-	return out
-}
-
-// meanGroups averages consecutive groups of size nSeeds from flat
-// summaries produced by RunBatch(expand(...)).
-func meanGroups(flat []metrics.Summary, nSeeds int) []metrics.Summary {
-	out := make([]metrics.Summary, 0, len(flat)/nSeeds)
-	for i := 0; i+nSeeds <= len(flat); i += nSeeds {
-		out = append(out, metrics.Mean(flat[i:i+nSeeds]))
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"sort"
 	"testing"
 	"time"
 
@@ -151,7 +152,7 @@ func TestCachedCellIsTimingFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := cells[0]
-	sums, err := RunSpecContext(context.Background(), cell.Spec, nil)
+	sums, err := RunSpecStore(context.Background(), cell.Spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,41 +193,51 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// TestProfilerOverheadGate is the CI-facing soft gate on the DISABLED
-// instrumentation path: attaching no profiler must cost nothing
-// measurable. The phase boundaries compile to a nil check each, so the
-// profiled-off run should track the margin easily; the generous bound
-// absorbs CI scheduling noise while still catching a gross regression
-// (instrumentation accidentally moved inside a per-node or per-pair
-// loop). BenchmarkProfilerOverhead reports the precise ratio.
+// TestProfilerOverheadGate is the CI-facing soft gate on the profiler:
+// attaching one must cost little — the phase boundaries are a clock read
+// each, and the disabled path compiles to a nil check. It times
+// alternating off/on pairs of a Quick world run twice as long (~120 ms a
+// run on a 2-vCPU container; each pair runs back to back, first-run
+// order alternating, so machine drift hits both sides alike) and gates
+// the median per-pair ratio: one noisy pair moves a best-of or mean
+// estimate, not the median. The bound still
+// catches a gross regression (instrumentation accidentally moved inside
+// a per-node or per-pair loop). BenchmarkProfilerOverhead reports the
+// precise ratio.
 func TestProfilerOverheadGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
 	s := Quick()
-	s.Nodes = 60
-	s.Duration = 400
-
-	run := func(profile bool) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for rep := 0; rep < 3; rep++ {
-			sc := s
-			sc.Profile = profile
-			t0 := time.Now()
-			sc.Run()
-			if el := time.Since(t0); el < best {
-				best = el
-			}
-		}
-		return best
+	s.Duration = 5000
+	run := func(profile bool) float64 {
+		sc := s
+		sc.Profile = profile
+		t0 := time.Now()
+		sc.Run()
+		return float64(time.Since(t0))
 	}
 	run(false) // warm caches (map memoization, allocator)
-	off := run(false)
-	on := run(true)
-	if float64(on) > float64(off)*1.25 {
-		t.Fatalf("profiler-enabled run %v vs disabled %v: over the 25%% noise gate", on, off)
+	run(true)
+	const pairs = 11
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var off, on float64
+		if i%2 == 0 {
+			off = run(false)
+			on = run(true)
+		} else {
+			on = run(true)
+			off = run(false)
+		}
+		ratios[i] = on / off
 	}
-	t.Logf("profiler overhead: disabled %v, enabled %v (%.2fx)", off, on, float64(on)/float64(off))
+	sort.Float64s(ratios)
+	median := ratios[pairs/2]
+	if median > 1.25 {
+		t.Fatalf("profiler-enabled runs cost a median %.2fx of disabled ones (pair ratios %.2f): over the 25%% gate", median, ratios)
+	}
+	t.Logf("profiler overhead: median pair ratio %.2fx (pair ratios %.2f)", median, ratios)
 }
 
 // BenchmarkProfilerOverhead reports tick cost with the profiler off and

@@ -1,7 +1,8 @@
 // Package experiment assembles and runs complete scenarios: the map, the
 // bus fleet, the traffic load and a protocol under test — the paper's
-// Section V configuration — with multi-seed averaging, node-count sweeps
-// and table/CSV rendering for every figure.
+// Section V configuration — as declarative specs and sweeps (spec.go,
+// sweep.go) with content-addressed caching, trace replay, multi-seed
+// averaging and table/CSV rendering for every figure.
 package experiment
 
 import (
@@ -529,12 +530,13 @@ func (s Scenario) attachProfiler(w *network.World, runner *sim.Runner) *obs.Engi
 // bounded worker pool — worlds are independent) and returns the per-seed
 // summaries in seed order.
 func RunSeeds(s Scenario, seeds []int64) []metrics.Summary {
-	ss := make([]Scenario, len(seeds))
-	for i, seed := range seeds {
-		ss[i] = s
-		ss[i].Seed = seed
-	}
-	return RunBatch(ss)
+	out := make([]metrics.Summary, len(seeds))
+	forEachJob(len(seeds), func(i int) {
+		sc := s
+		sc.Seed = seeds[i]
+		out[i] = sc.Run()
+	})
+	return out
 }
 
 // Seeds returns the canonical seed list 1..n.

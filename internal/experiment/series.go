@@ -38,57 +38,6 @@ var (
 // PaperMetrics lists the paper's three metrics in subfigure order (a, b, c).
 var PaperMetrics = []Metric{MetricDeliveryRatio, MetricLatency, MetricGoodput}
 
-// NodeSweep runs base at every node count, averaging nSeeds seeds per
-// point, and returns one series named after the protocol. All (point,
-// seed) combinations run through one bounded worker pool.
-func NodeSweep(base Scenario, counts []int, nSeeds int) Series {
-	return NodeSweepMulti([]Scenario{base}, counts, nSeeds)[0]
-}
-
-// NodeSweepMulti runs every base scenario at every node count, averaging
-// nSeeds seeds per point. The full (base, count, seed) cross product is
-// flattened into one job list over the bounded worker pool, so a whole
-// figure's worth of curves saturates all cores with bounded memory. One
-// series per base is returned, named after its protocol.
-func NodeSweepMulti(bases []Scenario, counts []int, nSeeds int) []Series {
-	cells := make([]Scenario, 0, len(bases)*len(counts))
-	for _, b := range bases {
-		for _, n := range counts {
-			s := b
-			s.Nodes = n
-			cells = append(cells, s)
-		}
-	}
-	means := meanGroups(RunBatch(expand(cells, nSeeds)), nSeeds)
-	out := make([]Series, len(bases))
-	for i, b := range bases {
-		se := Series{Name: string(b.Protocol)}
-		for j, n := range counts {
-			se.Points = append(se.Points, Point{X: float64(n), Summary: means[i*len(counts)+j]})
-		}
-		out[i] = se
-	}
-	return out
-}
-
-// Sweep1D runs base once per value of a scalar parameter applied by set,
-// averaging nSeeds seeds per point. All (value, seed) combinations run
-// through one bounded worker pool.
-func Sweep1D(name string, base Scenario, values []float64, set func(*Scenario, float64), nSeeds int) Series {
-	cells := make([]Scenario, 0, len(values))
-	for _, v := range values {
-		s := base
-		set(&s, v)
-		cells = append(cells, s)
-	}
-	means := meanGroups(RunBatch(expand(cells, nSeeds)), nSeeds)
-	se := Series{Name: name}
-	for i, v := range values {
-		se.Points = append(se.Points, Point{X: v, Summary: means[i]})
-	}
-	return se
-}
-
 // RenderTable prints one aligned table per metric: rows are x-values,
 // columns are series — the textual equivalent of one sub-figure.
 func RenderTable(w io.Writer, title, xLabel string, series []Series, m Metric) {

@@ -121,7 +121,7 @@ func TestRunSweepSharesRuns(t *testing.T) {
 	for i, c := range cells {
 		specs[i] = c.Spec
 	}
-	oracle, err := RunSpecsContext(ctx, specs)
+	oracle, err := RunSpecsStore(ctx, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

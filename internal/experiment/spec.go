@@ -397,7 +397,7 @@ func (sp ScenarioSpec) apply(base Scenario) Scenario {
 
 // Scenario resolves the spec — preset base, then overrides — and
 // validates the result. The returned scenario carries the first seed of
-// the seed list; RunSpec substitutes the others.
+// the seed list; RunSpecStore substitutes the others.
 func (sp ScenarioSpec) Scenario() (Scenario, error) {
 	base, err := presetScenario(sp.Preset)
 	if err != nil {
@@ -427,8 +427,8 @@ func (sp ScenarioSpec) SeedList() []int64 {
 // OOM the process, so beyond the engine's lower bounds, specs get upper
 // bounds too. The limits are far above every paper scenario (CityScale is
 // 10k nodes, 1.2k ticks, ~400 messages) yet small enough that an accepted
-// job always terminates in bounded memory. CLI paths construct Scenario
-// directly and are not subject to them.
+// job always terminates in bounded memory. The CLIs (dtnsim, sweep,
+// figures) resolve their flags as specs too, so they share the ceilings.
 const (
 	maxNodes  = 200_000    // 20x CityScale; per-node engine state stays allocatable
 	maxTicks  = 50_000_000 // duration/tick steps per seed
@@ -451,18 +451,17 @@ const (
 	maxStopsPerLine = 100
 )
 
-// CheckProtocol reports whether p names a registered protocol — the check
-// spec validation applies, for CLIs to run on their flags up front.
-func CheckProtocol(p Protocol) error {
+// checkProtocol reports whether p names a registered protocol.
+func checkProtocol(p Protocol) error {
 	if _, ok := routerFactories[p]; !ok {
 		return fmt.Errorf("unknown protocol %q", p)
 	}
 	return nil
 }
 
-// CheckMobility reports whether m names a mobility model ("" selects the
-// default), as spec validation does.
-func CheckMobility(m string) error {
+// checkMobility reports whether m names a mobility model ("" selects the
+// default).
+func checkMobility(m string) error {
 	switch m {
 	case "", "bus", "rwp", "city":
 		return nil
@@ -473,10 +472,10 @@ func CheckMobility(m string) error {
 // validateScenario rejects resolved scenarios the engine would panic on or
 // silently misbehave with, and scenarios beyond the service ceilings.
 func validateScenario(s Scenario) error {
-	if err := CheckProtocol(s.Protocol); err != nil {
+	if err := checkProtocol(s.Protocol); err != nil {
 		return err
 	}
-	if err := CheckMobility(s.Mobility); err != nil {
+	if err := checkMobility(s.Mobility); err != nil {
 		return err
 	}
 	if s.Nodes < 2 {
@@ -616,35 +615,26 @@ func (sp ScenarioSpec) CacheKey() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// RunSpec executes the spec over its seed list through the shared bounded
-// pool and returns the per-seed summaries in seed order.
-func RunSpec(sp ScenarioSpec) ([]metrics.Summary, error) {
-	return RunSpecProgress(sp, nil)
-}
-
-// RunSpecProgress is RunSpec with live progress: when progress is non-nil
-// it receives throttled per-seed metrics.Progress events (from pool worker
-// goroutines — the callback must be safe for concurrent use) whose Frac
-// aggregates completion across all seeds. Observation does not perturb the
-// run: summaries are bit-identical with and without a progress callback.
-func RunSpecProgress(sp ScenarioSpec, progress func(metrics.Progress)) ([]metrics.Summary, error) {
-	return RunSpecContext(nil, sp, progress)
-}
-
-// RunSpecContext is RunSpecProgress with cooperative cancellation: once
-// ctx is cancelled, seeds not yet started are skipped (even while waiting
-// for a pool permit) and running seeds stop after their current tick, so a
-// cancelled dtnd job stops simulating and releases its compute promptly.
-// It returns ctx.Err() on cancellation; a nil ctx never cancels, and a
-// run that completes is bit-identical to an uncancellable one.
-func RunSpecContext(ctx context.Context, sp ScenarioSpec, progress func(metrics.Progress)) ([]metrics.Summary, error) {
-	return RunSpecStore(ctx, sp, nil, progress)
-}
-
-// RunSpecStore is RunSpecContext with a result store attached, enabling
-// the spec's trace mode ("record"/"replay"/"auto"): recorded contact
-// scripts are looked up and persisted there. A nil store runs every seed
-// live ("auto" degrades gracefully; explicit "record"/"replay" error).
+// RunSpecStore executes the spec over its seed list through the shared
+// bounded pool and returns the per-seed summaries in seed order — the one
+// single-job run path dtnd, dtnsim and the facade's RunSpec share.
+//
+// The store enables the spec's trace mode ("record"/"replay"/"auto"):
+// recorded contact scripts are looked up and persisted there. A nil store
+// runs every seed live ("auto" degrades gracefully; explicit
+// "record"/"replay" error).
+//
+// When progress is non-nil it receives throttled per-seed
+// metrics.Progress events (from pool worker goroutines, delivered under
+// one lock) whose Frac aggregates completion across all seeds.
+// Observation does not perturb the run: summaries are bit-identical with
+// and without a progress callback.
+//
+// Once ctx is cancelled, seeds not yet started are skipped (even while
+// waiting for a pool permit) and running seeds stop after their current
+// tick, so a cancelled dtnd job releases its compute promptly. It returns
+// ctx.Err() on cancellation; a nil ctx never cancels, and a run that
+// completes is bit-identical to an uncancellable one.
 func RunSpecStore(ctx context.Context, sp ScenarioSpec, store *resultcache.Store, progress func(metrics.Progress)) ([]metrics.Summary, error) {
 	s, err := sp.Scenario()
 	if err != nil {
@@ -706,20 +696,15 @@ func RunSpecStore(ctx context.Context, sp ScenarioSpec, store *resultcache.Store
 	return sums, nil
 }
 
-// RunSpecsContext resolves and executes several specs as one flattened
+// RunSpecsStore resolves and executes several specs as one flattened
 // (spec, seed) job list over the shared bounded pool — the sweep
 // execution path: every cell of a parameter grid makes progress
 // concurrently instead of cell-by-cell. The per-spec, per-seed summaries
 // come back indexed [spec][seed]; every spec is validated before any
-// simulation starts. Cancellation follows RunSpecContext semantics.
-func RunSpecsContext(ctx context.Context, sps []ScenarioSpec) ([][]metrics.Summary, error) {
-	return RunSpecsStore(ctx, sps, nil)
-}
-
-// RunSpecsStore is RunSpecsContext with a result store attached: each
-// spec's trace mode runs against it (see RunSpecStore). The sweep path
-// uses it so protocol-only cells replay one recorded world per seed; each
-// recorded world is read and decoded once per call (scriptTable).
+// simulation starts. Cancellation and the store's trace modes follow
+// RunSpecStore; protocol-only cells replay one recorded world per seed,
+// and each recorded world is read and decoded once per call
+// (scriptTable).
 func RunSpecsStore(ctx context.Context, sps []ScenarioSpec, store *resultcache.Store) ([][]metrics.Summary, error) {
 	type cellJob struct {
 		scenario Scenario

@@ -73,7 +73,7 @@ func TestSpecGoldenFigure2(t *testing.T) {
 	sp := Figure2Spec(EER, g.Nodes, []int64{1, 2, 3})
 	sp.Duration = ptr(g.Duration)
 	sp.Tick = ptr(g.Tick)
-	sums, err := RunSpec(sp)
+	sums, err := RunSpecStore(nil, sp, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,10 +313,10 @@ func TestSpecCacheKey(t *testing.T) {
 	}
 }
 
-// TestRunSpecProgress: observing a run does not perturb it — summaries
-// with and without a progress callback are bit-identical — and progress
-// is plentiful, ordered and complete.
-func TestRunSpecProgress(t *testing.T) {
+// TestRunSpecStoreProgress: observing a run does not perturb it —
+// summaries with and without a progress callback are bit-identical — and
+// progress is plentiful, ordered and complete.
+func TestRunSpecStoreProgress(t *testing.T) {
 	sp := ScenarioSpec{
 		Preset:   "quick",
 		Protocol: ptr(string(SprayAndWait)),
@@ -324,12 +324,12 @@ func TestRunSpecProgress(t *testing.T) {
 		Duration: ptr(600.0),
 		Seeds:    []int64{1, 2},
 	}
-	plain, err := RunSpec(sp)
+	plain, err := RunSpecStore(nil, sp, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var events []float64
-	observed, err := RunSpecProgress(sp, func(p metrics.Progress) {
+	observed, err := RunSpecStore(nil, sp, nil, func(p metrics.Progress) {
 		if p.Seeds != 2 || p.Duration != 600 {
 			t.Errorf("bad progress frame %+v", p)
 		}

@@ -12,20 +12,21 @@ import (
 )
 
 // This file makes parameter studies first-class: a SweepSpec is a base
-// ScenarioSpec plus axes — the protocol and node-count grid of Figure 2
-// and the Section V-B parameters (alpha, ttl, buffer, window, lambda) —
-// that deterministically expands into a list of canonical cell specs,
-// each with its own content address. A sweep is therefore "a set of
-// cells, most of which may already be cached": cmd/sweep, cmd/figures
-// and the dtnd /v1/sweeps endpoint all expand through Cells(), so a cell
-// computed by any of them is a cache hit for all of them.
+// ScenarioSpec plus axes — the protocol and node-count grid of Figure 2,
+// the Section V-B parameters (alpha, ttl, buffer, window, lambda) and
+// the A3 ablation's forwarding hysteresis — that deterministically
+// expands into a list of canonical cell specs, each with its own content
+// address. A sweep is therefore "a set of cells, most of which may
+// already be cached": cmd/sweep, every cmd/figures figure and the dtnd
+// /v1/sweeps endpoint all expand through Cells(), so a cell computed by
+// any of them is a cache hit for all of them.
 
 // SweepSpec is a declarative parameter study: one base job plus up to
-// seven axes. Empty axes contribute nothing; non-empty axes cross-multiply
+// eight axes. Empty axes contribute nothing; non-empty axes cross-multiply
 // in the fixed order protocols → nodes → alpha → ttl → buf_bytes →
-// window → lambda (outermost first), which fixes both cell order and the
-// per-cell axis labels. The base's own field values (and seed list) apply
-// to every cell that no axis overrides.
+// window → lambda → forward_hysteresis (outermost first), which fixes
+// both cell order and the per-cell axis labels. The base's own field
+// values (and seed list) apply to every cell that no axis overrides.
 type SweepSpec struct {
 	Base ScenarioSpec `json:"base"`
 
@@ -36,6 +37,8 @@ type SweepSpec struct {
 	BufBytes  []int     `json:"buf_bytes,omitempty"`
 	Window    []int     `json:"window,omitempty"`
 	Lambda    []int     `json:"lambda,omitempty"`
+
+	ForwardHysteresis []float64 `json:"forward_hysteresis,omitempty"`
 }
 
 // AxisValue names one axis coordinate of a sweep cell, e.g.
@@ -99,6 +102,9 @@ func (sw SweepSpec) axes() []axis {
 	add("lambda", len(sw.Lambda),
 		func(i int) string { return strconv.Itoa(sw.Lambda[i]) },
 		func(sp *ScenarioSpec, i int) { sp.Lambda = ptr(sw.Lambda[i]) })
+	add("forward_hysteresis", len(sw.ForwardHysteresis),
+		func(i int) string { return trimFloat(sw.ForwardHysteresis[i]) },
+		func(sp *ScenarioSpec, i int) { sp.ForwardHysteresis = ptr(sw.ForwardHysteresis[i]) })
 	return out
 }
 

@@ -189,37 +189,56 @@ func FuzzParseSweepSpec(f *testing.F) {
 // sweep (36 cells) is the largest seed.
 const fuzzSweepCells = 36
 
-// TestRunSweepMatchesSweep1D pins the acceptance criterion: the sweep
-// path produces bit-identical summaries to the pre-refactor per-cell
-// path (Sweep1D over expand/RunBatch/meanGroups).
-func TestRunSweepMatchesSweep1D(t *testing.T) {
-	values := []float64{0.2, 0.6}
+// TestRunSweepMatchesRunSeeds is the per-cell oracle check of the sweep
+// path: every cell's mean equals metrics.Mean over RunSeeds of the
+// scenario with the cell's axis value set directly on it — the
+// hand-built Scenario path with no spec, plan, cache or sharing.
+func TestRunSweepMatchesRunSeeds(t *testing.T) {
 	const nSeeds = 2
-
+	// The routing parameters only move results once contacts have built
+	// up estimates: 40 nodes over 1200 s is the smallest quick world tried
+	// where each axis's two values give different summaries.
 	base := sweepTestBase(Seeds(nSeeds))
-	sw := SweepSpec{Base: base, Alpha: values}
-	results, err := RunSweep(nil, sw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scenario, err := sweepTestBase(nil).Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := Sweep1D("EER", scenario, values, func(s *Scenario, v float64) { s.Alpha = v }, nSeeds)
-
-	if len(results) != len(series.Points) {
-		t.Fatalf("%d cells vs %d points", len(results), len(series.Points))
-	}
-	for i := range results {
-		if results[i].Mean != series.Points[i].Summary {
-			t.Errorf("alpha=%g diverged:\n  sweep   %+v\n  legacy  %+v",
-				values[i], results[i].Mean, series.Points[i].Summary)
-		}
-		if results[i].Cached {
-			t.Errorf("alpha=%g claims cached without a store", values[i])
-		}
+	base.Nodes, base.Duration = ptr(40), ptr(1200.0)
+	alphas := []float64{0.2, 0.6}
+	hysteresis := []float64{0, 120}
+	for _, c := range []struct {
+		name string
+		sw   SweepSpec
+		set  func(s *Scenario, i int)
+	}{
+		{"alpha", SweepSpec{Base: base, Alpha: alphas}, func(s *Scenario, i int) { s.Alpha = alphas[i] }},
+		{"forward_hysteresis", SweepSpec{Base: base, ForwardHysteresis: hysteresis},
+			func(s *Scenario, i int) { s.ForwardHysteresis = hysteresis[i] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			results, err := RunSweep(nil, c.sw, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scenario, err := c.sw.Base.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range results {
+				if got := res.Cell.Axes; len(got) != 1 || got[0].Axis != c.name {
+					t.Fatalf("cell %d axes %v, want one %s axis", i, got, c.name)
+				}
+				s := scenario
+				c.set(&s, i)
+				if want := metrics.Mean(RunSeeds(s, Seeds(nSeeds))); res.Mean != want {
+					t.Errorf("cell %d (%s=%s) diverged:\n  sweep   %+v\n  oracle  %+v",
+						i, c.name, res.Cell.Axes[0].Value, res.Mean, want)
+				}
+				if res.Cached || res.Shared {
+					t.Errorf("cell %d cached=%v shared=%v without a store or a shared run", i, res.Cached, res.Shared)
+				}
+			}
+			// The axis must reach the run, or the oracle check is vacuous.
+			if results[0].Mean == results[1].Mean {
+				t.Errorf("both %s cells ran the same simulation", c.name)
+			}
+		})
 	}
 }
 
@@ -267,11 +286,11 @@ func TestRunSweepCacheReuse(t *testing.T) {
 	}
 }
 
-func TestRunSpecsContextCancelled(t *testing.T) {
+func TestRunSpecsStoreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunSpecsContext(ctx, []ScenarioSpec{sweepTestBase(Seeds(2))})
+	_, err := RunSpecsStore(ctx, []ScenarioSpec{sweepTestBase(Seeds(2))}, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -280,13 +299,13 @@ func TestRunSpecsContextCancelled(t *testing.T) {
 	}
 }
 
-// TestRunSpecContextCancelMidRun: cancelling during a run stops the
+// TestRunSpecStoreCancelMidRun: cancelling during a run stops the
 // remaining simulation work and reports context.Canceled.
-func TestRunSpecContextCancelMidRun(t *testing.T) {
+func TestRunSpecStoreCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	_, err := RunSpecContext(ctx, sweepTestBase(Seeds(2)), func(metrics.Progress) {
+	_, err := RunSpecStore(ctx, sweepTestBase(Seeds(2)), nil, func(metrics.Progress) {
 		once.Do(cancel) // cancel on the first progress event
 	})
 	if err != context.Canceled {

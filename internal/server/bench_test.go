@@ -8,6 +8,7 @@ package server
 // clients are doing.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -206,7 +207,20 @@ func promptly(t *testing.T, what string, fn func()) time.Duration {
 // held Server.mu or job.mu across the simulation, these would block for
 // the simulation's lifetime.
 func TestResponsiveDuringSimulation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrentJobs: 2})
+	s, ts := newTestServer(t, Config{MaxConcurrentJobs: 2})
+	// Cleanups run last-registered first, so this one ends every job the
+	// probes started (the "fresh submit" one outlives the test body)
+	// before the cache TempDir is removed under a pending store write.
+	t.Cleanup(func() {
+		s.mu.Lock()
+		for _, j := range s.jobs {
+			j.cancel()
+		}
+		s.mu.Unlock()
+		if err := s.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
 	// Seed the cache so one probe exercises the disk fast path.
 	warm, code := postSpec(t, ts, testSpec)
 	if code != http.StatusAccepted {

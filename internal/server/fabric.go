@@ -666,19 +666,27 @@ func (s *Server) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 // mapped from the plan: on the local engine every job runs on its own,
 // and on a coordinator each unit is dispatched whole, so a
 // record-then-replay chain stays on one worker's store while independent
-// cells scatter across the fleet.
+// cells scatter across the fleet. Followers neither run nor dispatch:
+// on either, Server.follow serves each from the job it follows.
 func (s *Server) startJobs(units [][]*job) {
-	if s.fleet == nil {
-		for _, u := range units {
-			for _, j := range u {
+	var dus []*dispatchUnit
+	for _, u := range units {
+		var dispatch []*job
+		for _, j := range u {
+			switch {
+			case j.follows != nil: // served locally from the job it follows
+				go s.follow(j)
+			case s.fleet == nil:
 				go s.runJob(j)
+			default:
+				dispatch = append(dispatch, j)
 			}
 		}
-		return
+		if len(dispatch) > 0 {
+			dus = append(dus, &dispatchUnit{jobs: dispatch})
+		}
 	}
-	dus := make([]*dispatchUnit, len(units))
-	for i, u := range units {
-		dus[i] = &dispatchUnit{jobs: u}
+	if len(dus) > 0 {
+		s.fleet.enqueue(dus)
 	}
-	s.fleet.enqueue(dus)
 }

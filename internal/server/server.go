@@ -126,11 +126,18 @@ type job struct {
 	accepted time.Time // when the submission was queued (queue-wait metric)
 
 	// holders counts submissions referencing this job — the direct POST
-	// or owning sweep plus every coalesced attach — and is guarded by
-	// Server.mu. Sweep cancellation releases one hold and only cancels
-	// the job when none remain; DELETE /v1/jobs/{id} is an explicit
-	// operator action and cancels unconditionally.
+	// or owning sweep, every coalesced attach and every follower — and is
+	// guarded by Server.mu. Sweep cancellation, and a follower's, releases
+	// one hold and only cancels the job when none remain; DELETE
+	// /v1/jobs/{id} is an explicit operator action and cancels
+	// unconditionally.
 	holders int
+
+	// follows, when set, is the job whose run serves this one: the cell
+	// runs the same simulation under another key (experiment.Plan's
+	// SameRun), so it never simulates and ends in follows' state (see
+	// Server.follow).
+	follows *job
 
 	// onTerminal, when set, observes the job's final state exactly once
 	// (the server's metric counters). Called outside all locks.
@@ -440,12 +447,14 @@ type admitted struct {
 // experiment.Plan reads the store before s.mu is taken; then one pass
 // under the lock settles each to-run key: attach to a live job, take a
 // done job's snapshot result, or become a new job. A cancelled or failed
-// job will never serve the key, so it queues fresh. Duplicates follow
-// their primary cell, and every cell bound to a job holds it once. The
-// submission is refused whole — 503 while draining unless every cell is
-// store-cached, 429 when its new jobs do not fit the queue — with the
-// status in code. units are the plan's dispatch units mapped onto the new
-// jobs, for startJobs once the caller has published them.
+// job will never serve the key, so it queues fresh. A new job whose cell
+// shares the run of an earlier cell (SameRun) follows the job serving
+// that cell and holds it. Duplicates follow their primary cell, and
+// every cell bound to a job holds it once. The submission is refused
+// whole — 503 while draining unless every cell is store-cached, 429 when
+// its new jobs do not fit the queue — with the status in code. units are
+// the plan's dispatch units mapped onto the new jobs, for startJobs once
+// the caller has published them.
 func (s *Server) admit(cells []experiment.SweepCell) (adm []admitted, units [][]*job, code int, err error) {
 	plan := experiment.Plan(cells, s.store)
 	adm = make([]admitted, len(cells))
@@ -464,6 +473,7 @@ func (s *Server) admit(cells []experiment.SweepCell) (adm []admitted, units [][]
 		return nil, nil, http.StatusServiceUnavailable, errors.New("server draining, not accepting jobs")
 	}
 	var fresh []int
+	serving := make([]*job, len(cells)) // the job serving each to-run cell
 	for i, pc := range plan.Cells {
 		if !pc.ToRun() {
 			continue
@@ -471,10 +481,10 @@ func (s *Server) admit(cells []experiment.SweepCell) (adm []admitted, units [][]
 		if j := s.active[pc.Cell.Key]; j != nil && j.ctx.Err() == nil {
 			switch snap := j.snapshot(); {
 			case !terminalState(snap.state):
-				adm[i].job, adm[i].state = j, snap.state
+				adm[i].job, adm[i].state, serving[i] = j, snap.state, j
 				continue
 			case snap.state == stateDone && snap.result != nil:
-				adm[i].cached, adm[i].raw, adm[i].from = snap.result, snap.resultJSON, j.id
+				adm[i].cached, adm[i].raw, adm[i].from, serving[i] = snap.result, snap.resultJSON, j.id, j
 				continue
 			}
 		}
@@ -485,7 +495,12 @@ func (s *Server) admit(cells []experiment.SweepCell) (adm []admitted, units [][]
 			fmt.Errorf("submission needs %d queue slots, %d free", len(fresh), s.cfg.MaxQueuedJobs-s.queued)
 	}
 	for _, i := range fresh {
-		adm[i].job, adm[i].started = s.newJobLocked(plan.Cells[i].Cell.Key, plan.Cells[i].Cell.Spec), true
+		j := s.newJobLocked(plan.Cells[i].Cell.Key, plan.Cells[i].Cell.Spec)
+		if first := plan.Cells[i].SameRun; first >= 0 && serving[first] != nil {
+			j.follows = serving[first]
+			j.follows.holders++
+		}
+		adm[i].job, adm[i].started, serving[i] = j, true, j
 	}
 	for i, pc := range plan.Cells {
 		a := &adm[i]
@@ -606,7 +621,7 @@ func (s *Server) runJob(j *job) {
 	j.setState(stateRunning)
 	s.log.Info("job running", "job", j.id, "key", j.key)
 	// Meter simulation throughput off the progress feed: events arrive
-	// serialized (RunSpecContext delivers under its own lock), so the
+	// serialized (RunSpecStore delivers under its own lock), so the
 	// per-seed last-T table needs no further locking. Sim-time deltas sum
 	// into dtnd_sim_seconds_total.
 	lastT := make(map[int]float64)
@@ -649,7 +664,14 @@ func (s *Server) runJob(j *job) {
 		tm = obs.MergeTiming(tm, sums[i].Timing)
 	}
 	s.m.noteTiming(tm)
-	res, err := experiment.CellResultOf(experiment.SweepCell{Spec: j.spec, Key: j.key}, sums)
+	s.complete(j, sums, tm)
+}
+
+// complete stores the job's per-seed summaries as its cell's result
+// under its own key and publishes it — the end of every local run,
+// simulated or followed.
+func (s *Server) complete(j *job, perSeed []metrics.Summary, tm *obs.Timing) {
+	res, err := experiment.CellResultOf(experiment.SweepCell{Spec: j.spec, Key: j.key}, perSeed)
 	if err != nil {
 		j.fail(err)
 		return
@@ -666,6 +688,54 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.finish(res, raw, tm)
+}
+
+// follow serves a follower job from the job it follows, the way RunSweep
+// serves a SameRun cell: it mirrors that job's progress and ends in its
+// state — on success with the followed run's per-seed summaries stored
+// under the follower's own key and canonical spec. It never simulates.
+// Cancelling the follower releases its hold on the followed job.
+func (s *Server) follow(j *job) {
+	defer s.jobDone(j)
+	defer s.containPanic(j)
+	src := j.follows
+	sent := 0
+	for {
+		snap := src.snapshot()
+		if snap.state != stateQueued {
+			j.setState(stateRunning)
+		}
+		for _, p := range snap.events[sent:] {
+			if !p.Done {
+				j.publish(p)
+			}
+		}
+		sent = len(snap.events)
+		switch {
+		case snap.state == stateDone && snap.result != nil:
+			s.complete(j, snap.result.PerSeed, nil)
+			return
+		case snap.state == stateFailed:
+			j.fail(errors.New(snap.errMsg))
+			return
+		case terminalState(snap.state):
+			j.cancelled()
+			return
+		}
+		select {
+		case <-snap.notify:
+		case <-j.ctx.Done():
+			s.mu.Lock()
+			src.holders--
+			drop := src.holders <= 0
+			s.mu.Unlock()
+			if drop {
+				src.cancel()
+			}
+			j.cancelled()
+			return
+		}
+	}
 }
 
 // jobResponse is the GET /v1/jobs/{id} reply.

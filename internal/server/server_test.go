@@ -120,7 +120,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums, err := experiment.RunSpec(spec)
+	sums, err := experiment.RunSpecStore(nil, spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -604,4 +605,109 @@ func TestSubmitReplaysRecordedWorld(t *testing.T) {
 	if a, b := rawResult(live, sub.Key), rawResult(ts, sub2.Key); !bytes.Equal(a, b) {
 		t.Errorf("replayed result bytes differ from the live run's:\n%s\n%s", a, b)
 	}
+}
+
+// epidemicLambdaSweep's three cells are one run: Epidemic never reads λ
+// (experiment.Plan marks the λ=8 and λ=12 cells SameRun).
+const epidemicLambdaSweep = `{
+	"base": {"preset": "quick", "protocol": "Epidemic", "nodes": 16, "duration": 300, "seeds": [1, 2]},
+	"lambda": [4, 8, 12]
+}`
+
+// TestSweepSameRunFollows: cells that are one run simulate once — the
+// others follow the first cell's job — and each cell is still stored
+// under its own key with exactly the bytes a single-job submission of
+// that cell stores on a fresh server.
+func TestSweepSameRunFollows(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrentJobs: 2})
+	sw, code := postSweep(t, ts, epidemicLambdaSweep)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep status %d: %+v", code, sw)
+	}
+	final := waitSweepState(t, ts, sw.SweepID, stateDone, stateFailed, stateCancelled)
+	if final.Status != string(stateDone) || len(final.Cells) != 3 {
+		t.Fatalf("sweep ended %+v", final)
+	}
+	if got := s.Simulated(); got != 1 {
+		t.Errorf("Simulated = %d, want 1 (one run serves all three cells)", got)
+	}
+	for _, c := range final.Cells {
+		_, raw, ok := s.store.GetRaw(c.Key)
+		if !ok {
+			t.Fatalf("cell %v not stored under its key", c.Axes)
+		}
+		lambda := c.Axes[0].Value
+		s2, ts2 := newTestServer(t, Config{})
+		sub, code := postSpec(t, ts2, `{"preset": "quick", "protocol": "Epidemic", "nodes": 16, "duration": 300, "seeds": [1, 2], "lambda": `+lambda+`}`)
+		if code != http.StatusAccepted || sub.Key != c.Key {
+			t.Fatalf("λ=%s single job: code %d key %s, want %s", lambda, code, sub.Key, c.Key)
+		}
+		waitDone(t, ts2, sub.JobID)
+		_, want, ok := s2.store.GetRaw(c.Key)
+		if !ok || !bytes.Equal(raw, want) {
+			t.Errorf("λ=%s stored entry differs from a single-job run's:\n%s\nwant:\n%s", lambda, raw, want)
+		}
+	}
+}
+
+// TestSweepSameRunEndsWithItsRun: a follower ends in the state of the
+// job it follows — failed with its error, or cancelled — and never
+// simulates on its own.
+func TestSweepSameRunEndsWithItsRun(t *testing.T) {
+	t.Run("failed", func(t *testing.T) {
+		s, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		// The λ=4 cell attaches to a live job that then fails.
+		j, _ := fabricateJob(t, s, `{"preset": "quick", "protocol": "Epidemic", "nodes": 16, "duration": 300, "seeds": [1, 2], "lambda": 4}`)
+		sw, code := postSweep(t, ts, epidemicLambdaSweep)
+		if code != http.StatusAccepted {
+			t.Fatalf("sweep status %d", code)
+		}
+		j.fail(errors.New("engine exploded"))
+		final := waitSweepState(t, ts, sw.SweepID, stateFailed, stateDone, stateCancelled)
+		for _, c := range final.Cells {
+			if c.Status != string(stateFailed) || c.Error != "engine exploded" {
+				t.Errorf("cell %v: %s %q, want failed with the followed job's error", c.Axes, c.Status, c.Error)
+			}
+		}
+		if got := s.Simulated(); got != 0 {
+			t.Errorf("Simulated = %d, want 0", got)
+		}
+	})
+	heavy := `{
+		"base": {"protocol": "Epidemic", "nodes": 240, "duration": 10000, "seeds": [1, 2, 3, 4]},
+		"lambda": [4, 8]
+	}`
+	t.Run("job cancelled", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{})
+		sw, code := postSweep(t, ts, heavy)
+		if code != http.StatusAccepted {
+			t.Fatalf("sweep status %d", code)
+		}
+		del(t, ts.URL+"/v1/jobs/"+sw.Cells[0].JobID)
+		waitState(t, ts, sw.Cells[1].JobID, stateCancelled)
+		waitSweepState(t, ts, sw.SweepID, stateCancelled)
+	})
+	t.Run("sweep cancelled", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		sw, code := postSweep(t, ts, heavy)
+		if code != http.StatusAccepted {
+			t.Fatalf("sweep status %d", code)
+		}
+		if code, body := del(t, ts.URL+"/v1/sweeps/"+sw.SweepID); code != http.StatusAccepted {
+			t.Fatalf("cancel sweep: %d %s", code, body)
+		}
+		// The follower's hold on the first cell's job goes with it, so
+		// the run itself stops too.
+		for _, c := range sw.Cells {
+			waitState(t, ts, c.JobID, stateCancelled)
+		}
+		if got := s.Simulated(); got != 0 {
+			t.Errorf("cancelled sweep simulated %d jobs", got)
+		}
+	})
 }
