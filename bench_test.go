@@ -200,7 +200,7 @@ func BenchmarkMIMerge(b *testing.B) {
 	_ = h
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.SyncPair(a, c)
+		core.Sync(a, c)
 	}
 }
 

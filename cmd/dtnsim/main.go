@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "base seed (used when -seeds 1)")
 		mobility = fs.String("mobility", "bus", "mobility model: bus, rwp or city")
 		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; results identical)")
-		sparse   = fs.Bool("sparse", false, "force the sparse estimator core for EER/CR/MaxProp (auto at >= 1000 nodes; summaries identical)")
 		gossip   = fs.String("gossip", "", "estimator exchange metering for EER/CR/MaxProp: fresher (default), flood or delta (summaries identical except gossip volume)")
 		city     = fs.Bool("city", false, "start from the 10k-node CityScale preset instead of the paper defaults")
 		metro    = fs.Bool("metro", false, "start from the 100k-node MetroScale preset (auto shards, delta gossip) instead of the paper defaults")
@@ -131,8 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sp.Shards = experiment.Ptr(experiment.ShardCount(n))
 		case "gossip":
 			sp.Gossip = experiment.Ptr(*gossip)
-		case "sparse":
-			sp.SparseEstimators = experiment.Ptr(*sparse)
 		case "timing":
 			sp.Profile = experiment.Ptr(*timing)
 		}

@@ -67,12 +67,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		fig      = fs.String("fig", "all", "which figure: 2, 3, 4, a1, a2, a3 or all")
 		seeds    = fs.Int("seeds", 5, "seeds per data point (paper used 10)")
-		quick    = fs.Bool("quick", false, "reduced sweep: fewer nodes, 4000 s runs, 2 seeds")
+		quick    = fs.Bool("quick", false, "reduced sweep: fewer nodes, 4000 s runs, 2 seeds (an explicit -duration or -seeds still applies)")
 		csv      = fs.String("csv", "", "also write CSV data to this file prefix (e.g. fig)")
 		nodes    = fs.String("nodes", "", "override node counts, comma-separated")
 		outDur   = fs.Float64("duration", 10000, "simulated seconds per run")
 		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; summaries identical). The pool already fills all cores, so set this only for few huge runs")
-		sparse   = fs.Bool("sparse", false, "force the sparse estimator core (auto at >= 1000 nodes; summaries identical)")
 		cache    = fs.String("cache", "", "content-addressed result cache shared with dtnd and cmd/sweep; every figure's cells hit it (empty disables)")
 		timing   = fs.Bool("timing", false, "profile the engine and print a per-figure phase breakdown (results stay bit-identical; cached cells carry no timing)")
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -98,11 +97,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	duration, tick := *outDur, 0.25
 	counts := []int{40, 80, 120, 160, 200, 240}
 	if *quick {
-		duration, tick = 4000, 0.5
+		// Quick's defaults give way to an explicit -duration or -seeds.
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		tick = 0.5
 		counts = []int{40, 120, 200}
-		seedsSet := false
-		fs.Visit(func(f *flag.Flag) { seedsSet = seedsSet || f.Name == "seeds" })
-		if !seedsSet {
+		if !set["duration"] {
+			duration = 4000
+		}
+		if !set["seeds"] {
 			*seeds = 2
 		}
 	}
@@ -118,11 +121,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	base := experiment.ScenarioSpec{
-		Duration:         experiment.Ptr(duration),
-		Tick:             experiment.Ptr(tick),
-		Shards:           experiment.Ptr(experiment.ShardCount(shardCount)),
-		SparseEstimators: experiment.Ptr(*sparse),
-		Seeds:            experiment.Seeds(*seeds),
+		Duration: experiment.Ptr(duration),
+		Tick:     experiment.Ptr(tick),
+		Shards:   experiment.Ptr(experiment.ShardCount(shardCount)),
+		Seeds:    experiment.Seeds(*seeds),
 	}
 	if *timing {
 		// Profile is excluded from cell cache keys, so profiled figure

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,6 +84,35 @@ func TestFiguresShareCache(t *testing.T) {
 	_, logA1, _ := runFigures(t, append([]string{"-fig", "a1"}, args...)...)
 	if !strings.Contains(logA1, `msg="figure done" figure=a1 cells=2 simulated=1 runs=1 shared=0 cached=1`) {
 		t.Errorf("A1 did not read its EER cell from figure 3's cache:\n%s", logA1)
+	}
+}
+
+// TestFiguresQuickKeepsDuration: -quick sets 4000 s runs only when
+// -duration is not given, as it does for -seeds, so -quick -duration 400
+// simulates (and caches) 400 s cells.
+func TestFiguresQuickKeepsDuration(t *testing.T) {
+	cache := t.TempDir()
+	runFigures(t, "-fig", "a3", "-quick", "-duration", "400", "-nodes", "20", "-seeds", "1", "-cache", cache)
+	files, err := filepath.Glob(filepath.Join(cache, "*", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no cached cells (%v)", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res struct {
+			CanonicalSpec struct {
+				Scenario struct{ Duration, Tick float64 }
+			} `json:"canonical_spec"`
+		}
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatal(err)
+		}
+		if sc := res.CanonicalSpec.Scenario; sc.Duration != 400 || sc.Tick != 0.5 {
+			t.Errorf("%s: cell ran %g s at tick %g, want 400 s at quick's 0.5", filepath.Base(f), sc.Duration, sc.Tick)
+		}
 	}
 }
 

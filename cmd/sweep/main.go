@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		duration = fs.Float64("duration", 6000, "simulated seconds")
 		workers  = fs.Int("workers", 0, "cap simulation workers (0 = all cores)")
 		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; summaries identical)")
-		sparse   = fs.Bool("sparse", false, "force the sparse estimator core (auto at >= 1000 nodes; summaries identical)")
 		cache    = fs.String("cache", "", "content-addressed result cache directory shared with dtnd (empty disables)")
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	)
@@ -74,12 +73,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	base := experiment.ScenarioSpec{
-		Protocol:         experiment.Ptr(*protocol),
-		Nodes:            experiment.Ptr(*nodes),
-		Duration:         experiment.Ptr(*duration),
-		Shards:           experiment.Ptr(experiment.ShardCount(shardCount)),
-		SparseEstimators: experiment.Ptr(*sparse),
-		Seeds:            experiment.Seeds(*seeds),
+		Protocol: experiment.Ptr(*protocol),
+		Nodes:    experiment.Ptr(*nodes),
+		Duration: experiment.Ptr(*duration),
+		Shards:   experiment.Ptr(experiment.ShardCount(shardCount)),
+		Seeds:    experiment.Seeds(*seeds),
 	}
 	// Resolve the base before any cell runs: an unknown protocol or a value
 	// beyond the job ceilings is a usage error.

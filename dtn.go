@@ -6,6 +6,9 @@
 //
 // This root package is the stable facade: scenario configuration,
 // execution, sweeps and the paper's contact-expectation estimators. The
+// estimators (History, MeetingMatrix, MEMD) keep per-node state that grows
+// with the peers a node observed, never with the network size, so the
+// same code serves the paper's figures and 10⁵-node cities. The
 // implementation lives in internal/ packages (see DESIGN.md for the
 // inventory); examples/ and cmd/ show idiomatic use.
 //
@@ -57,28 +60,20 @@ type Metric = experiment.Metric
 // estimators: EEV (Theorem 1), EMD (Theorem 2) and ENEC (Theorem 4).
 type History = core.History
 
-// MeetingStore is the estimator-storage contract shared by the dense
-// MeetingMatrix and the sparse city-scale SparseMeetingStore: interval
-// lookup, row freshness, own-row refresh and known-entry iteration.
+// MeetingStore is the read and refresh contract of the MI link state:
+// interval lookup, row freshness, own-row refresh and known-entry
+// iteration.
 type MeetingStore = core.MeetingStore
 
-// MeetingMatrix is the dense link-state MI matrix of average meeting
-// intervals with per-row freshness merge — the figure-scale MeetingStore.
+// MeetingMatrix is the link-state MI matrix of average meeting intervals
+// with per-row freshness merge. It stores only the rows its node published
+// or learned, so memory grows with recorded meetings instead of the
+// network size.
 type MeetingMatrix = core.MeetingMatrix
 
-// SparseMeetingStore is the city-scale MeetingStore: per-row storage over
-// observed peers only, so memory grows with recorded meetings instead of
-// the network size.
-type SparseMeetingStore = core.SparseMeetingStore
-
-// MEMD computes minimum expected meeting delays (Theorem 3) over an MD
-// matrix built from a History and a MeetingMatrix.
+// MEMD computes minimum expected meeting delays (Theorem 3) with a heap
+// Dijkstra over the recorded edges of a History and a MeetingMatrix.
 type MEMD = core.MEMD
-
-// SparseMEMD computes Theorem-3 delays with a bounded-heap Dijkstra over
-// recorded edges — O(E log V) on the observed contact graph instead of
-// O(n²), with bit-identical delays.
-type SparseMEMD = core.SparseMEMD
 
 // The protocols of the paper's evaluation plus extra references and
 // ablation variants.
@@ -182,27 +177,13 @@ func Seeds(n int) []int64 { return experiment.Seeds(n) }
 // MeanSummary averages summaries component-wise.
 func MeanSummary(ss []Summary) Summary { return metrics.Mean(ss) }
 
-// NewHistory returns an empty dense contact history for node self in a
-// network of n nodes with the given sliding-window size (0 = default).
+// NewHistory returns an empty contact history for node self in a network
+// of n nodes with the given sliding-window size (0 = default). Storage
+// grows with the peers actually contacted.
 func NewHistory(self, n, window int) *History { return core.NewHistory(self, n, window) }
 
-// NewSparseHistory returns an empty sparse contact history: storage grows
-// with the peers actually contacted, with estimators bit-identical to the
-// dense mode.
-func NewSparseHistory(self, n, window int) *History { return core.NewSparseHistory(self, n, window) }
-
-// NewMeetingMatrix returns an all-unknown dense MI matrix over nodes
-// 0..n-1.
+// NewMeetingMatrix returns an all-unknown MI matrix over nodes 0..n-1.
 func NewMeetingMatrix(n int) *MeetingMatrix { return core.NewFullMeetingMatrix(n) }
 
-// NewSparseMeetingStore returns an empty sparse MI store over nodes
-// 0..n-1.
-func NewSparseMeetingStore(n int) *SparseMeetingStore { return core.NewSparseMeetingStore(n) }
-
-// NewMEMD returns a dense Theorem-3 calculator for matrices of the given
-// size.
-func NewMEMD(size int) *MEMD { return core.NewMEMD(size) }
-
-// NewSparseMEMD returns a sparse Theorem-3 calculator; one instance serves
-// stores of any size.
-func NewSparseMEMD() *SparseMEMD { return core.NewSparseMEMD() }
+// NewMEMD returns a Theorem-3 calculator for node ids below n.
+func NewMEMD(n int) *MEMD { return core.NewMEMD(n) }

@@ -61,46 +61,92 @@ func (h *dijHeap) pop() dijItem {
 	return top
 }
 
-// IndexDijkstra is the heap Dijkstra behind the dense estimators (MEMD
-// and MaxProp's Σ(1−p) path costs): vertices are local indices 0..n-1,
-// distances live in a dense slice, and the caller feeds each settled
-// vertex's edges from its row's entries (see Row) instead of scanning a
-// full matrix row. A run costs O(n + E log V) over the stored edges rather than
-// the O(n²) of an array Dijkstra, and its distances are bit-identical to
-// one: with strictly positive weights every final distance is the minimum
-// over settled in-neighbours u of dist[u]+w(u,v), whatever the settle
-// order — and the (distance, id) heap order settles ties by lowest id just
-// as the array scan does.
+// IndexDijkstra is the heap Dijkstra behind every estimator path search:
+// Theorem 3's MEMD (and its A2 ablation) and MaxProp's Σ(1−p) path costs.
+// Vertices are global node ids below the kernel's size, and the caller
+// feeds each settled vertex's edges from its row's entries (see Row). A
+// run costs O(k + E log V) over the k stored rows and E stored edges it
+// reaches, never O(n): the next Reset restores only the distances and row
+// slots the run touched, so one n-wide kernel per world serves every node.
+// (Restoring touched entries rather than stamping each one with a run
+// number keeps Relax a single comparison, small enough to inline.)
 //
-// Usage: Reset(src), Relax the source's edges with base 0, then Relax each
-// vertex Next returns from its distance until Next reports false. All
-// scratch is retained across runs.
+// Its distances are bit-identical to an array Dijkstra's: with strictly
+// positive weights every final distance is the minimum over settled
+// in-neighbours u of dist[u]+w(u,v), whatever the settle order — and the
+// (distance, id) heap order settles ties by lowest id just as the array
+// scan does.
+//
+// Usage: Reset(src, rows), relax the source's edges with base 0, then
+// relax RowOf(u) from each vertex Next returns until Next reports false.
+// All scratch is retained across runs.
 type IndexDijkstra struct {
-	dist []float64
-	done []bool
-	heap dijHeap
+	dist    []float64 // +Inf outside the vertices the current run reached
+	heap    dijHeap
+	settled []Reach
+	run     uint64 // counts Resets
+
+	// rowOf indexes the rows of the set given to Reset by owner; loaded
+	// lists those owners so the next Reset can clear them.
+	rowOf  []*Row
+	loaded []int32
 }
 
-// NewIndexDijkstra returns a kernel over n vertices.
+// Reach is one settled vertex of a run and its distance.
+type Reach struct {
+	ID int32
+	D  float64
+}
+
+// NewIndexDijkstra returns a kernel over vertices 0..n-1.
 func NewIndexDijkstra(n int) *IndexDijkstra {
-	return &IndexDijkstra{dist: make([]float64, n), done: make([]bool, n)}
+	d := &IndexDijkstra{}
+	d.ensure(n)
+	return d
 }
 
-// Size returns the number of vertices.
-func (d *IndexDijkstra) Size() int { return len(d.dist) }
-
-// Reset starts a run from src: every distance +Inf except src's 0, src
-// settled, the heap empty.
-func (d *IndexDijkstra) Reset(src int) {
-	inf := math.Inf(1)
-	for i := range d.dist {
-		d.dist[i] = inf
+// ensure grows the kernel to at least n vertices.
+func (d *IndexDijkstra) ensure(n int) {
+	for len(d.dist) < n {
+		d.dist = append(d.dist, math.Inf(1))
+		d.rowOf = append(d.rowOf, nil)
 	}
-	clear(d.done)
-	d.heap = d.heap[:0]
-	d.dist[src] = 0
-	d.done[src] = true
 }
+
+// Reset starts a run from src over the rows of rs (nil = none): every
+// vertex unreached except src, settled at 0, and RowOf answering from rs
+// until the next Reset.
+func (d *IndexDijkstra) Reset(src int, rs *RowSet) {
+	inf := math.Inf(1)
+	// Every vertex the last run reached is settled or still queued.
+	for _, r := range d.settled {
+		d.dist[r.ID] = inf
+	}
+	for _, it := range d.heap {
+		d.dist[it.id] = inf
+	}
+	for _, o := range d.loaded {
+		d.rowOf[o] = nil
+	}
+	d.heap = d.heap[:0]
+	d.run++
+	d.dist[src] = 0
+	d.settled = append(d.settled[:0], Reach{ID: int32(src)})
+	d.loaded = d.loaded[:0]
+	if rs != nil {
+		d.loaded = append(d.loaded, rs.owners...)
+		for i, o := range rs.owners {
+			d.rowOf[o] = rs.slots[i].row
+		}
+	}
+}
+
+// Run identifies the current run: it changes at every Reset, so a caller
+// that noted it can tell whether Dist still answers for its own run.
+func (d *IndexDijkstra) Run() uint64 { return d.run }
+
+// RowOf returns u's row in the set given to Reset, or nil.
+func (d *IndexDijkstra) RowOf(u int) *Row { return d.rowOf[u] }
 
 // Relax offers the edge u→v of weight w from a settled vertex u at
 // distance base. Non-positive, +Inf and NaN weights are "no edge" — the
@@ -121,19 +167,42 @@ func (d *IndexDijkstra) improve(v int, nd float64) {
 }
 
 // Next settles and returns the closest unsettled reached vertex and its
-// distance; ok is false once none remains.
+// distance; ok is false once none remains. A queued entry above its
+// vertex's distance is stale: the vertex improved after the push, or
+// already settled (only the push of its final distance matches it).
 func (d *IndexDijkstra) Next() (u int, dist float64, ok bool) {
 	for len(d.heap) > 0 {
 		it := d.heap.pop()
-		if d.done[it.id] {
-			continue // stale entry; the vertex settled at a smaller distance
+		if it.d > d.dist[it.id] {
+			continue
 		}
-		d.done[it.id] = true
+		d.settled = append(d.settled, Reach{ID: it.id, D: it.d})
 		return int(it.id), it.d, true
 	}
 	return 0, 0, false
 }
 
-// Dist returns the distances of the current run, by vertex (shared; do not
-// mutate). Unreached vertices read +Inf.
-func (d *IndexDijkstra) Dist() []float64 { return d.dist }
+// Dist returns v's distance in the current run; ok is false when v is
+// unreached.
+func (d *IndexDijkstra) Dist(v int) (dist float64, ok bool) {
+	if v < 0 || v >= len(d.dist) {
+		return math.Inf(1), false
+	}
+	return d.dist[v], d.dist[v] <= math.MaxFloat64
+}
+
+// Settled returns the vertices the current run settled so far, the source
+// first, in settle order (shared scratch; copy to keep).
+func (d *IndexDijkstra) Settled() []Reach { return d.settled }
+
+// DistTo looks dst up in a copy of a run's settled list; unreached
+// destinations read +Inf. The scan is linear: a contact's cache answers
+// about one lookup per run, less than sorting the copy would cost.
+func DistTo(settled []Reach, dst int) float64 {
+	for _, r := range settled {
+		if int(r.ID) == dst {
+			return r.D
+		}
+	}
+	return math.Inf(1)
+}

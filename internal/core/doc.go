@@ -17,14 +17,20 @@
 //     its known entries) is an immutable value: only its owner builds new
 //     versions, and the merge rule of Section III-B.2 (footnote 1: only
 //     fresher rows are exchanged) swaps whole rows, so every store shares
-//     row pointers instead of copying entries. DenseRows (one slot per
-//     node) and SparseRows (observed owners only) hold them.
-//   - MeetingMatrix / SparseMeetingStore — the link-state MI matrix of
-//     average meeting intervals over those rows, dense-slotted at figure
-//     scale, sparse at city scale.
+//     row pointers instead of copying entries. A RowSet holds the rows of
+//     the owners its node has heard of, sorted by owner.
+//   - MeetingMatrix — the link-state MI matrix of average meeting
+//     intervals over those rows, for the whole network (EER) or one
+//     community (CR).
 //   - MEMD — Theorem 3: the minimum expected meeting delay, computed by a
 //     heap Dijkstra over the MD matrix whose own row holds Theorem-2 EMDs
 //     and whose remaining rows hold MI averages.
+//
+// Per-node state grows with the peers a node observed, never with the
+// network size: histories keep one record per met peer, stores one row per
+// heard-of owner. Only per-world scratch — the Dijkstra's distances and
+// row index — is n-wide, which is what lets the protocols run at city
+// scale.
 //
 // Conventions for cases the paper leaves open (documented in DESIGN.md and
 // pinned by tests): a pair that has never met contributes probability 0 and

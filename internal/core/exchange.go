@@ -38,7 +38,7 @@ import "fmt"
 // what the digest advertises. Cap evictions are the one way a store can
 // fall behind without the invariant noticing, which the eviction
 // generation fallback closes. exchange_test.go pins the equivalence, and
-// the scenario-level suite pins dense == sparse == delta at summary level.
+// the scenario-level suite pins it at summary level.
 
 // ExchangeMode selects the metered wire protocol of estimator syncs.
 type ExchangeMode uint8
@@ -78,30 +78,20 @@ func (m ExchangeMode) String() string {
 	}
 }
 
-// SyncMode merges two stores of the same implementation into the
-// element-wise fresher rows, metering the exchange under the given mode.
-// aID and bID are the global node ids of the stores' owners (the keys of
-// the per-peer delta watermarks). Mixing implementations panics: a world
-// runs one storage mode.
-func SyncMode(a, b MeetingStore, aID, bID int, mode ExchangeMode) ExchangeStats {
-	switch x := a.(type) {
-	case *MeetingMatrix:
-		y := b.(*MeetingMatrix)
-		sameIDs(x, y)
-		return SyncRows(&x.rows, &y.rows, aID, bID, mode)
-	case *SparseMeetingStore:
-		return SyncRows(x.rows, b.(*SparseMeetingStore).rows, aID, bID, mode)
-	default:
-		panic(fmt.Sprintf("core: SyncMode over unknown MeetingStore implementation %T", a))
-	}
+// SyncMode merges two stores into the element-wise fresher rows, metering
+// the exchange under the given mode. aID and bID are the global node ids
+// of the stores' owners (the keys of the per-peer delta watermarks). Both
+// stores must cover the same node set.
+func SyncMode(a, b *MeetingMatrix, aID, bID int, mode ExchangeMode) ExchangeStats {
+	sameScope(a, b)
+	return SyncRows(a.rows, b.rows, aID, bID, mode)
 }
 
-// SyncRows merges two row sets of the same implementation both ways — the
-// exchange behind every MI sync and MaxProp's vector flood — metering under
-// the given mode. a absorbs b's fresher rows first, then b reads a's merged
-// state; rows a just learned carry equal freshness, so they never ship
-// back.
-func SyncRows(a, b RowSet, aID, bID int, mode ExchangeMode) ExchangeStats {
+// SyncRows merges two row sets both ways — the exchange behind every MI
+// sync and MaxProp's vector flood — metering under the given mode. a
+// absorbs b's fresher rows first, then b reads a's merged state; rows a
+// just learned carry equal freshness, so they never ship back.
+func SyncRows(a, b *RowSet, aID, bID int, mode ExchangeMode) ExchangeStats {
 	switch mode {
 	case ExchangeFlood:
 		var st ExchangeStats
@@ -119,8 +109,8 @@ func SyncRows(a, b RowSet, aID, bID int, mode ExchangeMode) ExchangeStats {
 	}
 }
 
-func syncDelta(a, b RowSet, aID, bID int) ExchangeStats {
-	ga, gb := a.gossip(), b.gossip()
+func syncDelta(a, b *RowSet, aID, bID int) ExchangeStats {
+	ga, gb := &a.gossipMarks, &b.gossipMarks
 	// A side evicted rows since the peers last met (or mid-sync, hence the
 	// pre-merge snapshot below) may be missing rows its peer never
 	// re-mutated; the peer answers with a full digest.

@@ -11,8 +11,9 @@ import (
 // The delta-gossip layer's contract (exchange.go) is that ExchangeMode
 // changes metering only: fresher, flood and delta syncs leave every store
 // in the identical state after any schedule of own-row refreshes and
-// pairwise syncs. deltaEquivalence pins that, including under sparse row
-// caps where eviction forces the full-digest fallback; the remaining tests
+// pairwise syncs. deltaEquivalence pins that, over dense and sparse
+// contact graphs and under row caps where eviction forces the full-digest
+// fallback; the remaining tests
 // pin the metering itself — deltas shrink on repeat meetings, floods don't,
 // and the row/entry counters stay mode-independent between fresher and
 // delta.
@@ -53,22 +54,16 @@ func makeScript(n, steps int, seed int64) exchangeScript {
 
 // playScript runs the script against fresh stores under one mode and
 // returns the final stores plus the per-sync stats in schedule order.
-// maxRows > 0 caps sparse stores (dense stores ignore it).
-func playScript(sc exchangeScript, sparse bool, maxRows int, mode ExchangeMode) ([]MeetingStore, []ExchangeStats) {
-	stores := make([]MeetingStore, sc.n)
+// maxRows > 0 caps the stores.
+func playScript(sc exchangeScript, maxRows int, mode ExchangeMode) ([]*MeetingMatrix, []ExchangeStats) {
+	stores := make([]*MeetingMatrix, sc.n)
 	hists := make([]*History, sc.n)
 	for i := range stores {
-		if sparse {
-			s := NewSparseMeetingStore(sc.n)
-			if maxRows > 0 {
-				s.SetMaxRows(maxRows, i)
-			}
-			stores[i] = s
-			hists[i] = NewSparseHistory(i, sc.n, 0)
-		} else {
-			stores[i] = NewFullMeetingMatrix(sc.n)
-			hists[i] = NewHistory(i, sc.n, 0)
+		stores[i] = NewFullMeetingMatrix(sc.n)
+		if maxRows > 0 {
+			stores[i].SetMaxRows(maxRows, i)
 		}
+		hists[i] = NewHistory(i, sc.n, 0)
 	}
 	var stats []ExchangeStats
 	for _, ev := range sc.events {
@@ -101,27 +96,30 @@ func storeFingerprint(s MeetingStore, n int) string {
 	return out
 }
 
-// TestDeltaEquivalence (deltaEquivalence): under every storage mode and
-// cap, flood and delta syncs must land every store in the exact state the
-// fresher baseline produces, and fresher/delta must agree on rows and
-// entries actually shipped (flood ships at least as many).
+// TestDeltaEquivalence (deltaEquivalence): over a dense contact graph (12
+// nodes, nearly every row full), a sparse one (60 nodes, a few entries per
+// row and stores holding scattered owners, so merges insert into the
+// middle of the owner lists) and a capped sparse one, flood and delta
+// syncs must land every store in the exact state the fresher baseline
+// produces, and fresher/delta must agree on rows and entries actually
+// shipped (flood ships at least as many).
 func TestDeltaEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
-		sparse  bool
+		n       int
 		maxRows int
 	}{
-		{"dense", false, 0},
-		{"sparse", true, 0},
-		{"sparse-capped", true, 5}, // forces evictions → full-digest fallback
+		{"dense", 12, 0},
+		{"sparse", 60, 0},
+		{"sparse-capped", 60, 5}, // forces evictions → full-digest fallback
 	}
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 42, 99} {
 			t.Run(fmt.Sprintf("%s-seed%d", tc.name, seed), func(t *testing.T) {
-				sc := makeScript(12, 400, seed)
-				ref, refStats := playScript(sc, tc.sparse, tc.maxRows, ExchangeFresher)
+				sc := makeScript(tc.n, 400, seed)
+				ref, refStats := playScript(sc, tc.maxRows, ExchangeFresher)
 				for _, mode := range []ExchangeMode{ExchangeFlood, ExchangeDelta} {
-					got, gotStats := playScript(sc, tc.sparse, tc.maxRows, mode)
+					got, gotStats := playScript(sc, tc.maxRows, mode)
 					for i := range ref {
 						want, have := storeFingerprint(ref[i], sc.n), storeFingerprint(got[i], sc.n)
 						if want != have {
@@ -147,12 +145,13 @@ func TestDeltaEquivalence(t *testing.T) {
 
 // TestDeltaDigestShrinks pins the point of the digest: a pair that syncs
 // twice with no intervening mutations advertises and ships nothing the
-// second time, while a flood re-ships the full row sets.
+// second time, while a flood re-ships the full row sets — over a dense
+// and a sparse contact graph.
 func TestDeltaDigestShrinks(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		t.Run(map[bool]string{false: "dense", true: "sparse"}[sparse], func(t *testing.T) {
-			sc := makeScript(8, 200, 7)
-			stores, _ := playScript(sc, sparse, 0, ExchangeDelta)
+	for name, n := range map[string]int{"dense": 8, "sparse": 40} {
+		t.Run(name, func(t *testing.T) {
+			sc := makeScript(n, 200, 7)
+			stores, _ := playScript(sc, 0, ExchangeDelta)
 			first := SyncMode(stores[0], stores[1], 0, 1, ExchangeDelta)
 			again := SyncMode(stores[0], stores[1], 0, 1, ExchangeDelta)
 			if again.Rows != 0 || again.DigestRows != 0 {
@@ -200,7 +199,7 @@ func TestDeltaFirstMeetingIsFull(t *testing.T) {
 // full set, so the evicted row is re-learned even though its stamp never
 // moved.
 func TestSparseEvictionForcesFullDigest(t *testing.T) {
-	a, b := NewSparseRows(), NewSparseRows()
+	a, b := NewRowSet(), NewRowSet()
 	// b publishes rows 1..4; a learns them all on the first sync.
 	for id := 1; id <= 4; id++ {
 		b.Publish(id, NewRow(float64(id), []int32{9}, []float64{float64(id)}))
@@ -292,25 +291,6 @@ func TestUvarintLen(t *testing.T) {
 	// digestStamp quantizes to whole milliseconds.
 	if digestStamp(2.5) != 2500 || digestStamp(0) != 0 || digestStamp(1.0001) != 1000 {
 		t.Fatalf("digestStamp quantization wrong: %d %d %d", digestStamp(2.5), digestStamp(0), digestStamp(1.0001))
-	}
-}
-
-// TestDenseSparseDeltaAgree runs the same schedule through dense and
-// sparse storage under delta mode and compares the shipped volumes sync by
-// sync — the storage-independence promise of ExchangeStats extended to
-// delta metering.
-func TestDenseSparseDeltaAgree(t *testing.T) {
-	sc := makeScript(10, 300, 13)
-	_, dense := playScript(sc, false, 0, ExchangeDelta)
-	_, sparse := playScript(sc, true, 0, ExchangeDelta)
-	if len(dense) != len(sparse) {
-		t.Fatalf("sync count diverged: %d vs %d", len(dense), len(sparse))
-	}
-	for k := range dense {
-		d, s := dense[k], sparse[k]
-		if d.Rows != s.Rows || d.Entries != s.Entries || d.DigestRows != s.DigestRows || d.Bytes != s.Bytes {
-			t.Fatalf("sync %d: dense %+v vs sparse %+v", k, d, s)
-		}
 	}
 }
 

@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DefaultWindow is the default number of meeting intervals retained per
@@ -50,13 +51,11 @@ func (r *intervalRing) forEach(f func(v float64)) {
 // intervals, as required by Section III-A.1 of the paper. Meeting intervals
 // are measured between consecutive contact starts.
 //
-// History comes in two storage modes with identical estimator semantics:
-// dense (NewHistory) keeps one slot per potential peer — O(n) per node,
-// right for figure-scale runs — while sparse (NewSparseHistory) keeps a
-// record per *observed* peer only, which is what lets the contact
-// expectation protocols run at city scale. Every estimator iterates peers
-// in ascending id order in both modes, so probabilities, EMDs and their
-// float sums are bit-identical across modes.
+// Storage grows with the number of *observed* peers, never with the
+// network size: one record per met peer, kept in a list sorted by peer id.
+// Every estimator iterates peers in ascending id order, so probabilities,
+// EMDs and their float sums equal those of a scan over all n peers, where
+// never-met peers contribute exact zeros.
 //
 // History is not safe for concurrent use; in the simulator each node owns
 // one and all access happens on the single simulation goroutine.
@@ -64,49 +63,25 @@ type History struct {
 	self   int
 	n      int
 	window int
-	// Dense storage (nil in sparse mode).
-	last  []float64 // last contact start time per peer; NaN = never met
-	ivals []intervalRing
-	met   []bool
-	// Sparse storage over observed peers only (nil in dense mode).
-	recs map[int]*peerRec
-	ids  []int // met peer ids, ascending (both modes)
+	ids    []int32   // met peer ids, ascending
+	recs   []peerRec // recs[i] belongs to ids[i]
 
-	// Row-building scratch for ownMIRow, reused across refreshes.
+	// Row-building scratch for UpdateOwnRow, reused across refreshes.
 	rowPeers []int32
 	rowVals  []float64
 }
 
-// peerRec is one observed peer's sparse contact record.
+// peerRec is one observed peer's contact record: the last contact start
+// and the interval window (nil until a second meeting needs it).
 type peerRec struct {
 	last float64
 	ring intervalRing
 }
 
-// NewHistory returns an empty dense-mode history for node self in a
-// network of n nodes, retaining at most window intervals per peer.
-// window <= 0 selects DefaultWindow.
+// NewHistory returns an empty history for node self in a network of n
+// nodes, retaining at most window intervals per peer. window <= 0 selects
+// DefaultWindow.
 func NewHistory(self, n, window int) *History {
-	h := newHistoryCommon(self, n, window)
-	h.last = make([]float64, n)
-	h.ivals = make([]intervalRing, n)
-	h.met = make([]bool, n)
-	for i := range h.last {
-		h.last[i] = math.NaN()
-	}
-	return h
-}
-
-// NewSparseHistory returns an empty sparse-mode history for node self in a
-// network of n nodes: storage grows with the number of distinct peers
-// actually contacted, never with n.
-func NewSparseHistory(self, n, window int) *History {
-	h := newHistoryCommon(self, n, window)
-	h.recs = make(map[int]*peerRec)
-	return h
-}
-
-func newHistoryCommon(self, n, window int) *History {
 	if self < 0 || self >= n {
 		panic(fmt.Sprintf("core: history self %d out of range [0,%d)", self, n))
 	}
@@ -115,10 +90,6 @@ func newHistoryCommon(self, n, window int) *History {
 	}
 	return &History{self: self, n: n, window: window}
 }
-
-// Sparse reports whether the history uses sparse per-observed-peer
-// storage.
-func (h *History) Sparse() bool { return h.recs != nil }
 
 // Self returns the owning node id.
 func (h *History) Self() int { return h.self }
@@ -137,40 +108,16 @@ func (h *History) RecordContact(peer int, t float64) {
 	if peer == h.self {
 		panic("core: self-contact recorded")
 	}
-	if h.recs != nil {
-		h.recordSparse(peer, t)
-		return
-	}
-	if !h.met[peer] {
-		h.insertMet(peer)
-		h.met[peer] = true
-		h.last[peer] = t
-		return
-	}
-	dt := t - h.last[peer]
-	if dt < 0 {
-		panic(fmt.Sprintf("core: contact time going backwards for peer %d: %g after %g", peer, t, h.last[peer]))
-	}
-	if h.ivals[peer].buf == nil {
-		h.ivals[peer] = newIntervalRing(h.window)
-	}
-	h.ivals[peer].push(dt)
-	h.last[peer] = t
-}
-
-// recordSparse is RecordContact's sparse-mode body: first meetings insert
-// a record (keeping the met-peer list ascending), later ones append the
-// interval to the peer's ring.
-func (h *History) recordSparse(peer int, t float64) {
 	if peer < 0 || peer >= h.n {
 		panic(fmt.Sprintf("core: peer %d out of range [0,%d)", peer, h.n))
 	}
-	rec := h.recs[peer]
-	if rec == nil {
-		h.insertMet(peer)
-		h.recs[peer] = &peerRec{last: t}
+	i, ok := slices.BinarySearch(h.ids, int32(peer))
+	if !ok {
+		h.ids = slices.Insert(h.ids, i, int32(peer))
+		h.recs = slices.Insert(h.recs, i, peerRec{last: t})
 		return
 	}
+	rec := &h.recs[i]
 	dt := t - rec.last
 	if dt < 0 {
 		panic(fmt.Sprintf("core: contact time going backwards for peer %d: %g after %g", peer, t, rec.last))
@@ -182,116 +129,105 @@ func (h *History) recordSparse(peer int, t float64) {
 	rec.last = t
 }
 
-// insertMet adds a first-met peer to the ascending met-peer list.
-func (h *History) insertMet(peer int) {
-	i := sort.SearchInts(h.ids, peer)
-	h.ids = append(h.ids, 0)
-	copy(h.ids[i+1:], h.ids[i:])
-	h.ids[i] = peer
-}
-
-// peerState resolves peer's record in either storage mode: the last
-// contact time, the interval ring (nil when none was ever needed) and
-// whether the pair ever met.
-func (h *History) peerState(peer int) (last float64, ring *intervalRing, met bool) {
-	if h.recs != nil {
-		rec := h.recs[peer]
-		if rec == nil {
-			return 0, nil, false
+// metIn yields the position and id of every met peer in scope (nil =
+// every met peer), ascending: one walk over both sorted lists.
+func (h *History) metIn(scope ScopeSet) iter.Seq2[int, int32] {
+	return func(yield func(int, int32) bool) {
+		j := 0
+		for i, peer := range h.ids {
+			if scope != nil {
+				for j < len(scope) && scope[j] < peer {
+					j++
+				}
+				if j == len(scope) {
+					return
+				}
+				if scope[j] != peer {
+					continue
+				}
+			}
+			if !yield(i, peer) {
+				return
+			}
 		}
-		return rec.last, &rec.ring, true
 	}
-	if !h.met[peer] {
-		return 0, nil, false
-	}
-	return h.last[peer], &h.ivals[peer], true
 }
 
-// forEachMet visits every peer the node has ever contacted, in ascending
-// id order — the shared iteration every cross-peer estimator reduces over,
-// identical in both storage modes.
-func (h *History) forEachMet(f func(peer int)) {
-	for _, id := range h.ids {
-		f(id)
+// rec returns peer's record, or nil if the pair never met.
+func (h *History) rec(peer int) *peerRec {
+	if i, ok := slices.BinarySearch(h.ids, int32(peer)); ok {
+		return &h.recs[i]
 	}
+	return nil
 }
 
 // MetCount returns the number of distinct peers ever contacted.
 func (h *History) MetCount() int { return len(h.ids) }
 
 // Met reports whether the node has ever contacted peer.
-func (h *History) Met(peer int) bool {
-	_, _, met := h.peerState(peer)
-	return met
-}
+func (h *History) Met(peer int) bool { return h.rec(peer) != nil }
 
 // LastContact returns the start time of the most recent contact with peer.
 // ok is false if they never met.
 func (h *History) LastContact(peer int) (t float64, ok bool) {
-	last, _, met := h.peerState(peer)
-	if !met {
-		return 0, false
+	if r := h.rec(peer); r != nil {
+		return r.last, true
 	}
-	return last, true
+	return 0, false
 }
 
 // Intervals returns a copy of the recorded meeting intervals R(self,peer),
 // oldest first.
 func (h *History) Intervals(peer int) []float64 {
-	_, r, met := h.peerState(peer)
-	if !met || r == nil {
-		return []float64{}
+	out := []float64{}
+	if r := h.rec(peer); r != nil {
+		r.ring.forEach(func(v float64) { out = append(out, v) })
 	}
-	out := make([]float64, 0, r.len())
-	r.forEach(func(v float64) { out = append(out, v) })
 	return out
 }
 
 // IntervalCount returns r_ij, the number of recorded intervals for peer.
 func (h *History) IntervalCount(peer int) int {
-	_, r, met := h.peerState(peer)
-	if !met || r == nil {
-		return 0
+	if r := h.rec(peer); r != nil {
+		return r.ring.len()
 	}
-	return r.len()
+	return 0
 }
 
 // MeanInterval returns the average of the recorded meeting intervals
 // I(self,peer) = (1/r)·Σ Δt_k. ok is false when no interval is recorded.
 // This is the quantity node self publishes into its MI row.
 func (h *History) MeanInterval(peer int) (mean float64, ok bool) {
-	_, r, met := h.peerState(peer)
-	if !met || r == nil || r.len() == 0 {
+	if r := h.rec(peer); r != nil {
+		return r.mean()
+	}
+	return 0, false
+}
+
+// mean is MeanInterval over the record.
+func (r *peerRec) mean() (float64, bool) {
+	if r.ring.len() == 0 {
 		return 0, false
 	}
 	sum := 0.0
-	r.forEach(func(v float64) { sum += v })
-	return sum / float64(r.len()), true
+	r.ring.forEach(func(v float64) { sum += v })
+	return sum / float64(r.ring.len()), true
 }
 
-// conditioned computes the window statistics of Theorems 1/2/4 for peer at
-// time t:
+// conditioned computes the window statistics of Theorems 1/2/4 for the
+// record r at time t:
 //
 //	m    = |M|  where M  = {Δt ∈ R : Δt > t - t0}
 //	sumM = Σ of M
 //	mTau = |Mτ| where Mτ = {Δt ∈ M : Δt ≤ t + tau - t0}
 //	r    = |R|
-//
-// If the node never met peer, met is false and all counts are zero.
-func (h *History) conditioned(peer int, t, tau float64) (m, mTau, r int, sumM float64, met bool) {
-	last, ring, known := h.peerState(peer)
-	if !known {
-		return 0, 0, 0, 0, false
-	}
-	elapsed := t - last
+func (r *peerRec) conditioned(t, tau float64) (m, mTau, n int, sumM float64) {
+	elapsed := t - r.last
 	if elapsed < 0 {
 		elapsed = 0
 	}
-	if ring == nil {
-		return 0, 0, 0, 0, true
-	}
-	r = ring.len()
-	ring.forEach(func(dt float64) {
+	n = r.ring.len()
+	r.ring.forEach(func(dt float64) {
 		if dt > elapsed {
 			m++
 			sumM += dt
@@ -300,7 +236,7 @@ func (h *History) conditioned(peer int, t, tau float64) (m, mTau, r int, sumM fl
 			}
 		}
 	})
-	return m, mTau, r, sumM, true
+	return m, mTau, n, sumM
 }
 
 // EncounterProb returns the estimated probability (Eq. 4 in the proof of
@@ -315,8 +251,16 @@ func (h *History) EncounterProb(peer int, t, tau float64) float64 {
 	if peer == h.self || tau <= 0 {
 		return 0
 	}
-	m, mTau, r, _, met := h.conditioned(peer, t, tau)
-	if !met || r == 0 {
+	if r := h.rec(peer); r != nil {
+		return r.encounterProb(t, tau)
+	}
+	return 0
+}
+
+// encounterProb is EncounterProb over the record, for tau > 0.
+func (r *peerRec) encounterProb(t, tau float64) float64 {
+	m, mTau, n, _ := r.conditioned(t, tau)
+	if n == 0 {
 		return 0
 	}
 	if m == 0 {
@@ -337,21 +281,27 @@ func (h *History) EMD(peer int, t float64) (emd float64, ok bool) {
 	if peer == h.self {
 		return 0, false
 	}
-	m, _, r, sumM, met := h.conditioned(peer, t, math.Inf(1))
-	if !met || r == 0 {
+	if r := h.rec(peer); r != nil {
+		return r.emd(t)
+	}
+	return math.Inf(1), false
+}
+
+// emd is EMD over the record.
+func (r *peerRec) emd(t float64) (float64, bool) {
+	m, _, n, sumM := r.conditioned(t, math.Inf(1))
+	if n == 0 {
 		return math.Inf(1), false
 	}
 	if m == 0 {
-		mean, _ := h.MeanInterval(peer)
+		mean, _ := r.mean()
 		return math.Max(mean, MinDelay), true
 	}
-	last, _, _ := h.peerState(peer)
-	elapsed := t - last
+	elapsed := t - r.last
 	if elapsed < 0 {
 		elapsed = 0
 	}
-	v := sumM/float64(m) - elapsed
-	return math.Max(v, MinDelay), true
+	return math.Max(sumM/float64(m)-elapsed, MinDelay), true
 }
 
 // MinDelay is the smallest expected meeting delay reported by EMD. MD edge
@@ -360,21 +310,15 @@ const MinDelay = 1e-9
 
 // EEV returns the expected encounter value of the node within (t, t+tau]
 // (Theorem 1): the sum of EncounterProb over all other nodes. Never-met
-// peers contribute an exact 0.0, so the sparse mode's met-peers-only sum is
-// bit-identical to the dense all-peers scan.
+// peers contribute an exact 0.0, so the sum over met peers equals the
+// all-peers sum bitwise.
 func (h *History) EEV(t, tau float64) float64 {
 	sum := 0.0
-	if h.recs != nil {
-		for _, j := range h.ids {
-			sum += h.EncounterProb(j, t, tau)
-		}
+	if tau <= 0 {
 		return sum
 	}
-	for j := 0; j < h.n; j++ {
-		if j == h.self {
-			continue
-		}
-		sum += h.EncounterProb(j, t, tau)
+	for i := range h.recs {
+		sum += h.recs[i].encounterProb(t, tau)
 	}
 	return sum
 }

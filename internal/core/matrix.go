@@ -10,13 +10,9 @@ import (
 // It behaves as "no edge" in the MEMD Dijkstra.
 var Unknown = math.Inf(1)
 
-// MeetingStore is the storage contract of the MI link state (Section
-// III-B.2): what every estimator consumer — the MEMD Dijkstra, the
-// freshness exchange, the routers — needs from meeting-interval storage,
-// independent of whether rows are dense arrays or sparse observed-peer
-// lists. The dense MeetingMatrix serves figure-scale runs; the
-// SparseMeetingStore serves city scale. Implementations live in this
-// package so that Sync can pair them.
+// MeetingStore is the read and refresh contract of the MI link state
+// (Section III-B.2) that routers expose to tests and tools; MeetingMatrix
+// implements it.
 //
 // Contract: Interval returns Unknown when absent or uncovered and 0 on the
 // diagonal; RowUpdated returns -1 for never-published rows; ForEachKnown
@@ -49,11 +45,8 @@ type MeetingStore interface {
 // directions) actually moved: rows shipped, the known (finite,
 // off-diagonal) entries those rows carried, and the serialized bytes they
 // stand for — including, in delta mode, the digest round-trip and row
-// requests (DigestBytes breaks that overhead out of Bytes). Dense and
-// sparse stores report identical stats for identical exchanges — a dense
-// row's unknown entries never travel, mirroring the sparse row that simply
-// omits them — so the counters are storage-mode independent like every
-// other summary metric.
+// requests (DigestBytes breaks that overhead out of Bytes). A row carries
+// only its known entries: unknown intervals never travel.
 type ExchangeStats struct {
 	Rows    int
 	Entries int
@@ -105,8 +98,7 @@ func digestStamp(updated float64) uint64 {
 
 // DigestEntryLen is the wire size of one digest entry: owner id and
 // millisecond freshness stamp, both varint-encoded. Summed per advertised
-// row, so the total is iteration-order independent — dense and sparse
-// stores meter identical digests for identical exchanges. Exported for
+// row, so the total is iteration-order independent. Exported for
 // routers that meter their own delta gossip (MaxProp's vector exchange).
 func DigestEntryLen(owner int, updated float64) int {
 	return uvarintLen(uint64(owner)) + uvarintLen(digestStamp(updated))
@@ -144,96 +136,120 @@ func (e *ExchangeStats) Add(o ExchangeStats) {
 	e.DigestBytes += o.DigestBytes
 }
 
-// Sync merges two stores of the same implementation into the element-wise
-// fresher rows required by Algorithm 1 line 4 — the interface-level
-// SyncPair. Mixing implementations panics: a world runs one storage mode.
-// It returns the combined exchange volume of both directions.
-func Sync(a, b MeetingStore) ExchangeStats {
+// Sync merges two stores into the element-wise fresher rows required by
+// Algorithm 1 line 4: each ends up with the fresher row of every owner
+// either held. Both must cover the same node set. It returns the combined
+// exchange volume of both directions. With row caps the post-merge stores
+// are no longer necessarily identical — each keeps its own freshest
+// cap-full.
+func Sync(a, b *MeetingMatrix) ExchangeStats {
 	return SyncMode(a, b, -1, -1, ExchangeFresher)
 }
 
-// MeetingMatrix is the link-state MI matrix of Section III-B.2: for a node
-// set {ids}, row i holds node ids[i]'s published average meeting intervals
-// to the other covered nodes. Each row is owned by the node it describes
-// and carries the timestamp of its last update, so that two encountering
-// nodes can exchange only the fresher rows (footnote 1 of the paper).
+// MeetingMatrix is the link-state MI matrix of Section III-B.2: row i
+// holds node i's published average meeting intervals to the other covered
+// nodes. Each row is owned by the node it describes and carries the
+// timestamp of its last update, so that two encountering nodes can
+// exchange only the fresher rows (footnote 1 of the paper).
 //
 // The same type serves the full network (EER) and a single community
-// (CR's intra-community MI) — the latter simply covers fewer ids.
+// (CR's intra-community MI) — the latter covers a ScopeSet.
 //
-// The matrix is dense in its slots, not in its entries: one shared,
-// immutable Row pointer per covered node (see Row), whose entries are the
-// row's known (finite, off-diagonal) intervals keyed by local index.
-// Every entry outside a row is Unknown and the diagonal is 0. Figure-scale
-// rows hold a few known entries out of hundreds, so the MEMD Dijkstra and
-// the exchange metering walk those alone, and a merge moves pointers.
+// Storage grows with observed link state only: the rows live in a RowSet
+// (the rows the node published or learned, sorted by owner), each an
+// immutable, shared Row of its owner's finite intervals. Every entry
+// outside a row is Unknown and the diagonal is 0.
 type MeetingMatrix struct {
-	idx  map[int]int // global id -> local index; nil when ids are 0..n-1
-	rows DenseRows   // rows.ids: covered global ids, ascending; nil when 0..n-1
+	size  int
+	scope ScopeSet // nil = all of 0..size-1
+	rows  *RowSet
 }
 
-// NewMeetingMatrix returns an all-Unknown matrix over the given global node
-// ids, which must contain no duplicates. The matrix keeps a sorted copy, so
-// local indices ascend with global ids. A matrix over exactly 0..n-1
-// (EER's) maps ids to local indices by identity and keeps neither the id
-// list nor an id map.
-func NewMeetingMatrix(ids []int) *MeetingMatrix {
-	sorted := slices.Clone(ids)
-	slices.Sort(sorted)
-	m := &MeetingMatrix{rows: *NewDenseRows(len(ids))}
-	for i, id := range sorted {
-		if i > 0 && id == sorted[i-1] {
-			panic(fmt.Sprintf("core: duplicate id %d in meeting matrix", id))
-		}
-		if id != i && m.idx == nil {
-			m.idx = make(map[int]int, len(ids))
-			m.rows.ids = sorted
+// ScopeSet is an immutable set of node ids, ascending. Stores only read
+// it, so one set can back every store with the same scope — CR shares one
+// per community instead of building a member set per node.
+type ScopeSet []int32
+
+// NewScopeSet returns the set of the given ids, rejecting duplicates.
+func NewScopeSet(ids []int) ScopeSet {
+	sc := make(ScopeSet, len(ids))
+	for i, id := range ids {
+		sc[i] = int32(id)
+	}
+	slices.Sort(sc)
+	for i := 1; i < len(sc); i++ {
+		if sc[i] == sc[i-1] {
+			panic(fmt.Sprintf("core: duplicate id %d in meeting matrix", sc[i]))
 		}
 	}
-	if m.idx != nil {
-		for i, id := range sorted {
-			m.idx[id] = i
-		}
-	}
-	return m
+	return sc
 }
 
-// NewFullMeetingMatrix returns a matrix over nodes 0..n-1.
+// Has reports whether id is in the set.
+func (sc ScopeSet) Has(id int) bool {
+	_, ok := slices.BinarySearch(sc, int32(id))
+	return ok
+}
+
+// NewFullMeetingMatrix returns an empty matrix over nodes 0..n-1.
 func NewFullMeetingMatrix(n int) *MeetingMatrix {
-	return &MeetingMatrix{rows: *NewDenseRows(n)}
+	return &MeetingMatrix{size: n, rows: NewRowSet()}
+}
+
+// NewMeetingMatrix returns an empty matrix covering exactly the given
+// global node ids, which must contain no duplicates.
+func NewMeetingMatrix(ids []int) *MeetingMatrix {
+	return NewScopedMeetingMatrix(NewScopeSet(ids))
+}
+
+// NewScopedMeetingMatrix returns an empty matrix covering exactly the ids
+// in scope, which it shares.
+func NewScopedMeetingMatrix(scope ScopeSet) *MeetingMatrix {
+	return &MeetingMatrix{size: len(scope), scope: scope, rows: NewRowSet()}
+}
+
+// SetMaxRows bounds the store to maxRows rows (0 = unbounded) with
+// stale-row eviction, never evicting self's own row — the long-horizon
+// memory cap of Scenario.MaxSparseRows. Capping changes which link state a
+// node retains, so it is off by default; summaries remain deterministic
+// for any fixed cap.
+func (m *MeetingMatrix) SetMaxRows(maxRows, self int) {
+	m.rows.SetCap(maxRows, self)
 }
 
 // Size returns the number of covered nodes.
-func (m *MeetingMatrix) Size() int { return len(m.rows.rows) }
+func (m *MeetingMatrix) Size() int { return m.size }
 
-// Index returns the local index of global node id. ok is false when the
-// matrix does not cover id.
-func (m *MeetingMatrix) Index(id int) (int, bool) {
-	if m.idx == nil {
-		return id, id >= 0 && id < len(m.rows.rows)
+// span returns one more than the largest covered id: the vertex range a
+// Dijkstra over the store needs.
+func (m *MeetingMatrix) span() int {
+	if m.scope == nil {
+		return m.size
 	}
-	i, ok := m.idx[id]
-	return i, ok
+	if len(m.scope) == 0 {
+		return 0
+	}
+	return int(m.scope[len(m.scope)-1]) + 1
 }
 
 // Covers reports whether the matrix includes global node id.
 func (m *MeetingMatrix) Covers(id int) bool {
-	_, ok := m.Index(id)
-	return ok
+	if m.scope == nil {
+		return id >= 0 && id < m.size
+	}
+	return m.scope.Has(id)
 }
 
 // Interval returns the published average meeting interval between global
 // nodes a and b, or Unknown if absent or uncovered.
 func (m *MeetingMatrix) Interval(a, b int) float64 {
-	i, ok1 := m.Index(a)
-	j, ok2 := m.Index(b)
-	if !ok1 || !ok2 {
+	if !m.Covers(a) || !m.Covers(b) {
 		return Unknown
 	}
-	if i == j {
+	if a == b {
 		return 0
 	}
-	if v, ok := m.rows.rows[i].Get(j); ok {
+	if v, ok := m.rows.Row(a).Get(b); ok {
 		return v
 	}
 	return Unknown
@@ -242,85 +258,65 @@ func (m *MeetingMatrix) Interval(a, b int) float64 {
 // RowUpdated returns the timestamp of the last update of global node id's
 // row, or -1 if it was never set (or id is uncovered).
 func (m *MeetingMatrix) RowUpdated(id int) float64 {
-	i, ok := m.Index(id)
-	if !ok {
-		return -1
+	if r := m.rows.Row(id); r != nil {
+		return r.Updated
 	}
-	return updatedOf(m.rows.rows[i])
+	return -1
 }
+
+// KnownRows returns how many rows the store holds: every stored row was
+// published by its owner.
+func (m *MeetingMatrix) KnownRows() int { return m.rows.Len() }
 
 // UpdateOwnRow publishes a new row for global node self from its contact
-// history at time t. Only peers covered by the matrix are read, so a
-// community-scoped matrix stores only intra-community averages.
+// history at time t: the finite mean interval to every met, covered peer.
+// One pass fills the history's scratch; the row gets exactly sized copies.
 func (m *MeetingMatrix) UpdateOwnRow(self int, t float64, h *History) {
-	i, ok := m.Index(self)
-	if !ok {
+	if !m.Covers(self) {
 		panic(fmt.Sprintf("core: node %d not covered by meeting matrix", self))
 	}
-	m.rows.Publish(i, ownMIRow(t, h, m.Index))
-}
-
-// ownMIRow builds a node's MI row at time t from its contact history: the
-// finite mean interval to every met peer that col maps into the store,
-// keyed by col's index, which must ascend with the global id. One pass
-// fills the history's scratch; the row gets exactly sized copies.
-func ownMIRow(t float64, h *History, col func(peer int) (int, bool)) *Row {
 	peers, vals := h.rowPeers[:0], h.rowVals[:0]
-	h.forEachMet(func(peer int) {
-		j, ok := col(peer)
-		if !ok {
-			return
-		}
-		if mean, got := h.MeanInterval(peer); got && !math.IsInf(mean, 1) {
-			peers = append(peers, int32(j))
+	for i, peer := range h.metIn(m.scope) {
+		if mean, got := h.recs[i].mean(); got && !math.IsInf(mean, 1) {
+			peers = append(peers, peer)
 			vals = append(vals, mean)
 		}
-	})
+	}
 	h.rowPeers, h.rowVals = peers, vals
-	return NewRow(t, slices.Clone(peers), slices.Clone(vals))
+	m.rows.Publish(self, NewRow(t, slices.Clone(peers), slices.Clone(vals)))
 }
 
 // ForEachKnown implements MeetingStore: the finite off-diagonal entries of
-// owner's row, ascending by peer id (local indices ascend with ids).
+// owner's row, ascending by peer id.
 func (m *MeetingMatrix) ForEachKnown(owner int, f func(peer int, interval float64)) {
-	i, ok := m.Index(owner)
-	if !ok {
-		return
-	}
-	peers, vals := m.rows.rows[i].Entries()
-	for k, j := range peers {
-		f(m.rows.owner(int(j)), vals[k])
+	peers, vals := m.rows.Row(owner).Entries()
+	for k, p := range peers {
+		f(int(p), vals[k])
 	}
 }
 
 // Merge takes into m every row of other that is strictly fresher,
-// implementing the exchange of Algorithm 1 line 4. It returns the exchange
-// volume (rows taken, known entries they carried, serialized bytes). Both
-// matrices must cover the same id set.
+// implementing one direction of the exchange of Algorithm 1 line 4. It
+// returns the exchange volume (rows taken, known entries they carried,
+// serialized bytes). Both matrices must cover the same id set.
 func (m *MeetingMatrix) Merge(other *MeetingMatrix) ExchangeStats {
-	sameIDs(m, other)
-	return m.rows.mergeFrom(&other.rows, 0, true)
+	sameScope(m, other)
+	return m.rows.mergeFrom(other.rows, 0, true)
 }
 
-// sameIDs panics unless a and b cover the same id set.
-func sameIDs(a, b *MeetingMatrix) {
-	if !slices.Equal(a.rows.ids, b.rows.ids) || len(a.rows.rows) != len(b.rows.rows) {
+// sameScope panics unless a and b cover the same id set.
+func sameScope(a, b *MeetingMatrix) {
+	same := a.size == b.size && (a.scope == nil) == (b.scope == nil)
+	if same && len(a.scope) > 0 && &a.scope[0] != &b.scope[0] {
+		same = slices.Equal(a.scope, b.scope)
+	}
+	if !same {
 		panic("core: merging meeting matrices over different node sets")
 	}
 }
 
-// SyncPair merges a and b into the identical MI required by Algorithm 1
-// line 4: each ends up with the element-wise fresher rows of the two. It
-// returns the combined exchange volume of both directions.
-func SyncPair(a, b *MeetingMatrix) ExchangeStats {
-	return SyncMode(a, b, -1, -1, ExchangeFresher)
-}
-
-// KnownRows returns how many rows have ever been updated.
-func (m *MeetingMatrix) KnownRows() int { return m.rows.knownRows() }
-
 // Clone returns a copy of the matrix. Rows are immutable, so the copy
-// shares them (and the id list) rather than their entries.
+// shares them (and the scope) rather than their entries.
 func (m *MeetingMatrix) Clone() *MeetingMatrix {
-	return &MeetingMatrix{idx: m.idx, rows: m.rows.clone()}
+	return &MeetingMatrix{size: m.size, scope: m.scope, rows: m.rows.clone()}
 }

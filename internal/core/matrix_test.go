@@ -36,8 +36,8 @@ func TestMeetingMatrixBasics(t *testing.T) {
 
 func TestMeetingMatrixScopedIDs(t *testing.T) {
 	m := NewMeetingMatrix([]int{3, 7, 9})
-	if _, ok := m.Index(7); !ok {
-		t.Fatal("Index(7) not found")
+	if !m.Covers(7) {
+		t.Fatal("Covers(7) should be true")
 	}
 	if m.Covers(5) {
 		t.Error("Covers(5) should be false")
@@ -69,7 +69,7 @@ func TestMergeFreshness(t *testing.T) {
 	hb.RecordContact(0, 30)
 	b.UpdateOwnRow(1, 30, hb)
 
-	SyncPair(a, b)
+	Sync(a, b)
 	if v := a.Interval(1, 0); v != 30 {
 		t.Errorf("a learned Interval(1,0) = %g, want 30", v)
 	}

@@ -3,13 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-// This file pins the MEMD Dijkstra over the dense store's shared rows:
-// every delay must match a dense Dijkstra over the materialised MD matrix
+// This file pins the MEMD Dijkstra over the store's shared rows: every
+// delay must match a dense array Dijkstra over the materialised MD matrix
 // bit for bit.
 
 // intn is the op source driving an miWorld or a rowWorld: a seeded
@@ -31,9 +32,9 @@ func (s *byteSource) Intn(n int) int {
 	return v
 }
 
-// miWorld is a set of nodes, each with a dense history over the whole
-// network and a dense MI over the covered ids (all nodes, or a CR-style
-// community subset).
+// miWorld is a set of nodes, each with a history over the whole network
+// and an MI over the covered ids (all nodes, or a CR-style community
+// subset).
 type miWorld struct {
 	n    int
 	ids  []int
@@ -48,7 +49,11 @@ func newMIWorld(n int, ids []int) *miWorld {
 		w.hist[i] = NewHistory(i, n, 4) // a short window keeps means moving
 	}
 	for _, id := range ids {
-		w.mi[id] = NewMeetingMatrix(ids)
+		if len(ids) == n {
+			w.mi[id] = NewFullMeetingMatrix(n)
+		} else {
+			w.mi[id] = NewMeetingMatrix(ids)
+		}
 	}
 	return w
 }
@@ -86,29 +91,34 @@ func (w *miWorld) step(src intn) {
 	}
 }
 
-// checkRows fails unless every row of m holds ascending, finite,
-// off-diagonal entries — the store's known-entry invariant — every slot's
-// inline freshness stamp equals its row's, and the flood metering counts
-// exactly those entries.
+// checkRows fails unless the store's owners ascend, every row holds
+// ascending, finite, off-diagonal entries — the store's known-entry
+// invariant — every slot's inline freshness stamp equals its row's, and
+// the flood metering counts exactly those entries.
 func checkRows(t testing.TB, m *MeetingMatrix) {
 	t.Helper()
-	entries := 0
-	if len(m.rows.upd) != len(m.rows.rows) {
-		t.Fatalf("%d freshness stamps for %d slots", len(m.rows.upd), len(m.rows.rows))
+	rs := m.rows
+	if len(rs.upd) != len(rs.owners) || len(rs.slots) != len(rs.owners) {
+		t.Fatalf("%d owners, %d freshness stamps, %d slots", len(rs.owners), len(rs.upd), len(rs.slots))
 	}
-	for i, row := range m.rows.rows {
-		if u := m.rows.upd[i]; math.Float64bits(u) != math.Float64bits(updatedOf(row)) {
-			t.Fatalf("slot %d: inline stamp %v, row published at %v", i, u, updatedOf(row))
+	entries := 0
+	for i, owner := range rs.owners {
+		if i > 0 && owner <= rs.owners[i-1] {
+			t.Fatalf("owners out of order: %v", rs.owners)
+		}
+		row := rs.slots[i].row
+		if u := rs.upd[i]; math.Float64bits(u) != math.Float64bits(row.Updated) {
+			t.Fatalf("owner %d: inline stamp %v, row published at %v", owner, u, row.Updated)
 		}
 		peers, vals := row.Entries()
 		for k, j := range peers {
-			if int(j) == i || (k > 0 && j <= peers[k-1]) || math.IsInf(vals[k], 0) || math.IsNaN(vals[k]) {
-				t.Fatalf("row %d: entries %v %v break the known-entry invariant", i, peers, vals)
+			if j == owner || (k > 0 && j <= peers[k-1]) || math.IsInf(vals[k], 0) || math.IsNaN(vals[k]) {
+				t.Fatalf("row %d: entries %v %v break the known-entry invariant", owner, peers, vals)
 			}
 		}
 		entries += len(peers)
 	}
-	if got := m.rows.floodVolume().Entries; got != entries {
+	if got := rs.floodVolume().Entries; got != entries {
 		t.Fatalf("flood metering counts %d entries, rows hold %d", got, entries)
 	}
 }
@@ -116,8 +126,7 @@ func checkRows(t testing.TB, m *MeetingMatrix) {
 // scopedIDs is a community-style subset of a 16-node network.
 var scopedIDs = []int{1, 3, 4, 7, 8, 10, 13, 14}
 
-// wideIDs is a 70-node subset of a 140-node network whose local indices
-// and global ids differ everywhere past 0.
+// wideIDs is a 70-node subset of a 140-node network: every other id.
 var wideIDs = func() []int {
 	ids := make([]int, 70)
 	for i := range ids {
@@ -168,15 +177,25 @@ func TestRowCopyClearsStaleEntries(t *testing.T) {
 	}
 }
 
-// mdOracle materialises self's MD matrix — the Theorem-2 own row, MI rows
-// elsewhere — and runs the reference dense Dijkstra over it.
-func mdOracle(self int, t float64, h *History, mi *MeetingMatrix, storeOnly bool) []float64 {
-	n := mi.Size()
-	src, _ := mi.Index(self)
-	ids := make([]int, n)
-	for j := range ids {
-		ids[j] = mi.rows.owner(j)
+// coveredIDs lists the ids a store covers, ascending.
+func coveredIDs(mi *MeetingMatrix) []int {
+	if mi.scope == nil {
+		return fullIDs(mi.Size())
 	}
+	ids := make([]int, len(mi.scope))
+	for i, id := range mi.scope {
+		ids[i] = int(id)
+	}
+	return ids
+}
+
+// mdOracle materialises self's MD matrix over the covered ids — the
+// Theorem-2 own row, MI rows elsewhere — and runs the reference array
+// Dijkstra over it. dist[j] is the delay to ids[j].
+func mdOracle(self int, t float64, h *History, mi *MeetingMatrix, storeOnly bool) (ids []int, dist []float64) {
+	ids = coveredIDs(mi)
+	n := len(ids)
+	src := slices.Index(ids, self)
 	w := make([][]float64, n)
 	for i := range w {
 		w[i] = make([]float64, n)
@@ -194,16 +213,18 @@ func mdOracle(self int, t float64, h *History, mi *MeetingMatrix, storeOnly bool
 			}
 		}
 	}
-	dist := make([]float64, n)
+	dist = make([]float64, n)
 	denseDijkstraRef(w, src, dist)
-	return dist
+	return ids, dist
 }
 
 // checkMEMDParity compares both MEMD computations from every covered node
-// against the oracle, bit for bit.
+// against the oracle, bit for bit: Delay for every covered id, and
+// Reached listing exactly the finite ones. The calculator starts smaller
+// than the id range, so it must grow.
 func checkMEMDParity(t testing.TB, w *miWorld, at float64) {
 	t.Helper()
-	calc := NewMEMD(len(w.ids))
+	calc := NewMEMD(len(w.ids) / 2)
 	for _, self := range w.ids {
 		mi := w.mi[self]
 		for _, storeOnly := range []bool{false, true} {
@@ -212,21 +233,31 @@ func checkMEMDParity(t testing.TB, w *miWorld, at float64) {
 			} else {
 				calc.Compute(self, at, w.hist[self], mi)
 			}
-			want := mdOracle(self, at, w.hist[self], mi, storeOnly)
-			for j, d := range calc.Distances() {
-				if math.Float64bits(d) != math.Float64bits(want[j]) {
-					t.Fatalf("storeOnly=%v MEMD(%d→%d) = %v, oracle %v", storeOnly, self, w.ids[j], d, want[j])
+			ids, want := mdOracle(self, at, w.hist[self], mi, storeOnly)
+			finite := 0
+			for j, id := range ids {
+				if got := calc.Delay(id); math.Float64bits(got) != math.Float64bits(want[j]) {
+					t.Fatalf("storeOnly=%v MEMD(%d→%d) = %v, oracle %v", storeOnly, self, id, got, want[j])
 				}
-				if got := calc.Delay(w.ids[j]); math.Float64bits(got) != math.Float64bits(d) {
-					t.Fatalf("Delay(%d) = %v, Distances %v", w.ids[j], got, d)
+				if !math.IsInf(want[j], 1) {
+					finite++
+				}
+			}
+			reached := calc.Reached()
+			if len(reached) != finite {
+				t.Fatalf("storeOnly=%v from %d: %d reached, oracle %d finite", storeOnly, self, len(reached), finite)
+			}
+			for _, r := range reached {
+				if d := calc.Delay(int(r.ID)); math.Float64bits(r.D) != math.Float64bits(d) || DistTo(reached, int(r.ID)) != d {
+					t.Fatalf("reached %d at %v, Delay %v", r.ID, r.D, d)
 				}
 			}
 		}
 	}
 }
 
-// TestMEMDMatchesDenseOracle checks the indexed heap MEMD (own-row and
-// store-only) against the dense reference at several points of random
+// TestMEMDMatchesDenseOracle checks the heap MEMD (own-row and
+// store-only) against the array-Dijkstra reference at several points of random
 // full and scoped worlds, including tied and zero-interval weights.
 func TestMEMDMatchesDenseOracle(t *testing.T) {
 	for _, sc := range []struct {
@@ -268,7 +299,7 @@ func TestMEMDComputeAllocs(t *testing.T) {
 func FuzzMEMDParity(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 9, 9, 9, 0, 0, 0, 3, 3, 3, 7, 2, 2, 5, 5, 5, 1, 0})
-	f.Add([]byte("dense MEMD over shared rows, bit for bit"))
+	f.Add([]byte("MEMD over shared rows, bit for bit"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

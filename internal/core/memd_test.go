@@ -27,9 +27,9 @@ func chainWorld(t *testing.T) (*History, *MeetingMatrix) {
 	m1.UpdateOwnRow(1, 100, h1)
 	m2 := NewFullMeetingMatrix(3)
 	m2.UpdateOwnRow(2, 100, h2)
-	SyncPair(mi, m1)
-	SyncPair(m1, m2)
-	SyncPair(mi, m1)
+	Sync(mi, m1)
+	Sync(m1, m2)
+	Sync(mi, m1)
 	return h0, mi
 }
 
@@ -78,7 +78,7 @@ func TestMEMDPrefersShortcut(t *testing.T) {
 	}
 	m1 := NewFullMeetingMatrix(3)
 	m1.UpdateOwnRow(1, 3000, h1)
-	SyncPair(mi, m1)
+	Sync(mi, m1)
 
 	calc := NewMEMD(3)
 	calc.Compute(0, 3000, h0, mi)
@@ -127,7 +127,7 @@ func TestMEMDCommunityScoped(t *testing.T) {
 	}
 	m6 := NewMeetingMatrix(ids)
 	m6.UpdateOwnRow(6, 100, h6)
-	SyncPair(mi, m6)
+	Sync(mi, m6)
 
 	calc := NewMEMD(3)
 	calc.Compute(4, 110, h, mi)

@@ -9,10 +9,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file pins the shared-row stores against a deep-copy oracle: dense
-// and sparse MI stores driven through one random sequence of own-row
-// refreshes, syncs in every gossip mode and clones must hold the oracle's
-// rows after every step, meter identical exchanges, and never change a row
+// This file pins the shared-row store against a deep-copy oracle: MI
+// stores driven through a random sequence of own-row refreshes, syncs in
+// every gossip mode and clones must hold the oracle's rows after every
+// step, meter the rows the oracle's merge takes, and never change a row
 // once it is published.
 
 // oracleRow is a deep copy of one published MI row, keyed by global id.
@@ -22,15 +22,14 @@ type oracleRow struct {
 	vals    []float64
 }
 
-// rowWorld runs the same nodes on three stores each: a dense matrix, a
-// sparse store and the oracle, a map of deep-copied rows merged by the
-// plain fresher-wins rule.
+// rowWorld runs the same nodes on two stores each: a MeetingMatrix and
+// the oracle, a map of deep-copied rows merged by the plain fresher-wins
+// rule.
 type rowWorld struct {
 	n      int
 	ids    []int
 	hist   []*History
-	dense  map[int]*MeetingMatrix
-	sparse map[int]*SparseMeetingStore
+	store  map[int]*MeetingMatrix
 	oracle map[int]map[int]oracleRow
 	now    float64
 
@@ -42,18 +41,17 @@ type rowWorld struct {
 func newRowWorld(n int, ids []int) *rowWorld {
 	w := &rowWorld{
 		n: n, ids: ids, hist: make([]*History, n),
-		dense: map[int]*MeetingMatrix{}, sparse: map[int]*SparseMeetingStore{},
+		store:  map[int]*MeetingMatrix{},
 		oracle: map[int]map[int]oracleRow{}, published: map[*Row]uint64{},
 	}
 	for i := range w.hist {
 		w.hist[i] = NewHistory(i, n, 4) // a short window keeps means moving
 	}
 	for _, id := range ids {
-		w.dense[id] = NewMeetingMatrix(ids)
 		if len(ids) == n {
-			w.sparse[id] = NewSparseMeetingStore(n)
+			w.store[id] = NewFullMeetingMatrix(n)
 		} else {
-			w.sparse[id] = NewScopedSparseMeetingStore(ids)
+			w.store[id] = NewMeetingMatrix(ids)
 		}
 		w.oracle[id] = map[int]oracleRow{}
 	}
@@ -62,8 +60,7 @@ func newRowWorld(n int, ids []int) *rowWorld {
 
 // refresh publishes a's own row in every store.
 func (w *rowWorld) refresh(a int) {
-	w.dense[a].UpdateOwnRow(a, w.now, w.hist[a])
-	w.sparse[a].UpdateOwnRow(a, w.now, w.hist[a])
+	w.store[a].UpdateOwnRow(a, w.now, w.hist[a])
 	row := oracleRow{updated: w.now}
 	for _, p := range w.ids {
 		if mean, ok := w.hist[a].MeanInterval(p); ok && p != a && !math.IsInf(mean, 1) {
@@ -74,13 +71,17 @@ func (w *rowWorld) refresh(a int) {
 	w.oracle[a][a] = row
 }
 
-// oracleMerge copies into dst every row of src that is strictly fresher.
-func oracleMerge(dst, src map[int]oracleRow) {
+// oracleMerge copies into dst every row of src that is strictly fresher,
+// returning the rows and entries it took.
+func oracleMerge(dst, src map[int]oracleRow) (rows, entries int) {
 	for id, r := range src {
 		if mine, ok := dst[id]; !ok || r.updated > mine.updated {
 			dst[id] = oracleRow{r.updated, slices.Clone(r.peers), slices.Clone(r.vals)}
+			rows++
+			entries += len(r.peers)
 		}
 	}
+	return rows, entries
 }
 
 // step applies one op: a contact between covered nodes (record, own-row
@@ -93,11 +94,10 @@ func (w *rowWorld) step(t testing.TB, src intn) {
 	a := w.ids[src.Intn(len(w.ids))]
 	switch op := src.Intn(10); {
 	case op == 0:
-		w.dense[a] = w.dense[a].Clone()
-		w.sparse[a] = w.sparse[a].Clone()
+		w.store[a] = w.store[a].Clone()
 	case op == 1:
 		b := src.Intn(w.n)
-		if b == a || w.dense[b] != nil {
+		if b == a || w.store[b] != nil {
 			return
 		}
 		w.now += float64(src.Intn(3) * 10)
@@ -117,13 +117,13 @@ func (w *rowWorld) step(t testing.TB, src intn) {
 			w.refresh(p[0])
 		}
 		mode := ExchangeMode(src.Intn(3))
-		ds := SyncMode(w.dense[a], w.dense[b], a, b, mode)
-		ss := SyncMode(w.sparse[a], w.sparse[b], a, b, mode)
-		if ds != ss {
-			t.Fatalf("sync %d<->%d (%v): dense %+v, sparse %+v", a, b, mode, ds, ss)
+		st := SyncMode(w.store[a], w.store[b], a, b, mode)
+		fr, fe := oracleMerge(w.oracle[a], w.oracle[b])
+		br, be := oracleMerge(w.oracle[b], w.oracle[a])
+		if mode != ExchangeFlood && (st.Rows != fr+br || st.Entries != fe+be) {
+			t.Fatalf("sync %d<->%d (%v) shipped %d rows/%d entries, oracle took %d/%d",
+				a, b, mode, st.Rows, st.Entries, fr+br, fe+be)
 		}
-		oracleMerge(w.oracle[a], w.oracle[b])
-		oracleMerge(w.oracle[b], w.oracle[a])
 	}
 }
 
@@ -168,40 +168,34 @@ func (w *rowWorld) check(t testing.TB) {
 		vals = append(vals, v)
 	}
 	for _, self := range w.ids {
-		dm, sm, want := w.dense[self], w.sparse[self], w.oracle[self]
-		if dm.KnownRows() != len(want) || sm.KnownRows() != len(want) {
-			t.Fatalf("node %d: known rows dense %d, sparse %d, oracle %d", self, dm.KnownRows(), sm.KnownRows(), len(want))
+		m, want := w.store[self], w.oracle[self]
+		if m.KnownRows() != len(want) {
+			t.Fatalf("node %d: known rows %d, oracle %d", self, m.KnownRows(), len(want))
 		}
-		checkRows(t, dm)
-		checkRows(t, dm.Clone())
+		checkRows(t, m)
+		checkRows(t, m.Clone())
 		for _, owner := range w.ids {
 			o, ok := want[owner]
 			if !ok {
 				o.updated = -1
 			}
-			for _, s := range [2]MeetingStore{dm, sm} {
-				peers, vals = peers[:0], vals[:0]
-				s.ForEachKnown(owner, collect)
-				if s.RowUpdated(owner) != o.updated || !slices.Equal(peers, o.peers) || !slices.Equal(vals, o.vals) {
-					t.Fatalf("node %d %T row %d: @%g %v %v, oracle @%g %v %v",
-						self, s, owner, s.RowUpdated(owner), peers, vals, o.updated, o.peers, o.vals)
-				}
+			peers, vals = peers[:0], vals[:0]
+			m.ForEachKnown(owner, collect)
+			if m.RowUpdated(owner) != o.updated || !slices.Equal(peers, o.peers) || !slices.Equal(vals, o.vals) {
+				t.Fatalf("node %d row %d: @%g %v %v, oracle @%g %v %v",
+					self, owner, m.RowUpdated(owner), peers, vals, o.updated, o.peers, o.vals)
 			}
 		}
-		for _, r := range dm.rows.rows {
-			w.checkPublished(t, r)
-		}
-		for _, sl := range sm.rows.rows {
+		for _, sl := range m.rows.slots {
 			w.checkPublished(t, sl.row)
 		}
 	}
 }
 
-// TestPublishedRowsImmutable drives full and scoped dense and sparse
-// stores through random refresh / fresher / flood / delta / clone
-// sequences, checking both against the oracle, the exchange stats against
-// each other, and every published row against its publication hash after
-// every op.
+// TestPublishedRowsImmutable drives full and scoped stores through random
+// refresh / fresher / flood / delta / clone sequences, checking them
+// against the oracle, the exchange stats against the oracle's merges, and
+// every published row against its publication hash after every op.
 func TestPublishedRowsImmutable(t *testing.T) {
 	for _, sc := range []struct {
 		name string

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // EEVSnapshot freezes the encounter-probability state of a History at one
 // instant t so that many horizons (one per buffered message, since each
@@ -16,28 +19,14 @@ type EEVSnapshot struct {
 	h *History
 	t float64
 
-	// Dense-mode storage, one slot per potential peer.
-	offsets [][]float64 // per peer, ascending; nil when m = 0
-	overdue []bool      // r > 0 but m = 0
-	met     []bool
-
-	// backing keeps each peer's offset array alive across Reset so a
-	// recycled snapshot (routers build one per contact) reaches a steady
-	// state with no heap allocations.
-	backing [][]float64
-
-	// Sparse-mode storage: only peers with at least one recorded interval,
-	// ascending by id; offs[k] holds ids[k]'s sorted future-meeting offsets
-	// and an empty offs[k] encodes the overdue case (probability 1). Peers
-	// without entries — never met, or met with an empty window — read as
-	// probability 0 exactly as in dense mode. Slices are truncated, never
-	// freed, so recycled snapshots reuse their backing arrays.
-	//
-	// In dense mode ids lists the met peers, ascending: the only slots a
-	// build writes, so a recycled snapshot clears those instead of all n.
-	sparse bool
-	ids    []int
-	offs   [][]float64
+	// Only peers with at least one recorded interval, ascending by id;
+	// offs[k] holds ids[k]'s sorted future-meeting offsets and an empty
+	// offs[k] encodes the overdue case (probability 1). Peers without
+	// entries — never met, or met with an empty window — read as
+	// probability 0. Slices are truncated, never freed, so recycled
+	// snapshots reuse their backing arrays.
+	ids  []int32
+	offs [][]float64
 }
 
 // SnapshotEEV builds a snapshot of h at time t.
@@ -51,61 +40,12 @@ func (h *History) SnapshotEEV(t float64) *EEVSnapshot {
 func (h *History) SnapshotEEVInto(t float64, s *EEVSnapshot) *EEVSnapshot {
 	s.h = h
 	s.t = t
-	if h.recs != nil {
-		return h.snapshotSparse(t, s)
-	}
-	if len(s.offsets) != h.n || s.sparse {
-		s.offsets = make([][]float64, h.n)
-		s.backing = make([][]float64, h.n)
-		s.overdue = make([]bool, h.n)
-		s.met = make([]bool, h.n)
-	} else {
-		for _, j := range s.ids {
-			s.offsets[j] = nil
-			s.overdue[j] = false
-			s.met[j] = false
-		}
-	}
-	s.sparse = false
-	s.ids = append(s.ids[:0], h.ids...)
-	for _, j := range s.ids {
-		s.met[j] = true
-		elapsed := t - h.last[j]
-		if elapsed < 0 {
-			elapsed = 0
-		}
-		ring := &h.ivals[j]
-		if ring.len() == 0 {
-			continue // met once, no interval: probability 0, like History
-		}
-		offs := s.backing[j][:0]
-		ring.forEach(func(dt float64) {
-			if dt > elapsed {
-				offs = append(offs, dt-elapsed)
-			}
-		})
-		s.backing[j] = offs
-		if len(offs) == 0 {
-			s.overdue[j] = true
-			continue
-		}
-		sort.Float64s(offs)
-		s.offsets[j] = offs
-	}
-	return s
-}
-
-// snapshotSparse is SnapshotEEVInto's sparse-mode body: it walks the met
-// peers (ascending) instead of all n slots and stores entries only for
-// peers with a non-empty interval window.
-func (h *History) snapshotSparse(t float64, s *EEVSnapshot) *EEVSnapshot {
-	s.sparse = true
 	s.ids = s.ids[:0]
 	k := 0
-	for _, id := range h.ids {
-		rec := h.recs[id]
+	for i := range h.recs {
+		rec := &h.recs[i]
 		if rec.ring.len() == 0 {
-			continue // met once, no interval: probability 0, like dense mode
+			continue // met once, no interval: probability 0, like History
 		}
 		elapsed := t - rec.last
 		if elapsed < 0 {
@@ -126,7 +66,7 @@ func (h *History) snapshotSparse(t float64, s *EEVSnapshot) *EEVSnapshot {
 		} else {
 			s.offs = append(s.offs, offs)
 		}
-		s.ids = append(s.ids, id)
+		s.ids = append(s.ids, h.ids[i])
 		k++
 	}
 	return s
@@ -141,27 +81,13 @@ func (s *EEVSnapshot) Prob(peer int, tau float64) float64 {
 	if peer == s.h.self || tau <= 0 {
 		return 0
 	}
-	if s.sparse {
-		i := sort.SearchInts(s.ids, peer)
-		if i >= len(s.ids) || s.ids[i] != peer {
-			return 0
-		}
+	if i, ok := slices.BinarySearch(s.ids, int32(peer)); ok {
 		return s.probAt(i, tau)
 	}
-	if !s.met[peer] {
-		return 0
-	}
-	offs := s.offsets[peer]
-	if offs == nil {
-		if s.overdue[peer] {
-			return 1
-		}
-		return 0
-	}
-	return probFromOffsets(offs, tau)
+	return 0
 }
 
-// probAt answers Prob for the sparse entry at position i.
+// probAt answers Prob for the entry at position i.
 func (s *EEVSnapshot) probAt(i int, tau float64) float64 {
 	offs := s.offs[i]
 	if len(offs) == 0 {
@@ -171,8 +97,7 @@ func (s *EEVSnapshot) probAt(i int, tau float64) float64 {
 }
 
 // probFromOffsets is the Theorem-1 probability over a sorted, non-empty
-// future-meeting offset list — shared by both storage modes so the equal-
-// tau boundary semantics cannot drift between them.
+// future-meeting offset list.
 func probFromOffsets(offs []float64, tau float64) float64 {
 	k := sort.SearchFloat64s(offs, tau)
 	// SearchFloat64s returns the first index with offs[i] >= tau; the
@@ -184,22 +109,15 @@ func probFromOffsets(offs []float64, tau float64) float64 {
 }
 
 // EEV returns the expected encounter value over all peers for horizon tau.
-// The sparse sum over stored entries equals the dense all-peers scan
-// bitwise: absent peers contribute an exact 0.0 and both visit ascending
-// ids.
+// The sum over stored entries equals an all-peers scan bitwise: absent
+// peers contribute an exact 0.0, and both visit ascending ids.
 func (s *EEVSnapshot) EEV(tau float64) float64 {
 	sum := 0.0
-	if s.sparse {
-		if tau <= 0 {
-			return 0
-		}
-		for i := range s.ids {
-			sum += s.probAt(i, tau)
-		}
+	if tau <= 0 {
 		return sum
 	}
-	for _, j := range s.ids {
-		sum += s.Prob(j, tau)
+	for i := range s.ids {
+		sum += s.probAt(i, tau)
 	}
 	return sum
 }
@@ -208,25 +126,62 @@ func (s *EEVSnapshot) EEV(tau float64) float64 {
 // given members.
 func (s *EEVSnapshot) EEVSubset(tau float64, members []int) float64 {
 	sum := 0.0
-	for _, j := range members {
-		sum += s.Prob(j, tau)
+	if tau <= 0 {
+		return sum
 	}
+	// Members without an entry add an exact 0.0, so only entries are summed.
+	s.forEntries(members, func(k int) { sum += s.probAt(k, tau) })
 	return sum
 }
 
 // CommunityProb returns P_ik for the given member set and horizon.
 func (s *EEVSnapshot) CommunityProb(tau float64, members []int) float64 {
+	if tau <= 0 {
+		return 0
+	}
+	// Members without an entry multiply by an exact 1.0, so only entries
+	// are folded in; a certain meeting ends the product.
 	miss := 1.0
-	for _, j := range members {
+	s.forEntries(members, func(k int) {
+		if miss != 0 {
+			miss *= 1 - s.probAt(k, tau)
+		}
+	})
+	if miss == 0 {
+		return 1
+	}
+	return 1 - miss
+}
+
+// forEntries calls f with the position of every member other than the
+// snapshot's node that has an entry, in member order. Members arrive
+// ascending (community registries list them so), so a cursor gallops
+// forward through the entries; an out-of-order member restarts it.
+func (s *EEVSnapshot) forEntries(members []int, f func(k int)) {
+	ids, k := s.ids, 0
+	for i, j := range members {
 		if j == s.h.self {
 			continue
 		}
-		miss *= 1 - s.Prob(j, tau)
-		if miss == 0 {
-			return 1
+		if i > 0 && j < members[i-1] {
+			k = 0
 		}
+		peer := int32(j)
+		lo, step := k, 1
+		for k < len(ids) && ids[k] < peer {
+			lo = k + 1
+			k += step
+			step *= 2
+		}
+		if k > len(ids) {
+			k = len(ids)
+		}
+		d, found := slices.BinarySearch(ids[lo:k], peer)
+		if k = lo + d; !found && (k == len(ids) || ids[k] != peer) {
+			continue
+		}
+		f(k)
 	}
-	return 1 - miss
 }
 
 // ENEC returns the Theorem-4 expected number of encountered communities,

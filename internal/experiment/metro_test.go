@@ -9,17 +9,17 @@ import (
 )
 
 // gossipScenario is a contact-dense bus world small enough to run all
-// (protocol × storage × exchange-mode) combinations in one test budget.
-// The window is long enough that pairs re-meet many times — CR's
+// (protocol × store × exchange-mode) combinations in one test budget. The
+// window is long enough that pairs re-meet many times — CR's
 // community-scoped exchange needs ~3000 s before delta's digest overhead
-// amortises below the flood.
-func gossipScenario(p Protocol, sparse bool) Scenario {
+// amortises below the flood. maxRows > 0 caps every estimator store.
+func gossipScenario(p Protocol, maxRows int) Scenario {
 	s := Default()
 	s.Protocol = p
 	s.Nodes = 30
 	s.Duration = 3000
 	s.Tick = 0.5
-	s.SparseEstimators = sparse
+	s.MaxSparseRows = maxRows
 	return s
 }
 
@@ -32,19 +32,20 @@ func zeroGossip(s metrics.Summary) metrics.Summary {
 
 // TestGossipModeParity is the exchange-mode contract: fresher, flood and
 // delta are *metering* policies over one merge algorithm, so for every
-// estimator-backed protocol and both storage cores they must produce
-// bit-identical summaries outside the gossip-volume fields. Within them:
-// delta ships exactly the rows fresher counts (plus a metered digest),
-// and flood never undercuts fresher.
+// estimator-backed protocol they must produce bit-identical summaries
+// outside the gossip-volume fields — with stores that hold every row
+// ("dense") and with stores capped below the population ("sparse"), whose
+// evictions force delta's full-digest fallback. Within them: delta ships
+// exactly the rows fresher counts (plus a metered digest), and flood
+// never undercuts fresher.
 func TestGossipModeParity(t *testing.T) {
 	for _, p := range []Protocol{EER, CR, MaxProp} {
-		for _, sparse := range []bool{false, true} {
-			name := string(p) + "/dense"
-			if sparse {
-				name = string(p) + "/sparse"
-			}
-			t.Run(name, func(t *testing.T) {
-				base := gossipScenario(p, sparse)
+		for _, sc := range []struct {
+			name    string
+			maxRows int
+		}{{"dense", 0}, {"sparse", 8}} {
+			t.Run(string(p)+"/"+sc.name, func(t *testing.T) {
+				base := gossipScenario(p, sc.maxRows)
 				sums := map[string]metrics.Summary{}
 				for _, mode := range []string{"fresher", "flood", "delta"} {
 					s := base

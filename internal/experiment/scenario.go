@@ -64,16 +64,13 @@ type Scenario struct {
 	// seconds (0 = the paper's strict comparison; ablation A3).
 	ForwardHysteresis float64
 
-	// SparseEstimators forces the sparse estimator core for EER, CR and
-	// MaxProp: per-observed-peer history, MI and probability rows plus
-	// heap-based MEMD/cost Dijkstras over recorded edges, instead of the
-	// dense O(n)–O(n²) per-node arrays. Summaries are bit-identical to the
-	// dense core (pinned by TestSparseEstimatorParity); only memory and
-	// per-contact complexity change. Regardless of this flag, scenarios
-	// with Nodes >= SparseNodeThreshold select the sparse core
-	// automatically — at city scale the dense state cannot be allocated.
+	// SparseEstimators is kept only for content addresses: no code reads
+	// it. It once chose between two estimator storages with identical
+	// summaries; one storage remains, but every canonical spec and cache
+	// key written since includes the field, so it stays part of them.
+	// runIdentity resets it, so cells differing only here share one run.
 	SparseEstimators bool
-	// MaxSparseRows caps every sparse estimator store (EER/CR MI, MaxProp
+	// MaxSparseRows caps every estimator row store (EER/CR MI, MaxProp
 	// probability rows) at that many rows per node, evicting the stalest
 	// row first (own row pinned). 0 = unbounded. A memory bound for
 	// long-horizon city runs; capping discards link state, so summaries
@@ -181,18 +178,17 @@ func Quick() Scenario {
 // BenchmarkCityScale measures it against one worker.
 //
 // The default protocol stays SprayAndWait — O(1) per-contact router work
-// keeps this preset an engine benchmark — but the fleet size is over
-// SparseNodeThreshold, so setting Protocol to EER, CR or MaxProp runs the
-// sparse estimator core (BenchmarkCityScaleSparse measures those
-// variants). It is CityScaleSpec resolved — one code path with dtnd specs.
+// keeps this preset an engine benchmark; BenchmarkCityScaleEstimators
+// measures EER, CR and MaxProp on it. It is CityScaleSpec resolved — one
+// code path with dtnd specs.
 func CityScale() Scenario {
 	return mustResolve(CityScaleSpec())
 }
 
 // MetroScale returns the 100k-node metropolitan scenario — CityScale
 // grown 10×: double the map extent, triple the transit lines and
-// districts, auto-sized tick sharding and delta estimator gossip. EER over
-// the sparse core by default; BenchmarkMetroScale measures it. It is
+// districts, auto-sized tick sharding and delta estimator gossip. EER by
+// default; BenchmarkMetroScale measures it. It is
 // MetroScaleSpec resolved — one code path with dtnd specs.
 func MetroScale() Scenario {
 	return mustResolve(MetroScaleSpec())
@@ -277,18 +273,6 @@ func (s Scenario) build(script *trace.Script) (*network.World, *sim.Runner) {
 	return w, runner
 }
 
-// SparseNodeThreshold is the fleet size at and above which scenarios
-// select the sparse estimator core regardless of SparseEstimators: the
-// paper's figure-scale runs (≤ a few hundred nodes) keep the dense
-// matrices, anything city-sized cannot afford them. Summaries do not
-// depend on the storage mode, so the cutover is a pure resource choice.
-const SparseNodeThreshold = 1000
-
-// sparseEstimators reports the effective storage-mode selection.
-func (s Scenario) sparseEstimators() bool {
-	return s.SparseEstimators || s.Nodes >= SparseNodeThreshold
-}
-
 // routingField is one routing parameter of Scenario. A protocol's
 // registry entry names the ones its router reads; the rest cannot change
 // its run (see runIdentity).
@@ -299,12 +283,11 @@ const (
 	readsAlpha
 	readsWindow
 	readsHysteresis
-	readsSparse
 	readsMaxSparseRows
 	readsGossip
 
 	// readsEstimator are the estimator-core fields EER, CR and MaxProp read.
-	readsEstimator = readsSparse | readsMaxSparseRows | readsGossip
+	readsEstimator = readsMaxSparseRows | readsGossip
 	readsAll       = readsLambda | readsAlpha | readsWindow | readsHysteresis | readsEstimator
 )
 
@@ -337,12 +320,11 @@ var routerFactories = map[Protocol]protocolEntry{
 	}},
 	CR: {readsAll &^ readsHysteresis, func(s Scenario, reg *community.Registry) func() network.Router {
 		cfg := routing.CRConfig{Lambda: s.Lambda, Alpha: s.Alpha, Window: s.Window,
-			SparseEstimators: s.sparseEstimators(), MaxSparseRows: s.MaxSparseRows,
-			Gossip: s.gossipMode()}
+			MaxSparseRows: s.MaxSparseRows, Gossip: s.gossipMode()}
 		return routing.CRFactory(cfg, reg)
 	}},
 	MaxProp: {readsEstimator, func(s Scenario, _ *community.Registry) func() network.Router {
-		return routing.MaxPropFactory(s.Nodes, s.sparseEstimators(), s.MaxSparseRows, s.gossipMode())
+		return routing.MaxPropFactory(s.Nodes, s.MaxSparseRows, s.gossipMode())
 	}},
 	EBR: {readsLambda, func(s Scenario, _ *community.Registry) func() network.Router {
 		return func() network.Router { return routing.NewEBR(s.Lambda) }
@@ -397,9 +379,7 @@ func (s Scenario) runIdentity() Scenario {
 	if reads&readsHysteresis == 0 {
 		s.ForwardHysteresis = 0
 	}
-	if reads&readsSparse == 0 {
-		s.SparseEstimators = false
-	}
+	s.SparseEstimators = false // read by no protocol
 	if reads&readsMaxSparseRows == 0 {
 		s.MaxSparseRows = 0
 	}
@@ -486,7 +466,6 @@ func (s Scenario) eerConfig() routing.EERConfig {
 		Alpha:             s.Alpha,
 		Window:            s.Window,
 		ForwardHysteresis: s.ForwardHysteresis,
-		SparseEstimators:  s.sparseEstimators(),
 		MaxSparseRows:     s.MaxSparseRows,
 		Gossip:            s.gossipMode(),
 	}

@@ -12,7 +12,8 @@ import (
 )
 
 // routingFieldAlts sets each routing field to a valid value that differs
-// from Quick's.
+// from Quick's. sparse_estimators is read by no protocol, so it is checked
+// as unread for every one.
 var routingFieldAlts = []struct {
 	name  string
 	field routingField
@@ -22,7 +23,7 @@ var routingFieldAlts = []struct {
 	{"alpha", readsAlpha, func(s *Scenario) { s.Alpha = 0.9 }},
 	{"window", readsWindow, func(s *Scenario) { s.Window = 8 }},
 	{"forward_hysteresis", readsHysteresis, func(s *Scenario) { s.ForwardHysteresis = 60 }},
-	{"sparse_estimators", readsSparse, func(s *Scenario) { s.SparseEstimators = true }},
+	{"sparse_estimators", 0, func(s *Scenario) { s.SparseEstimators = true }},
 	{"max_sparse_rows", readsMaxSparseRows, func(s *Scenario) { s.MaxSparseRows = 4 }},
 	{"gossip", readsGossip, func(s *Scenario) { s.Gossip = "delta" }},
 }
@@ -174,6 +175,55 @@ func TestRunSweepSharesRuns(t *testing.T) {
 		if !r.Cached || r.Shared {
 			t.Errorf("resubmit cell %d: cached=%v shared=%v, want served from the store", i, r.Cached, r.Shared)
 		}
+	}
+}
+
+// TestSparseEstimatorsCellsShareOneRun: cells that differ only in
+// sparse_estimators, which no protocol reads, have distinct content
+// addresses but one run. The sweep simulates it once and stores
+// byte-identical per-seed summaries under both keys.
+func TestSparseEstimatorsCellsShareOneRun(t *testing.T) {
+	var cells []SweepCell
+	for _, on := range []bool{false, true} {
+		sw := SweepSpec{
+			Base: ScenarioSpec{
+				Nodes: ptr(30), Duration: ptr(400.0), Tick: ptr(0.5),
+				Seeds: []int64{1, 2}, SparseEstimators: ptr(on),
+			},
+			Protocols: []string{string(EER)},
+		}
+		cs, err := sw.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, cs...)
+	}
+	if len(cells) != 2 || cells[0].Key == cells[1].Key {
+		t.Fatalf("want two cells under distinct keys, got %d", len(cells))
+	}
+	store := openStore(t)
+	out, err := runCells(context.Background(), cells, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Shared || !out[1].Shared {
+		t.Fatalf("shared = %v, %v; want only the second cell to take the first's run", out[0].Shared, out[1].Shared)
+	}
+	var perSeed [2][]byte
+	for i, c := range cells {
+		res, _, ok := store.GetRaw(c.Key)
+		if !ok {
+			t.Fatalf("cell %d not stored under its key", i)
+		}
+		if perSeed[i], err = json.Marshal(res.PerSeed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(perSeed[0], perSeed[1]) {
+		t.Fatalf("stored per-seed summaries differ:\n%s\n%s", perSeed[0], perSeed[1])
+	}
+	if out[0].Mean.Contacts == 0 {
+		t.Fatal("the run saw no contacts: the comparison shows nothing")
 	}
 }
 

@@ -17,44 +17,24 @@ func figureScaleScenario(p Protocol) Scenario {
 	return s
 }
 
-// TestSparseEstimatorParity is the storage-mode contract: at figure scale
-// the sparse estimator core (observed-peer history/MI/probability rows,
-// heap MEMD and cost Dijkstras) must produce bit-identical summaries to
-// the dense core for every protocol that consumes it, including the A2
-// ablation's store-only MD path. Only memory and complexity may differ
-// between modes — never a routing decision.
+// TestSparseEstimatorParity pins that sparse_estimators, kept in specs
+// only for their content addresses, changes no summary: at figure scale
+// every protocol that consumes the estimator core, including the A2
+// ablation's store-only MD path, runs identically with it on and off.
 func TestSparseEstimatorParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8 figure-scale simulations in -short mode")
 	}
 	for _, p := range []Protocol{EER, CR, MaxProp, EERMeanMD} {
 		t.Run(string(p), func(t *testing.T) {
-			dense := figureScaleScenario(p)
-			dense.SparseEstimators = false
-			sparse := dense
-			sparse.SparseEstimators = true
-			want, got := dense.Run(), sparse.Run()
+			off := figureScaleScenario(p)
+			on := off
+			on.SparseEstimators = true
+			want, got := off.Run(), on.Run()
 			if want != got {
-				t.Fatalf("sparse diverged from dense:\n  dense  %+v\n  sparse %+v", want, got)
+				t.Fatalf("sparse_estimators changed the run:\n  off %+v\n  on  %+v", want, got)
 			}
 		})
-	}
-}
-
-// TestSparseAutoSelection pins the selection rule: explicit opt-in or the
-// node-count threshold turns the sparse core on.
-func TestSparseAutoSelection(t *testing.T) {
-	s := Default()
-	if s.sparseEstimators() {
-		t.Error("figure-scale default should use the dense core")
-	}
-	s.SparseEstimators = true
-	if !s.sparseEstimators() {
-		t.Error("explicit SparseEstimators ignored")
-	}
-	s = CityScale()
-	if s.Nodes < SparseNodeThreshold || !s.sparseEstimators() {
-		t.Errorf("CityScale (%d nodes) must auto-select the sparse core", s.Nodes)
 	}
 }
 
@@ -67,10 +47,9 @@ func cityScaleShort(p Protocol, duration float64) Scenario {
 	return s
 }
 
-// TestCityScaleSmartProtocols is the acceptance gate of the sparse
-// estimator core: the paper's contribution protocols (EER, CR) and
-// MaxProp, previously unusable beyond a few hundred nodes, must tick a
-// 10k-node city world. A short window keeps the test inside `go test`
+// TestCityScaleSmartProtocols is the acceptance gate of the estimator
+// core's observed-peer storage: the paper's contribution protocols (EER,
+// CR) and MaxProp must tick a 10k-node city world. A short window keeps the test inside `go test`
 // budgets; contacts at this density arrive within seconds.
 func TestCityScaleSmartProtocols(t *testing.T) {
 	if testing.Short() {
@@ -100,7 +79,8 @@ func TestCityScaleSmartProtocols(t *testing.T) {
 // One dense float64 matrix alone would be 8·10⁸ B (800 MB) — and the dense
 // core would need one per node. The bound below (40 KB/node on average)
 // is two orders of magnitude under a single shared n² allocation while
-// leaving room for the engine, buffers and early contact records.
+// leaving room for the engine, buffers and early contact records; the
+// only n-wide estimator state is the per-world Dijkstra scratch.
 func TestCityScaleSparseEERMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node world in -short mode")
@@ -116,7 +96,7 @@ func TestCityScaleSparseEERMemory(t *testing.T) {
 	delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	const limit = 400 << 20
 	if delta > limit {
-		t.Fatalf("sparse EER city world holds %d MB, over the %d MB o(n²) budget",
+		t.Fatalf("EER city world holds %d MB, over the %d MB o(n²) budget",
 			delta>>20, int64(limit)>>20)
 	}
 	if w.N() < 10000 {
@@ -125,7 +105,7 @@ func TestCityScaleSparseEERMemory(t *testing.T) {
 	runtime.KeepAlive(runner)
 }
 
-// TestFigureScaleEstimatorMemory is the dense-store memory gate: at the
+// TestFigureScaleEstimatorMemory is the figure-scale memory gate: at the
 // paper's 240 nodes, EER's MI matrices and MaxProp's probability rows must
 // cost pointers per node, not an n×n float slab per node (~120 MB per
 // world when every store copied every row). A Direct world over the same
@@ -166,8 +146,8 @@ func TestFigureScaleEstimatorMemory(t *testing.T) {
 
 // TestFigureScaleCRAllocation is the CR contact-path allocation gate: a
 // 240-node CR world (seed 2, 1000 s) must allocate at most 30 MB in
-// total, Build included. Pooled contacts keep their EEV snapshot storage
-// across recycling; building a fresh n-wide snapshot for each side of
+// total, Build included. Pooled contacts keep their EEV snapshot and
+// delay storage across recycling; building a fresh n-wide snapshot for each side of
 // every contact allocated ~91 MB. The map is warmed by a Direct world
 // first, as in TestFigureScaleEstimatorMemory.
 func TestFigureScaleCRAllocation(t *testing.T) {
@@ -197,12 +177,12 @@ func TestFigureScaleCRAllocation(t *testing.T) {
 	}
 }
 
-// BenchmarkCityScaleSparse measures tick throughput of the 10k-node city
-// world under the estimator-backed protocols the sparse core unlocked
-// (CityScale's default SprayAndWait is covered by BenchmarkCityScale).
-// CI's bench-smoke job runs the EER variant at one iteration so the sparse
-// path cannot silently rot.
-func BenchmarkCityScaleSparse(b *testing.B) {
+// BenchmarkCityScaleEstimators measures tick throughput of the 10k-node
+// city world under the estimator-backed protocols (CityScale's default
+// SprayAndWait is covered by BenchmarkCityScale). CI's bench-smoke job
+// runs the EER variant at one iteration so the estimator core at city
+// scale cannot silently rot.
+func BenchmarkCityScaleEstimators(b *testing.B) {
 	for _, p := range []Protocol{EER, CR, MaxProp} {
 		b.Run(string(p), func(b *testing.B) {
 			s := CityScale()

@@ -52,8 +52,10 @@ type ScenarioSpec struct {
 	Alpha             *float64 `json:"alpha,omitempty"`
 	Window            *int     `json:"window,omitempty"`
 	ForwardHysteresis *float64 `json:"forward_hysteresis,omitempty"`
-	SparseEstimators  *bool    `json:"sparse_estimators,omitempty"`
-	MaxSparseRows     *int     `json:"max_sparse_rows,omitempty"`
+	// SparseEstimators is accepted and kept in canonical specs and cache
+	// keys, but no simulation reads it (see Scenario.SparseEstimators).
+	SparseEstimators *bool `json:"sparse_estimators,omitempty"`
+	MaxSparseRows    *int  `json:"max_sparse_rows,omitempty"`
 	// Gossip selects the estimator exchange metering: "fresher" (default),
 	// "flood" or "delta" (see Scenario.Gossip).
 	Gossip *string `json:"gossip,omitempty"`
@@ -207,7 +209,7 @@ func CityScaleSpec() ScenarioSpec {
 // merge boundary-only at this density) and delta gossip — at 100k nodes a smart
 // protocol's link-state exchange is the dominant byte stream, so the
 // estimator runs the digest protocol rather than the accounting-only
-// default. The default protocol is EER over the sparse estimator core;
+// default. The default protocol is EER;
 // Duration is kept short (the fleet covers the map from tick one, so even
 // minutes of simulated time exercise steady-state churn) and can be
 // overridden for long-horizon runs.

@@ -268,6 +268,11 @@ func RunSweep(ctx context.Context, sw SweepSpec, store *resultcache.Store) ([]Ce
 	if err != nil {
 		return nil, err
 	}
+	return runCells(ctx, cells, store)
+}
+
+// runCells is RunSweep over already expanded cells.
+func runCells(ctx context.Context, cells []SweepCell, store *resultcache.Store) ([]CellResult, error) {
 	plan := Plan(cells, store)
 	out := make([]CellResult, len(cells))
 	var todo, shared []int // cell indices that simulate, or take an earlier run's copy

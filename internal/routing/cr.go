@@ -17,11 +17,7 @@ type CRConfig struct {
 	Alpha float64
 	// Window is the sliding-window capacity per peer.
 	Window int
-	// SparseEstimators selects the sparse estimator core (observed-peer
-	// history and intra-community MI, heap MEMD'), with bit-identical
-	// decisions; mandatory at city scale.
-	SparseEstimators bool
-	// MaxSparseRows caps the sparse intra-community MI store at that many
+	// MaxSparseRows caps the intra-community MI store at that many
 	// rows with stale-row eviction (own row pinned); 0 = unbounded.
 	MaxSparseRows int
 
@@ -37,15 +33,13 @@ func DefaultCRConfig(lambda int) CRConfig {
 }
 
 // crShared is per-world state shared by all CR routers: the community
-// registry, one MEMD scratch per community size (dense mode) or one
-// size-independent sparse calculator, and a freelist of per-contact state
-// (as EER's), so contacts stop allocating their delay and decision
-// storage.
+// registry, one shared member set per community, the MEMD scratch and a
+// freelist of per-contact state (as EER's), so contacts stop allocating
+// their delay and decision storage.
 type crShared struct {
 	reg    *community.Registry
-	memd   map[int]*core.MEMD    // keyed by community size; dense mode only
-	smemd  *core.SparseMEMD      // sparse mode only
-	scopes map[int]core.ScopeSet // keyed by community id; sparse mode only
+	memd   *core.MEMD
+	scopes []core.ScopeSet // by community id, built on first use
 
 	ctPool []*crContact
 }
@@ -56,9 +50,7 @@ func (s *crShared) getContact(t0 float64) *crContact {
 		s.ctPool = s.ctPool[:n-1]
 		st.t0 = t0
 		st.snap = nil
-		st.memd = nil
 		st.memdDone = false
-		clear(st.memdMap)
 		clear(st.decided)
 		return st
 	}
@@ -76,21 +68,10 @@ func (s *crShared) putContact(st *crContact) {
 // scopeFor returns the shared member-id set of community c, built on first
 // use. Router Init runs serially at world build, so no locking.
 func (s *crShared) scopeFor(c int) core.ScopeSet {
-	sc, ok := s.scopes[c]
-	if !ok {
-		sc = core.NewScopeSet(s.reg.Members(c))
-		s.scopes[c] = sc
+	if s.scopes[c] == nil {
+		s.scopes[c] = core.NewScopeSet(s.reg.Members(c))
 	}
-	return sc
-}
-
-func (s *crShared) memdFor(size int) *core.MEMD {
-	m, ok := s.memd[size]
-	if !ok {
-		m = core.NewMEMD(size)
-		s.memd[size] = m
-	}
-	return m
+	return s.scopes[c]
 }
 
 // CR implements the paper's Community based Routing (Section IV,
@@ -106,7 +87,7 @@ type CR struct {
 	shared *crShared
 
 	hist    *core.History
-	intraMI core.MeetingStore // covers only the node's community
+	intraMI *core.MeetingMatrix // covers only the node's community
 	ownComm int
 
 	contacts map[int]*crContact
@@ -119,12 +100,9 @@ type crContact struct {
 	// snapBuf is the pooled contact's snapshot storage, retained across
 	// recycling (snap points at it once built).
 	snapBuf *core.EEVSnapshot
-	// Dense mode: intra-community MEMD by MI-local index; nil until built.
-	memd    []float64
-	memdBuf []float64 // retained backing array for memd across recycling
-	// Sparse mode: delays for reached destinations only (absent = +Inf);
-	// the map is retained and cleared across recycling.
-	memdMap  map[int]float64
+	// delays holds the intra-community MEMD run's reached destinations
+	// (absent = +Inf); its backing array is retained across recycling.
+	delays   []core.Reach
 	memdDone bool
 	decided  map[int]crDecision
 	pooled   bool // came from the shared freelist; recycled on contact down
@@ -150,13 +128,7 @@ func NewCR(cfg CRConfig, shared *crShared) *CR {
 // CRFactory returns a constructor producing CR routers over the given
 // community registry.
 func CRFactory(cfg CRConfig, reg *community.Registry) func() network.Router {
-	shared := &crShared{reg: reg}
-	if cfg.SparseEstimators {
-		shared.smemd = core.NewSparseMEMD()
-		shared.scopes = make(map[int]core.ScopeSet)
-	} else {
-		shared.memd = make(map[int]*core.MEMD)
-	}
+	shared := &crShared{reg: reg, memd: core.NewMEMD(reg.N()), scopes: make([]core.ScopeSet, reg.Count())}
 	return func() network.Router { return NewCR(cfg, shared) }
 }
 
@@ -179,16 +151,10 @@ func (r *CR) InitialReplicas(*msg.Message) int { return r.cfg.Lambda }
 func (r *CR) Init(self *network.Node, w *network.World) {
 	r.Base.Init(self, w)
 	r.ownComm = r.shared.reg.Of(self.ID)
-	if r.cfg.SparseEstimators {
-		r.hist = core.NewSparseHistory(self.ID, w.N(), r.cfg.Window)
-		mi := core.NewSharedScopeSparseMeetingStore(r.shared.scopeFor(r.ownComm))
-		if r.cfg.MaxSparseRows > 0 {
-			mi.SetMaxRows(r.cfg.MaxSparseRows, self.ID)
-		}
-		r.intraMI = mi
-	} else {
-		r.hist = core.NewHistory(self.ID, w.N(), r.cfg.Window)
-		r.intraMI = core.NewMeetingMatrix(r.shared.reg.Members(r.ownComm))
+	r.hist = core.NewHistory(self.ID, w.N(), r.cfg.Window)
+	r.intraMI = core.NewScopedMeetingMatrix(r.shared.scopeFor(r.ownComm))
+	if r.cfg.MaxSparseRows > 0 {
+		r.intraMI.SetMaxRows(r.cfg.MaxSparseRows, self.ID)
 	}
 	r.contacts = make(map[int]*crContact)
 }
@@ -232,36 +198,16 @@ func (r *CR) snapshot(st *crContact) *core.EEVSnapshot {
 }
 
 // intraMEMD returns the intra-community MEMD' to dst at the contact's
-// meeting time. The dense mode caches the distance vector by MI-local
-// index, the sparse mode a map of reached destinations; unreached or
-// uncovered destinations read +Inf either way.
+// meeting time. The contact keeps the reached destinations only;
+// unreached or uncovered destinations read +Inf.
 func (r *CR) intraMEMD(st *crContact, dst int) float64 {
-	if r.cfg.SparseEstimators {
-		if !st.memdDone {
-			calc := r.shared.smemd
-			calc.Compute(r.Self.ID, st.t0, r.hist, r.intraMI)
-			if st.memdMap == nil {
-				st.memdMap = make(map[int]float64)
-			}
-			calc.ForEachReached(func(id int, d float64) { st.memdMap[id] = d })
-			st.memdDone = true
-		}
-		if d, ok := st.memdMap[dst]; ok {
-			return d
-		}
-		return math.Inf(1)
+	if !st.memdDone {
+		calc := r.shared.memd
+		calc.Compute(r.Self.ID, st.t0, r.hist, r.intraMI)
+		st.delays = append(st.delays[:0], calc.Reached()...)
+		st.memdDone = true
 	}
-	mi := r.intraMI.(*core.MeetingMatrix)
-	if st.memd == nil {
-		calc := r.shared.memdFor(mi.Size())
-		calc.Compute(r.Self.ID, st.t0, r.hist, mi)
-		st.memd = append(st.memdBuf[:0], calc.Distances()...)
-		st.memdBuf = st.memd
-	}
-	if j, ok := mi.Index(dst); ok {
-		return st.memd[j]
-	}
-	return math.Inf(1)
+	return core.DistTo(st.delays, dst)
 }
 
 func (r *CR) horizon(m *msg.Message, t float64) float64 {

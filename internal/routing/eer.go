@@ -32,14 +32,9 @@ type EERConfig struct {
 	// uses positive values to quantify estimator-noise ping-pong.
 	ForwardHysteresis float64
 
-	// SparseEstimators selects the sparse estimator core: per-observed-peer
-	// history and MI storage plus the heap MEMD, with bit-identical
-	// decisions (see core.MeetingStore). Mandatory at city scale, where the
-	// dense n×n state cannot be allocated per node.
-	SparseEstimators bool
-	// MaxSparseRows caps the sparse MI store at that many rows with
-	// stale-row eviction (own row pinned); 0 = unbounded. Only meaningful
-	// with SparseEstimators — a bound for long-horizon runs.
+	// MaxSparseRows caps the MI store at that many rows with stale-row
+	// eviction (own row pinned); 0 = unbounded — a bound for long-horizon
+	// runs.
 	MaxSparseRows int
 
 	// Gossip selects how the MI exchange at contacts is metered (and, in
@@ -54,28 +49,17 @@ func DefaultEERConfig(lambda int) EERConfig {
 	return EERConfig{Lambda: lambda, Alpha: 0.28}
 }
 
-// eerShared is per-world state shared by all EER routers: the MEMD scratch
-// (the MD of Theorem 3 is transient, so one calculator serves every node
-// on the single simulation goroutine — an indexed heap Dijkstra over O(n)
-// dense scratch at figure scale, a bounded-heap sparse calculator at city
-// scale), plus freelists of per-contact state. Contacts are constant
-// churn — every one allocated a snapshot, a decision map and a MEMD
-// vector — so recycling them removes the router layer's steady-state
-// allocations entirely.
+// eerShared is per-world state shared by all EER routers: the MEMD
+// scratch (the MD of Theorem 3 is transient, so one calculator serves
+// every node on the single simulation goroutine) plus freelists of
+// per-contact state. Contacts are constant churn — every one allocated a
+// snapshot, a decision map and a delay list — so recycling them removes
+// the router layer's steady-state allocations entirely.
 type eerShared struct {
-	memd  *core.MEMD       // dense scratch; nil in sparse mode
-	smemd *core.SparseMEMD // sparse scratch; nil in dense mode
+	memd *core.MEMD
 
 	snapPool []*core.EEVSnapshot
 	ctPool   []*eerContact
-}
-
-// newEERShared sizes the scratch for the configured storage mode.
-func newEERShared(cfg EERConfig, n int) *eerShared {
-	if cfg.SparseEstimators {
-		return &eerShared{smemd: core.NewSparseMEMD()}
-	}
-	return &eerShared{memd: core.NewMEMD(n)}
 }
 
 func (sh *eerShared) getSnapshot() *core.EEVSnapshot {
@@ -92,9 +76,7 @@ func (sh *eerShared) getContact(t0 float64) *eerContact {
 		st := sh.ctPool[n-1]
 		sh.ctPool = sh.ctPool[:n-1]
 		st.t0 = t0
-		st.memd = nil
 		st.memdDone = false
-		clear(st.memdMap)
 		clear(st.decided)
 		return st
 	}
@@ -125,7 +107,7 @@ type EER struct {
 	shared *eerShared
 
 	hist *core.History
-	mi   core.MeetingStore
+	mi   *core.MeetingMatrix
 
 	contacts map[int]*eerContact
 }
@@ -133,13 +115,11 @@ type EER struct {
 // eerContact caches the per-contact estimator state: Algorithm 1 fixes
 // routing information at meeting time t0.
 type eerContact struct {
-	t0      float64
-	snap    *core.EEVSnapshot
-	memd    []float64 // dense mode: MEMD to every node, by id; nil until built
-	memdBuf []float64 // retained backing array for memd across recycling
-	// Sparse mode: delays for reached destinations only (absent = +Inf);
-	// the map is retained and cleared across recycling.
-	memdMap  map[int]float64
+	t0   float64
+	snap *core.EEVSnapshot
+	// delays holds the MEMD run's reached destinations (absent = +Inf);
+	// its backing array is retained across recycling.
+	delays   []core.Reach
 	memdDone bool
 	decided  map[int]eerDecision
 	pooled   bool // came from the shared freelist; recycled on contact down
@@ -161,10 +141,9 @@ func NewEER(cfg EERConfig, shared *eerShared) *EER {
 }
 
 // EERFactory returns a constructor producing EER routers that share one
-// MEMD scratch sized for n nodes (or one sparse calculator when
-// cfg.SparseEstimators is set).
+// MEMD scratch sized for n nodes.
 func EERFactory(cfg EERConfig, n int) func() network.Router {
-	shared := newEERShared(cfg, n)
+	shared := &eerShared{memd: core.NewMEMD(n)}
 	return func() network.Router { return NewEER(cfg, shared) }
 }
 
@@ -184,20 +163,14 @@ func (r *EER) InitialReplicas(*msg.Message) int { return r.cfg.Lambda }
 func (r *EER) Init(self *network.Node, w *network.World) {
 	r.Base.Init(self, w)
 	n := w.N()
-	if r.cfg.SparseEstimators {
-		r.hist = core.NewSparseHistory(self.ID, n, r.cfg.Window)
-		mi := core.NewSparseMeetingStore(n)
-		if r.cfg.MaxSparseRows > 0 {
-			mi.SetMaxRows(r.cfg.MaxSparseRows, self.ID)
-		}
-		r.mi = mi
-	} else {
-		r.hist = core.NewHistory(self.ID, n, r.cfg.Window)
-		r.mi = core.NewFullMeetingMatrix(n)
+	r.hist = core.NewHistory(self.ID, n, r.cfg.Window)
+	r.mi = core.NewFullMeetingMatrix(n)
+	if r.cfg.MaxSparseRows > 0 {
+		r.mi.SetMaxRows(r.cfg.MaxSparseRows, self.ID)
 	}
 	r.contacts = make(map[int]*eerContact)
 	if r.shared == nil {
-		r.shared = newEERShared(r.cfg, n)
+		r.shared = &eerShared{memd: core.NewMEMD(n)}
 	}
 }
 
@@ -234,46 +207,21 @@ func (r *EER) snapshot(st *eerContact) *core.EEVSnapshot {
 	return st.snap
 }
 
-// memdTo lazily computes the MEMD vector for a contact and returns the
-// delay to dst.
+// memdTo lazily runs the contact's MEMD and returns the delay to dst. The
+// contact keeps the reached destinations only, so its state grows with
+// the observed contact graph.
 func (r *EER) memdTo(st *eerContact, dst int) float64 {
-	if r.cfg.SparseEstimators {
-		return r.sparseMEMDTo(st, dst)
-	}
-	if st.memd == nil {
-		calc, mi := r.shared.memd, r.mi.(*core.MeetingMatrix)
-		if r.cfg.MeanIntervalMD {
-			calc.ComputeStoreOnly(r.Self.ID, mi)
-		} else {
-			calc.Compute(r.Self.ID, st.t0, r.hist, mi)
-		}
-		st.memd = append(st.memdBuf[:0], calc.Distances()...)
-		st.memdBuf = st.memd
-	}
-	return st.memd[dst]
-}
-
-// sparseMEMDTo is memdTo over the sparse core: the heap Dijkstra touches
-// only recorded edges, and the contact caches delays for the reached
-// destinations (absent = +Inf, exactly the dense convention).
-func (r *EER) sparseMEMDTo(st *eerContact, dst int) float64 {
 	if !st.memdDone {
-		calc := r.shared.smemd
+		calc := r.shared.memd
 		if r.cfg.MeanIntervalMD {
 			calc.ComputeStoreOnly(r.Self.ID, r.mi)
 		} else {
 			calc.Compute(r.Self.ID, st.t0, r.hist, r.mi)
 		}
-		if st.memdMap == nil {
-			st.memdMap = make(map[int]float64)
-		}
-		calc.ForEachReached(func(id int, d float64) { st.memdMap[id] = d })
+		st.delays = append(st.delays[:0], calc.Reached()...)
 		st.memdDone = true
 	}
-	if d, ok := st.memdMap[dst]; ok {
-		return d
-	}
-	return math.Inf(1)
+	return core.DistTo(st.delays, dst)
 }
 
 // horizon returns the EEV horizon for message m decided at time t.

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -22,23 +24,17 @@ import (
 // Each node's probability vector is a published core.Row of its positive
 // entries: the own-row update builds a new row, and the vector exchange
 // moves row pointers, so every router that learned a vector shares it.
-// The rows live in a core.RowSet — DenseRows (one slot per node) at figure
-// scale, SparseRows (observed owners only) at city scale — and both run
-// the same update and exchange code. Routing decisions are bit-identical
-// across the two: normalisation sums and divisions visit entries in
-// ascending id order, and the path costs come from Dijkstras whose
-// distances are storage-independent.
+// The rows live in a core.RowSet holding only the owners a node has heard
+// of. Normalisation sums and divisions visit entries in ascending id
+// order, and the path costs come from the world's shared Dijkstra kernel;
+// a router keeps only the costs of the destinations that run reached.
 type MaxProp struct {
 	Base
 	// HopThreshold gives messages with fewer hops transmission priority
 	// (default 7).
 	HopThreshold int
-	// Sparse selects observed-peer row storage and the heap-based cost
-	// Dijkstra; set it before Init (MaxPropFactory does).
-	Sparse bool
-	// MaxSparseRows caps the sparse probability-row store at that many
-	// rows with stale-row eviction (own row pinned); 0 = unbounded. Only
-	// meaningful with Sparse.
+	// MaxSparseRows caps the probability-row store at that many rows with
+	// stale-row eviction (own row pinned); 0 = unbounded.
 	MaxSparseRows int
 	// Gossip selects how the vector exchange at contacts is metered (and,
 	// in delta mode, restricted); see core.ExchangeMode. The zero value is
@@ -46,14 +42,16 @@ type MaxProp struct {
 	// probability state.
 	Gossip core.ExchangeMode
 
-	rows core.RowSet // probability rows by owner id
+	rows *core.RowSet // probability rows by owner id
 
-	// Dense path costs (nil in sparse mode).
-	cost []float64 // cached path cost to every node
-	kern *core.IndexDijkstra
-
-	// Sparse path costs (nil in dense mode).
-	dij *core.SparseDijkstra // per-router: its dist map doubles as the cost cache
+	// kern is the world's shared cost Dijkstra. costRun is the kernel run
+	// of this router's last refresh: while no other router has reset the
+	// kernel, its distances answer reads directly. cost keeps that run's
+	// reached destinations for later reads, sorted by id on first use.
+	kern       *core.IndexDijkstra
+	costRun    uint64
+	cost       []core.Reach
+	costSorted bool
 
 	// costValid is set when a decision validates the cost cache and
 	// cleared when a row of this router changes; the drop policy reads
@@ -67,28 +65,19 @@ type MaxProp struct {
 	costValidations, costRuns int
 }
 
-// NewMaxProp returns a MaxProp router; use MaxPropFactory so dense routers
-// share scratch.
+// NewMaxProp returns a MaxProp router; use MaxPropFactory so routers
+// share the cost kernel.
 func NewMaxProp() *MaxProp { return &MaxProp{HopThreshold: 7} }
 
 // MaxPropFactory returns a constructor producing MaxProp routers for n
-// nodes: dense routers sharing one cost-Dijkstra kernel, or self-contained
-// sparse routers whose state grows with observed peers only (optionally
-// capped at maxRows rows each). gossip selects the exchange metering.
-func MaxPropFactory(n int, sparse bool, maxRows int, gossip core.ExchangeMode) func() network.Router {
-	if sparse {
-		return func() network.Router {
-			r := NewMaxProp()
-			r.Sparse = true
-			r.MaxSparseRows = maxRows
-			r.Gossip = gossip
-			return r
-		}
-	}
+// nodes that share one cost-Dijkstra kernel, each row store optionally
+// capped at maxRows rows. gossip selects the exchange metering.
+func MaxPropFactory(n, maxRows int, gossip core.ExchangeMode) func() network.Router {
 	kern := core.NewIndexDijkstra(n)
 	return func() network.Router {
 		r := NewMaxProp()
 		r.kern = kern
+		r.MaxSparseRows = maxRows
 		r.Gossip = gossip
 		return r
 	}
@@ -97,20 +86,12 @@ func MaxPropFactory(n int, sparse bool, maxRows int, gossip core.ExchangeMode) f
 // Init implements network.Router.
 func (r *MaxProp) Init(self *network.Node, w *network.World) {
 	r.Base.Init(self, w)
-	n := w.N()
-	if r.Sparse {
-		rows := core.NewSparseRows()
-		if r.MaxSparseRows > 0 {
-			rows.SetCap(r.MaxSparseRows, self.ID)
-		}
-		r.rows = rows
-		r.dij = core.NewSparseDijkstra()
-	} else {
-		r.rows = core.NewDenseRows(n)
-		r.cost = make([]float64, n)
-		if r.kern == nil {
-			r.kern = core.NewIndexDijkstra(n)
-		}
+	r.rows = core.NewRowSet()
+	if r.MaxSparseRows > 0 {
+		r.rows.SetCap(r.MaxSparseRows, self.ID)
+	}
+	if r.kern == nil {
+		r.kern = core.NewIndexDijkstra(w.N())
 	}
 	self.Buf.SetPolicy(r.dropVictim)
 }
@@ -222,31 +203,23 @@ func (r *MaxProp) invalidateCost() {
 	r.costComputed = false
 }
 
-// refreshCost recomputes the Σ(1−p) Dijkstra costs from this node: the
-// shared indexed heap kernel over dense rows, the heap calculator over
-// sparse ones, each relaxing a row's positive entries in ascending order.
+// refreshCost recomputes the Σ(1−p) Dijkstra costs from this node on the
+// shared kernel, relaxing each row's positive entries in ascending order,
+// and keeps the reached destinations.
 func (r *MaxProp) refreshCost() {
 	r.costRuns++
-	switch rows := r.rows.(type) {
-	case *core.DenseRows:
-		k := r.kern
-		u, base := r.Self.ID, 0.0
-		k.Reset(u)
-		for ok := true; ok; u, base, ok = k.Next() {
-			peers, probs := rows.Row(u).Entries()
-			for i, v := range peers {
-				k.Relax(int(v), base, edgeCost(probs[i]))
-			}
+	k := r.kern
+	u, base := r.Self.ID, 0.0
+	k.Reset(u, r.rows)
+	for ok := true; ok; u, base, ok = k.Next() {
+		peers, probs := k.RowOf(u).Entries()
+		for i, v := range peers {
+			k.Relax(int(v), base, edgeCost(probs[i]))
 		}
-		copy(r.cost, k.Dist())
-	case *core.SparseRows:
-		r.dij.Run(r.Self.ID, func(u int, relax func(v int, w float64)) {
-			peers, probs := rows.Row(u).Entries()
-			for i, v := range peers {
-				relax(int(v), edgeCost(probs[i]))
-			}
-		})
 	}
+	r.costRun = k.Run()
+	r.cost = append(r.cost[:0], k.Settled()...)
+	r.costSorted = false
 	r.costComputed = true
 }
 
@@ -269,13 +242,19 @@ func (r *MaxProp) pathCost(dst int) float64 {
 	if !r.costComputed {
 		r.refreshCost()
 	}
-	if r.Sparse {
-		if d, ok := r.dij.Dist(dst); ok {
-			return d
-		}
+	if r.kern.Run() == r.costRun {
+		d, _ := r.kern.Dist(dst)
+		return d
+	}
+	if !r.costSorted {
+		slices.SortFunc(r.cost, func(a, b core.Reach) int { return cmp.Compare(a.ID, b.ID) })
+		r.costSorted = true
+	}
+	i, ok := slices.BinarySearchFunc(r.cost, int32(dst), func(e core.Reach, id int32) int { return cmp.Compare(e.ID, id) })
+	if !ok {
 		return math.Inf(1)
 	}
-	return r.cost[dst]
+	return r.cost[i].D
 }
 
 // Cost returns the current path cost estimate to dst.

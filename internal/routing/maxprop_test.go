@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -80,7 +79,7 @@ func positiveColumns(row []float64) []int {
 	return out
 }
 
-// TestMaxPropIndexedCostParity drives dense MaxProp worlds through random
+// TestMaxPropIndexedCostParity drives MaxProp worlds through random
 // contact sequences under every gossip mode, then checks that each
 // router's rows hold exactly their positive probabilities and that its
 // path costs match the dense reference, bit for bit. The last node only ever meets node 0, so its own
@@ -90,7 +89,7 @@ func TestMaxPropIndexedCostParity(t *testing.T) {
 	for _, mode := range []core.ExchangeMode{core.ExchangeFresher, core.ExchangeFlood, core.ExchangeDelta} {
 		for _, seed := range []int64{1, 2} {
 			t.Run(fmt.Sprintf("%v-seed%d", mode, seed), func(t *testing.T) {
-				f := MaxPropFactory(n, false, 0, mode)
+				f := MaxPropFactory(n, 0, mode)
 				h := newHarness(t, n, func(int) network.Router { return f() })
 				rng := xrand.New(seed)
 				h.meet(n-1, 0, 1)
@@ -129,57 +128,47 @@ func TestMaxPropIndexedCostParity(t *testing.T) {
 
 // TestMaxPropCopyRowClearsStaleEntries: a fresher row with fewer positive
 // entries — which one node's growing vector never produces, but the
-// exchange must not assume — replaces the old row entirely, in dense and
-// sparse storage alike.
+// exchange must not assume — replaces the old row entirely.
 func TestMaxPropCopyRowClearsStaleEntries(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		rows := func() core.RowSet {
-			if sparse {
-				return core.NewSparseRows()
-			}
-			return core.NewDenseRows(3)
-		}
-		r, o := rows(), rows()
-		r.Publish(1, core.NewRow(1, []int32{0, 2}, []float64{0.5, 0.5}))
-		o.Publish(1, core.NewRow(2, []int32{2}, []float64{1}))
-		core.SyncRows(r, o, 0, 2, core.ExchangeFresher)
-		peers, vals := r.Row(1).Entries()
-		if !slices.Equal(peers, []int32{2}) || !slices.Equal(vals, []float64{1}) {
-			t.Fatalf("sparse=%v: copied row holds %v %v, want [2] [1]", sparse, peers, vals)
-		}
+	r, o := core.NewRowSet(), core.NewRowSet()
+	r.Publish(1, core.NewRow(1, []int32{0, 2}, []float64{0.5, 0.5}))
+	o.Publish(1, core.NewRow(2, []int32{2}, []float64{1}))
+	core.SyncRows(r, o, 0, 2, core.ExchangeFresher)
+	peers, vals := r.Row(1).Entries()
+	if !slices.Equal(peers, []int32{2}) || !slices.Equal(vals, []float64{1}) {
+		t.Fatalf("copied row holds %v %v, want [2] [1]", peers, vals)
 	}
 }
 
 // TestMaxPropUnderflowMeteringParity: node 0 meets node 2 once, then node 1
 // k times, so its probability for node 2 halves at every normalisation
-// until it underflows to zero; then it meets node 2 again. Dense and
-// sparse storage must agree on every summary field, the gossip counters
-// included: a row holds only positive probabilities, so the underflowed
-// entry neither travels nor counts in either mode.
+// until it underflows to zero; then it meets node 2 again. A row holds
+// only positive probabilities — the entries the exchange meters — so the
+// underflowed entry leaves node 0's row, and no router ever holds a zero
+// entry.
 func TestMaxPropUnderflowMeteringParity(t *testing.T) {
 	for _, tc := range []struct {
 		k    int
 		held []int32 // node 0's own-row peers before meeting node 2 again
 	}{{1000, []int32{1, 2}}, {1100, []int32{1}}} {
-		k := tc.k
-		var sums [2]metrics.Summary
-		for i, sparse := range []bool{false, true} {
-			f := MaxPropFactory(3, sparse, 0, core.ExchangeFresher)
-			h := newHarness(t, 3, func(int) network.Router { return f() })
-			h.meet(0, 2, 1)
-			for range k {
-				h.meet(0, 1, 1)
-			}
-			r0 := h.w.Node(0).Router.(*MaxProp)
-			if peers, _ := r0.rows.Row(0).Entries(); !slices.Equal(peers, tc.held) {
-				t.Errorf("k=%d sparse=%v: own row holds peers %v, want %v", k, sparse, peers, tc.held)
-			}
-			h.meet(0, 2, 1)
-			sums[i] = h.w.Metrics.Summary()
+		f := MaxPropFactory(3, 0, core.ExchangeFresher)
+		h := newHarness(t, 3, func(int) network.Router { return f() })
+		h.meet(0, 2, 1)
+		for range tc.k {
+			h.meet(0, 1, 1)
 		}
-		if d, s := sums[0], sums[1]; d != s {
-			t.Errorf("k=%d: gossip entries dense %d, sparse %d; bytes %d, %d (summaries differ)",
-				k, d.GossipEntries, s.GossipEntries, d.GossipBytes, s.GossipBytes)
+		r0 := h.w.Node(0).Router.(*MaxProp)
+		if peers, _ := r0.rows.Row(0).Entries(); !slices.Equal(peers, tc.held) {
+			t.Errorf("k=%d: own row holds peers %v, want %v", tc.k, peers, tc.held)
+		}
+		h.meet(0, 2, 1)
+		for i := range 3 {
+			r := h.w.Node(i).Router.(*MaxProp)
+			for owner := range 3 {
+				if _, vals := r.rows.Row(owner).Entries(); slices.ContainsFunc(vals, func(v float64) bool { return !(v > 0) }) {
+					t.Fatalf("k=%d: node %d holds row %d with a non-positive entry: %v", tc.k, i, owner, vals)
+				}
+			}
 		}
 	}
 }
@@ -241,8 +230,10 @@ func checkLazyCosts(t *testing.T, h *harness, n int) {
 	}
 }
 
-// TestMaxPropLazyCostParity drives dense and sparse MaxProp worlds under
-// every gossip mode through random meetings with messages in flight:
+// TestMaxPropLazyCostParity drives MaxProp worlds under every gossip mode
+// through random meetings with messages in flight, over a dense contact
+// graph (any pair meets) and a sparse one (ring neighbours only, so rows
+// hold at most two entries and costs follow long chains):
 // small buffers force drops, transfers take one tick each so the audit
 // runs after every transfer, and hop thresholds 0–2 make the transmission
 // sort compare costs. After every meet and transfer, checkLazyCosts holds
@@ -253,7 +244,7 @@ func TestMaxPropLazyCostParity(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		for _, mode := range []core.ExchangeMode{core.ExchangeFresher, core.ExchangeFlood, core.ExchangeDelta} {
 			t.Run(fmt.Sprintf("sparse=%v-%v", sparse, mode), func(t *testing.T) {
-				f := MaxPropFactory(n, sparse, 0, mode)
+				f := MaxPropFactory(n, 0, mode)
 				runner := sim.NewRunner(1)
 				// 1000-byte messages at 1000 B/s: one transfer per tick.
 				w := network.New(network.Config{Range: 10, Bandwidth: 1000}, runner)
@@ -275,6 +266,9 @@ func TestMaxPropLazyCostParity(t *testing.T) {
 					a, b := rng.Intn(n), rng.Intn(n-1)
 					if b >= a {
 						b++
+					}
+					if sparse {
+						b = (a + 1 + rng.Intn(2)*(n-2)) % n // a±1
 					}
 					h.movers[a].moveTo(-500, -500)
 					h.movers[b].moveTo(-495, -500)

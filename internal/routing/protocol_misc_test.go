@@ -120,31 +120,28 @@ func TestEBRNeverRelinquishesLastReplicaInSpray(t *testing.T) {
 }
 
 func maxPropHarness(t *testing.T, n int) *harness {
-	f := MaxPropFactory(n, false, 0, 0)
+	f := MaxPropFactory(n, 0, 0)
 	return newHarness(t, n, func(int) network.Router { return f() })
 }
 
 func TestMaxPropMeetingProbabilities(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		f := MaxPropFactory(4, sparse, 0, 0)
-		h := newHarness(t, 4, func(int) network.Router { return f() })
-		// Increment-then-renormalise (Burgess et al.): after (0,1), (0,2),
-		// (0,1) the vector is [0.75, 0.25].
-		h.meet(0, 1, 3)
-		h.meet(0, 2, 3)
-		h.meet(0, 1, 3)
-		r0 := h.w.Node(0).Router.(*MaxProp)
-		p1, p2 := r0.Prob(1), r0.Prob(2)
-		if p1 <= p2 {
-			t.Errorf("sparse=%v: P(1)=%g should exceed P(2)=%g after more meetings", sparse, p1, p2)
-		}
-		sum := 0.0
-		for v := 0; v < 4; v++ {
-			sum += r0.Prob(v)
-		}
-		if sum < 0.99 || sum > 1.01 {
-			t.Errorf("sparse=%v: probabilities sum to %g, want 1", sparse, sum)
-		}
+	h := maxPropHarness(t, 4)
+	// Increment-then-renormalise (Burgess et al.): after (0,1), (0,2),
+	// (0,1) the vector is [0.75, 0.25].
+	h.meet(0, 1, 3)
+	h.meet(0, 2, 3)
+	h.meet(0, 1, 3)
+	r0 := h.w.Node(0).Router.(*MaxProp)
+	p1, p2 := r0.Prob(1), r0.Prob(2)
+	if p1 <= p2 {
+		t.Errorf("P(1)=%g should exceed P(2)=%g after more meetings", p1, p2)
+	}
+	sum := 0.0
+	for v := 0; v < 4; v++ {
+		sum += r0.Prob(v)
+	}
+	if sum < 0.99 || sum > 1.01 {
+		t.Errorf("probabilities sum to %g, want 1", sum)
 	}
 }
 

@@ -206,6 +206,11 @@ func TestFabricWorkerDeadOnArrival(t *testing.T) {
 func TestFabricWorkerLossMidRun(t *testing.T) {
 	a := startWorker(t, Config{})
 	b := startWorker(t, Config{})
+	// The killed worker's job keeps simulating in-process; end it (and
+	// the survivor's) before the workers' cache TempDirs are removed, or
+	// its late store write recreates them.
+	stopJobsOnCleanup(t, a.srv)
+	stopJobsOnCleanup(t, b.srv)
 	_, ts := newCoordinator(t, Config{}, a.url, b.url)
 
 	// Long enough to reliably catch mid-run (the poll below finds it in

@@ -52,7 +52,7 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 // exposition format plus the reconciliation invariant CI relies on:
 // submissions == hits + misses, and every terminal job is counted.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
 	// A zero-traffic scrape exposes every metric, all zero except gauges.
 	m0 := scrapeMetrics(t, ts)
@@ -94,6 +94,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// And one sweep, half of it cached (testSpec is not a testSweep cell).
 	sw, _ := postSweep(t, ts, testSweep)
 	waitSweepState(t, ts, sw.SweepID, stateDone)
+	waitJobsReleased(t, s)
 
 	m := scrapeMetrics(t, ts)
 	check := func(name string, want float64) {

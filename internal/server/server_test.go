@@ -42,6 +42,43 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// stopJobsOnCleanup registers a cleanup that cancels every job of s and
+// waits for them to end. Cleanups run last-registered first, so one
+// registered after the server's cache TempDir ends pending store writes
+// before the directory is removed.
+func stopJobsOnCleanup(t *testing.T, s *Server) {
+	t.Cleanup(func() {
+		s.mu.Lock()
+		for _, j := range s.jobs {
+			j.cancel()
+		}
+		s.mu.Unlock()
+		if err := s.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// waitJobsReleased waits until s has released the queue slot of every job
+// it accepted: a job publishes its terminal event before jobDone releases
+// the slot, so a scrape right after "done" can still count it.
+func waitJobsReleased(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		queued := s.queued
+		s.mu.Unlock()
+		if queued == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs still hold queue slots", queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func postSpec(t *testing.T, ts *httptest.Server, spec string) (submitResponse, int) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
