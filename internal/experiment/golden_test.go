@@ -17,7 +17,7 @@ import (
 //
 //	go test ./internal/experiment -run TestGoldenFigure2 -update-golden
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_figure2.json from the current engine")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden fixtures in testdata from the current engine")
 
 const goldenPath = "testdata/golden_figure2.json"
 

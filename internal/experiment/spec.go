@@ -567,6 +567,11 @@ func validateScenario(s Scenario) error {
 	if !(s.Alpha > 0) {
 		return fmt.Errorf("alpha must be positive, got %g", s.Alpha)
 	}
+	// A negative margin would hand single copies to peers with a longer
+	// MEMD, the opposite of the A3 hysteresis.
+	if !(s.ForwardHysteresis >= 0) {
+		return fmt.Errorf("forward_hysteresis must be >= 0, got %g", s.ForwardHysteresis)
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -105,6 +106,8 @@ func TestSpecValidation(t *testing.T) {
 		{"zero ttl", "ttl", ScenarioSpec{TTL: ptr(0.0)}},
 		{"interval inverted", "interval", ScenarioSpec{MsgIntervalMin: ptr(30.0), MsgIntervalMax: ptr(20.0)}},
 		{"negative row cap", "max_sparse_rows", ScenarioSpec{MaxSparseRows: ptr(-1)}},
+		{"negative hysteresis", "forward_hysteresis", ScenarioSpec{ForwardHysteresis: ptr(-300.0)}},
+		{"NaN hysteresis", "forward_hysteresis", ScenarioSpec{ForwardHysteresis: ptr(math.NaN())}},
 		{"degenerate map", "map", ScenarioSpec{Map: &MapSpec{Lines: ptr(0)}}},
 		// Service ceilings: a validated spec must always terminate in
 		// bounded memory (dtnd is network-facing).
@@ -123,10 +126,10 @@ func TestSpecValidation(t *testing.T) {
 
 // engineCrashers are specs the engine panics on (invalid bus speed range,
 // empty districts for CR's communities or city mobility), silently
-// misreads (negative window, buffer and alpha), or stalls or exhausts
-// memory on (road maps past the generation ceilings, huge history
-// windows, ticks that walk movers across millions of legs), each with the
-// error validation must give.
+// misreads (negative window, buffer, alpha and forward hysteresis), or
+// stalls or exhausts memory on (road maps past the generation ceilings,
+// huge history windows, ticks that walk movers across millions of legs),
+// each with the error validation must give.
 var engineCrashers = []struct{ spec, wantErr string }{
 	{`{"preset":"quick","min_speed":0,"max_speed":0}`, "speeds"},
 	{`{"preset":"quick","min_speed":5,"max_speed":1}`, "speeds"},
@@ -141,6 +144,7 @@ var engineCrashers = []struct{ spec, wantErr string }{
 	{`{"preset":"quick","buf_bytes":100}`, "buf_bytes"},
 	{`{"preset":"quick","alpha":-0.5}`, "alpha"},
 	{`{"preset":"quick","alpha":0}`, "alpha"},
+	{`{"preset":"quick","forward_hysteresis":-300}`, "forward_hysteresis"},
 	{`{"preset":"quick","map":{"stops_per_line":100000}}`, "stops_per_line"},
 	{`{"preset":"quick","map":{"stops_per_line":101}}`, "stops_per_line"},
 	{`{"preset":"quick","map":{"grid_x":3000,"grid_y":3000}}`, "grid_x·grid_y"},
