@@ -1,8 +1,11 @@
 // Command dtnsim runs one DTN scenario and prints a full metrics report.
+// The scenario is a spec: the paper's Section V-A defaults with seed 1,
+// overlaid by a -spec document and edited field by field with -set.
 //
 // Example:
 //
-//	dtnsim -protocol EER -nodes 120 -duration 10000 -lambda 10 -seeds 5
+//	dtnsim -set protocol=CR -set nodes=120 -set lambda=10 -set 'seeds=[1,2,3,4,5]'
+//	echo '{"preset": "cityscale", "duration": 60}' | dtnsim -spec - -set shards=2
 package main
 
 import (
@@ -33,23 +36,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dtnsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var scenario experiment.SpecFlags
+	scenario.Register(fs)
 	var (
-		protocol = fs.String("protocol", "EER", "protocol: EER, CR, EBR, MaxProp, SprayAndWait, SprayAndFocus, Epidemic, Prophet, Direct, FirstContact, EER-fixedEV, EER-meanMD")
-		nodes    = fs.Int("nodes", 120, "number of nodes")
-		duration = fs.Float64("duration", 10000, "simulated seconds")
-		lambda   = fs.Int("lambda", 10, "initial replica quota λ")
-		alpha    = fs.Float64("alpha", 0.28, "EEV/ENEC horizon scale α")
-		ttl      = fs.Float64("ttl", 1200, "message TTL in seconds")
-		bufKB    = fs.Int("buffer", 1024, "buffer size in KB")
-		msgKB    = fs.Int("msgsize", 25, "message size in KB")
-		tick     = fs.Float64("tick", 0.25, "simulation tick in seconds")
-		seeds    = fs.Int("seeds", 1, "number of seeds to average")
-		seed     = fs.Int64("seed", 1, "base seed (used when -seeds 1)")
-		mobility = fs.String("mobility", "bus", "mobility model: bus, rwp or city")
-		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; results identical)")
-		gossip   = fs.String("gossip", "", "estimator exchange metering for EER/CR/MaxProp: fresher (default), flood or delta (summaries identical except gossip volume)")
-		city     = fs.Bool("city", false, "start from the 10k-node CityScale preset instead of the paper defaults")
-		metro    = fs.Bool("metro", false, "start from the 100k-node MetroScale preset (auto shards, delta gossip) instead of the paper defaults")
 		timing   = fs.Bool("timing", false, "profile the engine and print a per-tick phase breakdown after the report (results stay bit-identical)")
 		verbose  = fs.Bool("v", false, "print per-seed summaries")
 		serve    = fs.String("serve", "", "instead of running one scenario, serve the dtnd simulation API on this address (e.g. :8080)")
@@ -65,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *serve != "" {
 		// Same daemon as cmd/dtnd: dtnsim -serve exists so a single
 		// installed binary covers both one-shot runs and the service.
-		// Scenario flags configure one-shot runs only — jobs arrive as
+		// The other flags configure one-shot runs only — jobs arrive as
 		// specs — so flag them as ignored rather than silently dropping.
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -91,59 +80,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// The run is a spec: a preset plus the flags the user set. Every flag
-	// default equals the paper default (experiment.Default), so an unset
-	// flag leaves the preset's value — the paper's, -city's or -metro's.
-	var sp experiment.ScenarioSpec
-	if *city {
-		sp.Preset = "cityscale"
-	}
-	if *metro {
-		sp.Preset = "metroscale"
-	}
-	var shardsErr error
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "protocol":
-			sp.Protocol = experiment.Ptr(*protocol)
-		case "nodes":
-			sp.Nodes = experiment.Ptr(*nodes)
-		case "duration":
-			sp.Duration = experiment.Ptr(*duration)
-		case "lambda":
-			sp.Lambda = experiment.Ptr(*lambda)
-		case "alpha":
-			sp.Alpha = experiment.Ptr(*alpha)
-		case "ttl":
-			sp.TTL = experiment.Ptr(*ttl)
-		case "buffer":
-			sp.BufBytes = experiment.Ptr(*bufKB * 1024)
-		case "msgsize":
-			sp.MsgSize = experiment.Ptr(*msgKB * 1024)
-		case "tick":
-			sp.Tick = experiment.Ptr(*tick)
-		case "mobility":
-			sp.Mobility = experiment.Ptr(*mobility)
-		case "shards":
-			var n int
-			n, shardsErr = experiment.ParseShards(*shards)
-			sp.Shards = experiment.Ptr(experiment.ShardCount(n))
-		case "gossip":
-			sp.Gossip = experiment.Ptr(*gossip)
-		case "timing":
-			sp.Profile = experiment.Ptr(*timing)
-		}
-	})
-	sp.Seeds = []int64{*seed}
-	if *seeds > 1 {
-		sp.Seeds = experiment.Seeds(*seeds)
-	}
 	// Spec validation rejects unknown names and values beyond the job
 	// ceilings before any world is built.
-	s, err := sp.Scenario()
-	if err = errors.Join(shardsErr, err); err != nil {
+	sp, s, err := scenario.Resolve(experiment.ScenarioSpec{})
+	if err != nil {
 		fmt.Fprintln(stderr, "dtnsim:", err)
 		return 2
+	}
+	if *timing {
+		sp.Profile = experiment.Ptr(true)
 	}
 
 	start := time.Now()

@@ -16,7 +16,10 @@
 // 3's λ=10 cells and A1/A2's EER cells are Figure 2's EER cells.
 //
 // Full paper parameters take tens of minutes; -quick runs a reduced but
-// shape-preserving sweep in a few minutes.
+// shape-preserving sweep in a few minutes. -spec and -set edit the base
+// spec every figure sweeps over, as they edit dtnsim's one scenario:
+//
+//	figures -fig 3 -nodes 40,80 -set duration=2000 -set 'seeds=[1,2]'
 //
 // Tables and CSV artifacts go to stdout / files; diagnostics are
 // structured log lines (log/slog, same logfmt text as dtnd) on stderr,
@@ -64,14 +67,13 @@ type figure struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var scenario experiment.SpecFlags
+	scenario.Register(fs)
 	var (
 		fig      = fs.String("fig", "all", "which figure: 2, 3, 4, a1, a2, a3 or all")
-		seeds    = fs.Int("seeds", 5, "seeds per data point (paper used 10)")
-		quick    = fs.Bool("quick", false, "reduced sweep: fewer nodes, 4000 s runs, 2 seeds (an explicit -duration or -seeds still applies)")
+		quick    = fs.Bool("quick", false, "reduced sweep: fewer nodes, 4000 s runs at tick 0.5, 2 seeds (a -set of duration, tick or seeds still applies)")
 		csv      = fs.String("csv", "", "also write CSV data to this file prefix (e.g. fig)")
 		nodes    = fs.String("nodes", "", "override node counts, comma-separated")
-		outDur   = fs.Float64("duration", 10000, "simulated seconds per run")
-		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; summaries identical). The pool already fills all cores, so set this only for few huge runs")
 		cache    = fs.String("cache", "", "content-addressed result cache shared with dtnd and cmd/sweep; every figure's cells hit it (empty disables)")
 		timing   = fs.Bool("timing", false, "profile the engine and print a per-figure phase breakdown (results stay bit-identical; cached cells carry no timing)")
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -89,25 +91,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
-	shardCount, err := experiment.ParseShards(*shards)
-	if err != nil {
-		log.Error("bad -shards", "err", err)
-		return 2
+	// Every figure sweeps protocols and node counts (and λ or the
+	// hysteresis) over one base: 5 seeds of 10 000 s, which -quick
+	// shrinks and -spec and -set edit. The pool already fills all cores,
+	// so -set shards pays only for few huge runs.
+	base := experiment.ScenarioSpec{
+		Duration: experiment.Ptr(10000.0),
+		Tick:     experiment.Ptr(0.25),
+		Seeds:    experiment.Seeds(5),
 	}
-	duration, tick := *outDur, 0.25
 	counts := []int{40, 80, 120, 160, 200, 240}
 	if *quick {
-		// Quick's defaults give way to an explicit -duration or -seeds.
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		tick = 0.5
+		base.Duration, base.Tick, base.Seeds = experiment.Ptr(4000.0), experiment.Ptr(0.5), experiment.Seeds(2)
 		counts = []int{40, 120, 200}
-		if !set["duration"] {
-			duration = 4000
-		}
-		if !set["seeds"] {
-			*seeds = 2
-		}
+	}
+	base, _, err := scenario.Resolve(base)
+	if err != nil {
+		log.Error("bad spec", "err", err)
+		return 2
 	}
 	if *nodes != "" {
 		counts = nil
@@ -119,12 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			counts = append(counts, n)
 		}
-	}
-	base := experiment.ScenarioSpec{
-		Duration: experiment.Ptr(duration),
-		Tick:     experiment.Ptr(tick),
-		Shards:   experiment.Ptr(experiment.ShardCount(shardCount)),
-		Seeds:    experiment.Seeds(*seeds),
 	}
 	if *timing {
 		// Profile is excluded from cell cache keys, so profiled figure
@@ -220,7 +215,7 @@ func figures(base experiment.ScenarioSpec, counts []int) []figure {
 // logs how the cells were served — simulated, shared with another cell's
 // run, or read from the cache — and the figure's trace fast-path work.
 func runFigure(log *slog.Logger, f figure, store *resultcache.Store) ([]experiment.Series, bool) {
-	log.Info("figure starting", "figure", f.id, "seeds", len(f.sweep.Base.Seeds))
+	log.Info("figure starting", "figure", f.id, "seeds", len(f.sweep.Base.SeedList()))
 	rec0, rep0 := experiment.TraceRecordings(), experiment.TraceReplays()
 	results, err := experiment.RunSweep(context.Background(), f.sweep, store)
 	if err != nil && results == nil {

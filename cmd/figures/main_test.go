@@ -11,7 +11,7 @@ import (
 
 // goldenArgs is the tiny figure size the testdata/ outputs were captured
 // at (stdout without its "total wall time" line, plus the CSV file).
-var goldenArgs = []string{"-nodes", "20,40", "-duration", "3000", "-seeds", "2"}
+var goldenArgs = []string{"-nodes", "20,40", "-set", "duration=3000", "-set", "seeds=[1,2]"}
 
 // runFigures runs the command in a fresh directory with a CSV prefix
 // there and returns stdout (wall-time line dropped, CSV paths relative
@@ -76,7 +76,7 @@ func TestFiguresGolden(t *testing.T) {
 // cache reads it instead of simulating it.
 func TestFiguresShareCache(t *testing.T) {
 	cache := t.TempDir()
-	args := []string{"-nodes", "20", "-duration", "300", "-seeds", "1", "-cache", cache}
+	args := []string{"-nodes", "20", "-set", "duration=300", "-set", "seeds=[1]", "-cache", cache}
 	_, log3, _ := runFigures(t, append([]string{"-fig", "3"}, args...)...)
 	if !strings.Contains(log3, `msg="figure done" figure=3 cells=4 simulated=4 runs=4 shared=0 cached=0`) {
 		t.Errorf("figure 3 log:\n%s", log3)
@@ -87,12 +87,12 @@ func TestFiguresShareCache(t *testing.T) {
 	}
 }
 
-// TestFiguresQuickKeepsDuration: -quick sets 4000 s runs only when
-// -duration is not given, as it does for -seeds, so -quick -duration 400
-// simulates (and caches) 400 s cells.
+// TestFiguresQuickKeepsDuration: -quick shrinks the base spec before the
+// -set edits apply, so -quick -set duration=400 simulates (and caches)
+// 400 s cells at quick's tick.
 func TestFiguresQuickKeepsDuration(t *testing.T) {
 	cache := t.TempDir()
-	runFigures(t, "-fig", "a3", "-quick", "-duration", "400", "-nodes", "20", "-seeds", "1", "-cache", cache)
+	runFigures(t, "-fig", "a3", "-quick", "-set", "duration=400", "-nodes", "20", "-set", "seeds=[1]", "-cache", cache)
 	files, err := filepath.Glob(filepath.Join(cache, "*", "*.json"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no cached cells (%v)", err)
@@ -116,8 +116,8 @@ func TestFiguresQuickKeepsDuration(t *testing.T) {
 	}
 }
 
-// TestFiguresUsageErrors: bad flags and cells the spec validation
-// rejects exit 2 before anything runs.
+// TestFiguresUsageErrors: bad flags, bad spec edits and cells the spec
+// validation rejects exit 2 before anything runs.
 func TestFiguresUsageErrors(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -126,7 +126,8 @@ func TestFiguresUsageErrors(t *testing.T) {
 		{[]string{"-fig", "9"}, "unknown figure"},
 		{[]string{"-nodes", "20,x"}, "bad node count"},
 		{[]string{"-nodes", "1"}, "need at least two nodes"},
-		{[]string{"-shards", "many"}, "bad -shards"},
+		{[]string{"-set", "shards=many"}, `bad shards \"many\"`},
+		{[]string{"-set", "duration=long"}, "cannot unmarshal string"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != 2 {

@@ -1,7 +1,10 @@
 // Command sweep explores the parameters the paper omitted "due to the
 // space limitation" (Section V-B): the horizon scale α, the message TTL,
 // the buffer size and the history window, each as a 1-D sweep at a fixed
-// node count.
+// node count. -spec and -set edit the base scenario, as they do for
+// dtnsim:
+//
+//	sweep -param ttl -set protocol=CR -set nodes=60 -set 'seeds=[1,2]'
 //
 // The sweep expands through experiment.SweepSpec — the same declarative
 // path the dtnd daemon's /v1/sweeps endpoint uses — so every cell is
@@ -40,14 +43,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var scenario experiment.SpecFlags
+	scenario.Register(fs)
 	var (
 		param    = fs.String("param", "alpha", "parameter to sweep: alpha, ttl, buffer, window, lambda")
-		protocol = fs.String("protocol", "EER", "protocol under test")
-		nodes    = fs.Int("nodes", 120, "node count")
-		seeds    = fs.Int("seeds", 3, "seeds per point")
-		duration = fs.Float64("duration", 6000, "simulated seconds")
 		workers  = fs.Int("workers", 0, "cap simulation workers (0 = all cores)")
-		shards   = fs.String("shards", "0", "per-world tick shards: a count or \"auto\" (0 and 1 = one worker, inline; summaries identical)")
 		cache    = fs.String("cache", "", "content-addressed result cache directory shared with dtnd (empty disables)")
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	)
@@ -67,22 +67,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
-	shardCount, err := experiment.ParseShards(*shards)
+	// The base is EER at 120 nodes, 3 seeds of 6000 s, edited by -spec
+	// and -set. Resolve it before any cell runs: an unknown protocol or a
+	// value beyond the job ceilings is a usage error.
+	base, s, err := scenario.Resolve(experiment.ScenarioSpec{
+		Protocol: experiment.Ptr(string(experiment.EER)),
+		Nodes:    experiment.Ptr(120),
+		Duration: experiment.Ptr(6000.0),
+		Seeds:    experiment.Seeds(3),
+	})
 	if err != nil {
-		log.Error("bad -shards", "err", err)
-		return 2
-	}
-	base := experiment.ScenarioSpec{
-		Protocol: experiment.Ptr(*protocol),
-		Nodes:    experiment.Ptr(*nodes),
-		Duration: experiment.Ptr(*duration),
-		Shards:   experiment.Ptr(experiment.ShardCount(shardCount)),
-		Seeds:    experiment.Seeds(*seeds),
-	}
-	// Resolve the base before any cell runs: an unknown protocol or a value
-	// beyond the job ceilings is a usage error.
-	if _, err := base.Scenario(); err != nil {
-		log.Error("bad flags", "err", err)
+		log.Error("bad spec", "err", err)
 		return 2
 	}
 
@@ -134,8 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	log.Info("sweep starting", "param", *param, "protocol", *protocol, "nodes", *nodes,
-		"cells", len(values), "seeds", *seeds, "workers", runtime.GOMAXPROCS(0))
+	log.Info("sweep starting", "param", *param, "protocol", s.Protocol, "nodes", s.Nodes,
+		"cells", len(values), "seeds", len(base.SeedList()), "workers", runtime.GOMAXPROCS(0))
 	results, err := experiment.RunSweep(context.Background(), sw, store)
 	if err != nil && results == nil {
 		log.Error("sweep failed", "param", *param, "err", err)
@@ -144,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		log.Warn("cache write failed; results are complete", "err", err)
 	}
-	se := experiment.Series{Name: *protocol}
+	se := experiment.Series{Name: string(s.Protocol)}
 	for i, res := range results {
 		se.Points = append(se.Points, experiment.Point{X: values[i], Summary: res.Mean})
 	}
@@ -160,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		log.Info("trace fast path", "param", *param, "recorded_worlds", rec, "replayed_runs", rep)
 	}
 
-	title := fmt.Sprintf("Sweep %s (%s, n=%d)", label, *protocol, *nodes)
+	title := fmt.Sprintf("Sweep %s (%s, n=%d)", label, s.Protocol, s.Nodes)
 	for _, m := range experiment.PaperMetrics {
 		experiment.RenderTable(stdout, title, label, []experiment.Series{se}, m)
 	}

@@ -9,7 +9,7 @@ import (
 // TestSweepSmoke runs a tiny lambda sweep through the CLI.
 func TestSweepSmoke(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	args := []string{"-param", "lambda", "-protocol", "EER", "-nodes", "10", "-duration", "200", "-seeds", "1"}
+	args := []string{"-param", "lambda", "-set", "protocol=EER", "-set", "nodes=10", "-set", "duration=200", "-set", "seeds=[1]"}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("run exited %d: %s", code, stderr.String())
 	}
@@ -22,7 +22,7 @@ func TestSweepSmoke(t *testing.T) {
 // status 2, before any cell runs.
 func TestSweepUnknownProtocol(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-protocol", "Bogus"}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-set", "protocol=Bogus"}, &stdout, &stderr); code != 2 {
 		t.Errorf("exit %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), `unknown protocol \"Bogus\"`) {
@@ -37,8 +37,8 @@ func TestSweepUnknownProtocol(t *testing.T) {
 // simulates one run per seed and logs the other cells as shared; a second
 // pass over the same cache serves every cell from it.
 func TestSweepLogsSharedRuns(t *testing.T) {
-	args := []string{"-param", "lambda", "-protocol", "Epidemic", "-nodes", "20", "-duration", "300", "-seeds", "2",
-		"-cache", t.TempDir()}
+	args := []string{"-param", "lambda", "-set", "protocol=Epidemic", "-set", "nodes=20", "-set", "duration=300",
+		"-set", "seeds=[1,2]", "-cache", t.TempDir()}
 	for _, want := range []string{"simulated=1 runs=2 shared=6 cached=0", "simulated=0 runs=0 shared=0 cached=7"} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {

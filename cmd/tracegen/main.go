@@ -1,11 +1,15 @@
 // Command tracegen pre-records contact traces through the declarative
 // spec path — the same ScenarioSpec document dtnd and the sweep CLIs
-// accept — and persists them content-addressed into the shared result
-// store. A sweep or daemon job over the same world then replays the
-// recorded contact script instead of re-simulating mobility (see
-// DESIGN.md "Trace record/replay"). Per-seed trace keys and contact
-// statistics (rate, duration quantiles) print to stderr; -o additionally
-// writes one seed's binary script to a file for offline inspection.
+// accept, read with -spec and edited with -set — and persists them
+// content-addressed into the shared result store:
+//
+//	tracegen -set preset=quick -set nodes=30 -set 'seeds=[1,2]' -store cache
+//
+// A sweep or daemon job over the same world then replays the recorded
+// contact script instead of re-simulating mobility (see DESIGN.md "Trace
+// record/replay"). Per-seed trace keys and contact statistics (rate,
+// duration quantiles) print to stderr; -o additionally writes one seed's
+// binary script to a file for offline inspection.
 package main
 
 import (
@@ -16,8 +20,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/experiment"
 	"repro/internal/resultcache"
@@ -31,13 +33,9 @@ func main() {
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var scenario experiment.SpecFlags
+	scenario.Register(fs)
 	var (
-		specJSON = fs.String("spec", "", "scenario spec JSON (the document dtnd accepts); individual flags below override its fields")
-		preset   = fs.String("preset", "", "base preset: quick, cityscale, metroscale (empty = paper defaults)")
-		nodes    = fs.Int("nodes", 0, "node count override")
-		duration = fs.Float64("duration", 0, "simulated seconds override")
-		mobility = fs.String("mobility", "", "mobility model override: bus, rwp or city")
-		seeds    = fs.String("seeds", "", "comma-separated seeds to record (default the spec's seed list)")
 		storeDir = fs.String("store", "", "content-addressed store directory shared with dtnd/sweep/figures; recorded traces land there under their trace key")
 		out      = fs.String("o", "", "also write the binary contact script to this file (single-seed runs only)")
 	)
@@ -52,37 +50,7 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	var sp experiment.ScenarioSpec
-	if *specJSON != "" {
-		parsed, err := experiment.ParseSpec([]byte(*specJSON))
-		if err != nil {
-			fmt.Fprintf(stderr, "tracegen: -spec: %v\n", err)
-			return 2
-		}
-		sp = parsed
-	}
-	if *preset != "" {
-		sp.Preset = *preset
-	}
-	if *nodes > 0 {
-		sp.Nodes = experiment.Ptr(*nodes)
-	}
-	if *duration > 0 {
-		sp.Duration = experiment.Ptr(*duration)
-	}
-	if *mobility != "" {
-		sp.Mobility = experiment.Ptr(*mobility)
-	}
-	if *seeds != "" {
-		list, err := parseSeeds(*seeds)
-		if err != nil {
-			fmt.Fprintf(stderr, "tracegen: -seeds: %v\n", err)
-			return 2
-		}
-		sp.Seeds = list
-	}
-
-	s, err := sp.Scenario()
+	sp, s, err := scenario.Resolve(experiment.ScenarioSpec{})
 	if err != nil {
 		fmt.Fprintf(stderr, "tracegen: %v\n", err)
 		return 2
@@ -122,18 +90,6 @@ func run(args []string, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-func parseSeeds(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad seed %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // printStats reports the contact rate and duration quantiles from the

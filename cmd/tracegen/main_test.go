@@ -20,8 +20,8 @@ func TestTracegenSmoke(t *testing.T) {
 	outFile := filepath.Join(dir, "script.bin")
 	var stderr bytes.Buffer
 	args := []string{
-		"-preset", "quick",
-		"-nodes", "20", "-duration", "300", "-seeds", "7",
+		"-set", "preset=quick",
+		"-set", "nodes=20", "-set", "duration=300", "-set", "seeds=[7]",
 		"-store", filepath.Join(dir, "store"), "-o", outFile,
 	}
 	if code := run(args, &stderr); code != 0 {
@@ -69,13 +69,18 @@ func TestTracegenSmoke(t *testing.T) {
 }
 
 // TestTracegenBadFlags pins the usage errors: no destination, bad seeds,
-// multi-seed -o.
+// multi-seed -o, a bad spec document.
 func TestTracegenBadFlags(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(spec, []byte(`{"preset": "no-such-preset"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]string{
-		{"-preset", "quick"},                                     // no -store, no -o
-		{"-store", "x", "-seeds", "1,zap"},                       // bad seed
-		{"-o", "f.bin", "-store", "x", "-seeds", "1,2"},          // -o with 2 seeds
-		{"-store", "x", "-spec", `{"preset": "no-such-preset"}`}, // bad spec
+		{"-set", "preset=quick"},                              // no -store, no -o
+		{"-store", "x", "-set", "seeds=[1,zap]"},              // bad seed
+		{"-o", "f.bin", "-store", "x", "-set", "seeds=[1,2]"}, // -o with 2 seeds
+		{"-store", "x", "-spec", spec},                        // bad spec
+		{"-store", "x", "-spec", spec + ".missing"},           // no spec file
 	}
 	for _, args := range cases {
 		var stderr bytes.Buffer
@@ -85,14 +90,16 @@ func TestTracegenBadFlags(t *testing.T) {
 	}
 }
 
-// TestTracegenHelp: -h prints the usage, which names every mobility
-// model, and exits 0 as dtnsim and sweep do.
+// TestTracegenHelp: -h prints the usage, which names the shared -spec
+// and -set scenario flags, and exits 0 as dtnsim and sweep do.
 func TestTracegenHelp(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stderr); code != 0 {
 		t.Fatalf("run(-h) exited %d, want 0", code)
 	}
-	if !strings.Contains(stderr.String(), "bus, rwp or city") {
-		t.Errorf("usage does not list the mobility models:\n%s", stderr.String())
+	for _, want := range []string{"-spec", "-set", "field=value"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("usage does not mention %q:\n%s", want, stderr.String())
+		}
 	}
 }

@@ -28,17 +28,19 @@ import "fmt"
 //     eviction generation), because an evicted row must be re-offered
 //     even though its sender never re-mutated it.
 //
-// All three modes apply the identical fresher-wins merge — routing state,
-// and therefore every simulation outcome except the gossip byte counters,
-// is mode-independent. For delta this needs the watermark soundness
+// All three modes run the one fresher-wins merge (RowSet.MergeFresher) —
+// routing state, and therefore every simulation outcome except the gossip
+// byte counters, is mode-independent by construction. The delta digest
+// only meters it, and its bytes are honest by the watermark soundness
 // argument: after two stores delta-sync, their row stamps agree on every
 // row (both end with the element-wise max, exactly as a full sync), so a
 // row one side holds strictly fresher at the *next* sync must have mutated
 // there in between — and rows mutated since the last sync are precisely
 // what the digest advertises. Cap evictions are the one way a store can
 // fall behind without the invariant noticing, which the eviction
-// generation fallback closes. exchange_test.go pins the equivalence, and
-// the scenario-level suite pins it at summary level.
+// generation fallback closes. exchange_test.go pins that every shipped row
+// was advertised, and the scenario-level suite pins mode independence at
+// summary level.
 
 // ExchangeMode selects the metered wire protocol of estimator syncs.
 type ExchangeMode uint8
@@ -97,42 +99,46 @@ func SyncRows(a, b *RowSet, aID, bID int, mode ExchangeMode) ExchangeStats {
 		var st ExchangeStats
 		st.Add(a.floodVolume())
 		st.Add(b.floodVolume())
-		a.mergeFrom(b, 0, true)
-		b.mergeFrom(a, 0, true)
+		a.MergeFresher(b)
+		b.MergeFresher(a)
 		return st
 	case ExchangeDelta:
 		return syncDelta(a, b, aID, bID)
 	default:
-		st := a.mergeFrom(b, 0, true)
-		st.Add(b.mergeFrom(a, 0, true))
+		st := a.MergeFresher(b)
+		st.Add(b.MergeFresher(a))
 		return st
 	}
 }
 
 func syncDelta(a, b *RowSet, aID, bID int) ExchangeStats {
 	ga, gb := &a.gossipMarks, &b.gossipMarks
-	// A side evicted rows since the peers last met (or mid-sync, hence the
-	// pre-merge snapshot below) may be missing rows its peer never
-	// re-mutated; the peer answers with a full digest.
-	aFull := gb.evictGen != gb.evictSeen[aID]
-	bFull := ga.evictGen != ga.evictSeen[bID]
-	aSeen, bSeen := ga.seen[bID], gb.seen[aID]
+	aSeen, aFull := digestMarks(a, b, aID, bID)
+	bSeen, bFull := digestMarks(b, a, bID, aID)
 	aEvictPre, bEvictPre := ga.evictGen, gb.evictGen
 	var st ExchangeStats
 	st.AddDigest(a.advertised(aSeen, aFull))
 	st.AddDigest(b.advertised(bSeen, bFull))
-	// Same sequential direction order as the fresher path, so the shipped
-	// row sets match fresher exactly even when a's cap evicts mid-sync;
-	// the eviction itself is caught by the evictGen fallback at the pair's
-	// next meeting.
-	fwd := a.mergeFrom(b, bSeen, bFull)
-	back := b.mergeFrom(a, aSeen, aFull)
+	// The digests only meter: the merge is the fresher path's, in the
+	// same direction order, so a sound watermark means every row it ships
+	// was advertised (TestDeltaEquivalence pins that).
+	fwd := a.MergeFresher(b)
+	back := b.MergeFresher(a)
 	st.Add(fwd)
 	st.Add(back)
 	st.AddRequests(fwd.Rows + back.Rows)
 	ga.noteSynced(bID, aEvictPre)
 	gb.noteSynced(aID, bEvictPre)
 	return st
+}
+
+// digestMarks returns what s's digest to peer advertises: the rows s
+// mutated after seen, or every row when full. A peer that evicted rows
+// since the two last met (or mid-sync, hence syncDelta's pre-merge
+// eviction snapshot) may be missing rows s never re-mutated, so s answers
+// it with a full digest.
+func digestMarks(s, peer *RowSet, sID, peerID int) (seen uint64, full bool) {
+	return s.seen[peerID], peer.evictGen != peer.evictSeen[sID]
 }
 
 // noteSynced records the delta watermarks at the end of a sync with peer:

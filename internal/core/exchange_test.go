@@ -54,8 +54,9 @@ func makeScript(n, steps int, seed int64) exchangeScript {
 
 // playScript runs the script against fresh stores under one mode and
 // returns the final stores plus the per-sync stats in schedule order.
-// maxRows > 0 caps the stores.
-func playScript(sc exchangeScript, maxRows int, mode ExchangeMode) ([]*MeetingMatrix, []ExchangeStats) {
+// maxRows > 0 caps the stores. A non-nil watch sees each sync's stores
+// just before it runs.
+func playScript(sc exchangeScript, maxRows int, mode ExchangeMode, watch syncWatch) ([]*MeetingMatrix, []ExchangeStats) {
 	stores := make([]*MeetingMatrix, sc.n)
 	hists := make([]*History, sc.n)
 	for i := range stores {
@@ -77,9 +78,52 @@ func playScript(sc exchangeScript, maxRows int, mode ExchangeMode) ([]*MeetingMa
 		hists[ev.b].RecordContact(ev.a, ev.t)
 		stores[ev.a].UpdateOwnRow(ev.a, ev.t, hists[ev.a])
 		stores[ev.b].UpdateOwnRow(ev.b, ev.t, hists[ev.b])
+		if watch != nil {
+			watch(len(stats), stores[ev.a].rows, stores[ev.b].rows, ev.a, ev.b)
+		}
 		stats = append(stats, SyncMode(stores[ev.a], stores[ev.b], ev.a, ev.b, mode))
 	}
 	return stores, stats
+}
+
+// syncWatch observes the stores of sync k just before it runs.
+type syncWatch func(k int, a, b *RowSet, aID, bID int)
+
+// digestOwners returns the owners whose rows s's delta digest to peer
+// advertises.
+func digestOwners(s, peer *RowSet, sID, peerID int) map[int32]bool {
+	seen, full := digestMarks(s, peer, sID, peerID)
+	out := map[int32]bool{}
+	for i, o := range s.owners {
+		if full || s.slots[i].ver > seen {
+			out[o] = true
+		}
+	}
+	return out
+}
+
+// shipsOnlyDigested fails t when a delta sync could ship a row its
+// sender's digest does not advertise. The merge ignores the digest, so
+// this check is what holds the watermark to account: every row the
+// sender holds strictly fresher than the receiver at the start of the
+// sync (a superset of what the merge ships either way) must be in the
+// sender's digest.
+func shipsOnlyDigested(t *testing.T) syncWatch {
+	return func(k int, a, b *RowSet, aID, bID int) {
+		for _, d := range []struct {
+			from, to     *RowSet
+			fromID, toID int
+		}{{a, b, aID, bID}, {b, a, bID, aID}} {
+			digest := digestOwners(d.from, d.to, d.fromID, d.toID)
+			for i, o := range d.from.owners {
+				j, held := d.to.find(int(o))
+				if (!held || d.from.upd[i] > d.to.upd[j]) && !digest[o] {
+					t.Fatalf("sync %d: node %d's row %d is fresher than node %d's but not in its digest",
+						k, d.fromID, o, d.toID)
+				}
+			}
+		}
+	}
 }
 
 // storeFingerprint serializes everything simulation-visible about a store:
@@ -101,8 +145,9 @@ func storeFingerprint(s MeetingStore, n int) string {
 // row and stores holding scattered owners, so merges insert into the
 // middle of the owner lists) and a capped sparse one, flood and delta
 // syncs must land every store in the exact state the fresher baseline
-// produces, and fresher/delta must agree on rows and entries actually
-// shipped (flood ships at least as many).
+// produces, fresher/delta must agree on rows and entries actually
+// shipped (flood ships at least as many), and every row a delta sync
+// ships must be in its sender's digest.
 func TestDeltaEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -117,9 +162,13 @@ func TestDeltaEquivalence(t *testing.T) {
 		for _, seed := range []int64{1, 42, 99} {
 			t.Run(fmt.Sprintf("%s-seed%d", tc.name, seed), func(t *testing.T) {
 				sc := makeScript(tc.n, 400, seed)
-				ref, refStats := playScript(sc, tc.maxRows, ExchangeFresher)
+				ref, refStats := playScript(sc, tc.maxRows, ExchangeFresher, nil)
 				for _, mode := range []ExchangeMode{ExchangeFlood, ExchangeDelta} {
-					got, gotStats := playScript(sc, tc.maxRows, mode)
+					var watch syncWatch
+					if mode == ExchangeDelta {
+						watch = shipsOnlyDigested(t)
+					}
+					got, gotStats := playScript(sc, tc.maxRows, mode, watch)
 					for i := range ref {
 						want, have := storeFingerprint(ref[i], sc.n), storeFingerprint(got[i], sc.n)
 						if want != have {
@@ -151,7 +200,7 @@ func TestDeltaDigestShrinks(t *testing.T) {
 	for name, n := range map[string]int{"dense": 8, "sparse": 40} {
 		t.Run(name, func(t *testing.T) {
 			sc := makeScript(n, 200, 7)
-			stores, _ := playScript(sc, 0, ExchangeDelta)
+			stores, _ := playScript(sc, 0, ExchangeDelta, nil)
 			first := SyncMode(stores[0], stores[1], 0, 1, ExchangeDelta)
 			again := SyncMode(stores[0], stores[1], 0, 1, ExchangeDelta)
 			if again.Rows != 0 || again.DigestRows != 0 {

@@ -301,7 +301,7 @@ func (m *MeetingMatrix) ForEachKnown(owner int, f func(peer int, interval float6
 // serialized bytes). Both matrices must cover the same id set.
 func (m *MeetingMatrix) Merge(other *MeetingMatrix) ExchangeStats {
 	sameScope(m, other)
-	return m.rows.mergeFrom(other.rows, 0, true)
+	return m.rows.MergeFresher(other.rows)
 }
 
 // sameScope panics unless a and b cover the same id set.

@@ -116,7 +116,7 @@ type rowSlot struct {
 // records the local version as of the end of the last delta sync with each
 // peer, and evictSeen the local eviction generation as of the start of that
 // sync — a peer whose counterpart evicted since they last met gets a full
-// digest, which keeps delta outcomes identical to fresher-wins even under
+// digest, so the digest still advertises every row the merge ships under
 // row caps. Stores that never evict keep evictGen at 0.
 type gossipMarks struct {
 	version   uint64
@@ -212,18 +212,8 @@ func (s *RowSet) clone() *RowSet {
 // MergeFresher copies into s every row of o that is strictly fresher,
 // returning the exchange volume (rows copied, entries carried, serialized
 // bytes). A configured cap (SetCap) is enforced after the merge, stalest
-// rows first.
-func (s *RowSet) MergeFresher(o *RowSet) ExchangeStats {
-	return s.mergeFrom(o, 0, true)
-}
-
-// mergeFrom is MergeFresher restricted to the rows o advertised: a row
-// travels only if o mutated it since the peers' last delta sync
-// (slot ver > oSeen), or unconditionally with oFull (a full digest — the
-// first sync, an eviction fallback, or plain MergeFresher). Restricting to
-// advertised rows loses nothing: a sound watermark means every
-// strictly-fresher row is advertised, which deltaEquivalence in
-// exchange_test.go pins.
+// rows first. Every gossip mode runs this one merge; delta digests only
+// meter it (exchange.go).
 //
 // Both owner lists ascend. Over their common prefix — all of both lists
 // in the steady state, once two nodes have heard of the same owners —
@@ -231,7 +221,7 @@ func (s *RowSet) MergeFresher(o *RowSet) ExchangeStats {
 // Past it, a forward walk replaces the fresher rows of shared owners in
 // place and counts the owners only o holds, and a backward walk builds
 // the grown owner list, moving each of s's entries at most once.
-func (s *RowSet) mergeFrom(o *RowSet, oSeen uint64, oFull bool) ExchangeStats {
+func (s *RowSet) MergeFresher(o *RowSet) ExchangeStats {
 	var st ExchangeStats
 	prefix := min(len(s.owners), len(o.owners))
 	if !sameList(s.owners, o.owners) {
@@ -246,16 +236,13 @@ func (s *RowSet) mergeFrom(o *RowSet, oSeen uint64, oFull bool) ExchangeStats {
 	}
 	su := s.upd[:prefix]
 	for j, ou := range o.upd[:prefix] {
-		if ou > su[j] && (oFull || o.slots[j].ver > oSeen) {
+		if ou > su[j] {
 			st.AddRow(s.take(j, o, j))
 		}
 	}
 	j := prefix
 	add, i := 0, j
 	for ; j < len(o.owners); j++ {
-		if !oFull && o.slots[j].ver <= oSeen {
-			continue // not advertised: unchanged since the peers last met
-		}
 		ow := o.owners[j]
 		for i < len(s.owners) && s.owners[i] < ow {
 			i++
@@ -274,9 +261,6 @@ func (s *RowSet) mergeFrom(o *RowSet, oSeen uint64, oFull bool) ExchangeStats {
 		i, k := n-1, n+add-1
 		for j := len(o.owners) - 1; k > i; j-- {
 			ow := o.owners[j]
-			if !oFull && o.slots[j].ver <= oSeen {
-				continue
-			}
 			for i >= 0 && owners[i] > ow {
 				owners[k], s.upd[k], s.slots[k] = owners[i], s.upd[i], s.slots[i]
 				i, k = i-1, k-1

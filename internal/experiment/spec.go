@@ -6,8 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
-	"strconv"
+	"io"
+	"maps"
+	"os"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -148,20 +152,6 @@ func (c ShardCount) MarshalJSON() ([]byte, error) {
 		return []byte(`"auto"`), nil
 	}
 	return json.Marshal(int(c))
-}
-
-// ParseShards parses a command-line shard count: a number, or "auto" for
-// network.AutoShards. The CLIs share it so every -shards flag speaks the
-// same dialect as the spec field.
-func ParseShards(s string) (int, error) {
-	if s == "auto" {
-		return network.AutoShards, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad shards %q (want a count or \"auto\")", s)
-	}
-	return n, nil
 }
 
 // ptr returns a pointer to v — spec-literal shorthand.
@@ -429,8 +419,8 @@ func (sp ScenarioSpec) SeedList() []int64 {
 // OOM the process, so beyond the engine's lower bounds, specs get upper
 // bounds too. The limits are far above every paper scenario (CityScale is
 // 10k nodes, 1.2k ticks, ~400 messages) yet small enough that an accepted
-// job always terminates in bounded memory. The CLIs (dtnsim, sweep,
-// figures) resolve their flags as specs too, so they share the ceilings.
+// job always terminates in bounded memory. The CLIs state their scenarios
+// as specs too (SpecFlags), so they share the ceilings.
 const (
 	maxNodes  = 200_000    // 20x CityScale; per-node engine state stays allocatable
 	maxTicks  = 50_000_000 // duration/tick steps per seed
@@ -586,6 +576,87 @@ func ParseSpec(data []byte) (ScenarioSpec, error) {
 		return ScenarioSpec{}, fmt.Errorf("bad scenario spec: %w", err)
 	}
 	return sp, nil
+}
+
+// EditSpec states a scenario the way every CLI does: it starts from the
+// command's base spec, overlays the top-level keys of doc (a spec
+// document; nil for none), then applies each "field=value" edit in order.
+// An edit's value is JSON if it parses as JSON and a JSON string
+// otherwise, so nodes=60, protocol=CR, shards=auto and seeds=[1,2] all
+// read as meant. The result is decoded by strict ParseSpec: unknown
+// fields and mistyped values fail exactly as they do for dtnd.
+func EditSpec(base ScenarioSpec, doc []byte, sets []string) (ScenarioSpec, error) {
+	raw, err := json.Marshal(base)
+	if err != nil {
+		return ScenarioSpec{}, err
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		return ScenarioSpec{}, err
+	}
+	if doc != nil {
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(doc, &top); err != nil {
+			return ScenarioSpec{}, fmt.Errorf("bad scenario spec: %w", err)
+		}
+		maps.Copy(fields, top)
+	}
+	for _, set := range sets {
+		field, value, ok := strings.Cut(set, "=")
+		if !ok {
+			return ScenarioSpec{}, fmt.Errorf("bad -set %q (want field=value)", set)
+		}
+		v := json.RawMessage(value)
+		if !json.Valid(v) {
+			v, _ = json.Marshal(value) // a string always marshals
+		}
+		fields[field] = v
+	}
+	if raw, err = json.Marshal(fields); err != nil {
+		return ScenarioSpec{}, fmt.Errorf("bad scenario spec: %w", err)
+	}
+	return ParseSpec(raw)
+}
+
+// SpecFlags is the scenario flag pair every CLI shares: -spec reads a
+// spec document from a file (or stdin for "-") and each -set field=value
+// edits it (EditSpec).
+type SpecFlags struct {
+	path string
+	sets []string
+}
+
+// Register adds -spec and the repeatable -set to fs.
+func (f *SpecFlags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.path, "spec", "", "scenario spec document (the JSON dtnd accepts): a file, or - for stdin")
+	fs.Func("set", "edit one spec field (repeatable): `field=value`, the value JSON or else a string\n(e.g. protocol=CR, nodes=60, seeds=[1,2], shards=auto, preset=cityscale)", func(s string) error {
+		f.sets = append(f.sets, s)
+		return nil
+	})
+}
+
+// Resolve applies the -spec document and the -set edits, in order, to
+// base and validates the result: the spec to run and the scenario it
+// resolves to.
+func (f *SpecFlags) Resolve(base ScenarioSpec) (ScenarioSpec, Scenario, error) {
+	var doc []byte
+	var err error
+	switch f.path {
+	case "":
+	case "-":
+		doc, err = io.ReadAll(os.Stdin)
+	default:
+		doc, err = os.ReadFile(f.path)
+	}
+	if err != nil {
+		return ScenarioSpec{}, Scenario{}, fmt.Errorf("-spec: %w", err)
+	}
+	sp, err := EditSpec(base, doc, f.sets)
+	if err != nil {
+		return ScenarioSpec{}, Scenario{}, err
+	}
+	s, err := sp.Scenario()
+	return sp, s, err
 }
 
 // canonicalJob is the hashed cache-key payload: the fully resolved

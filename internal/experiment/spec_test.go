@@ -281,6 +281,91 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 }
 
+// TestEditSpec pins how the CLIs state a scenario: a base spec, a -spec
+// document's top-level keys over it, then -set edits in order, each value
+// JSON or else a string. Every accepted edit must equal ParseSpec of the
+// JSON it spells, cache key included; every rejected one must say why.
+func TestEditSpec(t *testing.T) {
+	cli := ScenarioSpec{Protocol: ptr(string(EER)), Nodes: ptr(120), Seeds: Seeds(3)}
+	cases := []struct {
+		name string
+		base ScenarioSpec
+		doc  string // "" = no document
+		sets []string
+		want string // the JSON the result must equal, or
+		err  string // the error it must give
+	}{
+		{name: "number", sets: []string{"nodes=60"}, want: `{"nodes": 60}`},
+		{name: "float", sets: []string{"alpha=0.5"}, want: `{"alpha": 0.5}`},
+		{name: "JSON string", sets: []string{`protocol="CR"`}, want: `{"protocol": "CR"}`},
+		{name: "bare string", sets: []string{"protocol=CR"}, want: `{"protocol": "CR"}`},
+		{name: "auto shards", sets: []string{"shards=auto"}, want: `{"shards": "auto"}`},
+		{name: "seed list", sets: []string{"seeds=[1,2]"}, want: `{"seeds": [1, 2]}`},
+		{name: "map object", sets: []string{`map={"width": 5000, "grid_x": 10}`},
+			want: `{"map": {"width": 5000, "grid_x": 10}}`},
+		{name: "keeps the base", base: cli, sets: []string{"lambda=4"},
+			want: `{"protocol": "EER", "nodes": 120, "seeds": [1, 2, 3], "lambda": 4}`},
+		{name: "edits the base", base: cli, sets: []string{"protocol=CR", "seeds=[7]"},
+			want: `{"protocol": "CR", "nodes": 120, "seeds": [7]}`},
+		{name: "document over base", base: cli, doc: `{"nodes": 30, "gossip": "delta"}`,
+			want: `{"protocol": "EER", "nodes": 30, "seeds": [1, 2, 3], "gossip": "delta"}`},
+		{name: "set over document", doc: `{"nodes": 30, "protocol": "CR"}`, sets: []string{"nodes=40"},
+			want: `{"nodes": 40, "protocol": "CR"}`},
+		{name: "last set wins", sets: []string{"nodes=10", "nodes=20"}, want: `{"nodes": 20}`},
+		{name: "null unsets", base: cli, sets: []string{"nodes=null"}, want: `{"protocol": "EER", "seeds": [1, 2, 3]}`},
+		{name: "preset then field", sets: []string{"preset=cityscale", "nodes=100"},
+			want: `{"preset": "cityscale", "nodes": 100}`},
+		{name: "unknown field", sets: []string{"protocl=EER"}, err: `unknown field "protocl"`},
+		{name: "unknown document field", doc: `{"protocl": "EER"}`, err: `unknown field "protocl"`},
+		{name: "type mismatch", sets: []string{"nodes=many"}, err: "cannot unmarshal string"},
+		{name: "bad shards", sets: []string{"shards=many"}, err: `bad shards "many"`},
+		{name: "no =", sets: []string{"nodes"}, err: `bad -set "nodes" (want field=value)`},
+		{name: "document not an object", doc: `[1]`, err: "bad scenario spec"},
+		{name: "empty document", doc: ` `, err: "bad scenario spec"},
+	}
+	for _, c := range cases {
+		var doc []byte
+		if c.doc != "" {
+			doc = []byte(c.doc)
+		}
+		got, err := EditSpec(c.base, doc, c.sets)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: err %v, want %q", c.name, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		want, err := ParseSpec([]byte(c.want))
+		if err != nil {
+			t.Fatalf("%s: want: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %s, want %s", c.name, mustJSON(t, got), c.want)
+		}
+		gotKey, err := got.CacheKey()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if wantKey, _ := want.CacheKey(); gotKey != wantKey {
+			t.Errorf("%s: cache key %s, ParseSpec's %s", c.name, gotKey, wantKey)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestSpecCacheKey: the content address depends on what the spec *runs*,
 // not how it is written — explicit defaults hash like omitted ones — and
 // any semantic change (a parameter, a seed) changes the key.
