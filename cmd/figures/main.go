@@ -137,9 +137,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		log.Error("unknown figure", "fig", *fig)
 		return 2
 	}
-	// Expand every figure up front: a cell the spec validation rejects is
-	// a usage error, reported before any simulation starts.
+	// Expand every figure up front: an edit a figure's axis would override
+	// or a cell the spec validation rejects is a usage error, reported
+	// before any simulation starts.
 	for _, f := range todo {
+		if field := scenario.Swept(f.sweep); field != "" {
+			hint := "drop the edit or pick a figure without that axis"
+			if field == "nodes" {
+				hint = "set node counts with -nodes"
+			}
+			log.Error("spec field overridden by a figure axis", "figure", f.id, "field", field, "axis", field, "hint", hint)
+			return 2
+		}
 		if _, err := f.sweep.Cells(); err != nil {
 			log.Error("bad figure sweep", "figure", f.id, "err", err)
 			return 2

@@ -116,8 +116,9 @@ func TestFiguresQuickKeepsDuration(t *testing.T) {
 	}
 }
 
-// TestFiguresUsageErrors: bad flags, bad spec edits and cells the spec
-// validation rejects exit 2 before anything runs.
+// TestFiguresUsageErrors: bad flags, bad spec edits, edits a figure's
+// axis would override and cells the spec validation rejects exit 2
+// before anything runs.
 func TestFiguresUsageErrors(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -128,6 +129,8 @@ func TestFiguresUsageErrors(t *testing.T) {
 		{[]string{"-nodes", "1"}, "need at least two nodes"},
 		{[]string{"-set", "shards=many"}, `bad shards \"many\"`},
 		{[]string{"-set", "duration=long"}, "cannot unmarshal string"},
+		{[]string{"-set", "nodes=60"}, `field=nodes axis=nodes hint="set node counts with -nodes"`},
+		{[]string{"-fig", "3", "-set", "lambda=4"}, "figure=3 field=lambda axis=lambda"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != 2 {
@@ -139,5 +142,14 @@ func TestFiguresUsageErrors(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: unexpected output:\n%s", c.args, stdout.String())
 		}
+	}
+}
+
+// TestFiguresEditOfUnsweptField: an edit of a field the figure does not
+// sweep still runs (Figure 2 sweeps protocols and nodes, not lambda).
+func TestFiguresEditOfUnsweptField(t *testing.T) {
+	_, log, _ := runFigures(t, "-fig", "2", "-nodes", "20", "-set", "duration=300", "-set", "seeds=[1]", "-set", "lambda=4")
+	if !strings.Contains(log, `msg="figure done" figure=2 cells=6`) {
+		t.Errorf("figure 2 log:\n%s", log)
 	}
 }

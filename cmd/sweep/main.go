@@ -118,6 +118,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if field := scenario.Swept(sw); field != "" {
+		log.Error("spec field overridden by the swept axis", "field", field, "axis", field, "param", *param)
+		return 2
+	}
+
 	var store *resultcache.Store
 	if *cache != "" {
 		st, err := resultcache.Open(*cache, 0)

@@ -49,3 +49,15 @@ func TestSweepLogsSharedRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRejectsSweptEdit: a -set of the swept field would be silently
+// overridden by the axis, so it is a usage error naming both.
+func TestSweepRejectsSweptEdit(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-param", "ttl", "-set", "ttl=600"}, &stdout, &stderr); code != 2 {
+		t.Errorf("exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "field=ttl axis=ttl") || strings.Contains(stderr.String(), "sweep starting") || stdout.Len() != 0 {
+		t.Errorf("stderr %q does not reject the edit before running", stderr.String())
+	}
+}

@@ -622,8 +622,9 @@ func EditSpec(base ScenarioSpec, doc []byte, sets []string) (ScenarioSpec, error
 // spec document from a file (or stdin for "-") and each -set field=value
 // edits it (EditSpec).
 type SpecFlags struct {
-	path string
-	sets []string
+	path   string
+	sets   []string
+	edited map[string]bool // fields the document or an edit set (Resolve)
 }
 
 // Register adds -spec and the repeatable -set to fs.
@@ -655,8 +656,31 @@ func (f *SpecFlags) Resolve(base ScenarioSpec) (ScenarioSpec, Scenario, error) {
 	if err != nil {
 		return ScenarioSpec{}, Scenario{}, err
 	}
+	var top map[string]json.RawMessage
+	_ = json.Unmarshal(doc, &top) // EditSpec decoded doc already; a nil doc sets nothing
+	f.edited = map[string]bool{}
+	for field := range top {
+		f.edited[field] = true
+	}
+	for _, set := range f.sets {
+		field, _, _ := strings.Cut(set, "=")
+		f.edited[field] = true
+	}
 	s, err := sp.Scenario()
 	return sp, s, err
+}
+
+// Swept returns the first field that the resolved -spec document or a
+// -set edited and a non-empty axis of sw also sets ("" for none): the
+// axis would silently override the edit. Axes are named after the spec
+// fields they set.
+func (f *SpecFlags) Swept(sw SweepSpec) string {
+	for _, ax := range sw.axes() {
+		if f.edited[ax.name] {
+			return ax.name
+		}
+	}
+	return ""
 }
 
 // canonicalJob is the hashed cache-key payload: the fully resolved

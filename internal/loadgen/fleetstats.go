@@ -12,11 +12,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // FleetWorker is one row of the coordinator's worker registry.
@@ -44,24 +44,12 @@ type FleetStats struct {
 // coordinator (/v1/workers answers 404) returns (nil, nil) — callers
 // skip the block. A nil client uses http.DefaultClient.
 func FetchFleet(ctx context.Context, client *http.Client, baseURL string) (*FleetStats, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, "GET", baseURL+"/v1/workers", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	code, body, err := get(ctx, client, baseURL+"/v1/workers")
+	if code == http.StatusNotFound {
 		return nil, nil // not a coordinator
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: GET /v1/workers: status %d", resp.StatusCode)
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("loadgen: GET /v1/workers: status %d", code)
 	}
 	if err != nil {
 		return nil, err
@@ -75,46 +63,19 @@ func FetchFleet(ctx context.Context, client *http.Client, baseURL string) (*Flee
 	}
 	fs := &FleetStats{Workers: reg.Workers, QueueDepth: reg.QueueDepth}
 
-	req, err = http.NewRequestWithContext(ctx, "GET", baseURL+"/metrics", nil)
+	mbody, err := fetchMetrics(ctx, client, baseURL)
 	if err != nil {
 		return nil, err
 	}
-	mresp, err := client.Do(req)
+	fams, err := obs.ParseText(mbody)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("loadgen: /metrics: %w", err)
 	}
-	defer mresp.Body.Close()
-	if mresp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: GET /metrics: status %d", mresp.StatusCode)
-	}
-	mbody, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		return nil, err
-	}
-	scalars := parseScalars(string(mbody))
+	scalars := obs.Values(fams)
 	fs.Retries = scalars["dtnd_fleet_retries_total"]
 	fs.CachedDispatch = scalars["dtnd_fleet_cached_total"]
 	fs.RemoteCacheHits = scalars["dtnd_cache_remote_hits_total"]
 	return fs, nil
-}
-
-// parseScalars collects the unlabeled scalar samples of a Prometheus
-// text body (labeled samples keep their full key and are ignored here).
-func parseScalars(body string) map[string]float64 {
-	out := map[string]float64{}
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok || strings.ContainsRune(name, '{') {
-			continue
-		}
-		if v, err := strconv.ParseFloat(val, 64); err == nil {
-			out[name] = v
-		}
-	}
-	return out
 }
 
 // String renders the fleet view the way cmd/dtnload prints it.

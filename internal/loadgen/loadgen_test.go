@@ -12,11 +12,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -56,19 +56,11 @@ func scrape(t *testing.T, baseURL string) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]float64{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, _ := strings.Cut(line, " ")
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			t.Fatalf("bad sample %q: %v", line, err)
-		}
-		out[name] = f
+	fams, err := obs.ParseText(string(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return obs.Values(fams)
 }
 
 // TestLoadSmokeMixed drives the full traffic mix — cache hits, fresh

@@ -5,9 +5,8 @@ package loadgen
 // and job queue wait — and reports their percentiles next to its own
 // client-side measurements. Client p99 >> server p99 means time is going
 // to the network or the client; server p99 tracking client p99 means the
-// daemon itself is the bottleneck. The parser speaks the Prometheus text
-// exposition format over the public wire surface, like everything else
-// in this package.
+// daemon itself is the bottleneck. The scrape reads the public wire
+// surface, like everything else in this package, through obs.ParseText.
 
 import (
 	"context"
@@ -15,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -34,150 +32,60 @@ type ServerLatency struct {
 // FetchServerLatency scrapes baseURL's /metrics and extracts the latency
 // histogram families. A nil client uses http.DefaultClient.
 func FetchServerLatency(ctx context.Context, client *http.Client, baseURL string) (*ServerLatency, error) {
+	body, err := fetchMetrics(ctx, client, baseURL)
+	if err != nil {
+		return nil, err
+	}
+	return ParseServerLatency(body)
+}
+
+// fetchMetrics reads baseURL's /metrics body.
+func fetchMetrics(ctx context.Context, client *http.Client, baseURL string) (string, error) {
+	code, body, err := get(ctx, client, baseURL+"/metrics")
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("loadgen: GET /metrics: status %d", code)
+	}
+	return string(body), err
+}
+
+// get issues GET url and reads the reply: status code and body. A nil
+// client uses http.DefaultClient.
+func get(ctx context.Context, client *http.Client, url string) (int, []byte, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	req, err := http.NewRequestWithContext(ctx, "GET", baseURL+"/metrics", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: GET /metrics: status %d", resp.StatusCode)
-	}
 	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return ParseServerLatency(string(body))
+	return resp.StatusCode, body, err
 }
 
 // ParseServerLatency extracts the daemon's latency histograms from a
-// Prometheus text exposition body.
+// Prometheus text exposition body, which obs.ParseText reads strictly.
 func ParseServerLatency(body string) (*ServerLatency, error) {
-	classes, err := parseHistogramFamily(body, "dtnd_http_request_duration_seconds", "class")
+	fams, err := obs.ParseText(body)
 	if err != nil {
-		return nil, err
-	}
-	wait, err := parseHistogramFamily(body, "dtnd_queue_wait_seconds", "")
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("loadgen: /metrics: %w", err)
 	}
 	sl := &ServerLatency{Classes: map[string]obs.HistogramSnapshot{}}
-	for class, snap := range classes {
-		if snap.Count > 0 {
-			sl.Classes[class] = snap
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			switch {
+			case f.Name == "dtnd_http_request_duration_seconds" && s.Hist.Count > 0 && len(s.Labels) == 1:
+				sl.Classes[s.Labels[0].Value] = s.Hist // class="2xx" and so on
+			case f.Name == "dtnd_queue_wait_seconds":
+				sl.QueueWait = s.Hist
+			}
 		}
 	}
-	sl.QueueWait = wait[""]
 	return sl, nil
-}
-
-// parseHistogramFamily parses one histogram family's _bucket/_sum/_count
-// samples into per-series snapshots keyed by the value of labelKey (or ""
-// for an unlabeled family). Bucket counts arrive cumulative and leave
-// per-bucket, matching obs.HistogramSnapshot.
-func parseHistogramFamily(body, name, labelKey string) (map[string]obs.HistogramSnapshot, error) {
-	type series struct {
-		bounds []float64
-		cums   []int64
-		sum    float64
-		count  int64
-	}
-	bySeries := map[string]*series{}
-	get := func(key string) *series {
-		s := bySeries[key]
-		if s == nil {
-			s = &series{}
-			bySeries[key] = s
-		}
-		return s
-	}
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") || !strings.HasPrefix(line, name) {
-			continue
-		}
-		key, val, ok := strings.Cut(line, " ")
-		if !ok {
-			return nil, fmt.Errorf("loadgen: malformed metrics line %q", line)
-		}
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: bad value in %q: %w", line, err)
-		}
-		base, labels := splitSampleKey(key)
-		seriesKey := labels[labelKey]
-		switch base {
-		case name + "_bucket":
-			s := get(seriesKey)
-			le := labels["le"]
-			if le == "+Inf" {
-				s.cums = append(s.cums, int64(v))
-				continue
-			}
-			bound, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: bad le in %q: %w", line, err)
-			}
-			s.bounds = append(s.bounds, bound)
-			s.cums = append(s.cums, int64(v))
-		case name + "_sum":
-			get(seriesKey).sum = v
-		case name + "_count":
-			get(seriesKey).count = int64(v)
-		}
-	}
-	out := map[string]obs.HistogramSnapshot{}
-	for key, s := range bySeries {
-		if len(s.cums) != len(s.bounds)+1 {
-			return nil, fmt.Errorf("loadgen: %s{%s}: %d buckets for %d bounds (missing +Inf?)",
-				name, key, len(s.cums), len(s.bounds))
-		}
-		if !sort.Float64sAreSorted(s.bounds) {
-			return nil, fmt.Errorf("loadgen: %s{%s}: bucket bounds out of order", name, key)
-		}
-		counts := make([]int64, len(s.cums))
-		prev := int64(0)
-		for i, c := range s.cums {
-			if c < prev {
-				return nil, fmt.Errorf("loadgen: %s{%s}: bucket counts not cumulative", name, key)
-			}
-			counts[i] = c - prev
-			prev = c
-		}
-		if prev != s.count {
-			return nil, fmt.Errorf("loadgen: %s{%s}: +Inf bucket %d != count %d", name, key, prev, s.count)
-		}
-		out[key] = obs.HistogramSnapshot{Bounds: s.bounds, Counts: counts, Sum: s.sum, Count: s.count}
-	}
-	return out, nil
-}
-
-// splitSampleKey splits `name{a="x",b="y"}` into the bare name and its
-// label map; a label-less key returns an empty map.
-func splitSampleKey(key string) (string, map[string]string) {
-	labels := map[string]string{}
-	i := strings.IndexByte(key, '{')
-	if i < 0 || !strings.HasSuffix(key, "}") {
-		return key, labels
-	}
-	for _, part := range strings.Split(key[i+1:len(key)-1], ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			continue
-		}
-		if len(v) >= 2 && v[0] == '"' {
-			if uq, err := strconv.Unquote(v); err == nil {
-				v = uq
-			}
-		}
-		labels[k] = v
-	}
-	return key[:i], labels
 }
 
 // String renders the server-side view the way cmd/dtnload prints it.

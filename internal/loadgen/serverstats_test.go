@@ -5,28 +5,26 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
-const sampleExposition = `# HELP dtnd_http_request_duration_seconds HTTP request duration by response class.
-# TYPE dtnd_http_request_duration_seconds histogram
-dtnd_http_request_duration_seconds_bucket{class="2xx",le="0.001"} 5
-dtnd_http_request_duration_seconds_bucket{class="2xx",le="0.01"} 8
-dtnd_http_request_duration_seconds_bucket{class="2xx",le="+Inf"} 10
-dtnd_http_request_duration_seconds_sum{class="2xx"} 0.25
-dtnd_http_request_duration_seconds_count{class="2xx"} 10
-dtnd_http_request_duration_seconds_bucket{class="4xx",le="0.001"} 0
-dtnd_http_request_duration_seconds_bucket{class="4xx",le="0.01"} 0
-dtnd_http_request_duration_seconds_bucket{class="4xx",le="+Inf"} 0
-dtnd_http_request_duration_seconds_sum{class="4xx"} 0
-dtnd_http_request_duration_seconds_count{class="4xx"} 0
-# HELP dtnd_queue_wait_seconds Time jobs waited for a permit.
-# TYPE dtnd_queue_wait_seconds histogram
-dtnd_queue_wait_seconds_bucket{le="0.001"} 3
-dtnd_queue_wait_seconds_bucket{le="+Inf"} 4
-dtnd_queue_wait_seconds_sum 0.1
-dtnd_queue_wait_seconds_count 4
-`
+// sampleExposition is a small latency scrape, written by the codec the
+// daemon's /metrics uses: two duration classes (one empty) and the
+// unlabeled queue-wait histogram.
+var sampleExposition = func() string {
+	var b strings.Builder
+	obs.WriteText(&b, []obs.Family{
+		{Name: "dtnd_http_request_duration_seconds", Help: "HTTP request duration by response class.", Type: "histogram", Samples: []obs.Sample{
+			{Labels: []obs.Label{{Name: "class", Value: "2xx"}}, Hist: obs.HistogramSnapshot{Bounds: []float64{0.001, 0.01}, Counts: []int64{5, 3, 2}, Sum: 0.25, Count: 10}},
+			{Labels: []obs.Label{{Name: "class", Value: "4xx"}}, Hist: obs.HistogramSnapshot{Bounds: []float64{0.001, 0.01}, Counts: []int64{0, 0, 0}}},
+		}},
+		{Name: "dtnd_queue_wait_seconds", Help: "Time jobs waited for a permit.", Type: "histogram", Samples: []obs.Sample{
+			{Hist: obs.HistogramSnapshot{Bounds: []float64{0.001}, Counts: []int64{3, 1}, Sum: 0.1, Count: 4}},
+		}},
+	})
+	return b.String()
+}()
 
 // TestParseServerLatency pins the scrape parser: cumulative buckets come
 // back per-bucket, zero-count classes are dropped, and the unlabeled
@@ -71,6 +69,9 @@ func TestParseServerLatencyRejectsTornData(t *testing.T) {
 		"count mismatch": strings.Replace(sampleExposition,
 			"dtnd_queue_wait_seconds_count 4", "dtnd_queue_wait_seconds_count 7", 1),
 	} {
+		if body == sampleExposition {
+			t.Fatalf("%s: the edit did not apply", name)
+		}
 		if _, err := ParseServerLatency(body); err == nil {
 			t.Errorf("%s: parser accepted torn exposition", name)
 		}

@@ -17,8 +17,11 @@
 //     multi-worker ticks for imbalance detection, and routing-exchange
 //     timing.
 //   - Histogram: a fixed-bucket atomic histogram for the service layer
-//     (HTTP request duration, queue wait), rendered by the daemon in
-//     Prometheus text format.
+//     (HTTP request duration, queue wait).
+//
+// text.go holds the one Prometheus text exposition codec: WriteText
+// renders the daemon's /metrics families and ParseText, strict and
+// fuzzed, reads them back (load harness, tests).
 package obs
 
 import (
@@ -369,8 +372,8 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations so far.
 func (h *Histogram) Count() int64 { return h.total.Load() }
 
-// HistogramSnapshot is a consistent-enough point-in-time read of a
-// Histogram (bucket counts may trail total by in-flight observations).
+// HistogramSnapshot is a point-in-time read of a Histogram. Count sums the
+// bucket counts read, so the two agree; Sum may trail or lead them.
 type HistogramSnapshot struct {
 	Bounds []float64 // upper bounds; the +Inf bucket is Counts[len(Bounds)]
 	Counts []int64   // per-bucket (non-cumulative) counts
@@ -384,23 +387,24 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]int64, len(h.counts)),
 		Sum:    math.Float64frombits(h.sumBits.Load()),
-		Count:  h.total.Load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }
 
 // Quantile estimates the q-quantile (0..1) by linear interpolation
 // within the containing bucket. Observations in the +Inf bucket pin the
-// estimate to the last finite bound. Returns 0 for an empty histogram.
+// estimate to the last finite bound. Returns 0 for an empty histogram
+// or one with no finite bound.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	var total int64
 	for _, c := range s.Counts {
 		total += c
 	}
-	if total == 0 {
+	if total == 0 || len(s.Bounds) == 0 {
 		return 0
 	}
 	rank := q * float64(total)

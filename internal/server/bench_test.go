@@ -34,7 +34,7 @@ func benchServer(b *testing.B) (*Server, *job) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	j.finish(res, raw, nil)
+	j.terminal(finished(res, raw, nil))
 	return s, j
 }
 

@@ -3,8 +3,8 @@ package server
 // Regression tests for the service-layer bugs the load harness flushed
 // out: the cached fast path serving stale seed counts, and submissions
 // or sweep cells coalescing onto a job that already reached a terminal
-// state (the window between j.finish/j.fail and runJob's deferred
-// removal from s.active).
+// state (the window between a job's terminal event and its removal
+// from s.active).
 
 import (
 	"errors"
@@ -58,10 +58,9 @@ func TestStaleCacheSeedCountMiss(t *testing.T) {
 	}
 }
 
-// fabricateJob registers a job exactly as a submission would, without
-// starting runJob — freezing the window in which the job has published a
-// terminal state but is still present in s.active.
-func fabricateJob(t testing.TB, s *Server, specJSON string) (*job, experiment.ScenarioSpec) {
+// acceptJob registers a job exactly as a submission would, without
+// starting it: the caller ends it through Server.end.
+func acceptJob(t testing.TB, s *Server, specJSON string) (*job, experiment.ScenarioSpec) {
 	t.Helper()
 	spec, err := experiment.ParseSpec([]byte(specJSON))
 	if err != nil {
@@ -72,10 +71,22 @@ func fabricateJob(t testing.TB, s *Server, specJSON string) (*job, experiment.Sc
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	j := s.newJobLocked(key, spec)
-	s.queued-- // runJob never runs for this job; keep depth accounting honest
-	s.wg.Done()
+	defer s.mu.Unlock()
+	return s.newJobLocked(key, spec), spec
+}
+
+// fabricateJob accepts a job whose queue slot is already released, so
+// the test can publish its terminal event with job.terminal — freezing
+// the window in which the job has published a terminal state but is
+// still present in s.active.
+func fabricateJob(t testing.TB, s *Server, specJSON string) (*job, experiment.ScenarioSpec) {
+	t.Helper()
+	j, spec := acceptJob(t, s, specJSON)
+	s.mu.Lock()
+	j.ended = true
+	s.queued--
 	s.mu.Unlock()
+	s.wg.Done()
 	return j, spec
 }
 
@@ -94,7 +105,7 @@ func TestSubmitRefusesTerminalCoalesce(t *testing.T) {
 	// Done-in-window: the submission is served the snapshot result.
 	j, spec := fabricateJob(t, s, testSpec)
 	res := &Result{Key: j.key, Seeds: spec.SeedList(), PerSeed: []metrics.Summary{{Generated: 7}, {Generated: 9}}, Mean: metrics.Summary{Generated: 8}}
-	j.finish(res, nil, nil)
+	j.terminal(finished(res, nil, nil))
 	sub, code := postSpec(t, ts, testSpec)
 	if code != http.StatusOK || sub.Result == nil || sub.Status != string(stateDone) || !sub.Cached {
 		t.Fatalf("terminal-done window: code=%d %+v, want inline result", code, sub)
@@ -107,7 +118,7 @@ func TestSubmitRefusesTerminalCoalesce(t *testing.T) {
 	// silently attaching to the corpse.
 	failedSpec := `{"preset": "quick", "protocol": "Direct", "nodes": 16, "duration": 300, "seeds": [41]}`
 	j2, _ := fabricateJob(t, s, failedSpec)
-	j2.fail(errors.New("engine exploded"))
+	j2.terminal(failed(errors.New("engine exploded")))
 	sub2, code := postSpec(t, ts, failedSpec)
 	if code != http.StatusAccepted || sub2.JobID == j2.id {
 		t.Fatalf("failed-terminal window: code=%d job=%q, want a fresh queued job (failed job was %q)", code, sub2.JobID, j2.id)
@@ -182,7 +193,7 @@ func TestSweepCellRefusesTerminalCoalesce(t *testing.T) {
 
 	// The alpha=0.2 cell's job is failed-in-window; the 0.6 cell is new.
 	j, _ := fabricateJob(t, s, testSweepCellSpec)
-	j.fail(errors.New("engine exploded"))
+	j.terminal(failed(errors.New("engine exploded")))
 	sw, code := postSweep(t, ts, testSweep)
 	if code != http.StatusAccepted {
 		t.Fatalf("sweep status %d: %+v", code, sw)
@@ -200,7 +211,7 @@ func TestSweepCellRefusesTerminalCoalesce(t *testing.T) {
 	// Done-in-window: the cell takes the snapshot result as cached.
 	doneSpec := `{"preset": "quick", "protocol": "Direct", "nodes": 16, "duration": 300, "seeds": [51]}`
 	j2, spec2 := fabricateJob(t, s, doneSpec)
-	j2.finish(&Result{Key: j2.key, Seeds: spec2.SeedList(), PerSeed: []metrics.Summary{{Generated: 5}}, Mean: metrics.Summary{Generated: 5}}, nil, nil)
+	j2.terminal(finished(&Result{Key: j2.key, Seeds: spec2.SeedList(), PerSeed: []metrics.Summary{{Generated: 5}}, Mean: metrics.Summary{Generated: 5}}, nil, nil))
 	sw2, code := postSweep(t, ts, `{"base": {"preset": "quick", "protocol": "Direct", "nodes": 16, "duration": 300, "seeds": [51]}}`)
 	if code != http.StatusOK || sw2.CellsCached != 1 || sw2.Status != string(stateDone) {
 		t.Fatalf("done-in-window cell not served from snapshot: code=%d %+v", code, sw2)

@@ -151,11 +151,10 @@ func (f *fleet) close() {
 	for _, u := range rest {
 		for _, j := range u.jobs {
 			if j.ctx.Err() != nil {
-				j.cancelled()
+				f.s.end(j, cancelled)
 			} else {
-				j.fail(errors.New("fleet shut down"))
+				f.s.end(j, failed(errors.New("fleet shut down")))
 			}
-			f.s.jobDone(j)
 		}
 	}
 }
@@ -185,8 +184,7 @@ func (f *fleet) enqueue(units []*dispatchUnit) {
 	f.mu.Unlock()
 	f.cond.Broadcast()
 	for _, j := range orphans {
-		j.fail(errors.New("fleet shut down"))
-		f.s.jobDone(j)
+		f.s.end(j, failed(errors.New("fleet shut down")))
 	}
 }
 
@@ -242,28 +240,25 @@ func (f *fleet) runUnit(w *fleetWorker, u *dispatchUnit) {
 	s := f.s
 	for idx, j := range u.jobs {
 		if j.ctx.Err() != nil {
-			j.cancelled()
-			s.jobDone(j)
+			s.end(j, cancelled)
 			continue
 		}
 		if res, raw, ok := s.store.GetRawLocal(j.key); ok && experiment.ServesSpec(res, j.spec) {
 			f.cached.Add(1)
-			j.finish(res, raw, nil)
-			s.jobDone(j)
+			s.end(j, finished(res, raw, nil))
 			continue
 		}
 		s.queueWait.Observe(time.Since(j.accepted).Seconds())
 		w.dispatched.Add(1)
-		err := f.runRemote(w, j)
+		o, err := f.runRemote(w, j)
 		if err == nil {
-			s.jobDone(j)
+			s.end(j, o)
 			continue
 		}
 		if j.ctx.Err() != nil {
 			// The dispatch broke because the job was cancelled (or was
 			// cancelled while broken) — that is a resolution, not a retry.
-			j.cancelled()
-			s.jobDone(j)
+			s.end(j, cancelled)
 			continue
 		}
 		w.failures.Add(1)
@@ -275,11 +270,10 @@ func (f *fleet) runUnit(w *fleetWorker, u *dispatchUnit) {
 			s.log.Error("fleet unit failed", "worker", w.url, "jobs", len(rest), "attempts", u.attempts+1, "err", err)
 			for _, jj := range rest {
 				if jj.ctx.Err() != nil {
-					jj.cancelled()
+					s.end(jj, cancelled)
 				} else {
-					jj.fail(fmt.Errorf("fleet: %d dispatch attempts failed, last on %s: %v", u.attempts+1, w.url, err))
+					s.end(jj, failed(fmt.Errorf("fleet: %d dispatch attempts failed, last on %s: %v", u.attempts+1, w.url, err)))
 				}
-				s.jobDone(jj)
 			}
 			return
 		}
@@ -295,11 +289,10 @@ func (f *fleet) runUnit(w *fleetWorker, u *dispatchUnit) {
 
 // runRemote drives one job through one worker: submit the spec, mirror
 // the worker's NDJSON progress into the local job (so streams, sweeps
-// and status replies work unchanged), then mirror its terminal state. A
-// nil return means the job reached a terminal state here; an error means
-// the worker infrastructure failed and the caller should retry the job
-// elsewhere.
-func (f *fleet) runRemote(w *fleetWorker, j *job) error {
+// and status replies work unchanged), then return the worker's outcome
+// for the caller to end the job with. An error means the worker
+// infrastructure failed and the caller should retry the job elsewhere.
+func (f *fleet) runRemote(w *fleetWorker, j *job) (outcome, error) {
 	j.setState(stateRunning)
 	// The plain marshal keeps every resolved field the sweep layer set —
 	// notably Trace="auto" from experiment.Plan, which the canonical
@@ -307,66 +300,63 @@ func (f *fleet) runRemote(w *fleetWorker, j *job) error {
 	// the same cache key because trace never enters it.
 	body, err := json.Marshal(j.spec)
 	if err != nil {
-		j.fail(err)
-		return nil
+		return failed(err), nil
 	}
 	sctx, scancel := context.WithTimeout(j.ctx, 30*time.Second)
 	resp, err := f.do(sctx, http.MethodPost, w.url+"/v1/jobs", body)
 	scancel()
 	if err != nil {
-		return fmt.Errorf("submit: %w", err)
+		return outcome{}, fmt.Errorf("submit: %w", err)
 	}
 	reply, raw, err := readJSON[submitResponse](resp)
 	if err != nil {
-		return fmt.Errorf("submit: %w", err)
+		return outcome{}, fmt.Errorf("submit: %w", err)
 	}
 	switch {
 	case resp.StatusCode == http.StatusBadRequest:
 		// The worker rejected a spec the coordinator validated: version
 		// skew, not infrastructure. Failing is deterministic — no retry.
-		j.fail(fmt.Errorf("worker %s rejected spec: %s", w.url, errBody(raw)))
-		return nil
+		return failed(fmt.Errorf("worker %s rejected spec: %s", w.url, errBody(raw))), nil
 	case resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted:
-		return fmt.Errorf("submit: worker answered %d: %s", resp.StatusCode, errBody(raw))
+		return outcome{}, fmt.Errorf("submit: worker answered %d: %s", resp.StatusCode, errBody(raw))
 	}
 	if reply.Key != "" && reply.Key != j.key {
 		// Key skew means the two daemons resolve specs differently —
 		// results would be mis-addressed fleet-wide. Fail loudly.
-		j.fail(fmt.Errorf("worker %s derived key %s for %s (version skew?)", w.url, reply.Key, j.key))
-		return nil
+		return failed(fmt.Errorf("worker %s derived key %s for %s (version skew?)", w.url, reply.Key, j.key)), nil
 	}
 	if reply.Cached && reply.Result != nil {
 		return f.finishFromResult(w, j, nil)
 	}
 	if reply.JobID == "" {
-		return fmt.Errorf("submit: worker answered %d with no job id", resp.StatusCode)
+		return outcome{}, fmt.Errorf("submit: worker answered %d with no job id", resp.StatusCode)
 	}
 	return f.followStream(w, j, reply.JobID)
 }
 
 // followStream mirrors the worker's NDJSON progress into the local job
-// until its terminal line, then resolves the local job to match. The
+// until its terminal line, then returns the outcome that matches it. The
 // stream request runs under j.ctx, so a local cancel (DELETE on the
 // coordinator, sweep cancel) tears the stream down immediately and is
 // propagated to the worker as a DELETE.
-func (f *fleet) followStream(w *fleetWorker, j *job, remoteID string) error {
+func (f *fleet) followStream(w *fleetWorker, j *job, remoteID string) (outcome, error) {
 	req, err := http.NewRequestWithContext(j.ctx, http.MethodGet, w.url+"/v1/jobs/"+remoteID+"/stream", nil)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
 		if j.ctx.Err() != nil {
 			f.cancelRemote(w, remoteID)
 		}
-		return fmt.Errorf("stream: %w", err)
+		return outcome{}, fmt.Errorf("stream: %w", err)
 	}
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("stream: worker answered %d", resp.StatusCode)
+		return outcome{}, fmt.Errorf("stream: worker answered %d", resp.StatusCode)
 	}
 	dec := json.NewDecoder(resp.Body)
 	for {
@@ -374,10 +364,9 @@ func (f *fleet) followStream(w *fleetWorker, j *job, remoteID string) error {
 		if err := dec.Decode(&p); err != nil {
 			if j.ctx.Err() != nil {
 				f.cancelRemote(w, remoteID)
-				j.cancelled()
-				return nil
+				return cancelled, nil
 			}
-			return fmt.Errorf("stream broke: %w", err)
+			return outcome{}, fmt.Errorf("stream broke: %w", err)
 		}
 		if !p.Done {
 			f.s.m.progressEvents.Add(1)
@@ -387,15 +376,13 @@ func (f *fleet) followStream(w *fleetWorker, j *job, remoteID string) error {
 		switch {
 		case p.Error == "cancelled":
 			if j.ctx.Err() != nil {
-				j.cancelled()
-				return nil
+				return cancelled, nil
 			}
 			// The worker cancelled a job nobody here cancelled — it is
 			// restarting or drained mid-run. Retry elsewhere.
-			return errors.New("worker cancelled the job unilaterally")
+			return outcome{}, errors.New("worker cancelled the job unilaterally")
 		case p.Error != "":
-			j.fail(errors.New(p.Error))
-			return nil
+			return failed(errors.New(p.Error)), nil
 		default:
 			return f.finishFromResult(w, j, p.Timing)
 		}
@@ -404,25 +391,24 @@ func (f *fleet) followStream(w *fleetWorker, j *job, remoteID string) error {
 
 // finishFromResult completes a local job from the worker's cached result
 // bytes: fetch GET /v1/results/{key}, persist into the local store
-// (pull-through — later sweeps and peers are served from here), finish
-// the job with the exact bytes. Fetch failures are infrastructure
-// errors: the worker computed and cached the result, so a retry is a
-// cache hit away.
-func (f *fleet) finishFromResult(w *fleetWorker, j *job, tm *obs.Timing) error {
-	raw, err := f.fetchEntry(w.url + "/v1/results/" + j.key)
+// (pull-through — later sweeps and peers are served from here), and
+// return the exact bytes as the outcome. Fetch failures are
+// infrastructure errors: the worker computed and cached the result, so
+// a retry is a cache hit away.
+func (f *fleet) finishFromResult(w *fleetWorker, j *job, tm *obs.Timing) (outcome, error) {
+	raw, err := fetchEntry(f.client, w.url+"/v1/results/"+j.key, 30*time.Second)
 	if err != nil {
-		return fmt.Errorf("fetch result: %w", err)
+		return outcome{}, fmt.Errorf("fetch result: %w", err)
 	}
 	var res Result
 	if json.Unmarshal(raw, &res) != nil || res.Key != j.key {
-		return fmt.Errorf("fetch result: worker %s served corrupt bytes for %s", w.url, j.key)
+		return outcome{}, fmt.Errorf("fetch result: worker %s served corrupt bytes for %s", w.url, j.key)
 	}
 	if err := f.s.store.PutEncoded(j.key, raw); err != nil {
 		f.s.log.Warn("fleet: persist pulled result", "key", j.key, "err", err)
 	}
 	w.completed.Add(1)
-	j.finish(&res, raw, tm)
-	return nil
+	return finished(&res, raw, tm), nil
 }
 
 // cancelRemote propagates a local cancellation to the worker,
@@ -511,8 +497,7 @@ func (f *fleet) reapCancelled() {
 	f.queue = live
 	f.mu.Unlock()
 	for _, j := range dead {
-		j.cancelled()
-		f.s.jobDone(j)
+		f.s.end(j, cancelled)
 	}
 }
 
@@ -533,11 +518,16 @@ func (f *fleet) do(ctx context.Context, method, url string, body []byte) (*http.
 	return f.client.Do(req)
 }
 
-// fetchEntry GETs one bounded entry (result JSON or trace blob).
-func (f *fleet) fetchEntry(url string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+// fetchEntry GETs one bounded entry (result JSON or trace blob) within
+// timeout.
+func fetchEntry(client *http.Client, url string, timeout time.Duration) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	resp, err := f.do(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -600,29 +590,9 @@ func (rt *remoteTier) FetchTrace(key string) ([]byte, bool) {
 
 func (rt *remoteTier) fetch(path string) ([]byte, bool) {
 	for _, base := range rt.peers() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-		if err != nil {
-			cancel()
-			continue
+		if data, err := fetchEntry(rt.client, base+path, 10*time.Second); err == nil {
+			return data, true
 		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			data, err := io.ReadAll(io.LimitReader(resp.Body, maxRemoteEntryBytes))
-			resp.Body.Close()
-			cancel()
-			if err == nil {
-				return data, true
-			}
-			continue
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		cancel()
 	}
 	return nil, false
 }
@@ -675,9 +645,9 @@ func (s *Server) startJobs(units [][]*job) {
 		for _, j := range u {
 			switch {
 			case j.follows != nil: // served locally from the job it follows
-				go s.follow(j)
+				go s.run(j, s.follow)
 			case s.fleet == nil:
-				go s.runJob(j)
+				go s.run(j, s.runJob)
 			default:
 				dispatch = append(dispatch, j)
 			}

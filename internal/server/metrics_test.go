@@ -4,13 +4,63 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
-// scrapeMetrics fetches /metrics and parses the sample lines into a map.
-func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
+// goldenConfigs are the two daemons whose fresh /metrics bodies
+// testdata/metrics_<name>.prom pins: a standalone daemon, and a
+// coordinator whose two workers still read healthy (the first heartbeat
+// is an hour away, so nothing probes them).
+var goldenConfigs = map[string]Config{
+	"standalone":  {},
+	"coordinator": {Workers: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}, Heartbeat: time.Hour},
+}
+
+// freshMetrics holds each golden daemon's first scrape. The trace
+// recording and replay counters are process-wide, so TestMain scrapes
+// before any test runs a simulation.
+var freshMetrics = map[string]string{}
+
+func TestMain(m *testing.M) {
+	for name, cfg := range goldenConfigs {
+		s, err := New(cfg)
+		if err != nil {
+			panic(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		freshMetrics[name] = rec.Body.String()
+		s.Close()
+	}
+	os.Exit(m.Run())
+}
+
+// TestMetricsGolden: a fresh daemon's exposition is byte-identical to
+// the pinned bodies, and the strict parser accepts both.
+func TestMetricsGolden(t *testing.T) {
+	for name := range goldenConfigs {
+		want, err := os.ReadFile(filepath.Join("testdata", "metrics_"+name+".prom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := freshMetrics[name]; got != string(want) {
+			t.Errorf("%s: /metrics drifted from the pinned body:\n%s\nwant:\n%s", name, got, want)
+		}
+		if _, err := obs.ParseText(string(want)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// scrape fetches /metrics and parses it strictly.
+func scrape(t *testing.T, ts *httptest.Server) []obs.Family {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -27,32 +77,24 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]float64{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed sample line %q", line)
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			t.Fatalf("non-numeric sample %q: %v", line, err)
-		}
-		if _, dup := out[name]; dup {
-			t.Fatalf("metric %s exposed twice", name)
-		}
-		out[name] = f
+	fams, err := obs.ParseText(string(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return fams
+}
+
+// scrapeMetrics scrapes /metrics into a map from sample key to value.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	return obs.Values(scrape(t, ts))
 }
 
 // TestMetricsEndpoint drives a representative traffic mix and checks the
 // exposition format plus the reconciliation invariant CI relies on:
 // submissions == hits + misses, and every terminal job is counted.
 func TestMetricsEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 
 	// A zero-traffic scrape exposes every metric, all zero except gauges.
 	m0 := scrapeMetrics(t, ts)
@@ -94,7 +136,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	// And one sweep, half of it cached (testSpec is not a testSweep cell).
 	sw, _ := postSweep(t, ts, testSweep)
 	waitSweepState(t, ts, sw.SweepID, stateDone)
-	waitJobsReleased(t, s)
 
 	m := scrapeMetrics(t, ts)
 	check := func(name string, want float64) {
@@ -139,7 +180,7 @@ func TestMetricsTerminalWindowHit(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	j, spec := fabricateJob(t, s, testSpec)
-	j.finish(&Result{Key: j.key, Seeds: spec.SeedList()}, nil, nil)
+	j.terminal(finished(&Result{Key: j.key, Seeds: spec.SeedList()}, nil, nil))
 	if _, code := postSpec(t, ts, testSpec); code != http.StatusOK {
 		t.Fatalf("terminal-window submit status %d", code)
 	}
@@ -155,23 +196,89 @@ func TestMetricsTerminalWindowHit(t *testing.T) {
 	}
 }
 
-// TestJobPanicCounted: a panicking job run is contained by runJob's
-// backstop — the job fails with the panic's message, the daemon lives on
-// — and counted in dtnd_job_panics_total, which otherwise reads 0.
+// TestJobPanicCounted: a panicking job run is contained — the job fails
+// with the panic's message, the daemon lives on — and counted in
+// dtnd_job_panics_total, which otherwise reads 0. A panic after the job
+// ended is counted too, but cannot end the job a second time.
 func TestJobPanicCounted(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	j, _ := fabricateJob(t, s, testSpec)
-	func() {
-		defer s.containPanic(j)
-		panic("unscreened shape")
-	}()
+	j, _ := acceptJob(t, s, testSpec)
+	s.run(j, func(*job) outcome { panic("unscreened shape") })
 	if snap := j.snapshot(); snap.state != stateFailed || snap.errMsg != "job panicked: unscreened shape" {
 		t.Fatalf("contained job: state %q, error %q", snap.state, snap.errMsg)
 	}
-	m := scrapeMetrics(t, ts)
-	if m["dtnd_job_panics_total"] != 1 || m["dtnd_jobs_failed_total"] != 1 {
-		t.Fatalf("panics=%g failed=%g, want 1 and 1", m["dtnd_job_panics_total"], m["dtnd_jobs_failed_total"])
+	j2, _ := acceptJob(t, s, `{"preset": "quick", "protocol": "Direct", "nodes": 16, "duration": 300, "seeds": [61]}`)
+	s.run(j2, func(j *job) outcome {
+		s.end(j, cancelled)
+		panic("after the end")
+	})
+	if snap := j2.snapshot(); snap.state != stateCancelled || len(snap.events) != 1 {
+		t.Fatalf("job ended twice: state %q, %d terminal events", snap.state, len(snap.events))
 	}
+	m := scrapeMetrics(t, ts)
+	if m["dtnd_job_panics_total"] != 2 || m["dtnd_jobs_failed_total"] != 1 || m["dtnd_jobs_cancelled_total"] != 1 || m["dtnd_queue_depth"] != 0 {
+		t.Fatalf("panics=%g failed=%g cancelled=%g depth=%g, want 2, 1, 1 and 0", m["dtnd_job_panics_total"],
+			m["dtnd_jobs_failed_total"], m["dtnd_jobs_cancelled_total"], m["dtnd_queue_depth"])
+	}
+}
+
+// TestTerminalEventAfterRelease: a job releases its queue slot before it
+// publishes its terminal event, so a subscriber reading the queue depth
+// as the job ends reads 0 — for a local run and for a fleet dispatch.
+// Holding the run permit keeps each job waiting until it is subscribed.
+func TestTerminalEventAfterRelease(t *testing.T) {
+	depthAtEnd := func(t *testing.T, s *Server, id string) <-chan int {
+		t.Helper()
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		depth := make(chan int, 1)
+		snap := j.subscribe(func(p metrics.Progress) {
+			if p.Done {
+				s.mu.Lock()
+				depth <- s.queued // what dtnd_queue_depth reports
+				s.mu.Unlock()
+			}
+		})
+		if terminalState(snap.state) {
+			t.Fatal("job ended before it was subscribed")
+		}
+		return depth
+	}
+	check := func(t *testing.T, depth <-chan int) {
+		t.Helper()
+		select {
+		case d := <-depth:
+			if d != 0 {
+				t.Errorf("queue depth %d at the terminal event, want 0", d)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("job never ended")
+		}
+	}
+	t.Run("local", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{MaxConcurrentJobs: 1})
+		s.sem <- struct{}{}
+		sub, code := postSpec(t, ts, testSpec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit status %d", code)
+		}
+		depth := depthAtEnd(t, s, sub.JobID)
+		<-s.sem
+		check(t, depth)
+	})
+	t.Run("fleet", func(t *testing.T) {
+		w := startWorker(t, Config{MaxConcurrentJobs: 1})
+		w.srv.sem <- struct{}{}
+		s, ts := newCoordinator(t, Config{}, w.url)
+		sub, code := postSpec(t, ts, testSpec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit status %d", code)
+		}
+		depth := depthAtEnd(t, s, sub.JobID)
+		<-w.srv.sem
+		check(t, depth)
+	})
 }
 
 // BenchmarkMetricsScrape measures the scrape path itself (it takes

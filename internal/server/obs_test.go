@@ -1,20 +1,18 @@
 package server
 
 // Tests for the daemon's observability surface: Prometheus exposition
-// completeness (every registered metric declared and sampled exactly
-// once, all lines well-formed), the histogram families, per-job engine
+// completeness (every registered metric declared and sampled, the whole
+// body accepted by the strict obs.ParseText), the histogram families, per-job engine
 // timing in status/stream replies, pprof gating, and structured logging.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
-	"regexp"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,298 +21,51 @@ import (
 	"repro/internal/obs"
 )
 
-// promMetric is one parsed exposition family: its declared type and the
-// label sets sampled under its name (histogram suffixes fold into the
-// base family).
-type promMetric struct {
-	typ     string
-	help    bool
-	samples []string // full sample keys: name{labels}
-	values  []float64
-}
-
-var (
-	promNameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	promLabelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"$`)
-)
-
-// parsePromText parses Prometheus text exposition strictly: every line
-// must be a HELP, a TYPE, or a well-formed sample; HELP/TYPE must precede
-// their samples and appear exactly once; sample keys must be unique.
-func parsePromText(t *testing.T, body string) map[string]*promMetric {
-	t.Helper()
-	fams := map[string]*promMetric{}
-	fam := func(name string) *promMetric {
-		// _bucket/_sum/_count samples belong to their histogram family.
-		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
-			if b := strings.TrimSuffix(name, sfx); b != name {
-				if f, ok := fams[b]; ok && f.typ == "histogram" {
-					return f
-				}
-			}
-		}
-		if f, ok := fams[name]; ok {
-			return f
-		}
-		f := &promMetric{}
-		fams[name] = f
-		return f
-	}
-	seen := map[string]bool{}
-	for ln, line := range strings.Split(body, "\n") {
-		if line == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			name, help, ok := strings.Cut(rest, " ")
-			if !ok || !promNameRe.MatchString(name) || help == "" {
-				t.Fatalf("line %d: malformed HELP %q", ln+1, line)
-			}
-			f := fam(name)
-			if f.help {
-				t.Fatalf("line %d: duplicate HELP for %s", ln+1, name)
-			}
-			f.help = true
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			name, typ, ok := strings.Cut(rest, " ")
-			if !ok || !promNameRe.MatchString(name) {
-				t.Fatalf("line %d: malformed TYPE %q", ln+1, line)
-			}
-			if typ != "counter" && typ != "gauge" && typ != "histogram" {
-				t.Fatalf("line %d: unknown type %q for %s", ln+1, typ, name)
-			}
-			f := fams[name]
-			if f == nil {
-				f = &promMetric{}
-				fams[name] = f
-			}
-			if f.typ != "" {
-				t.Fatalf("line %d: duplicate TYPE for %s", ln+1, name)
-			}
-			f.typ = typ
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			t.Fatalf("line %d: unexpected comment %q", ln+1, line)
-		}
-		key, val, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("line %d: malformed sample %q", ln+1, line)
-		}
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			t.Fatalf("line %d: non-numeric value in %q: %v", ln+1, line, err)
-		}
-		name := key
-		if i := strings.IndexByte(key, '{'); i >= 0 {
-			if !strings.HasSuffix(key, "}") {
-				t.Fatalf("line %d: unbalanced braces in %q", ln+1, key)
-			}
-			name = key[:i]
-			for _, lbl := range splitLabels(key[i+1 : len(key)-1]) {
-				if !promLabelRe.MatchString(lbl) {
-					t.Fatalf("line %d: malformed label %q in %q", ln+1, lbl, key)
-				}
-			}
-		}
-		if !promNameRe.MatchString(name) {
-			t.Fatalf("line %d: bad metric name %q", ln+1, name)
-		}
-		if seen[key] {
-			t.Fatalf("line %d: sample %q exposed twice", ln+1, key)
-		}
-		seen[key] = true
-		f := fam(name)
-		f.samples = append(f.samples, key)
-		f.values = append(f.values, v)
-	}
-	return fams
-}
-
-// splitLabels splits `a="x",b="y"` on commas outside quotes.
-func splitLabels(s string) []string {
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(out, s[start:])
-}
-
 // TestMetricsCompleteness scrapes a fresh server and checks the whole
-// exposition is internally consistent: every family has HELP, TYPE and
-// at least one sample; no family or sample repeats; histogram bucket
-// series are cumulative, end at le="+Inf", and reconcile with _count;
-// and the per-phase family carries one series per engine phase.
+// exposition is internally consistent. obs.ParseText checks the format:
+// every family has one HELP and one TYPE before its samples, no sample
+// repeats, and histogram bucket series are cumulative, end at
+// le="+Inf" and reconcile with _count. On top of that every family is
+// sampled, scalars have one sample, the per-phase family carries one
+// series per engine phase and the duration histogram one per response
+// class.
 func TestMetricsCompleteness(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := httpBody(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams := parsePromText(t, raw)
+	fams := scrape(t, ts)
 
 	if len(fams) < 25 {
 		t.Fatalf("only %d metric families exposed", len(fams))
 	}
-	var names []string
-	for name := range fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := fams[name]
-		if !f.help || f.typ == "" {
-			t.Errorf("%s: missing HELP or TYPE (help=%v typ=%q)", name, f.help, f.typ)
+	byName := map[string]obs.Family{}
+	for _, f := range fams {
+		byName[f.Name] = f
+		if len(f.Samples) == 0 {
+			t.Errorf("%s: declared but never sampled", f.Name)
 		}
-		if len(f.samples) == 0 {
-			t.Errorf("%s: declared but never sampled", name)
-		}
-		if f.typ != "histogram" && len(f.samples) > 1 && name != "dtnd_sim_phase_seconds_total" {
-			t.Errorf("%s: %d samples for a scalar metric", name, len(f.samples))
+		if f.Type != "histogram" && len(f.Samples) > 1 && f.Name != "dtnd_sim_phase_seconds_total" {
+			t.Errorf("%s: %d samples for a scalar metric", f.Name, len(f.Samples))
 		}
 	}
 
 	// The phase family exposes exactly one series per engine phase.
-	phases := fams["dtnd_sim_phase_seconds_total"]
-	if phases == nil || len(phases.samples) != int(obs.NumPhases) {
+	phases := byName["dtnd_sim_phase_seconds_total"]
+	if len(phases.Samples) != int(obs.NumPhases) {
 		t.Fatalf("phase family: %+v, want %d series", phases, int(obs.NumPhases))
 	}
-	for _, ph := range obs.PhaseNames() {
-		key := fmt.Sprintf("dtnd_sim_phase_seconds_total{phase=%q}", ph)
-		if !containsSample(phases.samples, key) {
-			t.Errorf("phase series %s missing", key)
+	for i, ph := range obs.PhaseNames() {
+		if got, want := phases.Samples[i].Labels, []obs.Label{{Name: "phase", Value: ph}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("phase series %d has labels %v, want %v", i, got, want)
 		}
 	}
 
-	// Histogram families: per labeled series, buckets are cumulative,
-	// finish at +Inf, and the +Inf bucket equals _count.
 	for _, name := range []string{"dtnd_http_request_duration_seconds", "dtnd_queue_wait_seconds"} {
-		f := fams[name]
-		if f == nil || f.typ != "histogram" {
+		if f := byName[name]; f.Type != "histogram" {
 			t.Fatalf("%s: missing or not a histogram (%+v)", name, f)
 		}
-		checkHistogramSeries(t, name, f)
 	}
-	if got := countSuffix(fams["dtnd_http_request_duration_seconds"].samples, "_count"); got != len(respClasses) {
-		t.Errorf("http duration: %d _count series, want one per response class (%d)", got, len(respClasses))
+	if got := len(byName["dtnd_http_request_duration_seconds"].Samples); got != len(respClasses) {
+		t.Errorf("http duration: %d series, want one per response class (%d)", got, len(respClasses))
 	}
-}
-
-// checkHistogramSeries groups a histogram family's samples by label set
-// and validates each series' shape.
-func checkHistogramSeries(t *testing.T, name string, f *promMetric) {
-	t.Helper()
-	type series struct {
-		buckets []float64
-		lastInf bool
-		sum     float64
-		count   float64
-		hasSum  bool
-		hasCnt  bool
-	}
-	bySeries := map[string]*series{}
-	get := func(key string) *series {
-		s := bySeries[key]
-		if s == nil {
-			s = &series{}
-			bySeries[key] = s
-		}
-		return s
-	}
-	for i, key := range f.samples {
-		v := f.values[i]
-		switch {
-		case strings.HasPrefix(key, name+"_bucket{"):
-			// The series identity is the label set minus le.
-			lbls := key[len(name+"_bucket{") : len(key)-1]
-			var rest []string
-			le := ""
-			for _, l := range splitLabels(lbls) {
-				if val, ok := strings.CutPrefix(l, "le="); ok {
-					le = val
-				} else {
-					rest = append(rest, l)
-				}
-			}
-			s := get(strings.Join(rest, ","))
-			s.buckets = append(s.buckets, v)
-			s.lastInf = le == `"+Inf"`
-		case strings.HasPrefix(key, name+"_sum"):
-			s := get(strings.Trim(strings.TrimPrefix(key, name+"_sum"), "{}"))
-			s.sum, s.hasSum = v, true
-		case strings.HasPrefix(key, name+"_count"):
-			s := get(strings.Trim(strings.TrimPrefix(key, name+"_count"), "{}"))
-			s.count, s.hasCnt = v, true
-		}
-	}
-	if len(bySeries) == 0 {
-		t.Fatalf("%s: no series", name)
-	}
-	for lbls, s := range bySeries {
-		if !s.hasSum || !s.hasCnt {
-			t.Errorf("%s{%s}: missing _sum or _count", name, lbls)
-		}
-		if !s.lastInf {
-			t.Errorf("%s{%s}: bucket series does not end at le=\"+Inf\"", name, lbls)
-		}
-		for i := 1; i < len(s.buckets); i++ {
-			if s.buckets[i] < s.buckets[i-1] {
-				t.Errorf("%s{%s}: buckets not cumulative at %d", name, lbls, i)
-			}
-		}
-		if n := len(s.buckets); n > 0 && s.buckets[n-1] != s.count {
-			t.Errorf("%s{%s}: +Inf bucket %g != count %g", name, lbls, s.buckets[n-1], s.count)
-		}
-	}
-}
-
-func containsSample(samples []string, key string) bool {
-	for _, s := range samples {
-		if s == key {
-			return true
-		}
-	}
-	return false
-}
-
-func countSuffix(samples []string, sfx string) int {
-	n := 0
-	for _, s := range samples {
-		if strings.Contains(s, sfx) {
-			n++
-		}
-	}
-	return n
-}
-
-func httpBody(resp *http.Response) (string, error) {
-	var b strings.Builder
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		b.WriteString(sc.Text())
-		b.WriteByte('\n')
-	}
-	return b.String(), sc.Err()
 }
 
 // TestJobTimingAndHistograms runs a real job over HTTP and checks the

@@ -139,25 +139,15 @@ type job struct {
 	// Server.follow).
 	follows *job
 
-	// onTerminal, when set, observes the job's final state exactly once
-	// (the server's metric counters). Called outside all locks.
-	onTerminal func(jobState)
+	// ended marks a job Server.end has ended, so it ends exactly once;
+	// guarded by Server.mu.
+	ended bool
 
-	mu     sync.Mutex
-	state  jobState
+	mu sync.Mutex
+	outcome
 	events []metrics.Progress
 	notify chan struct{}
-	result *Result
-	// timing is the job's engine phase profile (nil for cache hits and
-	// unprofiled jobs). It lives outside result so the cached bytes stay
-	// deterministic; job status and the terminal stream event carry it.
-	timing *obs.Timing
-	// resultJSON is the result encoded once at completion, so the submit
-	// fast paths (disk hit, coalesce onto a done job) splice bytes instead
-	// of re-marshalling the full per-seed summary table per request.
-	resultJSON []byte
-	errMsg     string
-	subs       []func(metrics.Progress)
+	subs   []func(metrics.Progress)
 }
 
 // Result is the persisted outcome of a job — the value the content
@@ -528,7 +518,7 @@ func (s *Server) admit(cells []experiment.SweepCell) (adm []admitted, units [][]
 }
 
 // newJobLocked creates and registers a queued job (s.mu must be held).
-// The caller starts runJob after releasing the lock.
+// The caller starts the job after releasing the lock.
 func (s *Server) newJobLocked(key string, spec experiment.ScenarioSpec) *job {
 	s.nextID++
 	ctx, cancel := context.WithCancel(context.Background())
@@ -540,12 +530,8 @@ func (s *Server) newJobLocked(key string, spec experiment.ScenarioSpec) *job {
 		cancel:   cancel,
 		accepted: time.Now(),
 		holders:  1,
-		state:    stateQueued,
+		outcome:  outcome{state: stateQueued},
 		notify:   make(chan struct{}),
-	}
-	j.onTerminal = func(st jobState) {
-		s.m.noteTerminal(st)
-		s.log.Info("job terminal", "job", j.id, "key", j.key, "status", string(st))
 	}
 	s.jobs[j.id] = j
 	s.active[key] = j
@@ -554,19 +540,25 @@ func (s *Server) newJobLocked(key string, spec experiment.ScenarioSpec) *job {
 	return j
 }
 
-// jobDone releases a terminal job's server bookkeeping — the one
-// completion path shared by the local executor (runJob) and the fleet
-// dispatcher, called exactly once per accepted job, after the job
-// reached a terminal state.
-func (s *Server) jobDone(j *job) {
+// end is the one way an accepted job ends, exactly once whichever path
+// gets there first (local run, follower, fleet dispatch, shutdown, a
+// contained panic). It releases the job's queue slot, then publishes
+// the terminal event, then lets Drain count the job finished: a client
+// that sees the job end never reads it in dtnd_queue_depth.
+func (s *Server) end(j *job, o outcome) {
 	s.mu.Lock()
-	// A fresh submission may have replaced a cancelled job's active
-	// entry while it drained; only remove the entry if it is still
-	// ours. With a store, a done job keeps its entry while retained: a
-	// submission whose store read preceded the job's Put reaches its
-	// admission pass after this point, and must find the snapshot instead
-	// of queueing a duplicate simulation.
-	if s.active[j.key] == j && (s.store == nil || j.snapshot().state != stateDone) {
+	if j.ended {
+		s.mu.Unlock()
+		return
+	}
+	j.ended = true
+	// Only remove the active entry if it is still ours: a fresh
+	// submission may have replaced a cancelled job's. A done job keeps
+	// it through the publish, so a submission meanwhile is served the
+	// snapshot instead of simulating again — with a store, while
+	// retained, as a submission whose store read raced the job's Put
+	// reaches its admission pass only after this point.
+	if s.active[j.key] == j && o.state != stateDone {
 		delete(s.active, j.key)
 	}
 	s.queued--
@@ -583,39 +575,51 @@ func (s *Server) jobDone(j *job) {
 		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
-	s.wg.Done()
+	defer s.wg.Done()
+	s.m.noteTerminal(o.state)
+	s.log.Info("job terminal", "job", j.id, "key", j.key, "status", string(o.state))
+	j.terminal(o)
+	if o.state == stateDone && s.store == nil {
+		s.mu.Lock()
+		if s.active[j.key] == j {
+			delete(s.active, j.key)
+		}
+		s.mu.Unlock()
+	}
 }
 
-// containPanic is runJob's backstop, deferred directly so recover sees
-// the panic. Spec validation screens known-bad shapes, but the engine
+// run runs one accepted job's body on its own goroutine and ends the
+// job with the outcome the body returns.
+func (s *Server) run(j *job, body func(*job) outcome) {
+	defer s.containPanic(j)
+	s.end(j, body(j))
+}
+
+// containPanic is run's backstop, deferred directly so recover sees the
+// panic. Spec validation screens known-bad shapes, but the engine
 // panics on combinations nobody has tried yet; contain those to the one
 // job instead of killing the daemon (and every queued job) with it, and
 // count them: dtnd_job_panics_total above 0 names a shape Validate misses.
 func (s *Server) containPanic(j *job) {
 	if r := recover(); r != nil {
 		s.m.jobPanics.Add(1)
-		j.fail(fmt.Errorf("job panicked: %v", r))
+		s.end(j, failed(fmt.Errorf("job panicked: %v", r)))
 	}
 }
 
 // runJob executes one accepted job on the local engine: wait for a
 // concurrency permit (or cancellation — a cancelled queued job never
-// takes a permit), simulate with live progress, persist and publish the
-// result.
-func (s *Server) runJob(j *job) {
-	defer s.jobDone(j)
-	defer s.containPanic(j)
+// takes a permit), simulate with live progress, persist the result.
+func (s *Server) runJob(j *job) outcome {
 	select {
 	case s.sem <- struct{}{}:
 	case <-j.ctx.Done():
-		j.cancelled() // cancelled while queued: release nothing, run nothing
-		return
+		return cancelled // cancelled while queued: release nothing, run nothing
 	}
 	defer func() { <-s.sem }()
 	s.queueWait.Observe(time.Since(j.accepted).Seconds())
 	if j.ctx.Err() != nil {
-		j.cancelled()
-		return
+		return cancelled
 	}
 
 	j.setState(stateRunning)
@@ -649,11 +653,9 @@ func (s *Server) runJob(j *job) {
 	sums, err := experiment.RunSpecStore(j.ctx, spec, s.store, progress)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			j.cancelled()
-		} else {
-			j.fail(err)
+			return cancelled
 		}
-		return
+		return failed(err)
 	}
 	s.simulated.Add(1)
 	// Fold the per-seed phase profiles into one job-level timing block
@@ -664,30 +666,27 @@ func (s *Server) runJob(j *job) {
 		tm = obs.MergeTiming(tm, sums[i].Timing)
 	}
 	s.m.noteTiming(tm)
-	s.complete(j, sums, tm)
+	return s.complete(j, sums, tm)
 }
 
 // complete stores the job's per-seed summaries as its cell's result
-// under its own key and publishes it — the end of every local run,
-// simulated or followed.
-func (s *Server) complete(j *job, perSeed []metrics.Summary, tm *obs.Timing) {
+// under its own key — the end of every local run, simulated or
+// followed.
+func (s *Server) complete(j *job, perSeed []metrics.Summary, tm *obs.Timing) outcome {
 	res, err := experiment.CellResultOf(experiment.SweepCell{Spec: j.spec, Key: j.key}, perSeed)
 	if err != nil {
-		j.fail(err)
-		return
+		return failed(err)
 	}
 	if err := s.store.Put(res); err != nil {
-		j.fail(fmt.Errorf("persist result: %w", err))
-		return
+		return failed(fmt.Errorf("persist result: %w", err))
 	}
 	// Encode once at completion; every later cache-hit serve of this job's
 	// snapshot splices these bytes instead of re-marshalling.
 	raw, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		j.fail(err)
-		return
+		return failed(err)
 	}
-	j.finish(res, raw, tm)
+	return finished(res, raw, tm)
 }
 
 // follow serves a follower job from the job it follows, the way RunSweep
@@ -695,9 +694,7 @@ func (s *Server) complete(j *job, perSeed []metrics.Summary, tm *obs.Timing) {
 // state — on success with the followed run's per-seed summaries stored
 // under the follower's own key and canonical spec. It never simulates.
 // Cancelling the follower releases its hold on the followed job.
-func (s *Server) follow(j *job) {
-	defer s.jobDone(j)
-	defer s.containPanic(j)
+func (s *Server) follow(j *job) outcome {
 	src := j.follows
 	sent := 0
 	for {
@@ -713,14 +710,11 @@ func (s *Server) follow(j *job) {
 		sent = len(snap.events)
 		switch {
 		case snap.state == stateDone && snap.result != nil:
-			s.complete(j, snap.result.PerSeed, nil)
-			return
+			return s.complete(j, snap.result.PerSeed, nil)
 		case snap.state == stateFailed:
-			j.fail(errors.New(snap.errMsg))
-			return
+			return failed(errors.New(snap.errMsg))
 		case terminalState(snap.state):
-			j.cancelled()
-			return
+			return cancelled
 		}
 		select {
 		case <-snap.notify:
@@ -732,8 +726,7 @@ func (s *Server) follow(j *job) {
 			if drop {
 				src.cancel()
 			}
-			j.cancelled()
-			return
+			return cancelled
 		}
 	}
 }
@@ -986,13 +979,9 @@ const maxRetainedJobs = 512
 // needs, read under one lock acquisition so replies can never tear (e.g.
 // "running" with a non-nil result).
 type jobSnap struct {
-	state      jobState
-	events     []metrics.Progress
-	result     *Result
-	resultJSON []byte
-	errMsg     string
-	timing     *obs.Timing
-	notify     chan struct{}
+	outcome
+	events []metrics.Progress
+	notify chan struct{}
 }
 
 // snapshot returns the job's state, progress history, result, error and
@@ -1000,7 +989,7 @@ type jobSnap struct {
 func (j *job) snapshot() jobSnap {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return jobSnap{state: j.state, events: j.events, result: j.result, resultJSON: j.resultJSON, errMsg: j.errMsg, timing: j.timing, notify: j.notify}
+	return jobSnap{outcome: j.outcome, events: j.events, notify: j.notify}
 }
 
 func (j *job) setState(st jobState) {
@@ -1017,7 +1006,7 @@ func (j *job) subscribe(fn func(metrics.Progress)) jobSnap {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.subs = append(j.subs, fn)
-	return jobSnap{state: j.state, events: j.events, result: j.result, errMsg: j.errMsg, notify: j.notify}
+	return jobSnap{outcome: j.outcome, events: j.events, notify: j.notify}
 }
 
 // publish appends one event, wakes streamers, and delivers to subscribers
@@ -1035,55 +1024,61 @@ func (j *job) publish(p metrics.Progress) {
 	}
 }
 
-// appendProgress publishes one progress event (called from pool workers).
-func (j *job) appendProgress(p metrics.Progress) { j.publish(p) }
+// outcome is a job's state and, once it ends, what its terminal event
+// and status replies carry.
+type outcome struct {
+	state  jobState
+	result *Result
+	// resultJSON is the result encoded once at completion, so the submit
+	// fast paths (disk hit, coalesce onto a done job) splice bytes instead
+	// of re-marshalling the full per-seed summary table per request.
+	resultJSON []byte
+	errMsg     string
+	// timing is the job's engine phase profile (nil for cache hits and
+	// unprofiled jobs). It lives outside result so the cached bytes stay
+	// deterministic; job status and the terminal stream event carry it.
+	timing *obs.Timing
+}
 
-// terminal moves the job to a final state and publishes the terminal
+// finished is a successful outcome: the result, its one-time encoding
+// and the job's phase profile.
+func finished(res *Result, raw []byte, tm *obs.Timing) outcome {
+	return outcome{state: stateDone, result: res, resultJSON: raw, timing: tm}
+}
+
+// failed is a failure outcome carrying err's message.
+func failed(err error) outcome { return outcome{state: stateFailed, errMsg: err.Error()} }
+
+// cancelled is the cancellation outcome.
+var cancelled = outcome{state: stateCancelled, errMsg: "cancelled"}
+
+// terminal moves the job to its final state and publishes the terminal
 // progress event. The event carries the last observed completion fraction
 // — a job that dies at 90% reports 90%, not 0 — or 1 on success, plus the
 // job's engine phase profile when it simulated here.
-func (j *job) terminal(st jobState, res *Result, raw []byte, errMsg string, tm *obs.Timing) {
+func (j *job) terminal(o outcome) {
 	j.mu.Lock()
-	p := metrics.Progress{Done: true, Error: errMsg, Timing: tm}
+	p := metrics.Progress{Done: true, Error: o.errMsg, Timing: o.timing}
 	if n := len(j.events); n > 0 {
 		p.Frac = j.events[n-1].Frac
 	}
-	if st == stateDone && res != nil {
-		mean := res.Mean
+	if o.state == stateDone && o.result != nil {
+		mean := o.result.Mean
 		p.Frac = 1
-		p.Seed = len(res.Seeds) - 1
-		p.Seeds = len(res.Seeds)
+		p.Seed = len(o.result.Seeds) - 1
+		p.Seeds = len(o.result.Seeds)
 		p.Summary = &mean
 	}
-	j.state = st
-	j.result = res
-	j.resultJSON = raw
-	j.errMsg = errMsg
-	j.timing = tm
+	j.outcome = o
 	j.events = append(j.events, p)
 	close(j.notify)
 	j.notify = make(chan struct{})
 	subs := j.subs
 	j.mu.Unlock()
-	if j.onTerminal != nil {
-		j.onTerminal(st)
-	}
 	for _, fn := range subs {
 		fn(p)
 	}
 }
-
-// finish publishes the result (and its one-time encoding), the job's
-// phase profile, and the terminal progress event.
-func (j *job) finish(res *Result, raw []byte, tm *obs.Timing) {
-	j.terminal(stateDone, res, raw, "", tm)
-}
-
-// fail publishes the error and the terminal progress event.
-func (j *job) fail(err error) { j.terminal(stateFailed, nil, nil, err.Error(), nil) }
-
-// cancelled publishes the cancellation terminal event.
-func (j *job) cancelled() { j.terminal(stateCancelled, nil, nil, "cancelled", nil) }
 
 // writeJSON writes one JSON reply. The returned error reports a failed or
 // short write (client gone); callers that would otherwise keep writing or

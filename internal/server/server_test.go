@@ -59,26 +59,6 @@ func stopJobsOnCleanup(t *testing.T, s *Server) {
 	})
 }
 
-// waitJobsReleased waits until s has released the queue slot of every job
-// it accepted: a job publishes its terminal event before jobDone releases
-// the slot, so a scrape right after "done" can still count it.
-func waitJobsReleased(t *testing.T, s *Server) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s.mu.Lock()
-		queued := s.queued
-		s.mu.Unlock()
-		if queued == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d jobs still hold queue slots", queued)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func postSpec(t *testing.T, ts *httptest.Server, spec string) (submitResponse, int) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
@@ -544,10 +524,10 @@ func TestCancelDoneConflicts(t *testing.T) {
 // reporting progress keeps its last observed fraction in the terminal
 // event and the status reply, instead of resetting to 0.
 func TestFailCarriesFrac(t *testing.T) {
-	j := &job{id: "j1", state: stateRunning, notify: make(chan struct{})}
-	j.appendProgress(metrics.Progress{Frac: 0.4})
-	j.appendProgress(metrics.Progress{Frac: 0.9})
-	j.fail(errGone)
+	j := &job{id: "j1", outcome: outcome{state: stateRunning}, notify: make(chan struct{})}
+	j.publish(metrics.Progress{Frac: 0.4})
+	j.publish(metrics.Progress{Frac: 0.9})
+	j.terminal(failed(errGone))
 	snap := j.snapshot()
 	if snap.state != stateFailed || snap.errMsg != errGone.Error() {
 		t.Fatalf("snapshot %+v", snap)
@@ -567,11 +547,11 @@ var errGone = errors.New("engine exploded at 90%")
 // together — a done snapshot has a result, a failed one an error, and a
 // running one neither.
 func TestSnapshotConsistency(t *testing.T) {
-	j := &job{id: "j1", state: stateRunning, notify: make(chan struct{})}
+	j := &job{id: "j1", outcome: outcome{state: stateRunning}, notify: make(chan struct{})}
 	if snap := j.snapshot(); snap.result != nil || snap.errMsg != "" {
 		t.Fatalf("running snapshot carries outcome: %+v", snap)
 	}
-	j.finish(&Result{Seeds: []int64{1}, PerSeed: []metrics.Summary{{}}}, nil, nil)
+	j.terminal(finished(&Result{Seeds: []int64{1}, PerSeed: []metrics.Summary{{}}}, nil, nil))
 	snap := j.snapshot()
 	if snap.state != stateDone || snap.result == nil || snap.errMsg != "" {
 		t.Fatalf("done snapshot inconsistent: %+v", snap)

@@ -667,7 +667,7 @@ func TestSweepSameRunEndsWithItsRun(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("sweep status %d", code)
 		}
-		j.fail(errors.New("engine exploded"))
+		j.terminal(failed(errors.New("engine exploded")))
 		final := waitSweepState(t, ts, sw.SweepID, stateFailed, stateDone, stateCancelled)
 		for _, c := range final.Cells {
 			if c.Status != string(stateFailed) || c.Error != "engine exploded" {
