@@ -9,19 +9,33 @@ import (
 // Link is an active contact between two nodes. It carries at most one
 // transfer at a time at the configured bandwidth (half-duplex shared
 // medium, as in ONE); senders alternate when both have traffic.
+//
+// The world recycles links (World.freeLinks): a torn-down link is reused
+// by a later contactUp, so nothing may keep a *Link past its contact.
 type Link struct {
-	a, b  *Node // a.ID < b.ID
-	since float64
+	a, b *Node // a.ID < b.ID
 
-	cur  *transfer
+	cur  transfer // in flight when cur.plan != nil
 	ev   *sim.Event
-	turn int  // 0: a sends next, 1: b sends next
-	gone bool // torn down (contactDown); linkList compaction flag
+	done func(t float64) // completion callback, bound once per Link struct
+	turn int             // 0: a sends next, 1: b sends next
+	gone bool            // torn down (contactDown); linkList compaction flag
 }
 
 type transfer struct {
 	plan     *Plan
 	from, to *Node
+}
+
+// newLink allocates a link whose completion callback is bound for the
+// struct's whole life, so neither a recycle nor a transfer allocates it.
+func newLink(w *World) *Link {
+	l := &Link{}
+	l.done = func(now float64) {
+		l.ev = nil
+		w.completeTransfer(l, now)
+	}
+	return l
 }
 
 func (l *Link) other(n *Node) *Node {
@@ -31,33 +45,22 @@ func (l *Link) other(n *Node) *Node {
 	return l.a
 }
 
-// Busy reports whether a transfer is in flight.
-func (l *Link) Busy() bool { return l.cur != nil }
-
-// Since returns the contact establishment time.
-func (l *Link) Since() float64 { return l.since }
-
-// pump starts the next transfer if the link is idle, polling the two
-// routers in alternating order for fairness.
+// pump starts the next transfer if the link is idle and either side has
+// one, polling the two routers in alternating order for fairness; a
+// drained link waits for a wake.
 func (l *Link) pump(w *World, t float64) {
-	for l.cur == nil {
-		var plan *Plan
-		var from *Node
-		first, second := l.a, l.b
-		if l.turn == 1 {
-			first, second = l.b, l.a
-		}
-		if p := first.Router.NextTransfer(t, l.other(first)); p != nil {
-			plan, from = p, first
-			l.turn ^= 1
-		} else if p := second.Router.NextTransfer(t, l.other(second)); p != nil {
-			plan, from = p, second
-		}
-		if plan == nil {
-			return // both drained; wait for a wake
-		}
-		l.start(w, t, plan, from)
+	if l.cur.plan != nil {
 		return
+	}
+	first, second := l.a, l.b
+	if l.turn == 1 {
+		first, second = l.b, l.a
+	}
+	if p := first.Router.NextTransfer(t, l.other(first)); p != nil {
+		l.turn ^= 1
+		l.start(w, t, p, first)
+	} else if p := second.Router.NextTransfer(t, l.other(second)); p != nil {
+		l.start(w, t, p, second)
 	}
 }
 
@@ -77,21 +80,18 @@ func (l *Link) start(w *World, t float64, plan *Plan, from *Node) {
 	if plan.Msg.To == to.ID && to.DeliveredHere(plan.Msg.ID) {
 		panic(fmt.Sprintf("network: node %d planned re-delivery of message %d to node %d", from.ID, plan.Msg.ID, to.ID))
 	}
-	l.cur = &transfer{plan: plan, from: from, to: to}
+	l.cur = transfer{plan: plan, from: from, to: to}
 	dur := float64(plan.Msg.Size) / w.cfg.Bandwidth
-	l.ev = w.runner.Events.Schedule(t+dur, func(now float64) {
-		l.ev = nil
-		w.completeTransfer(l, now)
-	})
+	l.ev = w.runner.Events.Schedule(t+dur, l.done)
 }
 
 // abort cancels the in-flight transfer (contact lost).
 func (l *Link) abort(w *World) {
-	if l.cur == nil {
+	if l.cur.plan == nil {
 		return
 	}
 	w.runner.Events.Cancel(l.ev)
 	l.ev = nil
-	l.cur = nil
+	l.cur = transfer{}
 	w.Metrics.TransferAborted()
 }

@@ -50,12 +50,13 @@ func (w *World) Scripted() bool { return w.scripted }
 
 // tickScripted advances one scripted tick: fire the script's events for
 // this tick in recorded order, then run the usual expiry sweep cadence.
-// Positions are never read or written.
+// Positions are never read or written. A down finds its link through
+// Node.links, so a scripted world keeps no linkList (only the live
+// distance sweep reads it) and recycles each link at its contactDown.
 func (w *World) tickScripted(t float64) {
 	w.lastTick = t
 	w.tickCount++
 	st := w.prof.Start()
-	downs := false
 	for w.scriptPos < len(w.script) {
 		e := w.script[w.scriptPos]
 		if e.Tick > w.tickCount {
@@ -68,11 +69,7 @@ func (w *World) tickScripted(t float64) {
 		}
 		if l := w.nodes[e.A].linkTo(w.nodes[e.B]); l != nil {
 			w.contactDown(l, t)
-			downs = true
 		}
-	}
-	if downs {
-		w.dropGoneLinks()
 	}
 	st = w.prof.Lap(obs.PhaseScript, st)
 	if w.tickCount%uint64(w.cfg.ExpirySweepEvery) == 0 {

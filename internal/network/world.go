@@ -62,7 +62,11 @@ type World struct {
 	runner *sim.Runner
 	nodes  []*Node
 
-	linkList []*Link // active links in establishment order
+	// linkList holds a live world's active links in establishment order
+	// (phase D sweeps it); a scripted world finds links through
+	// Node.links and keeps it empty.
+	linkList  []*Link
+	freeLinks []*Link // torn-down links nothing refers to, for reuse
 
 	grid      cellGrid
 	sched     pairSched
@@ -288,8 +292,16 @@ func (w *World) contactUp(a, b *Node, t float64) {
 		f(w.tickCount, true, int32(a.ID), int32(b.ID))
 	}
 	w.Metrics.ContactStarted()
-	l := &Link{a: a, b: b, since: t}
-	w.linkList = append(w.linkList, l)
+	var l *Link
+	if n := len(w.freeLinks); n > 0 {
+		l, w.freeLinks = w.freeLinks[n-1], w.freeLinks[:n-1]
+	} else {
+		l = newLink(w)
+	}
+	*l = Link{a: a, b: b, done: l.done}
+	if !w.scripted {
+		w.linkList = append(w.linkList, l)
+	}
 	a.addLink(l)
 	b.addLink(l)
 	ex := w.prof.Start()
@@ -299,8 +311,10 @@ func (w *World) contactUp(a, b *Node, t float64) {
 	l.pump(w, t)
 }
 
-// contactDown tears l down and marks it gone; the caller drops it from
-// linkList with dropGoneLinks once all of the tick's downs fired.
+// contactDown tears l down and marks it gone. A live tick drops it from
+// linkList with dropGoneLinks once all of the tick's downs fired, which
+// recycles it; a scripted world holds no other reference and recycles it
+// here.
 func (w *World) contactDown(l *Link, t float64) {
 	l.gone = true
 	for _, f := range w.onContact {
@@ -313,14 +327,20 @@ func (w *World) contactDown(l *Link, t float64) {
 	l.a.Router.ContactDown(t, l.b)
 	l.b.Router.ContactDown(t, l.a)
 	w.prof.Exchange(ex)
+	if w.scripted {
+		w.freeLinks = append(w.freeLinks, l)
+	}
 }
 
 // dropGoneLinks removes torn-down links from linkList, keeping the rest in
-// establishment order. Ticks batch their downs and compact once.
+// establishment order, and recycles them. Live ticks batch their downs and
+// compact once.
 func (w *World) dropGoneLinks() {
 	keep := w.linkList[:0]
 	for _, l := range w.linkList {
-		if !l.gone {
+		if l.gone {
+			w.freeLinks = append(w.freeLinks, l)
+		} else {
 			keep = append(keep, l)
 		}
 	}
@@ -330,9 +350,10 @@ func (w *World) dropGoneLinks() {
 // completeTransfer applies a finished transfer: delivery or relay, quota
 // bookkeeping, router notifications, and the next pump.
 func (w *World) completeTransfer(l *Link, t float64) {
-	tr := l.cur
-	l.cur = nil
-	plan, from, to := tr.plan, tr.from, tr.to
+	// Copy the transfer out before anything below can pump l again: a
+	// wake may start l's next transfer in l.cur.
+	plan, from, to := l.cur.plan, l.cur.from, l.cur.to
+	l.cur = transfer{}
 
 	senderCopy := from.Copy(plan.Msg.ID)
 	if senderCopy == nil {
@@ -403,7 +424,11 @@ func (w *World) sweepExpired(t float64) {
 // DumpState returns a human-readable snapshot for debugging.
 func (w *World) DumpState() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "t=%.1f nodes=%d links=%d\n", w.Now(), len(w.nodes), len(w.linkList))
+	links := 0
+	for _, n := range w.nodes {
+		links += len(n.links)
+	}
+	fmt.Fprintf(&sb, "t=%.1f nodes=%d links=%d\n", w.Now(), len(w.nodes), links/2)
 	for _, n := range w.nodes {
 		fmt.Fprintf(&sb, "  node %d at %v buf=%d/%dB msgs=%d\n", n.ID, n.pos, n.Buf.Used(), n.Buf.Capacity(), n.Buf.Len())
 	}

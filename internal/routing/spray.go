@@ -87,19 +87,16 @@ func (r *SprayAndFocus) Init(self *network.Node, w *network.World) {
 }
 
 // ContactUp implements network.Router: refresh the direct timer and adopt
-// the peer's fresher timers (the scheme's transitive timer update). The
-// own timer is never adopted; the loop runs over every entry and restores
-// it afterwards, which keeps the skip test out of the loop.
+// the peer's fresher timers (the scheme's transitive timer update), each
+// aged by TransitivityPenalty. adoptTimers merges every entry — on amd64
+// two at a time with SSE2, bit-identical to the scalar loop — and the own
+// timer, which is never adopted, is restored afterwards, which keeps the
+// skip test out of the merge.
 func (r *SprayAndFocus) ContactUp(t float64, peer *network.Node) {
 	r.lastSeen[peer.ID] = t
 	if pr, ok := peer.Router.(*SprayAndFocus); ok {
-		own, penalty := r.lastSeen[r.Self.ID], r.TransitivityPenalty
-		seen := r.lastSeen[:len(pr.lastSeen)]
-		for k, ts := range pr.lastSeen {
-			if adopted := ts - penalty; adopted > seen[k] {
-				seen[k] = adopted
-			}
-		}
+		own := r.lastSeen[r.Self.ID]
+		adoptTimers(r.lastSeen, pr.lastSeen, r.TransitivityPenalty)
 		r.lastSeen[r.Self.ID] = own
 	}
 }

@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"math"
 
@@ -34,32 +33,78 @@ type Event struct {
 // Cancelled reports whether the event was removed before firing.
 func (e *Event) Cancelled() bool { return e.index == -2 }
 
+// eventHeap is a binary min-heap ordered by (At, seq), a total order, so
+// pops come out in one sequence whatever the sift path. Every move keeps
+// Event.index current for Cancel.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+
+// up moves entry j towards the root until its parent is not greater.
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down moves entry i0 towards the leaves of h[:n] until no child is
+// smaller, and reports whether it moved.
+func (h eventHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(e *Event) {
 	e.index = len(*h)
 	*h = append(*h, e)
+	h.up(e.index)
 }
-func (h *eventHeap) Pop() any {
+
+// remove takes out entry i and returns it with index -1.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	if n != i {
+		old.swap(i, n)
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	e := old[n]
+	old[n] = nil
 	e.index = -1
-	*h = old[:n-1]
+	*h = old[:n]
 	return e
 }
 
@@ -91,7 +136,7 @@ func (q *Queue) Schedule(at float64, fire func(t float64)) *Event {
 	}
 	q.seq++
 	*e = Event{At: at, Fire: fire, seq: q.seq}
-	heap.Push(&q.h, e)
+	q.h.push(e)
 	return e
 }
 
@@ -101,7 +146,7 @@ func (q *Queue) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
 		return
 	}
-	heap.Remove(&q.h, e.index)
+	q.h.remove(e.index)
 	e.index = -2
 }
 
@@ -118,7 +163,7 @@ func (q *Queue) NextAt() float64 {
 // during processing are honoured if they also fall at or before t.
 func (q *Queue) RunUntil(t float64) {
 	for len(q.h) > 0 && q.h[0].At <= t {
-		e := heap.Pop(&q.h).(*Event)
+		e := q.h.remove(0)
 		e.Fire(e.At)
 		// Recycle after the callback returns: the callback may still read
 		// the event (and anything it schedules pulls from the freelist
