@@ -6,6 +6,7 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/msg"
 )
@@ -206,6 +207,17 @@ func (b *Buffer) DropExpired(t float64) []*msg.Copy {
 		}
 	}
 	return out
+}
+
+// NextExpiry returns the earliest expiry time left in the expiry heap, or
+// +Inf when it is empty. The entry may be stale (its copy already
+// removed), so it is a lower bound: DropExpired(t) drops nothing while
+// !(NextExpiry() < t).
+func (b *Buffer) NextExpiry() float64 {
+	if len(b.expiry) == 0 {
+		return math.Inf(1)
+	}
+	return b.expiry[0].at
 }
 
 // expiryPush inserts e, maintaining (at, id) min-heap order.

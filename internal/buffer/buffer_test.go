@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,46 @@ func TestDropExpired(t *testing.T) {
 	}
 	if b.Len() != 2 {
 		t.Errorf("Len = %d, want 2", b.Len())
+	}
+}
+
+// TestNextExpiry pins NextExpiry as a lower bound on what DropExpired can
+// drop: +Inf when empty, the heap top otherwise, and still the removed
+// copy's time while its stale entry sits on top, until a sweep past that
+// time pops it.
+func TestNextExpiry(t *testing.T) {
+	b := New(0, nil)
+	if got := b.NextExpiry(); !math.IsInf(got, 1) {
+		t.Fatalf("empty buffer: NextExpiry = %g, want +Inf", got)
+	}
+	b.Add(0, mkCopy(1, 10, 0, 0))   // expires 1200
+	b.Add(0, mkCopy(2, 10, 300, 0)) // expires 1500
+	b.Add(0, mkCopy(3, 10, 100, 0)) // expires 1300
+	if got := b.NextExpiry(); got != 1200 {
+		t.Fatalf("NextExpiry = %g, want 1200", got)
+	}
+	// Removing copy 1 leaves its entry on top: stale, still the bound.
+	b.Remove(1)
+	if got := b.NextExpiry(); got != 1200 {
+		t.Fatalf("stale top: NextExpiry = %g, want 1200", got)
+	}
+	// At t = 1200 nothing has expired (strict t > Expire), so the sweep
+	// pops nothing and the bound holds.
+	if out := b.DropExpired(1200); len(out) != 0 || b.NextExpiry() != 1200 {
+		t.Fatalf("DropExpired(1200) = %d copies, NextExpiry %g; want 0, 1200", len(out), b.NextExpiry())
+	}
+	// Past 1200 the stale entry is discarded; 1300 is the next live one.
+	if out := b.DropExpired(1250); len(out) != 0 {
+		t.Fatalf("DropExpired(1250) dropped %d copies, want 0", len(out))
+	}
+	if got := b.NextExpiry(); got != 1300 {
+		t.Fatalf("after popping the stale entry: NextExpiry = %g, want 1300", got)
+	}
+	if out := b.DropExpired(2000); len(out) != 2 {
+		t.Fatalf("DropExpired(2000) dropped %d copies, want 2", len(out))
+	}
+	if got := b.NextExpiry(); !math.IsInf(got, 1) {
+		t.Fatalf("drained buffer: NextExpiry = %g, want +Inf", got)
 	}
 }
 

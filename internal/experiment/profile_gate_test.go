@@ -1,22 +1,34 @@
-//go:build !race
+//go:build !race && unix
 
 package experiment
 
 import (
 	"sort"
+	"syscall"
 	"testing"
-	"time"
 )
 
 // The race detector inflates profiled runs more than unprofiled ones (a
 // median pair ratio of ~1.5x under -race on a 2-vCPU container), so the
 // gate measures instrumentation cost only in a normal build; CI's
-// bench-smoke job runs it there.
+// bench-smoke job runs it there. It reads the process's CPU time
+// (getrusage), so it builds on unix only.
+
+// cpuNanos returns this process's CPU time so far, user plus system.
+// Unlike wall time, it does not count time the run spends descheduled
+// while other processes (other packages' tests) hold the CPUs.
+func cpuNanos(t *testing.T) int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatalf("getrusage: %v", err)
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}
 
 // TestProfilerOverheadGate is the CI-facing soft gate on the profiler:
 // attaching one must cost little — the phase boundaries are a clock read
-// each, and the disabled path compiles to a nil check. It times
-// alternating off/on pairs of a Quick world run twice as long (~120 ms a
+// each, and the disabled path compiles to a nil check. It times, in
+// process CPU time, alternating off/on pairs of a Quick world run twice as long (~120 ms a
 // run on a 2-vCPU container; each pair runs back to back, first-run
 // order alternating, so machine drift hits both sides alike) and gates
 // the median per-pair ratio: one noisy pair moves a best-of or mean
@@ -33,9 +45,9 @@ func TestProfilerOverheadGate(t *testing.T) {
 	run := func(profile bool) float64 {
 		sc := s
 		sc.Profile = profile
-		t0 := time.Now()
+		t0 := cpuNanos(t)
 		sc.Run()
-		return float64(time.Since(t0))
+		return float64(cpuNanos(t) - t0)
 	}
 	run(false) // warm caches (map memoization, allocator)
 	run(true)

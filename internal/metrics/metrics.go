@@ -77,11 +77,8 @@ func (c *Collector) Delivered(id int) bool { return c.deliveredIDs[id] }
 // MessageDropped records a buffer eviction.
 func (c *Collector) MessageDropped() { c.drops++ }
 
-// MessageExpired records a TTL expiry purge.
-func (c *Collector) MessageExpired() { c.expired++ }
-
-// MessagesExpired records n TTL expiry purges at once — the sharded expiry
-// sweep counts per shard and merges here.
+// MessagesExpired records n TTL expiry purges: the expiry sweep counts
+// per worker and merges here.
 func (c *Collector) MessagesExpired(n int) { c.expired += n }
 
 // MessageRefused records a buffer refusal (message larger than buffer).

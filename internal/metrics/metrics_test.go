@@ -72,8 +72,7 @@ func TestMedianLatency(t *testing.T) {
 func TestAuxCounters(t *testing.T) {
 	c := New()
 	c.MessageDropped()
-	c.MessageExpired()
-	c.MessageExpired()
+	c.MessagesExpired(2)
 	c.TransferAborted()
 	c.MessageRefused()
 	c.ContactStarted()

@@ -15,7 +15,8 @@ import (
 // stripes simultaneously, which must additionally agree on link order.
 //
 // Input layout: data[0] picks the node count, data[1] bit 0 picks
-// whether a speed bound is configured. The rest is consumed 3 bytes per
+// whether a speed bound is configured and bits 1–2 the grid cell, 1, 2,
+// 4 or 8 radio ranges (the cells World.cellSize chooses from). The rest is consumed 3 bytes per
 // (tick, node): an opcode plus a dx/dy payload. In bounded mode every op
 // is a clamped small move (so the configured MaxSpeed stays truthful);
 // in unbounded mode ops include arbitrary teleports and parking far
@@ -38,12 +39,16 @@ func FuzzGridParity(f *testing.F) {
 	// Parking and returning empties buckets whose cells share a probe
 	// run with live ones: fails unless deletion keeps the run reachable.
 	f.Add([]byte("y00000002000x0700000000000000700000700000000000"))
+	// Enlarged cells: 8R with a speed bound, 2R with teleports and parks.
+	f.Add([]byte{9, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 200, 100, 50, 25, 12, 6, 3, 1})
+	f.Add([]byte{20, 2, 2, 250, 5, 2, 5, 250, 3, 0, 0, 3, 1, 1, 0, 40, 40, 1, 200, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
 		}
 		n := 4 + int(data[0]%20)
 		bounded := data[1]&1 == 1
+		cellMult := float64(int(1) << (data[1] >> 1 & 3))
 		ops := data[2:]
 
 		cfg := Config{Range: 10, Bandwidth: 1000}
@@ -68,6 +73,8 @@ func FuzzGridParity(f *testing.F) {
 		}
 		ws, rs, ps := build(cfg)
 		wp, rp, pp := build(twoCfg)
+		forceCell(ws, cellMult)
+		forceCell(wp, cellMult)
 		// Narrow sub-grid stripes: teleports and even small moves cross
 		// region boundaries constantly, stressing the parallel-safe
 		// classification and the boundary reconcile on the caller.

@@ -9,26 +9,38 @@ import (
 // This file is the engine's broad phase: a persistent, incrementally
 // maintained spatial grid plus a conservative pair re-check scheduler.
 //
-//  1. Nodes cross cell boundaries rarely (a bus at 13.9 m/s crosses a
-//     10 m cell every ~3 ticks at the paper's 0.25 s tick, and not at all
-//     while dwelling), so bucket membership is nearly static. The grid
-//     keeps every node bucketed across ticks and re-buckets only on cell
-//     change.
+//  1. Nodes cross cell boundaries rarely, so bucket membership is nearly
+//     static. The grid keeps every node bucketed across ticks and
+//     re-buckets only on cell change. How rarely depends on the cell: a
+//     bus at 13.9 m/s crosses a 10 m cell every ~3 ticks at the paper's
+//     0.25 s tick, and not at all while dwelling. World.cellSize
+//     therefore sizes the cell to the fleet once, at Start: the largest
+//     of R, 2R, 4R and 8R (R the radio range) at which the initial
+//     positions' 3x3 neighbourhoods hold at most one candidate pair per
+//     node. It keeps c = R without a speed bound (tracked pairs are then
+//     re-checked every tick) and past pairSetBitsetLimit nodes (the
+//     map-backed tracked set grows with the tracked band 3c). The cell
+//     is derived, never configured.
 //
 //  2. A pair at distance D with per-node speed bound vmax cannot come
 //     into radio range R before (D-R)/(2*vmax) seconds elapse, so a pair
 //     seen far apart provably needs no distance test for many ticks.
 //     Checks are parked on a timing wheel and each check reschedules the
-//     next one as far out as the bound allows.
+//     next one as far out as the bound allows (recheckDelay, which reads
+//     R, not the cell).
 //
-// Correctness does not depend on the speed bound: a pair whose cells are
-// not adjacent (Chebyshev distance > 1) is strictly farther apart than one
-// cell (= R), and becoming adjacent requires one of the two nodes to
-// change cell, which triggers a neighbourhood rescan that (re-)tracks the
-// pair the very tick it happens. The speed bound only stretches re-check
-// intervals for pairs already known to the tracker; with MaxSpeed == 0
-// (unknown bound, e.g. scripted or trace-replay movers) tracked pairs are
-// simply re-checked every tick.
+// Correctness depends neither on the speed bound nor on the cell size, as
+// long as the cell edge c is at least R: the exact Dist2 <= R² test at
+// each tick decides every contact, and the grid only filters. A pair
+// whose cells are not adjacent (Chebyshev distance > 1) is strictly
+// farther apart than c >= R, and becoming adjacent requires one of the
+// two nodes to change cell, which triggers a neighbourhood rescan that
+// (re-)tracks the pair the very tick it happens. A tracked pair is
+// dropped only beyond 3c, outside the 2*sqrt(2)*c diameter of two
+// adjacent cells, so untracked pairs are never adjacent. The speed bound
+// only stretches re-check intervals for pairs already known to the
+// tracker; with MaxSpeed == 0 (unknown bound, e.g. scripted or
+// trace-replay movers) tracked pairs are simply re-checked every tick.
 //
 // Buckets live in open-addressed, linearly probed tables that hold only
 // occupied cells: a bucket is created when the first node enters its cell
@@ -69,10 +81,10 @@ type gridTable struct {
 	spare [][]int32 // emptied bucket arrays (length 0), reused on creation
 }
 
-// cellGrid is the persistent spatial hash over node positions with cell
-// size equal to the radio range, so in-range pairs always sit in the same
-// or adjacent cells. Buckets live in per-region tables (one region for a
-// one-worker world).
+// cellGrid is the persistent spatial hash over node positions. Its cell
+// edge is at least the radio range (World.cellSize picks it), so in-range
+// pairs always sit in the same or adjacent cells. Buckets live in
+// per-region tables (one region for a one-worker world).
 type cellGrid struct {
 	cell    float64
 	regions int   // region (sub-grid table) count; 1 = unpartitioned
@@ -93,6 +105,52 @@ type cellGrid struct {
 const gridStripeCells = 32
 
 const gridInitialSlots = 256
+
+// cellSize derives the grid cell edge once, at Start, by the rule in the
+// file comment: a larger cell re-buckets movers less often but tracks
+// more pairs. Past pairSetBitsetLimit the tracked set is a map whose
+// memory follows the tracked band 3c (26 m cells cost CityScale 16–24%
+// more peak memory), so the radio range stays the cell there.
+func (w *World) cellSize() float64 {
+	r, n := w.cfg.Range, len(w.nodes)
+	if w.cfg.MaxSpeed <= 0 || n > pairSetBitsetLimit {
+		return r
+	}
+	pos := make([]geo.Point, n)
+	for i, nd := range w.nodes {
+		pos[i] = nd.pos
+	}
+	for c := 8 * r; c > r; c /= 2 {
+		if candidatePairs(pos, c, n) <= n {
+			return c
+		}
+	}
+	return r
+}
+
+// candidatePairs counts the node pairs whose cells of edge cell are the
+// same or adjacent, the pairs a grid of that cell would track, stopping
+// early once the count passes limit.
+func candidatePairs(pos []geo.Point, cell float64, limit int) int {
+	g := cellGrid{cell: cell}
+	count := make(map[uint64]int, len(pos))
+	for _, p := range pos {
+		count[cellKeyOf(g.cellAt(p))]++
+	}
+	pairs := 0
+	for key, k := range count {
+		cx, cy := int32(uint32(key>>32)), int32(uint32(key))
+		pairs += k * (k - 1) / 2
+		// Each adjacent cell pair once: the four "forward" neighbours.
+		for _, d := range [4][2]int32{{1, -1}, {1, 0}, {1, 1}, {0, 1}} {
+			pairs += k * count[cellKeyOf(cx+d[0], cy+d[1])]
+		}
+		if pairs > limit {
+			break
+		}
+	}
+	return pairs
+}
 
 func (g *cellGrid) init(cell float64, regions int) {
 	g.cell = cell

@@ -306,10 +306,13 @@ func TestGridGrowthAndReclaim(t *testing.T) {
 // TestGridMemoryLinearInNodes drives a city-density walker fleet long
 // enough for every node to visit dozens of cells and requires the tables
 // to stay sized to the fleet (at most 8 slots per node), not to the cells
-// the fleet has ever visited.
+// the fleet has ever visited. The fleet would derive 40 m cells, in which
+// a walker visits only a handful, so the test pins cells of one radio
+// range.
 func TestGridMemoryLinearInNodes(t *testing.T) {
 	const n = 5000
 	w, runner := walkerWorld(n, 3)
+	forceCell(w, 1)
 	runner.Run(150) // 300 ticks of 0.5 s
 	slots := 0
 	for r := range w.grid.tables {
@@ -392,4 +395,110 @@ func checkSlots(t testing.TB, tb *gridTable) []gridSlot {
 		}
 	}
 	return occupied
+}
+
+// forceCell sets w's grid cell to mult radio ranges. Like w.grid.stripe,
+// it must run before the first tick buckets anything.
+func forceCell(w *World, mult float64) {
+	w.grid.cell = mult * w.cfg.Range
+}
+
+// cellMults are the cell edges, in radio ranges, the enlarged-cell parity
+// suite forces: the radio range itself, the smallest enlargement and the
+// largest World.cellSize can pick.
+var cellMults = []float64{1, 2, 8}
+
+// TestGridParityEnlargedCells runs the naive O(N²) parity check at every
+// cell in cellMults for every shard count, on the mixed-motion world (no
+// speed bound, teleports) and on the speed-bounded walker world. Larger
+// cells must change nothing observable: every run must match the
+// one-worker run at c = R in metrics, contact callback order and link
+// order.
+func TestGridParityEnlargedCells(t *testing.T) {
+	worlds := []struct {
+		name  string
+		build func(shards int) (*World, *sim.Runner, []*probe)
+		run   func(t *testing.T, w *World, runner *sim.Runner)
+	}{
+		{"mixed", func(shards int) (*World, *sim.Runner, []*probe) {
+			return buildMixedWorld(Config{Range: 10, Bandwidth: 1000, Shards: shards}, 17)
+		}, func(t *testing.T, w *World, runner *sim.Runner) {
+			runMixed(t, w, runner, 200)
+		}},
+		{"speedBound", func(shards int) (*World, *sim.Runner, []*probe) {
+			w, runner := buildParityWorld(t, Config{Range: 10, Bandwidth: 1000, MaxSpeed: 6, Shards: shards}, 60, 4, 23)
+			var probes []*probe
+			for _, n := range w.Nodes() {
+				probes = append(probes, n.Router.(*probe))
+			}
+			return w, runner, probes
+		}, func(t *testing.T, w *World, runner *sim.Runner) {
+			for tick := 1; tick <= 250; tick++ {
+				runner.Run(float64(tick))
+				comparePairSets(t, tick, bruteForcePairs(w), linkPairs(w))
+				checkGrid(t, &w.grid)
+			}
+		}},
+	}
+	for _, wc := range worlds {
+		t.Run(wc.name, func(t *testing.T) {
+			var ref shardTrace
+			for _, mult := range cellMults {
+				for _, shards := range shardCounts {
+					t.Run(fmt.Sprintf("cell=%gR/shards=%d", mult, shards), func(t *testing.T) {
+						w, runner, probes := wc.build(shards)
+						forceCell(w, mult)
+						wc.run(t, w, runner)
+						tr := traceOf(w, probes)
+						if mult == 1 && shards == shardCounts[0] {
+							ref = tr
+							return
+						}
+						compareTraces(t, shards, ref, tr)
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestCellSizeRule pins World.cellSize: a sparse, speed-bounded fleet
+// gets the largest cell, and the radio range stays the cell without a
+// speed bound, past the pair bitset, and for a dense cluster — even one
+// with a far-away outlier, which would inflate a bounding-box rule.
+func TestCellSizeRule(t *testing.T) {
+	world := func(maxSpeed float64, pts []geo.Point) *World {
+		w := New(Config{Range: 10, Bandwidth: 1000, MaxSpeed: maxSpeed}, sim.NewRunner(1))
+		for _, p := range pts {
+			w.AddNode(fixed(p.X, p.Y), buffer.New(0, nil), &probe{})
+		}
+		return w
+	}
+	lattice := func(n int, spacing float64) []geo.Point {
+		pts := make([]geo.Point, n)
+		for i := range pts {
+			pts[i] = geo.Point{X: float64(i%100) * spacing, Y: float64(i/100) * spacing}
+		}
+		return pts
+	}
+	cluster := lattice(50, 1) // 50 nodes within 50 m x 1 m
+	outlier := append(append([]geo.Point(nil), cluster...), geo.Point{X: 10000, Y: 10000})
+	for _, tc := range []struct {
+		name     string
+		maxSpeed float64
+		pts      []geo.Point
+		want     float64
+	}{
+		{"sparse", 10, lattice(100, 500), 80},
+		{"noSpeedBound", 0, lattice(100, 500), 10},
+		{"pastBitset", 10, lattice(pairSetBitsetLimit+1, 500), 10},
+		{"cluster", 10, cluster, 10},
+		{"clusterOutlier", 10, outlier, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := world(tc.maxSpeed, tc.pts).cellSize(); got != tc.want {
+				t.Fatalf("cellSize = %g m, want %g m", got, tc.want)
+			}
+		})
+	}
 }

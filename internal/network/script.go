@@ -49,7 +49,8 @@ func (w *World) SetContactScript(events []trace.Event) {
 func (w *World) Scripted() bool { return w.scripted }
 
 // tickScripted advances one scripted tick: fire the script's events for
-// this tick in recorded order, then run the usual expiry sweep cadence.
+// this tick in recorded order, then run the usual expiry sweep cadence
+// (skipped while no buffered copy can have expired).
 // Positions are never read or written. A down finds its link through
 // Node.links, so a scripted world keeps no linkList (only the live
 // distance sweep reads it) and recycles each link at its contactDown.
@@ -72,7 +73,7 @@ func (w *World) tickScripted(t float64) {
 		}
 	}
 	st = w.prof.Lap(obs.PhaseScript, st)
-	if w.tickCount%uint64(w.cfg.ExpirySweepEvery) == 0 {
+	if w.sweepDue(t) {
 		w.sweepExpired(t)
 		w.prof.Lap(obs.PhaseExpiry, st)
 	}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/obs"
@@ -53,9 +54,11 @@ import (
 //	D (merge)    tear those down in establishment order and drop them
 //	  from the link list, then establish new contacts in ascending pair
 //	  order — router callbacks all fire on the caller's goroutine.
-//	E (parallel, every ExpirySweepEvery ticks) purge expired copies from
-//	  per-node buffers (disjoint state), counting per worker; the merge
-//	  just adds the counts to the metrics collector.
+//	E (parallel, every ExpirySweepEvery ticks on which World.expiryFloor
+//	  says a copy can have expired) purge expired copies from per-node
+//	  buffers (disjoint state), counting per worker and taking each
+//	  chunk's earliest remaining expiry; the merge adds the counts to the
+//	  metrics collector and takes the minimum as the new floor.
 //
 // Work is chunked by contiguous index ranges (nodes, moved list, due
 // list, link list) except grid phase A2, which is chunked by grid
@@ -98,6 +101,7 @@ type shardScratch struct {
 	verdicts []uint64     // per due-list index: phase C classification
 	downW    [][]*Link    // per worker: links out of range, in list order (phase D)
 	expired  []int        // per worker: expiry counts from phase E
+	floorW   []float64    // per worker: earliest expiry left after phase E
 	wg       sync.WaitGroup
 }
 
@@ -110,6 +114,7 @@ func (sc *shardScratch) init(workers, regions int) {
 	sc.scanBufs = make([][][2]int32, workers)
 	sc.downW = make([][]*Link, workers)
 	sc.expired = make([]int, workers)
+	sc.floorW = make([]float64, workers)
 }
 
 // parallel splits [0, n) into one contiguous chunk per worker and runs
@@ -216,11 +221,7 @@ func (w *World) work(ph tickPhase, shard, lo, hi int) {
 		}
 		sc.downW[shard] = downL
 	case phaseExpiry:
-		c := 0
-		for _, nd := range nodes[lo:hi] {
-			c += len(nd.Buf.DropExpired(w.lastTick))
-		}
-		sc.expired[shard] = c
+		sc.expired[shard], sc.floorW[shard] = dropExpired(nodes[lo:hi], w.lastTick)
 	}
 }
 
@@ -348,15 +349,24 @@ func (w *World) tickLive(t float64) {
 	w.establishNewContacts(newPairs, t)
 	st = w.prof.Lap(obs.PhaseContacts, st)
 
-	// Phase E: expiry sweep over disjoint per-node buffers.
-	if tick%uint64(w.cfg.ExpirySweepEvery) == 0 {
+	// Phase E: expiry sweep over disjoint per-node buffers, skipped
+	// while no buffered copy can have expired; each worker also reports
+	// the earliest expiry left in its chunk, and their minimum is the
+	// new floor.
+	if w.sweepDue(t) {
 		for s := 0; s < workers; s++ {
 			w.shard.expired[s] = 0
+			w.shard.floorW[s] = math.Inf(1)
 		}
 		w.parallel(phaseExpiry, workers, len(w.nodes))
-		for _, c := range w.shard.expired {
+		floor := math.Inf(1)
+		for s, c := range w.shard.expired {
 			w.Metrics.MessagesExpired(c)
+			if f := w.shard.floorW[s]; f < floor {
+				floor = f
+			}
 		}
+		w.expiryFloor = floor
 		w.prof.Lap(obs.PhaseExpiry, st)
 	}
 	w.prof.TickDone()

@@ -124,13 +124,18 @@ func buildMixedWorld(cfg Config, seed int64) (*World, *sim.Runner, []*probe) {
 
 // runMixed drives the mixed world for the given ticks, injecting
 // short-TTL messages so the expiry sweep has work, and checks naive
-// O(N²) parity along the way.
-func runMixed(t *testing.T, w *World, runner *sim.Runner, ticks int) {
+// O(N²) parity along the way. It returns how many region-crossing
+// (boundary) re-buckets the ticks took.
+func runMixed(t *testing.T, w *World, runner *sim.Runner, ticks int) int {
 	t.Helper()
+	boundary := 0
 	for tick := 1; tick <= ticks; tick++ {
 		runner.Run(float64(tick))
 		comparePairSets(t, tick, bruteForcePairs(w), linkPairs(w))
 		checkGrid(t, &w.grid)
+		for _, b := range w.shard.bndW {
+			boundary += len(b)
+		}
 		if tick%10 == 0 {
 			from := tick % w.N()
 			to := (tick + 7) % w.N()
@@ -139,6 +144,7 @@ func runMixed(t *testing.T, w *World, runner *sim.Runner, ticks int) {
 			}
 		}
 	}
+	return boundary
 }
 
 // TestShardParityMixedMotion proves Shards ∈ {0,1,2,8} produce identical
@@ -169,7 +175,9 @@ func TestShardParityMixedMotion(t *testing.T) {
 // in a stripe's boundary band: teleporters and walkers constantly cross
 // region boundaries and almost all re-bucketing funnels through the
 // reconcile on the caller instead of the per-region parallel phase.
-// Results must not depend on the partition at all.
+// Results must not depend on the partition at all. Every multi-worker run
+// must take boundary re-buckets at whatever cell its world derives, or it
+// would not exercise the path it exists for.
 func TestShardParityNarrowStripes(t *testing.T) {
 	for _, seed := range []int64{3, 101} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -178,7 +186,10 @@ func TestShardParityNarrowStripes(t *testing.T) {
 				cfg := Config{Range: 10, Bandwidth: 1000, Shards: shards}
 				w, runner, probes := buildMixedWorld(cfg, seed)
 				w.grid.stripe = 4 // before the first tick buckets anything
-				runMixed(t, w, runner, 250)
+				boundary := runMixed(t, w, runner, 250)
+				if shards > 1 && boundary == 0 {
+					t.Fatalf("shards=%d at %g m cells: no region crossing in 250 ticks", shards, w.grid.cell)
+				}
 				tr := traceOf(w, probes)
 				if shards == 0 {
 					ref = tr

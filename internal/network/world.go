@@ -78,6 +78,14 @@ type World struct {
 	nextMsgID int
 	started   bool
 
+	// expiryFloor is a lower bound on every expiry time in any buffer's
+	// expiry heap, stale entries included. A sweep at t drops nothing
+	// while !(expiryFloor < t), DropExpired's own strict test, so it is
+	// skipped. Start sets it from the buffers, each buffer add lowers it,
+	// and each sweep that runs resets it to the buffers' minimum
+	// NextExpiry. The zero value means "sweep".
+	expiryFloor float64
+
 	// onDeliver hooks observe deliveries (tests, per-message ledgers).
 	onDeliver []func(t float64, m *msg.Message, hops int)
 	// onContact hooks observe every contact transition (trace recording).
@@ -185,11 +193,13 @@ func (w *World) Start() {
 		if w.cfg.Shards > 1 {
 			regions = w.cfg.Shards
 		}
-		w.grid.init(w.cfg.Range, regions)
+		w.grid.init(w.cellSize(), regions)
 		w.grid.ensure(len(w.nodes))
 		w.sched.init(len(w.nodes))
 		w.shard.init(max(w.cfg.Shards, 1), regions)
 	}
+	// Nothing expires before -Inf: this only reads the buffers' floor.
+	_, w.expiryFloor = dropExpired(w.nodes, math.Inf(-1))
 	for _, n := range w.nodes {
 		n.Router.Init(n, w)
 	}
@@ -207,6 +217,7 @@ func (w *World) CreateMessage(t float64, from, to, size int, ttl float64) *msg.M
 	w.Metrics.MessageCreated(m.ID, t)
 	src := w.nodes[from]
 	c := msg.NewCopy(m, src.Router.InitialReplicas(m))
+	w.noteExpiry(m.Expire)
 	dropped, ok := src.Buf.Add(t, c)
 	for range dropped {
 		w.Metrics.MessageDropped()
@@ -389,6 +400,7 @@ func (w *World) completeTransfer(l *Link, t float64) {
 		from.Router.Sent(t, plan, to, false)
 	default:
 		nc := senderCopy.Fork(plan.Give, t)
+		w.noteExpiry(m.Expire)
 		dropped, ok := to.Buf.Add(t, nc)
 		for range dropped {
 			w.Metrics.MessageDropped()
@@ -412,13 +424,39 @@ func (w *World) completeTransfer(l *Link, t float64) {
 	l.pump(w, t)
 }
 
-// sweepExpired purges expired copies from every buffer.
+// noteExpiry lowers the expiry floor for a copy about to be buffered.
+func (w *World) noteExpiry(at float64) {
+	if at < w.expiryFloor {
+		w.expiryFloor = at
+	}
+}
+
+// sweepDue reports whether this tick is an expiry-sweep tick on which
+// some buffered copy can have expired by t.
+func (w *World) sweepDue(t float64) bool {
+	return w.tickCount%uint64(w.cfg.ExpirySweepEvery) == 0 && w.expiryFloor < t
+}
+
+// sweepExpired purges expired copies from every buffer and resets the
+// expiry floor to what is left.
 func (w *World) sweepExpired(t float64) {
-	for _, n := range w.nodes {
-		for range n.Buf.DropExpired(t) {
-			w.Metrics.MessageExpired()
+	n, floor := dropExpired(w.nodes, t)
+	w.Metrics.MessagesExpired(n)
+	w.expiryFloor = floor
+}
+
+// dropExpired purges copies expired at t from nodes' buffers. It returns
+// how many it purged and the earliest NextExpiry left among them (+Inf if
+// none; a NaN expiry never compares below, and never expires either).
+func dropExpired(nodes []*Node, t float64) (int, float64) {
+	n, floor := 0, math.Inf(1)
+	for _, nd := range nodes {
+		n += len(nd.Buf.DropExpired(t))
+		if e := nd.Buf.NextExpiry(); e < floor {
+			floor = e
 		}
 	}
+	return n, floor
 }
 
 // DumpState returns a human-readable snapshot for debugging.
