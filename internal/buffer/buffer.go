@@ -29,41 +29,6 @@ func DropOldestReceived(_ float64, copies []*msg.Copy) int {
 	return best
 }
 
-// DropOldestCreated evicts the copy of the oldest message.
-func DropOldestCreated(_ float64, copies []*msg.Copy) int {
-	best := 0
-	for i, c := range copies {
-		if c.M.Created < copies[best].M.Created {
-			best = i
-		}
-	}
-	return best
-}
-
-// DropSoonestExpiry evicts the copy closest to expiry.
-func DropSoonestExpiry(_ float64, copies []*msg.Copy) int {
-	best := 0
-	for i, c := range copies {
-		if c.M.Expire < copies[best].M.Expire {
-			best = i
-		}
-	}
-	return best
-}
-
-// DropMostHops evicts the most-travelled copy (ties broken by older
-// arrival), a cheap proxy for "most replicated elsewhere".
-func DropMostHops(_ float64, copies []*msg.Copy) int {
-	best := 0
-	for i, c := range copies {
-		b := copies[best]
-		if c.Hops > b.Hops || (c.Hops == b.Hops && c.ReceivedAt < b.ReceivedAt) {
-			best = i
-		}
-	}
-	return best
-}
-
 // Buffer is a byte-bounded store of message copies with deterministic
 // insertion-ordered iteration.
 //

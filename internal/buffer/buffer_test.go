@@ -161,18 +161,8 @@ func TestPolicies(t *testing.T) {
 		mkCopy(2, 10, 10, 90), // oldest created
 		mkCopy(3, 10, 80, 60), // oldest received
 	}
-	copies[0].Hops = 5 // most hops
-	if v := DropOldestCreated(0, copies); copies[v].M.ID != 2 {
-		t.Errorf("DropOldestCreated chose %d", copies[v].M.ID)
-	}
 	if v := DropOldestReceived(0, copies); copies[v].M.ID != 3 {
 		t.Errorf("DropOldestReceived chose %d", copies[v].M.ID)
-	}
-	if v := DropSoonestExpiry(0, copies); copies[v].M.ID != 2 {
-		t.Errorf("DropSoonestExpiry chose %d", copies[v].M.ID)
-	}
-	if v := DropMostHops(0, copies); copies[v].M.ID != 1 {
-		t.Errorf("DropMostHops chose %d", copies[v].M.ID)
 	}
 }
 

@@ -32,21 +32,20 @@ type Collector struct {
 	gossipBytes       int
 	gossipDigestBytes int
 
-	deliveredIDs map[int]bool
-	createdAt    map[int]float64
+	// createdAt is each message's creation time, indexed by its dense
+	// id (the world numbers messages from 1).
+	createdAt []float64
 }
 
 // New returns an empty collector.
-func New() *Collector {
-	return &Collector{
-		deliveredIDs: make(map[int]bool),
-		createdAt:    make(map[int]float64),
-	}
-}
+func New() *Collector { return &Collector{} }
 
 // MessageCreated records a generated message.
 func (c *Collector) MessageCreated(id int, t float64) {
 	c.generated++
+	for len(c.createdAt) <= id {
+		c.createdAt = append(c.createdAt, 0)
+	}
 	c.createdAt[id] = t
 }
 
@@ -54,25 +53,17 @@ func (c *Collector) MessageCreated(id int, t float64) {
 // final hop to the destination) — the denominator of goodput.
 func (c *Collector) MessageRelayed() { c.relays++ }
 
-// MessageDelivered records the arrival of message id at its destination at
-// time t with the given hop count. Duplicate deliveries of the same message
-// are counted once, matching the paper's "at least one replica arrives"
-// success criterion. It reports whether this was the first delivery.
-func (c *Collector) MessageDelivered(id int, t float64, hops int) bool {
-	if c.deliveredIDs[id] {
-		return false
-	}
-	c.deliveredIDs[id] = true
+// MessageDelivered records the first arrival of message id at its
+// destination at time t with the given hop count — the paper's "at least
+// one replica arrives" success criterion. The world calls it once per
+// message: its destination's delivered set is the one record of delivery.
+func (c *Collector) MessageDelivered(id int, t float64, hops int) {
 	c.delivered++
 	lat := t - c.createdAt[id]
 	c.latencySum += lat
 	c.latencies = append(c.latencies, lat)
 	c.hopSum += hops
-	return true
 }
-
-// Delivered reports whether message id has reached its destination.
-func (c *Collector) Delivered(id int) bool { return c.deliveredIDs[id] }
 
 // MessageDropped records a buffer eviction.
 func (c *Collector) MessageDropped() { c.drops++ }

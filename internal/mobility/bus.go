@@ -95,11 +95,3 @@ func (b *Bus) Step(dt float64) geo.Point {
 	}
 	return b.pos
 }
-
-// BusFactory returns a Factory assigning node i to line i % len(lines),
-// matching mapgen's round-robin community assignment.
-func BusFactory(rm *mapgen.RoadMap, minSpeed, maxSpeed, minDwell, maxDwell float64) Factory {
-	return func(node int, rng *xrand.Source) Mover {
-		return NewBus(rm, rm.LineOfNode(node), minSpeed, maxSpeed, minDwell, maxDwell, rng)
-	}
-}

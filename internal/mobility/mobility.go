@@ -18,9 +18,6 @@ type Mover interface {
 	Step(dt float64) geo.Point
 }
 
-// Factory builds the mover for a node id with its private random stream.
-type Factory func(node int, rng *xrand.Source) Mover
-
 // Stationary is a mover that never moves. Useful for protocol unit tests
 // with scripted contacts.
 type Stationary struct {

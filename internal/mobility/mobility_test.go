@@ -166,18 +166,3 @@ func TestBusVisitsStops(t *testing.T) {
 		t.Errorf("bus visited %d of %d stops", len(visited), len(line.Stops))
 	}
 }
-
-func TestBusFactoryAssignsLines(t *testing.T) {
-	rm := mapgen.Generate(mapgen.DefaultConfig(), 1)
-	f := BusFactory(rm, 5, 10, 1, 2)
-	for i := 0; i < 2*len(rm.Lines); i++ {
-		mv := f(i, xrand.New(int64(i)))
-		bus, ok := mv.(*Bus)
-		if !ok {
-			t.Fatal("factory did not return a Bus")
-		}
-		if bus.Line().ID != i%len(rm.Lines) {
-			t.Fatalf("node %d on line %d", i, bus.Line().ID)
-		}
-	}
-}

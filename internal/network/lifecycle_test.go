@@ -130,6 +130,22 @@ func TestScriptedTransferCycleAllocs(t *testing.T) {
 	if want := float64(transferCycleAllocsBefore - 3); allocs != want {
 		t.Fatalf("up/transfer/down cycle allocates %.1f objects, want %.0f", allocs, want)
 	}
+	checkFreeLinks(t, w)
+}
+
+// checkFreeLinks asserts that every link on w's free list holds no
+// transfer and no pending completion: contactUp reuses a link without
+// clearing either, so teardown must have.
+func checkFreeLinks(t *testing.T, w *World) {
+	t.Helper()
+	if len(w.freeLinks) == 0 {
+		t.Fatal("no link was recycled")
+	}
+	for i, l := range w.freeLinks {
+		if l.cur != (transfer{}) || l.ev != nil {
+			t.Fatalf("free link %d holds cur=%+v ev=%v", i, l.cur, l.ev)
+		}
+	}
 }
 
 // TestRecycledLinkNoStaleCompletion: pairs go down mid-transfer and come
@@ -169,4 +185,5 @@ func TestRecycledLinkNoStaleCompletion(t *testing.T) {
 	if dump := w.DumpState(); !strings.HasPrefix(dump, "t=40.0 nodes=4 links=0\n") {
 		t.Fatalf("DumpState = %q, want no links left", dump)
 	}
+	checkFreeLinks(t, w)
 }

@@ -82,6 +82,48 @@ func TestDuplicateArrivalRace(t *testing.T) {
 	}
 }
 
+// TestSecondCopyAtDestinationIsRelay: two holders deliver the same
+// message to its destination over simultaneous links. The first arrival
+// is the one delivery; the second still spent link time, so it counts as
+// a relay, never as a second delivery — the destination's delivered set
+// is the one record of delivery.
+func TestSecondCopyAtDestinationIsRelay(t *testing.T) {
+	pos := func(p1, p2 geo.Point) func(float64) geo.Point {
+		return func(tt float64) geo.Point {
+			if tt < 10 {
+				return p1
+			}
+			return p2
+		}
+	}
+	movers := []*scriptMover{
+		{at: pos(geo.Point{X: 0, Y: 0}, geo.Point{X: 0, Y: 0})},
+		{at: pos(geo.Point{X: 5, Y: 0}, geo.Point{X: 12, Y: 0})},
+		{at: pos(geo.Point{X: 500, Y: 0}, geo.Point{X: 6, Y: 5})},
+	}
+	w, runner, probes := testWorld(t, movers)
+	m := w.CreateMessage(0, 0, 2, 3000, 1e6) // 3 s transfers
+	probes[0].queue = append(probes[0].queue, Replicate(w.Node(0).Copy(m.ID)))
+	runner.Run(6)
+	if !w.Node(1).HasCopy(m.ID) {
+		t.Fatal("setup failed: node 1 lacks the copy")
+	}
+	probes[0].queue = append(probes[0].queue, Replicate(w.Node(0).Copy(m.ID)))
+	probes[1].queue = append(probes[1].queue, Replicate(w.Node(1).Copy(m.ID)))
+	runner.Run(25)
+	if !w.Node(2).DeliveredHere(m.ID) {
+		t.Fatal("destination never received the message")
+	}
+	s := w.Metrics.Summary()
+	if s.Delivered != 1 {
+		t.Errorf("delivered = %d, want 1 (duplicate arrival counted)", s.Delivered)
+	}
+	// The setup relay plus both arrivals at the destination.
+	if s.Relays != 3 {
+		t.Errorf("relays = %d, want 3", s.Relays)
+	}
+}
+
 // TestBufferOverflowDropsAndCounts: a small buffer under epidemic-style
 // pressure evicts and the metrics record it.
 func TestBufferOverflowDropsAndCounts(t *testing.T) {

@@ -7,11 +7,12 @@ import (
 
 // Scripted (trace-replay) worlds: instead of moving nodes and detecting
 // contacts geometrically, the world fires a contact script (trace.Event:
-// at world tick Tick, counted from 1 like TickCount, the contact between
-// A < B comes up or goes down). Mobility advance, grid maintenance and
-// pair sweeps are skipped entirely — the per-tick cost reduces to the
-// contacts that actually happen — while transfers, buffers, routers,
-// traffic and metrics run through the exact same code as a live world.
+// at world tick Tick, counted from 1 for the world's first tick, the
+// contact between A < B comes up or goes down). Mobility advance, grid
+// maintenance and pair sweeps are skipped entirely — the per-tick cost
+// reduces to the contacts that actually happen — while transfers,
+// buffers, routers, traffic and metrics run through the exact same code
+// as a live world.
 // Because a recorded script stores events in engine firing order (downs
 // before ups within a tick, ups in ascending pair order), a replayed
 // world is bit-identical to the recording run for every quantity that
@@ -24,9 +25,6 @@ import (
 func (w *World) OnContact(f func(tick uint64, up bool, a, b int32)) {
 	w.onContact = append(w.onContact, f)
 }
-
-// TickCount returns the number of ticks the world has executed.
-func (w *World) TickCount() uint64 { return w.tickCount }
 
 // SetContactScript switches the world to scripted replay before Start:
 // ticks fire the given events instead of advancing movers and detecting

@@ -86,8 +86,6 @@ type World struct {
 	// NextExpiry. The zero value means "sweep".
 	expiryFloor float64
 
-	// onDeliver hooks observe deliveries (tests, per-message ledgers).
-	onDeliver []func(t float64, m *msg.Message, hops int)
 	// onContact hooks observe every contact transition (trace recording).
 	onContact []func(tick uint64, up bool, a, b int32)
 
@@ -170,11 +168,6 @@ func (w *World) AddNode(m mobility.Mover, buf *buffer.Buffer, r Router) *Node {
 	}
 	w.nodes = append(w.nodes, n)
 	return n
-}
-
-// OnDeliver registers a delivery observer.
-func (w *World) OnDeliver(f func(t float64, m *msg.Message, hops int)) {
-	w.onDeliver = append(w.onDeliver, f)
 }
 
 // Start initialises every router. It must be called once, after all nodes
@@ -309,7 +302,9 @@ func (w *World) contactUp(a, b *Node, t float64) {
 	} else {
 		l = newLink(w)
 	}
-	*l = Link{a: a, b: b, done: l.done}
+	// A torn-down link's abort already zeroed cur and ev (checkFreeLinks
+	// in the tests pins that), so only the identity and turn state reset.
+	l.a, l.b, l.turn, l.gone = a, b, 0, false
 	if !w.scripted {
 		w.linkList = append(w.linkList, l)
 	}
@@ -382,11 +377,7 @@ func (w *World) completeTransfer(l *Link, t float64) {
 		// Final delivery. Late (expired) arrivals count as relays only.
 		if !m.Expired(t) && !to.deliveredHere.Has(m.ID) {
 			to.deliveredHere.Add(m.ID)
-			if w.Metrics.MessageDelivered(m.ID, t, senderCopy.Hops+1) {
-				for _, f := range w.onDeliver {
-					f(t, m, senderCopy.Hops+1)
-				}
-			}
+			w.Metrics.MessageDelivered(m.ID, t, senderCopy.Hops+1)
 		}
 		// Both endpoints now know the message is done.
 		from.LearnDelivered(m.ID)

@@ -136,7 +136,7 @@ func TestTransferDeliveryAndTiming(t *testing.T) {
 	}
 	probes[0].queue = append(probes[0].queue, Forward(w.Node(0).Copy(m.ID)))
 	runner.Run(10)
-	if !w.Metrics.Delivered(m.ID) {
+	if !w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("message not delivered")
 	}
 	s := w.Metrics.Summary()

@@ -1,12 +1,16 @@
-// Package resultcache is the content-addressed result store shared by the
-// dtnd daemon and the sweep/figures CLIs: simulation summaries keyed by
-// the SHA-256 of their canonicalized scenario spec, persisted as JSON
-// files with atomic writes, an optional total-size bound with
-// oldest-mtime eviction, and read-side mtime touching so entries a
-// repeated sweep keeps hitting stay resident. Because the key is derived
-// from the resolved job (experiment.ScenarioSpec.CacheKey), any process
-// pointing at the same directory — a daemon, a CLI sweep, a CI smoke run
-// — reuses every cell any of the others already computed.
+// Package resultcache is the content-addressed store shared by the dtnd
+// daemon, its fleet and the sweep/figures CLIs. It holds two kinds of
+// entry, each under the SHA-256 of what produced it: figure-cell results
+// (simulation summaries keyed by their canonicalized scenario spec, JSON
+// files) and recorded contact scripts (opaque DTNTRC1 blobs keyed by
+// their world). Both kinds go through one path: atomic writes, an
+// optional total-size bound with oldest-mtime eviction over both, read-
+// side mtime touching so entries a repeated sweep keeps hitting stay
+// resident, per-kind counters and an optional pull-through tier. Because
+// the key is derived from the resolved job
+// (experiment.ScenarioSpec.CacheKey), any process pointing at the same
+// directory — a daemon, a CLI sweep, a CI smoke run — reuses every cell
+// and recorded world any of the others already computed.
 package resultcache
 
 import (
@@ -36,15 +40,62 @@ type Result struct {
 	Mean          metrics.Summary   `json:"mean"`
 }
 
+// Entry kinds. A kind's name is also the route segment a daemon serves
+// it under (GET /v1/{kind}/{key}), which is how the remote tier asks a
+// peer for it.
+const (
+	Results = "results" // figure-cell results: Result JSON files
+	Traces  = "traces"  // recorded contact scripts: opaque DTNTRC1 blobs
+)
+
+// kind is how the store keeps one entry kind: its file extension, how
+// its bytes are validated, and which counter set it feeds.
+type kind struct {
+	name string
+	ext  string
+	// check validates bytes read from disk or fetched from a peer for
+	// key. A trace blob stays opaque: its reader decodes it and treats a
+	// failure there exactly like a miss (re-record), so a torn blob can
+	// never poison a replay.
+	check func(key string, data []byte) (*Result, error)
+	ctr   int // index into Store.ctr
+}
+
+var (
+	resultKind = &kind{name: Results, ext: ".json", check: DecodeResult, ctr: 0}
+	traceKind  = &kind{name: Traces, ext: ".trace", check: func(string, []byte) (*Result, error) { return nil, nil }, ctr: 1}
+)
+
+// DecodeResult is the result kind's validator: data must decode to a
+// Result carrying key. Bytes from disk or from a peer are trusted only
+// through it, so a corrupt or misplaced entry is a miss, never a hit.
+func DecodeResult(key string, data []byte) (*Result, error) {
+	var res Result
+	if err := json.Unmarshal(data, &res); err != nil {
+		return nil, fmt.Errorf("resultcache: encoded result for %s: %w", key, err)
+	}
+	if res.Key != key {
+		return nil, fmt.Errorf("resultcache: encoded result claims key %s, want %s", res.Key, key)
+	}
+	return &res, nil
+}
+
 // Remote is a secondary tier consulted on local misses: another daemon's
 // store reachable over the wire (the dtnd fleet fetcher probes workers'
-// /v1/results/{key} and /v1/traces/{key}). A fetched entry is persisted
-// locally (pull-through), so each remote entry is paid for at most once
-// per store. Implementations return the encoded entry bytes verbatim;
-// the store validates results before trusting them.
+// GET /v1/{kind}/{key}). A fetched entry is validated like a local one
+// and persisted locally (pull-through), so each remote entry is paid for
+// at most once per store. Implementations return the entry bytes
+// verbatim; they are only ever asked for valid keys.
 type Remote interface {
-	FetchResult(key string) ([]byte, bool)
-	FetchTrace(key string) ([]byte, bool)
+	Fetch(kind, key string) ([]byte, bool)
+}
+
+// counters is one entry kind's observability counters, exported through
+// Stats (and from there the daemon's /metrics endpoint). Atomics: reads
+// are lock-free and must stay that way. remoteHits is the subset of hits
+// served by pull-through rather than the local directory.
+type counters struct {
+	hits, misses, puts, remoteHits, remoteMisses atomic.Int64
 }
 
 // Store is a bounded on-disk result cache rooted at one directory. A nil
@@ -67,29 +118,13 @@ type Store struct {
 	curBytes int64
 	scanned  bool
 
-	// Observability counters, exported through Stats (and from there the
-	// daemon's /metrics endpoint). Atomics: Get is lock-free and must
-	// stay that way.
-	hits         atomic.Int64
-	misses       atomic.Int64
-	puts         atomic.Int64
+	// ctr holds each kind's counters apart: the daemon's submissions ==
+	// hits + misses invariant reconciles result reads only, and a trace
+	// probe must not perturb it.
+	ctr          [2]counters
 	scans        atomic.Int64
 	evictions    atomic.Int64
 	evictedBytes atomic.Int64
-
-	// Trace-blob counters are kept apart from result counters: the
-	// daemon's submissions == hits + misses invariant reconciles result
-	// reads only, and a trace probe must not perturb it.
-	traceHits   atomic.Int64
-	traceMisses atomic.Int64
-	tracePuts   atomic.Int64
-
-	// Remote-tier attribution: hits/misses above classify the outcome,
-	// these count how the hit was sourced — remoteHits is the subset of
-	// hits served by pull-through rather than the local directory.
-	remoteHits      atomic.Int64
-	remoteMisses    atomic.Int64
-	traceRemoteHits atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of the store's counters. CurBytes is
@@ -109,7 +144,7 @@ type Stats struct {
 	TracePuts   int64 // contact scripts persisted
 
 	RemoteHits      int64 // result hits pulled through from the remote tier
-	RemoteMisses    int64 // remote probes that found nothing either
+	RemoteMisses    int64 // remote result probes that found nothing either
 	TraceRemoteHits int64 // trace hits pulled through from the remote tier
 }
 
@@ -121,21 +156,22 @@ func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	cur := st.curBytes
 	st.mu.Unlock()
+	r, t := &st.ctr[resultKind.ctr], &st.ctr[traceKind.ctr]
 	return Stats{
-		Hits:         st.hits.Load(),
-		Misses:       st.misses.Load(),
-		Puts:         st.puts.Load(),
+		Hits:         r.hits.Load(),
+		Misses:       r.misses.Load(),
+		Puts:         r.puts.Load(),
 		Scans:        st.scans.Load(),
 		Evictions:    st.evictions.Load(),
 		EvictedBytes: st.evictedBytes.Load(),
 		CurBytes:     cur,
-		TraceHits:    st.traceHits.Load(),
-		TraceMisses:  st.traceMisses.Load(),
-		TracePuts:    st.tracePuts.Load(),
+		TraceHits:    t.hits.Load(),
+		TraceMisses:  t.misses.Load(),
+		TracePuts:    t.puts.Load(),
 
-		RemoteHits:      st.remoteHits.Load(),
-		RemoteMisses:    st.remoteMisses.Load(),
-		TraceRemoteHits: st.traceRemoteHits.Load(),
+		RemoteHits:      r.remoteHits.Load(),
+		RemoteMisses:    r.remoteMisses.Load(),
+		TraceRemoteHits: t.remoteHits.Load(),
 	}
 }
 
@@ -160,15 +196,17 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return &Store{dir: dir, maxBytes: maxBytes}, nil
 }
 
-// path maps a content address to its file; the two-character fan out
-// keeps directories small under big sweeps. Keys must be lowercase hex
-// SHA-256 — anything else (e.g. a path-traversing "..xx" from a results
-// endpoint) maps to nothing.
-func (st *Store) path(key string) string {
+// path maps a content address of kind k to its file; the two-character
+// fan out keeps directories small under big sweeps, and both kinds share
+// it (and the size bound) under distinct extensions. Keys must be
+// lowercase hex SHA-256 — anything else (e.g. a path-traversing "..xx"
+// from a serving route) maps to nothing, so it is never read, written,
+// counted or sent to a peer.
+func (st *Store) path(k *kind, key string) string {
 	if st == nil || !ValidKey(key) {
 		return ""
 	}
-	return filepath.Join(st.dir, key[:2], key+".json")
+	return filepath.Join(st.dir, key[:2], key+k.ext)
 }
 
 // ValidKey reports whether key is a lowercase hex SHA-256.
@@ -184,147 +222,160 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// Get returns the cached result for key, if present and intact. On a
-// bounded store a hit touches the entry's mtime, so results a repeated
-// sweep keeps reusing stay at the young end of the eviction order; an
-// unbounded store never evicts, so it skips the per-hit Chtimes syscall
-// — LRU order is meaningless there and the touch was pure latency.
+// read is every counted read of one entry. The local file is read and
+// validated; a hit touches its mtime on bounded stores, so entries a
+// repeated sweep keeps reusing stay at the young end of the eviction
+// order (an unbounded store never evicts, so it skips the per-hit
+// Chtimes syscall). On a local miss with pull set, the remote tier (if
+// attached) is probed and validated bytes are persisted locally. The
+// serving routes read with pull unset: a probe can then never recurse
+// back into the prober, which is what keeps fleet pull-through
+// loop-free. The decoded Result is nil for opaque kinds.
+func (st *Store) read(k *kind, key string, pull bool) (*Result, []byte, bool) {
+	path := st.path(k, key)
+	if path == "" {
+		return nil, nil, false
+	}
+	c := &st.ctr[k.ctr]
+	if data, err := os.ReadFile(path); err == nil {
+		if res, err := k.check(key, data); err == nil {
+			if st.maxBytes > 0 {
+				now := time.Now()
+				os.Chtimes(path, now, now) // best-effort LRU touch
+			}
+			c.hits.Add(1)
+			return res, data, true
+		}
+	}
+	if pull && st.remote != nil {
+		if data, ok := st.remote.Fetch(k.name, key); ok {
+			if res, err := k.check(key, data); err == nil && st.writeEntry(path, data) == nil {
+				c.remoteHits.Add(1)
+				c.hits.Add(1)
+				return res, data, true
+			}
+		}
+		c.remoteMisses.Add(1)
+	}
+	c.misses.Add(1)
+	return nil, nil, false
+}
+
+// put persists one entry of kind k and counts it. A nil store or an
+// invalid key discards silently.
+func (st *Store) put(k *kind, key string, data []byte) error {
+	path := st.path(k, key)
+	if path == "" {
+		return nil
+	}
+	if err := st.writeEntry(path, data); err != nil {
+		return err
+	}
+	st.ctr[k.ctr].puts.Add(1)
+	return nil
+}
+
+// Get returns the cached result for key, if present and intact, pulling
+// it through from the remote tier on a local miss.
 func (st *Store) Get(key string) (*Result, bool) {
-	res, _, ok := st.GetRaw(key)
+	res, _, ok := st.read(resultKind, key, true)
 	return res, ok
 }
 
 // GetRaw is Get returning the encoded file bytes alongside the parsed
 // result, so a serving path that only splices the JSON onward (the
-// daemon's cache-hit fast path) never re-encodes it. On a local miss the
-// remote tier (if attached) is probed and a validated fetch persisted
-// locally, so the whole fleet's cache serves this store transparently.
+// daemon's cache-hit fast path) never re-encodes it.
 func (st *Store) GetRaw(key string) (*Result, []byte, bool) {
-	res, data, ok := st.readLocal(key)
-	if ok {
-		st.hits.Add(1)
-		return res, data, true
-	}
-	if st == nil || st.remote == nil {
-		if st != nil && ValidKey(key) {
-			st.misses.Add(1)
-		}
-		return nil, nil, false
-	}
-	if raw, found := st.remote.FetchResult(key); found {
-		if res, data, err := st.putEncoded(key, raw); err == nil {
-			st.remoteHits.Add(1)
-			st.hits.Add(1)
-			return res, data, true
-		}
-	}
-	st.remoteMisses.Add(1)
-	st.misses.Add(1)
-	return nil, nil, false
+	return st.read(resultKind, key, true)
 }
 
-// GetRawLocal is GetRaw restricted to the local directory — the read the
-// /v1/results endpoint serves peers from. Never consulting the remote
-// tier there is what makes fleet pull-through loop-free: a probe can
-// never recurse back into the prober.
+// GetRawLocal is GetRaw restricted to the local directory.
 func (st *Store) GetRawLocal(key string) (*Result, []byte, bool) {
-	res, data, ok := st.readLocal(key)
-	if ok {
-		st.hits.Add(1)
-		return res, data, true
-	}
-	if st != nil && ValidKey(key) {
-		st.misses.Add(1)
-	}
-	return nil, nil, false
+	return st.read(resultKind, key, false)
 }
 
-// readLocal reads and validates one entry from disk without counting — the
-// shared head of the counted read paths.
-func (st *Store) readLocal(key string) (*Result, []byte, bool) {
-	path := st.path(key)
+// GetLocal is the local-only read of one entry of the named kind
+// (Results or Traces) — what a daemon serves its peers from. An unknown
+// kind misses.
+func (st *Store) GetLocal(name, key string) ([]byte, bool) {
+	for _, k := range []*kind{resultKind, traceKind} {
+		if k.name == name {
+			_, data, ok := st.read(k, key, false)
+			return data, ok
+		}
+	}
+	return nil, false
+}
+
+// GetTrace returns the recorded contact-script blob for key, if present,
+// pulling it through from the remote tier on a local miss. The caller
+// decodes it.
+func (st *Store) GetTrace(key string) ([]byte, bool) {
+	_, data, ok := st.read(traceKind, key, true)
+	return data, ok
+}
+
+// GetTraceLocal is GetTrace restricted to the local directory.
+func (st *Store) GetTraceLocal(key string) ([]byte, bool) {
+	return st.GetLocal(Traces, key)
+}
+
+// HasTrace reports whether a trace blob exists for key, without counting
+// a hit or miss — a planning probe, not a read.
+func (st *Store) HasTrace(key string) bool {
+	path := st.path(traceKind, key)
 	if path == "" {
-		return nil, nil, false
+		return false
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, false
-	}
-	var res Result
-	if json.Unmarshal(data, &res) != nil || res.Key != key {
-		return nil, nil, false // corrupt entry: treat as a miss, recompute
-	}
-	st.touch(path)
-	return &res, data, true
-}
-
-// touch refreshes an entry's mtime on bounded stores, keeping entries a
-// repeated sweep reuses at the young end of the eviction order.
-func (st *Store) touch(path string) {
-	if st.maxBytes > 0 {
-		now := time.Now()
-		os.Chtimes(path, now, now) // best-effort LRU touch
-	}
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // Put persists a result atomically (temp file + rename, so a crashed
 // write can never be read back as a corrupt hit), then enforces the size
-// bound. A nil store discards silently.
+// bound. A nil store discards silently, without encoding.
 func (st *Store) Put(res *Result) error {
-	path := st.path(res.Key)
-	if path == "" {
+	if st.path(resultKind, res.Key) == "" {
 		return nil
 	}
+	_, err := st.PutRaw(res)
+	return err
+}
+
+// PutRaw is Put returning the encoded bytes it wrote — also on a nil
+// store, so a caller that serves the result onward encodes it once.
+func (st *Store) PutRaw(res *Result) ([]byte, error) {
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := st.writeEntry(path, append(data, '\n')); err != nil {
-		return err
-	}
-	st.puts.Add(1)
-	return nil
+	data = append(data, '\n')
+	return data, st.put(resultKind, res.Key, data)
 }
 
 // PutEncoded persists already-encoded result bytes under key after
-// validating they decode to a Result carrying that key — the write path
-// for entries fetched from another daemon, where re-encoding would waste
-// work and could perturb byte-identical splicing. A nil store discards
-// silently.
+// validating them with DecodeResult — the write path for entries fetched
+// from another daemon, where re-encoding would waste work and could
+// perturb byte-identical splicing. A nil store or an invalid key
+// discards silently, as for every write.
 func (st *Store) PutEncoded(key string, data []byte) error {
 	if st == nil {
 		return nil
 	}
-	if _, _, err := st.putEncoded(key, data); err != nil {
+	if _, err := DecodeResult(key, data); err != nil {
 		return err
 	}
-	st.puts.Add(1)
-	return nil
+	return st.put(resultKind, key, data)
 }
 
-// putEncoded validates and persists encoded result bytes, returning the
-// decoded result — shared by PutEncoded and the remote pull-through,
-// which counts differently (a pull-through is a read, not a Put).
-func (st *Store) putEncoded(key string, data []byte) (*Result, []byte, error) {
-	path := st.path(key)
-	if path == "" {
-		return nil, nil, fmt.Errorf("resultcache: invalid key %q", key)
-	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, nil, fmt.Errorf("resultcache: encoded result for %s: %w", key, err)
-	}
-	if res.Key != key {
-		return nil, nil, fmt.Errorf("resultcache: encoded result claims key %s, want %s", res.Key, key)
-	}
-	if err := st.writeEntry(path, data); err != nil {
-		return nil, nil, err
-	}
-	return &res, data, nil
+// PutTrace persists a recorded contact-script blob atomically. A nil
+// store discards silently.
+func (st *Store) PutTrace(key string, data []byte) error {
+	return st.put(traceKind, key, data)
 }
 
 // writeEntry persists one store file atomically (temp + rename) and
-// enforces the size bound — the shared tail of Put and PutTrace.
+// enforces the size bound — the tail of every write.
 func (st *Store) writeEntry(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -367,96 +418,6 @@ func (st *Store) writeEntry(path string, data []byte) error {
 		}
 		st.mu.Unlock()
 	}
-	return nil
-}
-
-// tracePath maps a trace content address to its blob file. Traces share
-// the store's directory fan-out and size bound with results (eviction
-// walks both), under a distinct extension.
-func (st *Store) tracePath(key string) string {
-	if st == nil || !ValidKey(key) {
-		return ""
-	}
-	return filepath.Join(st.dir, key[:2], key+".trace")
-}
-
-// GetTrace returns the recorded contact-script blob for key, if present.
-// The caller decodes it; a decode failure there is handled exactly like a
-// miss here (re-record), so a torn blob can never poison a replay. On a
-// local miss the remote tier is probed and a fetch persisted locally —
-// trace blobs are opaque here, so validation is the caller's decode, same
-// as for local blobs.
-func (st *Store) GetTrace(key string) ([]byte, bool) {
-	if data, ok := st.readTraceLocal(key); ok {
-		st.traceHits.Add(1)
-		return data, true
-	}
-	if st == nil || st.remote == nil {
-		if st != nil && ValidKey(key) {
-			st.traceMisses.Add(1)
-		}
-		return nil, false
-	}
-	if data, found := st.remote.FetchTrace(key); found {
-		if path := st.tracePath(key); path != "" && st.writeEntry(path, data) == nil {
-			st.traceRemoteHits.Add(1)
-			st.traceHits.Add(1)
-			return data, true
-		}
-	}
-	st.traceMisses.Add(1)
-	return nil, false
-}
-
-// GetTraceLocal is GetTrace restricted to the local directory — what the
-// /v1/traces endpoint serves peers from, keeping pull-through loop-free.
-func (st *Store) GetTraceLocal(key string) ([]byte, bool) {
-	if data, ok := st.readTraceLocal(key); ok {
-		st.traceHits.Add(1)
-		return data, true
-	}
-	if st != nil && ValidKey(key) {
-		st.traceMisses.Add(1)
-	}
-	return nil, false
-}
-
-// readTraceLocal reads one trace blob from disk without counting.
-func (st *Store) readTraceLocal(key string) ([]byte, bool) {
-	path := st.tracePath(key)
-	if path == "" {
-		return nil, false
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	st.touch(path)
-	return data, true
-}
-
-// HasTrace reports whether a trace blob exists for key, without counting
-// a hit or miss — a planning probe, not a read.
-func (st *Store) HasTrace(key string) bool {
-	path := st.tracePath(key)
-	if path == "" {
-		return false
-	}
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-// PutTrace persists a recorded contact-script blob atomically. A nil
-// store discards silently.
-func (st *Store) PutTrace(key string, data []byte) error {
-	path := st.tracePath(key)
-	if path == "" {
-		return nil
-	}
-	if err := st.writeEntry(path, data); err != nil {
-		return err
-	}
-	st.tracePuts.Add(1)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package resultcache
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,12 +19,155 @@ func keyOf(i int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func resultOf(i int) *Result {
+func resultOf(i int) *Result { return resultFor(keyOf(i), i) }
+
+// resultFor builds a result under key whose summaries carry v.
+func resultFor(key string, v int) *Result {
 	return &Result{
-		Key:     keyOf(i),
+		Key:     key,
 		Seeds:   []int64{1},
-		PerSeed: []metrics.Summary{{Generated: i}},
-		Mean:    metrics.Summary{Generated: i},
+		PerSeed: []metrics.Summary{{Generated: v}},
+		Mean:    metrics.Summary{Generated: v},
+	}
+}
+
+// traceBlobOf derives a distinct blob per index (content is opaque to the
+// store; decoding lives a layer up).
+func traceBlobOf(i int) []byte {
+	return []byte(fmt.Sprintf("DTNTRC-test-blob-%d", i))
+}
+
+// kindStats is one kind's slice of Stats.
+type kindStats struct{ hits, misses, puts, remoteHits int64 }
+
+// kindCase drives one entry kind through its own entry points, so each
+// behaviour both kinds share is checked once, by a table over both.
+type kindCase struct {
+	kind  string
+	body  func(key string, v int) []byte // the file bytes of entry v under key
+	put   func(st *Store, key string, v int) error
+	get   func(st *Store, key string) ([]byte, bool) // counted, pull-through
+	local func(st *Store, key string) ([]byte, bool) // counted, local-only
+	stats func(s Stats) kindStats
+}
+
+var kindCases = []kindCase{{
+	kind: Results,
+	body: func(key string, v int) []byte {
+		data, _ := json.MarshalIndent(resultFor(key, v), "", "  ")
+		return append(data, '\n')
+	},
+	put: func(st *Store, key string, v int) error { return st.Put(resultFor(key, v)) },
+	get: func(st *Store, key string) ([]byte, bool) {
+		res, raw, ok := st.GetRaw(key)
+		if ok && (res == nil || res.Key != key) {
+			return nil, false
+		}
+		return raw, ok
+	},
+	local: func(st *Store, key string) ([]byte, bool) {
+		_, raw, ok := st.GetRawLocal(key)
+		return raw, ok
+	},
+	stats: func(s Stats) kindStats { return kindStats{s.Hits, s.Misses, s.Puts, s.RemoteHits} },
+}, {
+	kind:  Traces,
+	body:  func(_ string, v int) []byte { return traceBlobOf(v) },
+	put:   func(st *Store, key string, v int) error { return st.PutTrace(key, traceBlobOf(v)) },
+	get:   (*Store).GetTrace,
+	local: (*Store).GetTraceLocal,
+	stats: func(s Stats) kindStats { return kindStats{s.TraceHits, s.TraceMisses, s.TracePuts, s.TraceRemoteHits} },
+}}
+
+// TestRoundTrip pins both kinds' entry surface: put then get returns the
+// file bytes verbatim (a result also decodes to the value put), misses
+// are misses, an overwrite wins (auto-mode re-records over a corrupt
+// blob), an invalid key is discarded without error, and nil stores stay
+// inert.
+func TestRoundTrip(t *testing.T) {
+	for _, kc := range kindCases {
+		t.Run(kc.kind, func(t *testing.T) {
+			st, err := Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := keyOf(1)
+			if kc.kind == Traces && st.HasTrace(key) {
+				t.Fatal("fresh store has a trace")
+			}
+			if _, ok := kc.get(st, key); ok {
+				t.Fatal("hit on empty store")
+			}
+			if err := kc.put(st, key, 1); err != nil {
+				t.Fatal(err)
+			}
+			if kc.kind == Traces && !st.HasTrace(key) {
+				t.Fatal("HasTrace false after put")
+			}
+			if got, ok := kc.get(st, key); !ok || string(got) != string(kc.body(key, 1)) {
+				t.Fatalf("after put: %q, %v", got, ok)
+			}
+			if kc.kind == Results {
+				if got, ok := st.Get(key); !ok || got.Mean != resultOf(1).Mean || got.Key != key {
+					t.Fatalf("round trip mangled: %+v", got)
+				}
+			}
+			if err := kc.put(st, key, 2); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := kc.get(st, key); string(got) != string(kc.body(key, 2)) {
+				t.Fatalf("after overwrite: %q", got)
+			}
+
+			if err := kc.put(st, "not a key", 3); err != nil {
+				t.Error("invalid key errored instead of discarding")
+			}
+			if _, ok := kc.get(st, "not a key"); ok || st.HasTrace("not a key") {
+				t.Error("invalid key stored")
+			}
+			var nilStore *Store
+			if err := kc.put(nilStore, key, 1); err != nil {
+				t.Errorf("nil store put: %v", err)
+			}
+			if _, ok := kc.get(nilStore, key); ok {
+				t.Error("nil store hit")
+			}
+			if nilStore.HasTrace(key) {
+				t.Error("nil store HasTrace true")
+			}
+		})
+	}
+}
+
+// TestStatsCounters: hits, misses and puts are counted where they happen,
+// per kind. One kind's traffic never perturbs the other's counters (the
+// daemon's submissions invariant reconciles result reads only), HasTrace
+// counts nothing, and a nil store reports zeros without panicking.
+func TestStatsCounters(t *testing.T) {
+	for i, kc := range kindCases {
+		t.Run(kc.kind, func(t *testing.T) {
+			st, err := Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kc.get(st, keyOf(0)) // miss
+			kc.put(st, keyOf(0), 0)
+			st.HasTrace(keyOf(0)) // neither
+			kc.get(st, keyOf(0))  // hit
+			kc.get(st, keyOf(0))  // hit
+			kc.get(st, keyOf(1))  // miss
+			got := st.Stats()
+			if k := kc.stats(got); k != (kindStats{hits: 2, misses: 2, puts: 1}) {
+				t.Errorf("%s counters = %+v, want 2 hits, 2 misses, 1 put", kc.kind, k)
+			}
+			if k := kindCases[1-i].stats(got); k != (kindStats{}) {
+				t.Errorf("%s traffic leaked into %s counters: %+v", kc.kind, kindCases[1-i].kind, got)
+			}
+		})
+	}
+	var nilStore *Store
+	if s := nilStore.Stats(); s != (Stats{}) {
+		t.Errorf("nil store stats = %+v", s)
 	}
 }
 
@@ -53,26 +197,6 @@ func entrySize(t *testing.T) int64 {
 	return size
 }
 
-func TestRoundTrip(t *testing.T) {
-	st, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(keyOf(1)); ok {
-		t.Fatal("hit on empty store")
-	}
-	if err := st.Put(resultOf(1)); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := st.Get(keyOf(1))
-	if !ok {
-		t.Fatal("miss after Put")
-	}
-	if got.Mean != resultOf(1).Mean || got.Key != keyOf(1) {
-		t.Fatalf("round trip mangled: %+v", got)
-	}
-}
-
 func TestNilStoreMisses(t *testing.T) {
 	var st *Store
 	if _, ok := st.Get(keyOf(1)); ok {
@@ -91,7 +215,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	if err := st.Put(resultOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	path := st.path(keyOf(1))
+	path := st.path(resultKind, keyOf(1))
 	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +228,9 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	if err := st.Put(wrong); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := os.ReadFile(st.path(keyOf(2)))
-	os.MkdirAll(filepath.Dir(st.path(keyOf(3))), 0o755)
-	os.WriteFile(st.path(keyOf(3)), data, 0o644)
+	data, _ := os.ReadFile(st.path(resultKind, keyOf(2)))
+	os.MkdirAll(filepath.Dir(st.path(resultKind, keyOf(3))), 0o755)
+	os.WriteFile(st.path(resultKind, keyOf(3)), data, 0o644)
 	if _, ok := st.Get(keyOf(3)); ok {
 		t.Fatal("key-mismatched entry served as hit")
 	}
@@ -240,28 +364,6 @@ func TestOverwriteAccounting(t *testing.T) {
 	}
 }
 
-// TestStatsCounters: hits, misses and puts are counted where they
-// happen; a nil store reports zeros without panicking.
-func TestStatsCounters(t *testing.T) {
-	st, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Get(keyOf(0)) // miss
-	st.Put(resultOf(0))
-	st.Get(keyOf(0)) // hit
-	st.Get(keyOf(0)) // hit
-	st.Get(keyOf(1)) // miss
-	got := st.Stats()
-	if got.Hits != 2 || got.Misses != 2 || got.Puts != 1 {
-		t.Errorf("stats = %+v, want 2 hits, 2 misses, 1 put", got)
-	}
-	var nilStore *Store
-	if s := nilStore.Stats(); s != (Stats{}) {
-		t.Errorf("nil store stats = %+v", s)
-	}
-}
-
 // TestUnboundedGetSkipsTouch: with no byte bound there is no eviction
 // order to maintain, so Get must not burn a Chtimes syscall per hit.
 func TestUnboundedGetSkipsTouch(t *testing.T) {
@@ -272,7 +374,7 @@ func TestUnboundedGetSkipsTouch(t *testing.T) {
 	if err := st.Put(resultOf(0)); err != nil {
 		t.Fatal(err)
 	}
-	path := st.path(keyOf(0))
+	path := st.path(resultKind, keyOf(0))
 	old := time.Now().Add(-time.Hour)
 	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
@@ -297,7 +399,7 @@ func TestUnboundedGetSkipsTouch(t *testing.T) {
 	if err := stb.Put(resultOf(0)); err != nil {
 		t.Fatal(err)
 	}
-	bpath := stb.path(keyOf(0))
+	bpath := stb.path(resultKind, keyOf(0))
 	if err := os.Chtimes(bpath, old, old); err != nil {
 		t.Fatal(err)
 	}
@@ -363,84 +465,6 @@ func TestPutNeverEvictsItself(t *testing.T) {
 	}
 	if _, ok := st.Get(keyOf(1)); !ok {
 		t.Error("new entry evicted by its own Put")
-	}
-}
-
-// traceBlobOf derives a distinct blob per index (content is opaque to the
-// store; decoding lives a layer up).
-func traceBlobOf(i int) []byte {
-	return []byte(fmt.Sprintf("DTNTRC-test-blob-%d", i))
-}
-
-// TestTraceRoundTrip pins the trace blob surface: Put → Has → Get returns
-// the bytes verbatim, misses are misses, and nil stores stay inert.
-func TestTraceRoundTrip(t *testing.T) {
-	st, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := keyOf(1)
-	if st.HasTrace(key) {
-		t.Fatal("fresh store has a trace")
-	}
-	if _, ok := st.GetTrace(key); ok {
-		t.Fatal("fresh store returned a trace")
-	}
-	if err := st.PutTrace(key, traceBlobOf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if !st.HasTrace(key) {
-		t.Fatal("HasTrace false after Put")
-	}
-	got, ok := st.GetTrace(key)
-	if !ok || string(got) != string(traceBlobOf(1)) {
-		t.Fatalf("GetTrace = %q, %v", got, ok)
-	}
-	// Overwrite wins: auto-mode re-records over a corrupt blob.
-	if err := st.PutTrace(key, traceBlobOf(2)); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := st.GetTrace(key); string(got) != string(traceBlobOf(2)) {
-		t.Fatalf("after overwrite GetTrace = %q", got)
-	}
-
-	if err := st.PutTrace("not a key", traceBlobOf(3)); err != nil {
-		t.Error("invalid trace key errored instead of discarding")
-	}
-	if st.HasTrace("not a key") {
-		t.Error("invalid key stored")
-	}
-	var nilStore *Store
-	if err := nilStore.PutTrace(key, traceBlobOf(1)); err != nil {
-		t.Error("nil store PutTrace errored")
-	}
-	if _, ok := nilStore.GetTrace(key); ok {
-		t.Error("nil store GetTrace hit")
-	}
-	if nilStore.HasTrace(key) {
-		t.Error("nil store HasTrace true")
-	}
-}
-
-// TestTraceStatsCounters pins the separate trace counter family: trace
-// reads never perturb the result hit/miss counters the daemon's
-// submissions invariant is built on, and HasTrace counts nothing.
-func TestTraceStatsCounters(t *testing.T) {
-	st, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := keyOf(4)
-	st.GetTrace(key)                 // miss
-	st.PutTrace(key, traceBlobOf(4)) // put
-	st.HasTrace(key)                 // neither
-	st.GetTrace(key)                 // hit
-	got := st.Stats()
-	if got.TraceHits != 1 || got.TraceMisses != 1 || got.TracePuts != 1 {
-		t.Errorf("trace counters = %d/%d/%d hits/misses/puts, want 1/1/1", got.TraceHits, got.TraceMisses, got.TracePuts)
-	}
-	if got.Hits != 0 || got.Misses != 0 || got.Puts != 0 {
-		t.Errorf("trace traffic leaked into result counters: %+v", got)
 	}
 }
 

@@ -1,37 +1,41 @@
 package resultcache
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-// fakeRemote is an in-memory Remote with call counters — the unit-test
-// stand-in for a peer daemon's /v1/results and /v1/traces endpoints.
+// fakeRemote is an in-memory Remote that logs every probe — the
+// unit-test stand-in for a peer daemon's GET /v1/{kind}/{key} routes.
 type fakeRemote struct {
-	mu      sync.Mutex
-	results map[string][]byte
-	traces  map[string][]byte
+	entries map[string][]byte // kind + "/" + key → served bytes
 
-	resultCalls atomic.Int64
-	traceCalls  atomic.Int64
+	mu     sync.Mutex
+	probed []string // kind + "/" + key of every probe, in order
 }
 
-func (fr *fakeRemote) FetchResult(key string) ([]byte, bool) {
-	fr.resultCalls.Add(1)
+func (fr *fakeRemote) Fetch(kind, key string) ([]byte, bool) {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	data, ok := fr.results[key]
+	fr.probed = append(fr.probed, kind+"/"+key)
+	data, ok := fr.entries[kind+"/"+key]
 	return data, ok
 }
 
-func (fr *fakeRemote) FetchTrace(key string) ([]byte, bool) {
-	fr.traceCalls.Add(1)
+// probes counts the probes for one kind.
+func (fr *fakeRemote) probes(kind string) int {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	data, ok := fr.traces[key]
-	return data, ok
+	n := 0
+	for _, p := range fr.probed {
+		if strings.HasPrefix(p, kind+"/") {
+			n++
+		}
+	}
+	return n
 }
 
 func encodedResult(t *testing.T, i int) []byte {
@@ -43,33 +47,54 @@ func encodedResult(t *testing.T, i int) []byte {
 	return data
 }
 
-// TestRemotePullThrough: a local miss with a remote hit serves the entry,
-// persists it locally (the second read never probes the remote), and is
-// attributed as a hit + remote hit — never as a miss or a put.
+// TestRemotePullThrough: for both kinds, a local miss with a remote hit
+// serves the peer's bytes verbatim, persists them locally (the second
+// read never probes the remote), and is attributed as a hit + remote hit
+// — never as a miss or a put. A miss on both tiers counts a miss, and the
+// local-only read never probes the remote.
 func TestRemotePullThrough(t *testing.T) {
-	st, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := &fakeRemote{results: map[string][]byte{keyOf(1): encodedResult(t, 1)}}
-	st.SetRemote(fr)
+	for _, kc := range kindCases {
+		t.Run(kc.kind, func(t *testing.T) {
+			st, err := Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := kc.body(keyOf(1), 1)
+			fr := &fakeRemote{entries: map[string][]byte{kc.kind + "/" + keyOf(1): body}}
+			st.SetRemote(fr)
 
-	res, raw, ok := st.GetRaw(keyOf(1))
-	if !ok || res.Key != keyOf(1) || len(raw) == 0 {
-		t.Fatalf("pull-through read: ok=%v res=%+v", ok, res)
-	}
-	if res.Mean.Generated != 1 {
-		t.Errorf("pulled result decoded wrong: %+v", res)
-	}
-	if got, ok := st.Get(keyOf(1)); !ok || got.Key != keyOf(1) {
-		t.Fatal("entry not persisted locally after pull-through")
-	}
-	if n := fr.resultCalls.Load(); n != 1 {
-		t.Errorf("remote probed %d times, want 1 (second read is local)", n)
-	}
-	s := st.Stats()
-	if s.Hits != 2 || s.Misses != 0 || s.RemoteHits != 1 || s.RemoteMisses != 0 || s.Puts != 0 {
-		t.Errorf("stats %+v: want hits=2 misses=0 remote_hits=1 remote_misses=0 puts=0", s)
+			for i := 0; i < 2; i++ {
+				if got, ok := kc.get(st, keyOf(1)); !ok || string(got) != string(body) {
+					t.Fatalf("read %d: ok=%v data=%q", i, ok, got)
+				}
+			}
+			if n := fr.probes(kc.kind); n != 1 {
+				t.Errorf("remote probed %d times, want 1 (later reads are local)", n)
+			}
+			if k := kc.stats(st.Stats()); k != (kindStats{hits: 2, remoteHits: 1}) {
+				t.Errorf("stats %+v: want hits=2 misses=0 remote_hits=1 puts=0", k)
+			}
+			if s := st.Stats(); s.RemoteMisses != 0 {
+				t.Errorf("remote misses = %d, want 0", s.RemoteMisses)
+			}
+			if kc.kind == Results {
+				if res, ok := st.Get(keyOf(1)); !ok || res.Key != keyOf(1) || res.Mean.Generated != 1 {
+					t.Errorf("pulled result decoded wrong: %+v", res)
+				}
+			}
+			if _, ok := kc.get(st, keyOf(8)); ok {
+				t.Fatal("unexpected hit")
+			}
+			if _, ok := kc.local(st, keyOf(9)); ok {
+				t.Fatal("unexpected local hit")
+			}
+			if n := fr.probes(kc.kind); n != 2 {
+				t.Errorf("remote probed %d times, want 2 (the local-only read must not probe)", n)
+			}
+			if k := kc.stats(st.Stats()); k.misses != 2 || k.remoteHits != 1 || k.puts != 0 {
+				t.Errorf("stats %+v: want misses=2 remote_hits=1 puts=0", k)
+			}
+		})
 	}
 }
 
@@ -90,7 +115,7 @@ func TestRemoteMissCounts(t *testing.T) {
 	if _, _, ok := st.GetRawLocal(keyOf(3)); ok {
 		t.Fatal("unexpected local hit")
 	}
-	if n := fr.resultCalls.Load(); n != 1 {
+	if n := fr.probes(Results); n != 1 {
 		t.Errorf("remote probed %d times, want 1 (GetRawLocal must not probe)", n)
 	}
 	s := st.Stats()
@@ -107,9 +132,9 @@ func TestRemoteCorruptFetchIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetRemote(&fakeRemote{results: map[string][]byte{
-		keyOf(4): encodedResult(t, 5), // claims keyOf(5)
-		keyOf(6): []byte("not json"),
+	st.SetRemote(&fakeRemote{entries: map[string][]byte{
+		Results + "/" + keyOf(4): encodedResult(t, 5), // claims keyOf(5)
+		Results + "/" + keyOf(6): []byte("not json"),
 	}})
 
 	for _, key := range []string{keyOf(4), keyOf(6)} {
@@ -125,48 +150,34 @@ func TestRemoteCorruptFetchIsMiss(t *testing.T) {
 	}
 }
 
-// TestRemoteTracePullThrough: trace blobs pull through like results
-// (opaque — validation is the caller's decode), with their own counters.
-func TestRemoteTracePullThrough(t *testing.T) {
+// TestPutEncodedValidates: encoded bytes are persisted verbatim and
+// counted as a put only when they decode to a Result carrying the key.
+func TestPutEncodedValidates(t *testing.T) {
 	st, err := Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := []byte("recorded-contact-script")
-	fr := &fakeRemote{traces: map[string][]byte{keyOf(7): blob}}
-	st.SetRemote(fr)
-
-	data, ok := st.GetTrace(keyOf(7))
-	if !ok || string(data) != string(blob) {
-		t.Fatalf("trace pull-through: ok=%v data=%q", ok, data)
+	for _, bad := range [][]byte{encodedResult(t, 2), []byte("not json")} {
+		if err := st.PutEncoded(keyOf(1), bad); err == nil {
+			t.Errorf("PutEncoded accepted %q under %s", bad, keyOf(1))
+		}
 	}
-	if data, ok := st.GetTrace(keyOf(7)); !ok || string(data) != string(blob) {
-		t.Fatal("trace not persisted locally after pull-through")
+	good := encodedResult(t, 1)
+	if err := st.PutEncoded(keyOf(1), good); err != nil {
+		t.Fatal(err)
 	}
-	if n := fr.traceCalls.Load(); n != 1 {
-		t.Errorf("remote probed %d times, want 1", n)
+	if _, raw, ok := st.GetRawLocal(keyOf(1)); !ok || !bytes.Equal(raw, good) {
+		t.Fatalf("persisted %q, want %q", raw, good)
 	}
-	if _, ok := st.GetTrace(keyOf(8)); ok {
-		t.Fatal("unexpected trace hit")
-	}
-	s := st.Stats()
-	if s.TraceHits != 2 || s.TraceRemoteHits != 1 || s.TraceMisses != 1 || s.TracePuts != 0 {
-		t.Errorf("trace stats %+v: want hits=2 remote_hits=1 misses=1 puts=0", s)
-	}
-	// GetTraceLocal never probes the remote.
-	before := fr.traceCalls.Load()
-	if _, ok := st.GetTraceLocal(keyOf(9)); ok {
-		t.Fatal("unexpected local trace hit")
-	}
-	if fr.traceCalls.Load() != before {
-		t.Error("GetTraceLocal probed the remote")
+	if s := st.Stats(); s.Puts != 1 {
+		t.Errorf("puts = %d, want 1", s.Puts)
 	}
 }
 
 // TestNilStoreRemoteSafe: SetRemote and the read paths stay nil-safe.
 func TestNilStoreRemoteSafe(t *testing.T) {
 	var st *Store
-	st.SetRemote(&fakeRemote{results: map[string][]byte{keyOf(1): encodedResult(t, 1)}})
+	st.SetRemote(&fakeRemote{entries: map[string][]byte{Results + "/" + keyOf(1): encodedResult(t, 1)}})
 	if _, _, ok := st.GetRaw(keyOf(1)); ok {
 		t.Fatal("nil store served a hit")
 	}
@@ -236,4 +247,64 @@ func TestConcurrentPutSameKeyMidEviction(t *testing.T) {
 	if s := st.Stats(); s.Scans == 0 || s.Evictions == 0 {
 		t.Errorf("bound never enforced during churn: %+v", s)
 	}
+}
+
+// FuzzPullThrough feeds arbitrary peer bytes through the pull-through
+// read of both kinds — peer fetches are untrusted input. No read may
+// panic; a result read hits only when the bytes decode to a Result
+// carrying the key asked for; a trace blob stays opaque; every hit
+// serves and persists exactly the fetched bytes; and a key that is not
+// a content address never reaches the peer.
+func FuzzPullThrough(f *testing.F) {
+	key := keyOf(1)
+	valid, err := json.Marshal(resultOf(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wrong, err := json.Marshal(resultOf(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, key)
+	f.Add(wrong, key)
+	f.Add(valid[:len(valid)/2], key)
+	f.Add([]byte{}, key)
+	f.Add(valid, "../"+key[3:])
+	f.Fuzz(func(t *testing.T, body []byte, probe string) {
+		st, err := Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := &fakeRemote{entries: map[string][]byte{Results + "/" + key: body, Traces + "/" + key: body}}
+		st.SetRemote(fr)
+
+		var want Result
+		wantHit := json.Unmarshal(body, &want) == nil && want.Key == key
+		res, raw, ok := st.GetRaw(key)
+		if ok != wantHit {
+			t.Fatalf("result read hit=%v, want %v for %q", ok, wantHit, body)
+		}
+		if ok && (res.Key != key || !bytes.Equal(raw, body)) {
+			t.Fatalf("result hit served key %s, bytes %q; fetched %q", res.Key, raw, body)
+		}
+		if local, _ := st.GetLocal(Results, key); !bytes.Equal(local, raw) {
+			t.Fatalf("persisted result %q, want %q", local, raw)
+		}
+		data, ok := st.GetTrace(key)
+		if !ok || !bytes.Equal(data, body) {
+			t.Fatalf("trace read: ok=%v data=%q, fetched %q", ok, data, body)
+		}
+		if local, ok := st.GetLocal(Traces, key); !ok || !bytes.Equal(local, body) {
+			t.Fatalf("persisted trace %q, want %q", local, body)
+		}
+
+		st.Get(probe)
+		st.GetRaw(probe)
+		st.GetTrace(probe)
+		for _, p := range fr.probed {
+			if _, k, _ := strings.Cut(p, "/"); !ValidKey(k) {
+				t.Fatalf("invalid key %q reached the peer", k)
+			}
+		}
+	})
 }

@@ -28,7 +28,7 @@ func TestCRHandsAllToDestinationCommunity(t *testing.T) {
 	}
 	// Intra-community phase then delivers.
 	h.meet(2, 3, 3)
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("intra-community delivery failed")
 	}
 }
@@ -97,7 +97,7 @@ func TestCRIntraCommunityOnlyWithinCommunity(t *testing.T) {
 		t.Fatal("intra-community message leaked outside the community")
 	}
 	h.meet(0, 1, 3)
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("delivery inside the community failed")
 	}
 }

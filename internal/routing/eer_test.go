@@ -19,7 +19,7 @@ func TestEERDeliversDirect(t *testing.T) {
 	h := eerHarness(t, 2, 10)
 	m := h.send(0, 1, 1e6)
 	h.meet(0, 1, 3)
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("EER failed direct delivery")
 	}
 }

@@ -96,7 +96,7 @@ func TestEBRWaitPhaseHolds(t *testing.T) {
 		t.Fatal("EBR forwarded its last replica to a non-destination")
 	}
 	h.meet(0, 2, 3)
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("EBR failed direct delivery")
 	}
 }
@@ -159,7 +159,7 @@ func TestMaxPropAckPurge(t *testing.T) {
 	m := h.send(0, 2, 1e6)
 	h.meet(0, 1, 3) // 1 holds a copy now
 	h.meet(0, 2, 3) // 0 delivers; 0 and 2 learn the ack
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("not delivered")
 	}
 	if !h.w.Node(1).HasCopy(m.ID) {

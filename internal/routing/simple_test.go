@@ -14,7 +14,7 @@ func TestDirectDeliversOnlyToDestination(t *testing.T) {
 		t.Fatal("Direct handed a copy to a non-destination")
 	}
 	h.meet(0, 2, 3)
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("Direct failed to deliver on destination contact")
 	}
 	if s := h.w.Metrics.Summary(); s.Relays != 1 {
@@ -35,7 +35,7 @@ func TestEpidemicFloods(t *testing.T) {
 		t.Fatal("epidemic source lost its copy")
 	}
 	h.meet(2, 3, 3)
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("not delivered")
 	}
 }
@@ -62,7 +62,7 @@ func TestFirstContactMovesSingleCopy(t *testing.T) {
 		t.Fatal("FirstContact did not move the copy")
 	}
 	h.meet(1, 2, 3)
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("not delivered")
 	}
 }

@@ -101,10 +101,6 @@ func (r *SprayAndFocus) ContactUp(t float64, peer *network.Node) {
 	}
 }
 
-// LastSeen returns the router's freshest contact time for node k (-Inf if
-// never heard of).
-func (r *SprayAndFocus) LastSeen(k int) float64 { return r.lastSeen[k] }
-
 // NextTransfer implements network.Router.
 func (r *SprayAndFocus) NextTransfer(t float64, peer *network.Node) *network.Plan {
 	if p := r.DeliverDirect(t, peer); p != nil {

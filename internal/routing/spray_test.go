@@ -30,7 +30,7 @@ func TestSprayAndWaitWaitPhase(t *testing.T) {
 		t.Fatal("wait phase forwarded to a non-destination")
 	}
 	h.meet(0, 2, 3)
-	if !h.w.Metrics.Delivered(m.ID) {
+	if !h.w.Node(m.To).DeliveredHere(m.ID) {
 		t.Fatal("wait phase failed to deliver directly")
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/resultcache"
 )
 
 const (
@@ -396,19 +397,19 @@ func (f *fleet) followStream(w *fleetWorker, j *job, remoteID string) (outcome, 
 // infrastructure errors: the worker computed and cached the result, so
 // a retry is a cache hit away.
 func (f *fleet) finishFromResult(w *fleetWorker, j *job, tm *obs.Timing) (outcome, error) {
-	raw, err := fetchEntry(f.client, w.url+"/v1/results/"+j.key, 30*time.Second)
+	raw, err := fetchEntry(f.client, w.url+"/v1/"+resultcache.Results+"/"+j.key, 30*time.Second)
 	if err != nil {
 		return outcome{}, fmt.Errorf("fetch result: %w", err)
 	}
-	var res Result
-	if json.Unmarshal(raw, &res) != nil || res.Key != j.key {
-		return outcome{}, fmt.Errorf("fetch result: worker %s served corrupt bytes for %s", w.url, j.key)
+	res, err := resultcache.DecodeResult(j.key, raw)
+	if err != nil {
+		return outcome{}, fmt.Errorf("fetch result: worker %s served corrupt bytes: %w", w.url, err)
 	}
 	if err := f.s.store.PutEncoded(j.key, raw); err != nil {
 		f.s.log.Warn("fleet: persist pulled result", "key", j.key, "err", err)
 	}
 	w.completed.Add(1)
-	return finished(&res, raw, tm), nil
+	return finished(res, raw, tm), nil
 }
 
 // cancelRemote propagates a local cancellation to the worker,
@@ -572,25 +573,17 @@ func errBody(raw []byte) string {
 
 // remoteTier adapts the fleet (and any statically configured peers) to
 // resultcache.Remote: on a local store miss, probe each peer's local-only
-// serving endpoints in order and return the first hit. The coordinator's
-// peer list is its healthy workers plus Config.Peers; a plain worker
-// configured with -peers probes those.
+// serving route for the entry kind in order and return the first hit.
+// The coordinator's peer list is its healthy workers plus Config.Peers; a
+// plain worker configured with -peers probes those.
 type remoteTier struct {
 	client *http.Client
 	peers  func() []string
 }
 
-func (rt *remoteTier) FetchResult(key string) ([]byte, bool) {
-	return rt.fetch("/v1/results/" + key)
-}
-
-func (rt *remoteTier) FetchTrace(key string) ([]byte, bool) {
-	return rt.fetch("/v1/traces/" + key)
-}
-
-func (rt *remoteTier) fetch(path string) ([]byte, bool) {
+func (rt *remoteTier) Fetch(kind, key string) ([]byte, bool) {
 	for _, base := range rt.peers() {
-		if data, err := fetchEntry(rt.client, base+path, 10*time.Second); err == nil {
+		if data, err := fetchEntry(rt.client, base+"/v1/"+kind+"/"+key, 10*time.Second); err == nil {
 			return data, true
 		}
 	}

@@ -10,6 +10,7 @@
 // API (see DESIGN.md "Simulation service" and "Sweep jobs & cancellation"):
 //
 //	POST   /v1/jobs             submit a spec; returns job id or cached result
+//	GET    /v1/jobs             list retained jobs (?offset=N&limit=M)
 //	GET    /v1/jobs/{id}        job status (+ result when done)
 //	GET    /v1/jobs/{id}/stream live NDJSON progress until the job ends
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
@@ -20,10 +21,15 @@
 //	GET    /v1/sweeps/{id}/stream live NDJSON progress: per-cell key+frac
 //	                              lines interleaved with the aggregate
 //	DELETE /v1/sweeps/{id}        cancel the sweep's remaining cells
-//	GET    /v1/results/{key}    cached result by content address
+//	GET    /v1/results/{key}    cached result by content address (local-only)
+//	GET    /v1/traces/{key}     recorded contact script by content address
+//	                            (local-only)
+//	GET    /v1/workers          fleet registry (coordinator mode only)
 //	GET    /v1/presets          the named base specs
 //	GET    /metrics             Prometheus text counters (see metrics.go)
 //	GET    /healthz             liveness
+//	GET    /v1/healthz          readiness: 503 once draining
+//	GET    /debug/pprof/*       runtime profiles (opt-in: Config.EnablePprof)
 package server
 
 import (
@@ -246,8 +252,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweep)
 	s.mux.HandleFunc("GET /v1/sweeps/{id}/stream", s.handleSweepStream)
 	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancelSweep)
-	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
-	s.mux.HandleFunc("GET /v1/traces/{key}", s.handleTrace)
+	s.mux.HandleFunc("GET /v1/results/{key}", s.handleEntry(resultcache.Results, "application/json", "no cached result for %s"))
+	s.mux.HandleFunc("GET /v1/traces/{key}", s.handleEntry(resultcache.Traces, "application/octet-stream", "no recorded trace for %s"))
 	s.mux.HandleFunc("GET /v1/workers", s.handleWorkers)
 	s.mux.HandleFunc("GET /v1/presets", s.handlePresets)
 	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
@@ -677,14 +683,11 @@ func (s *Server) complete(j *job, perSeed []metrics.Summary, tm *obs.Timing) out
 	if err != nil {
 		return failed(err)
 	}
-	if err := s.store.Put(res); err != nil {
-		return failed(fmt.Errorf("persist result: %w", err))
-	}
-	// Encode once at completion; every later cache-hit serve of this job's
-	// snapshot splices these bytes instead of re-marshalling.
-	raw, err := json.MarshalIndent(res, "", "  ")
+	// Encoded once, by the store write; every later cache-hit serve of
+	// this job's snapshot splices these bytes instead of re-marshalling.
+	raw, err := s.store.PutRaw(res)
 	if err != nil {
-		return failed(err)
+		return failed(fmt.Errorf("persist result: %w", err))
 	}
 	return finished(res, raw, tm)
 }
@@ -845,31 +848,22 @@ func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, snapshot func()
 	}
 }
 
-// handleResult serves a cached result by content address. The read is
-// local-only: this is the endpoint the fleet's pull-through tier probes,
-// and a local-only serve guarantees probes cannot recurse peer-to-peer.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if _, raw, ok := s.store.GetRawLocal(key); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(raw) // the store file is the reply: already indented JSON
-		return
+// handleEntry serves one store entry kind by content address: a result
+// (its file is the reply, already indented JSON) or a recorded
+// contact-script blob. The read is local-only: these are the routes the
+// fleet's pull-through tier probes, and a local-only serve guarantees
+// probes cannot recurse peer-to-peer.
+func (s *Server) handleEntry(kind, contentType, missing string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		key := r.PathValue("key")
+		if data, ok := s.store.GetLocal(kind, key); ok {
+			w.Header().Set("Content-Type", contentType)
+			w.WriteHeader(http.StatusOK)
+			w.Write(data)
+			return
+		}
+		writeErr(w, http.StatusNotFound, fmt.Errorf(missing, key))
 	}
-	writeErr(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", key))
-}
-
-// handleTrace serves a recorded contact-script blob by trace content
-// address — local-only, like handleResult, for the same loop-freedom.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if data, ok := s.store.GetTraceLocal(key); ok {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-		return
-	}
-	writeErr(w, http.StatusNotFound, fmt.Errorf("no recorded trace for %s", key))
 }
 
 // handleReady serves GET /v1/healthz, the readiness probe the fleet

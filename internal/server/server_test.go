@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -232,6 +233,49 @@ func TestSubmitValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("key %q: status %d, want 404", key, resp.StatusCode)
+		}
+	}
+}
+
+// TestEntryRoutes: both store entry kinds are served by content address
+// as the store file verbatim, each with its own content type, and a
+// local miss is a 404 naming the kind.
+func TestEntryRoutes(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	key := strings.Repeat("ab", 32)
+	if err := s.store.Put(&Result{Key: key, Seeds: []int64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	_, resultFile, _ := s.store.GetRawLocal(key)
+	blob := []byte("DTNTRC1\x00opaque")
+	if err := s.store.PutTrace(key, blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		route, contentType, missing string
+		body                        []byte
+	}{
+		{"results", "application/json", "no cached result for ", resultFile},
+		{"traces", "application/octet-stream", "no recorded trace for ", blob},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/" + c.route + "/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != c.contentType || !bytes.Equal(body, c.body) {
+			t.Errorf("%s: status %d, type %q, body %q; want 200, %q, %q", c.route, resp.StatusCode, resp.Header.Get("Content-Type"), body, c.contentType, c.body)
+		}
+		other := strings.Repeat("cd", 32)
+		resp, err = http.Get(ts.URL + "/v1/" + c.route + "/" + other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want := "{\n  \"error\": \"" + c.missing + other + "\"\n}\n"; resp.StatusCode != http.StatusNotFound || string(body) != want {
+			t.Errorf("%s miss: status %d, body %q; want 404, %q", c.route, resp.StatusCode, body, want)
 		}
 	}
 }
