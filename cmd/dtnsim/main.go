@@ -9,20 +9,16 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
-	"repro/internal/server"
 )
 
 func main() {
@@ -39,45 +35,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var scenario experiment.SpecFlags
 	scenario.Register(fs)
 	var (
-		timing   = fs.Bool("timing", false, "profile the engine and print a per-tick phase breakdown after the report (results stay bit-identical)")
-		verbose  = fs.Bool("v", false, "print per-seed summaries")
-		serve    = fs.String("serve", "", "instead of running one scenario, serve the dtnd simulation API on this address (e.g. :8080)")
-		cacheDir = fs.String("cache", "dtnd-cache", "result cache directory for -serve (empty disables)")
+		timing  = fs.Bool("timing", false, "profile the engine and print a per-tick phase breakdown after the report (results stay bit-identical)")
+		verbose = fs.Bool("v", false, "print per-seed summaries")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
-	}
-
-	if *serve != "" {
-		// Same daemon as cmd/dtnd: dtnsim -serve exists so a single
-		// installed binary covers both one-shot runs and the service.
-		// The other flags configure one-shot runs only — jobs arrive as
-		// specs — so flag them as ignored rather than silently dropping.
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "serve", "cache":
-			default:
-				fmt.Fprintf(stderr, "dtnsim -serve: ignoring -%s (scenarios are submitted as specs)\n", f.Name)
-			}
-		})
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		go func() {
-			<-ctx.Done()
-			stop() // second signal force-exits
-			fmt.Fprintln(stderr, "dtnsim -serve: draining (signal again to force exit)")
-		}()
-		err := server.ListenAndServe(ctx, *serve, server.Config{CacheDir: *cacheDir}, func(bound string) {
-			fmt.Fprintf(stdout, "dtnsim serving dtnd API on %s (cache %q)\n", bound, *cacheDir)
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "dtnsim -serve:", err)
-			return 1
-		}
-		return 0
 	}
 
 	// Spec validation rejects unknown names and values beyond the job

@@ -55,7 +55,7 @@ func run(mk func() network.Router, periods int, sendAt float64, ttl float64) rep
 	w := network.New(network.Config{Range: 10, Bandwidth: 1e6}, runner)
 	w.SetContactScript(sc.Events)
 	for i := 0; i < sc.N; i++ {
-		w.AddNode(&mobility.Stationary{}, buffer.New(0, nil), mk())
+		w.AddNode(&mobility.Stationary{}, buffer.New(0), mk())
 	}
 	w.Start()
 	runner.Events.Schedule(sendAt, func(t float64) {

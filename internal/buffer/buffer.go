@@ -37,7 +37,7 @@ func DropOldestReceived(_ float64, copies []*msg.Copy) int {
 // behind, and DropExpired pops only entries whose time has come — checking
 // each against the live set. The periodic expiry sweep therefore costs
 // O(1) when nothing expired (the common case: the engine sweeps every
-// ExpirySweepEvery ticks, messages live for a 20-minute TTL) instead of a
+// 10 ticks, messages live for a 20-minute TTL) instead of a
 // full scan of every buffered copy, which profiles showed dominating the
 // sweep at scale. Stale entries are self-cleaning: each is popped and
 // discarded exactly once, when its expiry time passes.
@@ -56,13 +56,10 @@ type expEntry struct {
 	id int
 }
 
-// New returns a buffer of the given byte capacity. capacity <= 0 means
-// unbounded. A nil policy selects DropOldestReceived.
-func New(capacity int, policy DropPolicy) *Buffer {
-	if policy == nil {
-		policy = DropOldestReceived
-	}
-	return &Buffer{capacity: capacity, policy: policy, byID: make(map[int]int)}
+// New returns a buffer of the given byte capacity that drops the oldest
+// received copy first (DropOldestReceived). capacity <= 0 means unbounded.
+func New(capacity int) *Buffer {
+	return &Buffer{capacity: capacity, policy: DropOldestReceived, byID: make(map[int]int)}
 }
 
 // SetPolicy replaces the drop policy (routers with protocol-specific drop

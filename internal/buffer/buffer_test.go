@@ -17,7 +17,7 @@ func mkCopy(id, size int, created, received float64) *msg.Copy {
 }
 
 func TestAddGetRemove(t *testing.T) {
-	b := New(100, nil)
+	b := New(100)
 	c := mkCopy(1, 40, 0, 0)
 	if dropped, ok := b.Add(0, c); !ok || dropped != nil {
 		t.Fatalf("Add = %v, %v", dropped, ok)
@@ -40,7 +40,7 @@ func TestAddGetRemove(t *testing.T) {
 }
 
 func TestEvictionFIFO(t *testing.T) {
-	b := New(100, nil) // default DropOldestReceived
+	b := New(100) // default DropOldestReceived
 	b.Add(0, mkCopy(1, 40, 0, 5))
 	b.Add(0, mkCopy(2, 40, 0, 1)) // oldest received
 	dropped, ok := b.Add(0, mkCopy(3, 40, 0, 9))
@@ -53,7 +53,7 @@ func TestEvictionFIFO(t *testing.T) {
 }
 
 func TestEvictionMultipleVictims(t *testing.T) {
-	b := New(100, nil)
+	b := New(100)
 	b.Add(0, mkCopy(1, 30, 0, 1))
 	b.Add(0, mkCopy(2, 30, 0, 2))
 	b.Add(0, mkCopy(3, 30, 0, 3))
@@ -68,7 +68,7 @@ func TestEvictionMultipleVictims(t *testing.T) {
 }
 
 func TestRefuseOversize(t *testing.T) {
-	b := New(50, nil)
+	b := New(50)
 	b.Add(0, mkCopy(1, 40, 0, 0))
 	if _, ok := b.Add(0, mkCopy(2, 60, 0, 0)); ok {
 		t.Fatal("oversize message accepted")
@@ -79,7 +79,7 @@ func TestRefuseOversize(t *testing.T) {
 }
 
 func TestUnboundedBuffer(t *testing.T) {
-	b := New(0, nil)
+	b := New(0)
 	for i := 0; i < 100; i++ {
 		if _, ok := b.Add(0, mkCopy(i, 1000, 0, 0)); !ok {
 			t.Fatal("unbounded buffer refused")
@@ -91,7 +91,7 @@ func TestUnboundedBuffer(t *testing.T) {
 }
 
 func TestDuplicateAddPanics(t *testing.T) {
-	b := New(0, nil)
+	b := New(0)
 	b.Add(0, mkCopy(1, 10, 0, 0))
 	defer func() {
 		if recover() == nil {
@@ -102,7 +102,7 @@ func TestDuplicateAddPanics(t *testing.T) {
 }
 
 func TestDropExpired(t *testing.T) {
-	b := New(0, nil)
+	b := New(0)
 	b.Add(0, mkCopy(1, 10, 0, 0))    // expires 1200
 	b.Add(0, mkCopy(2, 10, 1000, 0)) // expires 2200
 	b.Add(0, mkCopy(3, 10, 100, 0))  // expires 1300
@@ -120,7 +120,7 @@ func TestDropExpired(t *testing.T) {
 // copy's time while its stale entry sits on top, until a sweep past that
 // time pops it.
 func TestNextExpiry(t *testing.T) {
-	b := New(0, nil)
+	b := New(0)
 	if got := b.NextExpiry(); !math.IsInf(got, 1) {
 		t.Fatalf("empty buffer: NextExpiry = %g, want +Inf", got)
 	}
@@ -167,7 +167,7 @@ func TestPolicies(t *testing.T) {
 }
 
 func TestInsertionOrderStable(t *testing.T) {
-	b := New(0, nil)
+	b := New(0)
 	for i := 0; i < 10; i++ {
 		b.Add(0, mkCopy(i, 10, 0, 0))
 	}
@@ -194,7 +194,7 @@ func TestPropCapacityInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := xrand.New(seed)
 		capacity := 100 + rng.Intn(400)
-		b := New(capacity, nil)
+		b := New(capacity)
 		id := 0
 		for op := 0; op < 200; op++ {
 			if rng.Bool(0.7) {
@@ -237,8 +237,8 @@ func naiveDropExpired(b *Buffer, t float64) []*msg.Copy {
 // for replacing the full-scan expiry sweep with the expiry-ordered heap.
 func TestDropExpiredHeapParity(t *testing.T) {
 	rng := xrand.New(99)
-	heapB := New(0, nil)
-	naiveB := New(0, nil)
+	heapB := New(0)
+	naiveB := New(0)
 	mk := func(id int, created float64) (*msg.Copy, *msg.Copy) {
 		ttl := rng.Uniform(50, 500)
 		m1 := &msg.Message{ID: id, From: 0, To: 1, Size: 10, Created: created, Expire: created + ttl}

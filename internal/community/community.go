@@ -1,15 +1,9 @@
 // Package community assigns nodes to communities. The paper predefines
 // communities in its evaluation ("for simplicity"); here the bus-line
-// districts of the generated map play that role. The package also ships a
-// distributed-flavoured label-propagation constructor (the paper's stated
-// future work) that recovers communities from observed contact counts.
+// districts of the generated map play that role.
 package community
 
-import (
-	"fmt"
-
-	"repro/internal/xrand"
-)
+import "fmt"
 
 // Registry is an immutable node→community assignment.
 type Registry struct {
@@ -84,54 +78,4 @@ func compact(ids []int) []int {
 		out[i] = d
 	}
 	return out
-}
-
-// LabelPropagation recovers a community structure from a symmetric contact
-// weight matrix (e.g. pairwise meeting counts): every node starts in its
-// own community and repeatedly adopts the label with the largest total
-// edge weight among its contacts, in randomised order, until a fixed point
-// or maxIters. This is the distributed-construction extension the paper
-// lists as future work; each node's update uses only its own observed
-// contacts.
-func LabelPropagation(weights [][]float64, maxIters int, rng *xrand.Source) *Registry {
-	n := len(weights)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = i
-	}
-	if maxIters <= 0 {
-		maxIters = 50
-	}
-	votes := map[int]float64{}
-	for iter := 0; iter < maxIters; iter++ {
-		changed := false
-		for _, i := range rng.Perm(n) {
-			for k := range votes {
-				delete(votes, k)
-			}
-			for j := 0; j < n; j++ {
-				if j == i || weights[i][j] <= 0 {
-					continue
-				}
-				votes[labels[j]] += weights[i][j]
-			}
-			if len(votes) == 0 {
-				continue
-			}
-			best, bestW := labels[i], votes[labels[i]]
-			for l, w := range votes {
-				if w > bestW || (w == bestW && l < best) {
-					best, bestW = l, w
-				}
-			}
-			if best != labels[i] {
-				labels[i] = best
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return New(compact(labels))
 }

@@ -1,10 +1,6 @@
 package community
 
-import (
-	"testing"
-
-	"repro/internal/xrand"
-)
+import "testing"
 
 func TestRegistryBasics(t *testing.T) {
 	r := New([]int{0, 1, 0, 2, 1})
@@ -54,65 +50,5 @@ func TestFromAssignerCompacts(t *testing.T) {
 	}
 	if r.Of(0) != 0 || r.Of(1) != 1 || r.Of(2) != 0 {
 		t.Errorf("compacted ids wrong: %d %d %d", r.Of(0), r.Of(1), r.Of(2))
-	}
-}
-
-// TestLabelPropagationPlanted recovers a planted two-block structure:
-// strong in-block weights, weak cross-block weights.
-func TestLabelPropagationPlanted(t *testing.T) {
-	const n = 12
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, n)
-	}
-	block := func(i int) int { return i / 6 }
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := 0.1
-			if block(i) == block(j) {
-				v = 10
-			}
-			w[i][j], w[j][i] = v, v
-		}
-	}
-	r := LabelPropagation(w, 50, xrand.New(1))
-	if r.Count() != 2 {
-		t.Fatalf("recovered %d communities, want 2", r.Count())
-	}
-	for i := 1; i < 6; i++ {
-		if !r.Same(0, i) {
-			t.Errorf("nodes 0 and %d split", i)
-		}
-		if r.Same(0, 6+i) {
-			t.Errorf("nodes 0 and %d merged", 6+i)
-		}
-	}
-}
-
-func TestLabelPropagationIsolated(t *testing.T) {
-	// No edges at all: everyone keeps their own label.
-	w := make([][]float64, 3)
-	for i := range w {
-		w[i] = make([]float64, 3)
-	}
-	r := LabelPropagation(w, 10, xrand.New(2))
-	if r.Count() != 3 {
-		t.Errorf("isolated nodes merged: %d communities", r.Count())
-	}
-}
-
-func TestLabelPropagationDeterministicGivenSeed(t *testing.T) {
-	w := [][]float64{
-		{0, 5, 5, 0.1},
-		{5, 0, 5, 0.1},
-		{5, 5, 0, 0.1},
-		{0.1, 0.1, 0.1, 0},
-	}
-	a := LabelPropagation(w, 20, xrand.New(3))
-	b := LabelPropagation(w, 20, xrand.New(3))
-	for i := 0; i < 4; i++ {
-		if a.Of(i) != b.Of(i) {
-			t.Fatal("same-seed label propagation diverged")
-		}
 	}
 }

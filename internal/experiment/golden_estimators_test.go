@@ -61,7 +61,7 @@ func TestGoldenEstimators(t *testing.T) {
 	for i, c := range cases {
 		specs[i] = c.spec
 	}
-	res, err := RunSpecsStore(nil, specs, nil)
+	res, err := RunSpecsStore(nil, specs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

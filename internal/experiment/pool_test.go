@@ -20,9 +20,10 @@ func TestForEachJobPanicPropagates(t *testing.T) {
 			t.Fatalf("unexpected panic value %v", r)
 		}
 	}()
-	forEachJob(8, func(i int) {
+	_ = runJobs(nil, 8, func(i int) error {
 		if i == 2 {
 			panic("job 2 exploded")
 		}
+		return nil
 	})
 }

@@ -79,14 +79,14 @@ func TestProfiledReplayParity(t *testing.T) {
 	s.Profile = true
 
 	s.Trace = "record"
-	live, done, err := runScenario(context.Background(), s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("record run: done=%v err=%v", done, err)
+	live, _, err := s.runWorld(context.Background(), store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("record run: %v", err)
 	}
 	s.Trace = "replay"
-	replayed, done, err := runScenario(context.Background(), s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("replay run: done=%v err=%v", done, err)
+	replayed, _, err := s.runWorld(context.Background(), store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("replay run: %v", err)
 	}
 
 	liveJSON, _ := json.Marshal(StripTiming([]metrics.Summary{live}))

@@ -208,7 +208,7 @@ func mustResolve(sp ScenarioSpec) Scenario {
 // want Run; Build is exposed for tests and tools that need to inspect the
 // world mid-flight.
 func (s Scenario) Build() (*network.World, *sim.Runner) {
-	return s.build(nil)
+	return s.build(nil, nil)
 }
 
 // BuildReplay constructs the scenario's world driven by a recorded
@@ -220,11 +220,21 @@ func (s Scenario) Build() (*network.World, *sim.Runner) {
 // guarantees it), in which case every summary field is bit-identical to
 // the live run.
 func (s Scenario) BuildReplay(script *trace.Script) (*network.World, *sim.Runner) {
-	return s.build(script)
+	return s.build(script, nil)
 }
 
-// build is the shared world constructor; script != nil selects replay.
-func (s Scenario) build(script *trace.Script) (*network.World, *sim.Runner) {
+// BuildBare constructs the scenario's world and mobility with
+// caller-supplied routers and no traffic generator — the hook tools like
+// tracegen use to observe contacts without protocol machinery.
+func BuildBare(s Scenario, router func(i int) network.Router) (*network.World, *sim.Runner) {
+	return s.build(nil, router)
+}
+
+// build is the one world constructor. script != nil drives the world from
+// a recorded script on stationary nodes (replay). router == nil installs
+// the protocol's routers and the traffic generator; a non-nil router
+// builds a bare world with those routers and no traffic.
+func (s Scenario) build(script *trace.Script, router func(i int) network.Router) (*network.World, *sim.Runner) {
 	if s.Nodes < 2 {
 		panic("experiment: need at least two nodes")
 	}
@@ -238,8 +248,11 @@ func (s Scenario) build(script *trace.Script) (*network.World, *sim.Runner) {
 	// registries (CR's districts) derive from it. mapgen.Load memoizes,
 	// so repeated replays of one map pay for it once per process.
 	rm := mapgen.Load(s.Map, s.MapSeed)
-	reg := community.FromAssigner(s.Nodes, rm.DistrictOfNode)
-	factory := s.routerFactory(reg)
+	bare := router != nil
+	if !bare {
+		factory := s.routerFactory(community.FromAssigner(s.Nodes, rm.DistrictOfNode))
+		router = func(int) network.Router { return factory() }
+	}
 
 	root := xrand.New(s.Seed)
 	parked := &mobility.Stationary{}
@@ -252,9 +265,12 @@ func (s Scenario) build(script *trace.Script) (*network.World, *sim.Runner) {
 		if script == nil {
 			mv = buildMover(s, rm, i, rng)
 		}
-		w.AddNode(mv, buffer.New(s.BufBytes, nil), factory())
+		w.AddNode(mv, buffer.New(s.BufBytes), router(i))
 	}
 	w.Start()
+	if bare {
+		return w, runner
+	}
 
 	stop := s.TrafficStop
 	if stop <= 0 {
@@ -389,23 +405,6 @@ func (s Scenario) runIdentity() Scenario {
 	return s
 }
 
-// BuildBare constructs the scenario's world and mobility with
-// caller-supplied routers and no traffic generator — the hook tools like
-// tracegen use to observe contacts without protocol machinery.
-func BuildBare(s Scenario, router func(i int) network.Router) (*network.World, *sim.Runner) {
-	runner := sim.NewRunner(s.Tick)
-	w := network.New(s.networkConfig(), runner)
-	rm := mapgen.Load(s.Map, s.MapSeed)
-	root := xrand.New(s.Seed)
-	for i := 0; i < s.Nodes; i++ {
-		rng := root.Derive(fmt.Sprintf("node-%d", i))
-		mv := buildMover(s, rm, i, rng)
-		w.AddNode(mv, buffer.New(s.BufBytes, nil), router(i))
-	}
-	w.Start()
-	return w, runner
-}
-
 // networkConfig assembles the physical-layer configuration. The mobility
 // speed cap doubles as the contact detector's conservative re-check bound:
 // both bus and random-waypoint movers draw per-leg speeds from
@@ -482,13 +481,11 @@ func (s Scenario) gossipMode() core.ExchangeMode {
 	return m
 }
 
-// Run executes the scenario to completion and returns its metrics.
+// Run executes the scenario to completion and returns its metrics. It is
+// the world runner with no store and no trace mode: it always runs live.
 func (s Scenario) Run() metrics.Summary {
-	w, runner := s.Build()
-	prof := s.attachProfiler(w, runner)
-	runner.Run(s.Duration)
-	sum := w.Metrics.Summary()
-	sum.Timing = prof.Timing()
+	s.Trace = ""
+	sum, _, _ := s.runWorld(nil, nil, nil, false, nil) // a live world with no store cannot fail
 	return sum
 }
 
@@ -507,14 +504,21 @@ func (s Scenario) attachProfiler(w *network.World, runner *sim.Runner) *obs.Engi
 
 // RunSeeds executes the scenario once per seed (in parallel through the
 // bounded worker pool — worlds are independent) and returns the per-seed
-// summaries in seed order.
+// summaries in seed order. Like Run, it always runs live.
 func RunSeeds(s Scenario, seeds []int64) []metrics.Summary {
-	out := make([]metrics.Summary, len(seeds))
-	forEachJob(len(seeds), func(i int) {
-		sc := s
-		sc.Seed = seeds[i]
-		out[i] = sc.Run()
-	})
+	s.Trace = ""
+	// Live worlds with no store cannot fail.
+	sums, _ := runWorlds(nil, perSeed(s, seeds), nil, false, nil)
+	return sums
+}
+
+// perSeed returns one copy of the scenario per seed.
+func perSeed(s Scenario, seeds []int64) []Scenario {
+	out := make([]Scenario, len(seeds))
+	for i, seed := range seeds {
+		out[i] = s
+		out[i].Seed = seed
+	}
 	return out
 }
 

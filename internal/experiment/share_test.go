@@ -44,9 +44,9 @@ func TestRegistryReadsSound(t *testing.T) {
 	run := func(s Scenario, trace string) metrics.Summary {
 		t.Helper()
 		s.Trace = trace
-		sum, done, err := runScenario(ctx, s, store, nil)
-		if err != nil || !done {
-			t.Fatalf("%s %s run: done=%v err=%v", s.Protocol, trace, done, err)
+		sum, _, err := s.runWorld(ctx, store, nil, false, nil)
+		if err != nil {
+			t.Fatalf("%s %s run: %v", s.Protocol, trace, err)
 		}
 		return sum
 	}
@@ -122,7 +122,7 @@ func TestRunSweepSharesRuns(t *testing.T) {
 	for i, c := range cells {
 		specs[i] = c.Spec
 	}
-	oracle, err := RunSpecsStore(ctx, specs, nil)
+	oracle, err := RunSpecsStore(ctx, specs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRunSpecsStoreDecodesOnce(t *testing.T) {
 	}
 	for call := 0; call < 2; call++ {
 		hits0, rep0 := store.Stats().TraceHits, TraceReplays()
-		if _, err := RunSpecsStore(ctx, specs, store); err != nil {
+		if _, err := RunSpecsStore(ctx, specs, store, nil); err != nil {
 			t.Fatal(err)
 		}
 		if d := TraceReplays() - rep0; d != int64(len(specs)*len(seeds)) {

@@ -12,7 +12,6 @@ import (
 	"maps"
 	"os"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mapgen"
@@ -717,9 +716,9 @@ func (sp ScenarioSpec) CacheKey() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// RunSpecStore executes the spec over its seed list through the shared
-// bounded pool and returns the per-seed summaries in seed order — the one
-// single-job run path dtnd, dtnsim and the facade's RunSpec share.
+// RunSpecStore executes the spec over its seed list and returns the
+// per-seed summaries in seed order — the one-spec case of RunSpecsStore,
+// and the run path dtnd, dtnsim and the facade's RunSpec share.
 //
 // The store enables the spec's trace mode ("record"/"replay"/"auto"):
 // recorded contact scripts are looked up and persisted there. A nil store
@@ -736,120 +735,42 @@ func (sp ScenarioSpec) CacheKey() (string, error) {
 // waiting for a pool permit) and running seeds stop after their current
 // tick, so a cancelled dtnd job releases its compute promptly. It returns
 // ctx.Err() on cancellation; a nil ctx never cancels, and a run that
-// completes is bit-identical to an uncancellable one.
+// completes is bit-identical to an uncancellable one. Otherwise a failed
+// run's error reads "seed N: ...", for the lowest failing seed.
 func RunSpecStore(ctx context.Context, sp ScenarioSpec, store *resultcache.Store, progress func(metrics.Progress)) ([]metrics.Summary, error) {
-	s, err := sp.Scenario()
+	out, err := RunSpecsStore(ctx, []ScenarioSpec{sp}, store, progress)
 	if err != nil {
 		return nil, err
 	}
-	seeds := sp.SeedList()
-	sums := make([]metrics.Summary, len(seeds))
-	errs := make([]error, len(seeds))
-
-	var mu sync.Mutex
-	fracs := make([]float64, len(seeds)) // per-seed completion in [0,1]
-	emit := func(i int, t, duration float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		fracs[i] = t / duration
-		total := 0.0
-		for _, f := range fracs {
-			total += f
-		}
-		// Deliver under the lock: events arrive in non-decreasing Frac
-		// order even when seeds run on parallel workers. Callbacks are
-		// cheap (dtnd appends to a slice), so serializing them costs
-		// nothing against the simulation work between two emits.
-		progress(metrics.Progress{
-			Seed:     i,
-			Seeds:    len(seeds),
-			T:        t,
-			Duration: duration,
-			Frac:     total / float64(len(seeds)),
-		})
-	}
-
-	forEachJobCtx(ctx, len(seeds), func(i int) {
-		sc := s
-		sc.Seed = seeds[i]
-		var hook func(t float64)
-		if progress != nil {
-			hook = func(t float64) { emit(i, t, sc.Duration) }
-		}
-		sum, done, err := runScenario(ctx, sc, store, hook)
-		if err != nil {
-			errs[i] = fmt.Errorf("seed %d: %w", sc.Seed, err)
-			return
-		}
-		if done {
-			sums[i] = sum
-		}
-	})
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sums, nil
+	return out[0], nil
 }
 
 // RunSpecsStore resolves and executes several specs as one flattened
-// (spec, seed) job list over the shared bounded pool — the sweep
-// execution path: every cell of a parameter grid makes progress
+// (spec, seed) job list over the shared bounded pool (runWorlds) — the
+// sweep execution path: every cell of a parameter grid makes progress
 // concurrently instead of cell-by-cell. The per-spec, per-seed summaries
 // come back indexed [spec][seed]; every spec is validated before any
-// simulation starts. Cancellation and the store's trace modes follow
-// RunSpecStore; protocol-only cells replay one recorded world per seed,
-// and each recorded world is read and decoded once per call
-// (scriptTable).
-func RunSpecsStore(ctx context.Context, sps []ScenarioSpec, store *resultcache.Store) ([][]metrics.Summary, error) {
-	type cellJob struct {
-		scenario Scenario
-		spec     int
-		seed     int
-	}
-	var jobs []cellJob
-	out := make([][]metrics.Summary, len(sps))
-	for si, sp := range sps {
+// simulation starts. Progress (whose Seed is the flat job index),
+// cancellation, errors and the store's trace modes follow RunSpecStore;
+// protocol-only cells replay one recorded world per seed, and each
+// recorded world is read and decoded once per call (scriptTable).
+func RunSpecsStore(ctx context.Context, sps []ScenarioSpec, store *resultcache.Store, progress func(metrics.Progress)) ([][]metrics.Summary, error) {
+	var jobs []Scenario
+	for _, sp := range sps {
 		s, err := sp.Scenario()
 		if err != nil {
-			return nil, fmt.Errorf("spec %d: %w", si, err)
-		}
-		seeds := sp.SeedList()
-		out[si] = make([]metrics.Summary, len(seeds))
-		for i, seed := range seeds {
-			sc := s
-			sc.Seed = seed
-			jobs = append(jobs, cellJob{scenario: sc, spec: si, seed: i})
-		}
-	}
-	errs := make([]error, len(jobs))
-	scripts := newScriptTable()
-	forEachJobCtx(ctx, len(jobs), func(i int) {
-		j := jobs[i]
-		sum, done, err := runScenarioScripts(ctx, j.scenario, store, scripts, nil)
-		if err != nil {
-			errs[i] = fmt.Errorf("spec %d seed %d: %w", j.spec, j.scenario.Seed, err)
-			return
-		}
-		if done {
-			out[j.spec][j.seed] = sum
-		}
-	})
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		jobs = append(jobs, perSeed(s, sp.SeedList())...)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	sums, err := runWorlds(ctx, jobs, store, false, progress)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]metrics.Summary, len(sps))
+	for i, sp := range sps {
+		n := len(sp.SeedList())
+		out[i], sums = sums[:n:n], sums[n:]
 	}
 	return out, nil
 }

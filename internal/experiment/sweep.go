@@ -306,12 +306,12 @@ func runCells(ctx context.Context, cells []SweepCell, store *resultcache.Store) 
 		// per seed as bare worlds, and every marked cell replays them
 		// instead of re-simulating mobility. Trace never enters the cache
 		// key, so the results are served and stored exactly as live ones.
-		if len(plan.Record) > 0 {
-			if err := recordTraces(ctx, plan.Record, store); err != nil {
-				return nil, err
-			}
+		// A failed recording is tolerated — its cells fall back to live
+		// runs (recording again, best effort) — but cancellation aborts.
+		if _, err := runWorlds(ctx, plan.Record, store, true, nil); err != nil && ctx != nil && ctx.Err() != nil {
+			return nil, err
 		}
-		perSpec, err := RunSpecsStore(ctx, specs, store)
+		perSpec, err := RunSpecsStore(ctx, specs, store, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -290,7 +290,7 @@ func TestRunSpecsStoreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunSpecsStore(ctx, []ScenarioSpec{sweepTestBase(Seeds(2))}, nil)
+	_, err := RunSpecsStore(ctx, []ScenarioSpec{sweepTestBase(Seeds(2))}, nil, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

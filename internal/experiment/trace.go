@@ -188,22 +188,8 @@ func (nullRouter) Sent(float64, *network.Plan, *network.Node, bool)  {}
 // the scenario's trace key. It returns the script and its key. The
 // context cancels between ticks; a cancelled recording persists nothing.
 func RecordTrace(ctx context.Context, s Scenario, store *resultcache.Store) (*trace.Script, string, error) {
-	key := TraceKey(s)
-	w, runner := BuildBare(s, func(int) network.Router { return nullRouter{} })
-	rec := trace.NewScriptRecorder(s.Nodes)
-	w.OnContact(rec.Note)
-	every := pollEvery(s)
-	if err := runner.RunContext(ctx, s.Duration, every, nil); err != nil {
-		return nil, key, err
-	}
-	sc := rec.Script()
-	traceRecordings.Add(1)
-	if store != nil {
-		if err := store.PutTrace(key, sc.Encode()); err != nil {
-			return sc, key, fmt.Errorf("experiment: persist trace %s: %w", key, err)
-		}
-	}
-	return sc, key, nil
+	_, script, err := s.runWorld(ctx, store, nil, true, nil)
+	return script, TraceKey(s), err
 }
 
 // pollEvery is the shared tick granularity for progress emission and
@@ -216,39 +202,30 @@ func pollEvery(s Scenario) int {
 	return every
 }
 
-// recordTraces pre-records the given worlds on the shared pool. Failures
-// of individual recordings are tolerated — the affected cells fall back
-// to live runs (recording again, best effort) — but cancellation aborts.
-func recordTraces(ctx context.Context, scens []Scenario, store *resultcache.Store) error {
-	forEachJobCtx(ctx, len(scens), func(i int) {
-		_, _, _ = RecordTrace(ctx, scens[i], store)
-	})
-	if ctx != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// runScenario executes one resolved (scenario, seed) through the trace
-// dispatch: live, replayed, or live-while-recording, per s.Trace and
-// what the store holds. hook (optional) observes tick progress. It
-// returns done=false without error when ctx cancelled the run mid-way.
-func runScenario(ctx context.Context, s Scenario, store *resultcache.Store, hook func(t float64)) (sum metrics.Summary, done bool, err error) {
-	return runScenarioScripts(ctx, s, store, nil, hook)
-}
-
-// runScenarioScripts is runScenario reading recorded scripts through
-// scripts (nil: straight from the store).
-func runScenarioScripts(ctx context.Context, s Scenario, store *resultcache.Store, scripts *scriptTable, hook func(t float64)) (sum metrics.Summary, done bool, err error) {
+// runWorld is the one world runner: every (scenario, seed) world — a
+// Scenario.Run, a dtnd job's seed, a sweep job, a bare recording — is
+// built, profiled, run and summarised here. s.Trace and what the store
+// holds pick the world: live, replayed from a recorded script, or live
+// while recording ("record", or "auto" on a miss), so mobility is
+// simulated once, not twice. A bare world (RecordTrace) has null routers
+// and no traffic and is always recorded, with or without a store. A
+// recording is persisted to store under TraceKey(s) and returned.
+// scripts shares decoded scripts across a job list (nil: read the store
+// on every lookup); hook (optional) observes tick progress. A cancelled
+// run returns ctx.Err() and persists nothing.
+func (s Scenario) runWorld(ctx context.Context, store *resultcache.Store, scripts *scriptTable, bare bool, hook func(t float64)) (metrics.Summary, *trace.Script, error) {
+	var sum metrics.Summary
 	mode := s.Trace
-	if store == nil && mode != "" {
-		if mode == "record" || mode == "replay" {
-			return sum, false, fmt.Errorf("trace mode %q requires a result store", mode)
-		}
+	switch {
+	case bare:
+		mode = "record"
+	case store == nil && (mode == "record" || mode == "replay"):
+		return sum, nil, fmt.Errorf("trace mode %q requires a result store", mode)
+	case store == nil:
 		mode = "" // auto degrades to live when there is nowhere to look
 	}
 
-	var script *trace.Script
+	var replay *trace.Script
 	key := ""
 	switch mode {
 	case "":
@@ -257,48 +234,45 @@ func runScenarioScripts(ctx context.Context, s Scenario, store *resultcache.Stor
 	case "replay", "auto":
 		key = TraceKey(s)
 		if sc, ok := scripts.load(store, s, key); ok {
-			script = sc
+			replay = sc
 		} else if mode == "replay" {
-			return sum, false, fmt.Errorf("no recorded trace %s for replay", key)
+			return sum, nil, fmt.Errorf("no recorded trace %s for replay", key)
 		}
 	default:
-		return sum, false, fmt.Errorf("unknown trace mode %q (have record, replay, auto)", mode)
+		return sum, nil, fmt.Errorf("unknown trace mode %q (have record, replay, auto)", mode)
 	}
 
-	if script != nil {
-		w, runner := s.BuildReplay(script)
-		prof := s.attachProfiler(w, runner)
-		if runner.RunContext(ctx, s.Duration, pollEvery(s), hook) != nil {
-			return sum, false, nil // cancelled mid-run
-		}
-		traceReplays.Add(1)
-		sum = w.Metrics.Summary()
-		sum.Timing = prof.Timing()
-		return sum, true, nil
+	var router func(int) network.Router
+	if bare {
+		router = func(int) network.Router { return nullRouter{} }
 	}
-
-	// Live run; in record (or auto-with-no-script) mode the protocol run
-	// doubles as the recording — mobility is simulated once, not twice.
-	w, runner := s.Build()
+	w, runner := s.build(replay, router)
 	prof := s.attachProfiler(w, runner)
 	var rec *trace.ScriptRecorder
-	if key != "" {
+	if replay == nil && key != "" {
 		rec = trace.NewScriptRecorder(s.Nodes)
 		w.OnContact(rec.Note)
 	}
-	if runner.RunContext(ctx, s.Duration, pollEvery(s), hook) != nil {
-		return sum, false, nil // cancelled mid-run; persist nothing
-	}
-	if rec != nil {
-		traceRecordings.Add(1)
-		if err := store.PutTrace(key, rec.Script().Encode()); err != nil && mode == "record" {
-			// Explicit record mode promised a persisted trace; auto mode
-			// treats the blob as a best-effort optimization and the run's
-			// summary stands either way.
-			return sum, false, fmt.Errorf("experiment: persist trace %s: %w", key, err)
-		}
+	if err := runner.RunContext(ctx, s.Duration, pollEvery(s), hook); err != nil {
+		return sum, nil, err // cancelled mid-run; persist nothing
 	}
 	sum = w.Metrics.Summary()
 	sum.Timing = prof.Timing()
-	return sum, true, nil
+	if replay != nil {
+		traceReplays.Add(1)
+	}
+	if rec == nil {
+		return sum, nil, nil
+	}
+	traceRecordings.Add(1)
+	script := rec.Script()
+	if store != nil {
+		if err := store.PutTrace(key, script.Encode()); err != nil && mode == "record" {
+			// Record mode promised a persisted trace; auto mode treats the
+			// blob as a best-effort optimization and the run's summary
+			// stands either way.
+			return sum, script, fmt.Errorf("experiment: persist trace %s: %w", key, err)
+		}
+	}
+	return sum, script, nil
 }

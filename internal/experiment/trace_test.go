@@ -60,9 +60,9 @@ func TestReplayParityQuick(t *testing.T) {
 	s := traceTestScenario(3)
 
 	s.Trace = "record"
-	live, done, err := runScenario(context.Background(), s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("record run: done=%v err=%v", done, err)
+	live, _, err := s.runWorld(context.Background(), store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("record run: %v", err)
 	}
 	key := TraceKey(s)
 	data, ok := store.GetTrace(key)
@@ -75,9 +75,9 @@ func TestReplayParityQuick(t *testing.T) {
 	}
 
 	s.Trace = "replay"
-	replayed, done, err := runScenario(context.Background(), s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("replay run: done=%v err=%v", done, err)
+	replayed, _, err := s.runWorld(context.Background(), store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("replay run: %v", err)
 	}
 	if replayed != live {
 		t.Errorf("replayed summary diverged from live:\n live   %+v\n replay %+v", live, replayed)
@@ -105,17 +105,17 @@ func TestReplayParityCityScale(t *testing.T) {
 	s.Seed = 2
 
 	s.Trace = "record"
-	live, done, err := runScenario(context.Background(), s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("record run: done=%v err=%v", done, err)
+	live, _, err := s.runWorld(context.Background(), store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("record run: %v", err)
 	}
 	if live.Contacts == 0 {
 		t.Fatal("no contacts in the city window — parity would be vacuous")
 	}
 	s.Trace = "replay"
-	replayed, done, err := runScenario(context.Background(), s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("replay run: done=%v err=%v", done, err)
+	replayed, _, err := s.runWorld(context.Background(), store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("replay run: %v", err)
 	}
 	if replayed != live {
 		t.Errorf("replayed summary diverged from live:\n live   %+v\n replay %+v", live, replayed)
@@ -146,8 +146,8 @@ func TestBareRecordMatchesLiveRecord(t *testing.T) {
 
 	liveStore := openStore(t)
 	s.Trace = "record"
-	if _, done, err := runScenario(context.Background(), s, liveStore, nil); err != nil || !done {
-		t.Fatalf("live record: done=%v err=%v", done, err)
+	if _, _, err := s.runWorld(context.Background(), liveStore, nil, false, nil); err != nil {
+		t.Fatalf("live record: %v", err)
 	}
 	liveData, ok := liveStore.GetTrace(key)
 	if !ok {
@@ -158,7 +158,7 @@ func TestBareRecordMatchesLiveRecord(t *testing.T) {
 	}
 }
 
-// TestTraceModes pins the dispatch table of runScenario: explicit replay
+// TestTraceModes pins the dispatch table of runWorld: explicit replay
 // without a trace is an error, record/replay without a store are errors,
 // auto degrades to live without a store, auto records on miss then
 // replays on hit, and unknown modes are rejected.
@@ -167,38 +167,38 @@ func TestTraceModes(t *testing.T) {
 	ctx := context.Background()
 
 	s.Trace = "replay"
-	if _, _, err := runScenario(ctx, s, openStore(t), nil); err == nil {
+	if _, _, err := s.runWorld(ctx, openStore(t), nil, false, nil); err == nil {
 		t.Error("replay with no recorded trace succeeded")
 	}
 	for _, mode := range []string{"record", "replay"} {
 		s.Trace = mode
-		if _, _, err := runScenario(ctx, s, nil, nil); err == nil {
+		if _, _, err := s.runWorld(ctx, nil, nil, false, nil); err == nil {
 			t.Errorf("%s with nil store succeeded", mode)
 		}
 	}
 	s.Trace = "bogus"
-	if _, _, err := runScenario(ctx, s, openStore(t), nil); err == nil {
+	if _, _, err := s.runWorld(ctx, openStore(t), nil, false, nil); err == nil {
 		t.Error("unknown trace mode accepted")
 	}
 
 	s.Trace = "auto"
-	liveSum, done, err := runScenario(ctx, s, nil, nil)
-	if err != nil || !done {
-		t.Fatalf("auto with nil store: done=%v err=%v", done, err)
+	liveSum, _, err := s.runWorld(ctx, nil, nil, false, nil)
+	if err != nil {
+		t.Fatalf("auto with nil store: %v", err)
 	}
 
 	store := openStore(t)
 	rec0, rep0 := TraceRecordings(), TraceReplays()
-	first, done, err := runScenario(ctx, s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("auto miss: done=%v err=%v", done, err)
+	first, _, err := s.runWorld(ctx, store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("auto miss: %v", err)
 	}
 	if !store.HasTrace(TraceKey(s)) {
 		t.Fatal("auto miss did not record")
 	}
-	second, done, err := runScenario(ctx, s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("auto hit: done=%v err=%v", done, err)
+	second, _, err := s.runWorld(ctx, store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("auto hit: %v", err)
 	}
 	if d := TraceRecordings() - rec0; d != 1 {
 		t.Errorf("auto pair performed %d recordings, want 1", d)
@@ -230,19 +230,19 @@ func TestTraceCorruptIsMiss(t *testing.T) {
 	}
 
 	s.Trace = "replay"
-	if _, _, err := runScenario(context.Background(), s, store, nil); err == nil {
+	if _, _, err := s.runWorld(context.Background(), store, nil, false, nil); err == nil {
 		t.Fatal("replay of a corrupt trace succeeded")
 	}
 
 	s.Trace = ""
-	liveSum, _, err := runScenario(context.Background(), s, nil, nil)
+	liveSum, _, err := s.runWorld(context.Background(), nil, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Trace = "auto"
-	sum, done, err := runScenario(context.Background(), s, store, nil)
-	if err != nil || !done {
-		t.Fatalf("auto over corrupt trace: done=%v err=%v", done, err)
+	sum, _, err := s.runWorld(context.Background(), store, nil, false, nil)
+	if err != nil {
+		t.Fatalf("auto over corrupt trace: %v", err)
 	}
 	if sum != liveSum {
 		t.Errorf("auto fallback diverged from live:\n live %+v\n auto %+v", liveSum, sum)
@@ -253,6 +253,37 @@ func TestTraceCorruptIsMiss(t *testing.T) {
 	}
 	if _, err := trace.DecodeScript(data); err != nil {
 		t.Errorf("re-recorded blob does not decode: %v", err)
+	}
+}
+
+// TestRunSpecStoreErrorOrder pins the job-list runner's error order: a
+// replay spec whose store holds scripts for some seeds but not others
+// fails with the lowest failing seed, in the "seed N: ..." form, on
+// every run however the pool schedules the jobs.
+func TestRunSpecStoreErrorOrder(t *testing.T) {
+	ctx := context.Background()
+	store := openStore(t)
+	sp := QuickSpec()
+	sp.Nodes = Ptr(16)
+	sp.Duration = Ptr(300.0)
+	sp.Seeds = []int64{1, 2, 3, 4, 5, 6}
+	sp.Trace = Ptr("replay")
+	s, err := sp.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 3} {
+		s.Seed = seed
+		if _, _, err := RecordTrace(ctx, s, store); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Seed = 2
+	want := fmt.Sprintf("seed 2: no recorded trace %s for replay", TraceKey(s))
+	for run := 0; run < 5; run++ {
+		if _, err := RunSpecStore(ctx, sp, store, nil); err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", run, err, want)
+		}
 	}
 }
 

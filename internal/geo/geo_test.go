@@ -15,15 +15,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := b.Sub(a); got != (Point{3, 4}) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := a.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := a.Dot(b); got != 16 {
-		t.Errorf("Dot = %g", got)
-	}
-	if got := b.Sub(a).Norm(); got != 5 {
-		t.Errorf("Norm = %g", got)
-	}
 	if got := a.Dist(b); got != 5 {
 		t.Errorf("Dist = %g", got)
 	}

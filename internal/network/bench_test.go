@@ -26,7 +26,7 @@ func benchWorld(n int, maxStep float64, maxSpeed float64) (*World, *sim.Runner) 
 			X: rng.Uniform(rect.Min.X, rect.Max.X),
 			Y: rng.Uniform(rect.Min.Y, rect.Max.Y),
 		}
-		w.AddNode(&randWalk{pos: start, rect: rect, maxStep: maxStep, rng: rng}, buffer.New(0, nil), &probe{})
+		w.AddNode(&randWalk{pos: start, rect: rect, maxStep: maxStep, rng: rng}, buffer.New(0), &probe{})
 	}
 	w.Start()
 	return w, runner
@@ -60,7 +60,7 @@ func BenchmarkEngineTickStatic400(b *testing.B) {
 	runner := sim.NewRunner(1)
 	w := New(Config{Range: 10, Bandwidth: 1000}, runner)
 	for i := 0; i < 400; i++ {
-		w.AddNode(fixed(float64(i%20)*7, float64(i/20)*7), buffer.New(0, nil), &probe{})
+		w.AddNode(fixed(float64(i%20)*7, float64(i/20)*7), buffer.New(0), &probe{})
 	}
 	w.Start()
 	benchTicks(b, w, runner)
@@ -110,7 +110,7 @@ func walkerWorld(n int, seed int64) (*World, *sim.Runner) {
 		start := geo.Point{X: rng.Uniform(rect.Min.X, rect.Max.X), Y: rng.Uniform(rect.Min.Y, rect.Max.Y)}
 		speed, heading := rng.Uniform(0.5, 1.5), rng.Uniform(0, 2*math.Pi)
 		vel := geo.Point{X: speed * math.Cos(heading), Y: speed * math.Sin(heading)}
-		w.AddNode(&walker{pos: start, vel: vel, rect: rect}, buffer.New(0, nil), &probe{})
+		w.AddNode(&walker{pos: start, vel: vel, rect: rect}, buffer.New(0), &probe{})
 	}
 	w.Start()
 	return w, runner

@@ -29,7 +29,7 @@ func expiryWorld(shards int, script []trace.Event, replay bool) (*World, *sim.Ru
 	for i := 0; i < 30; i++ {
 		rng := root.Derive(fmt.Sprintf("walk-%d", i))
 		start := geo.Point{X: rng.Uniform(rect.Min.X, rect.Max.X), Y: rng.Uniform(rect.Min.Y, rect.Max.Y)}
-		w.AddNode(&randWalk{pos: start, rect: rect, maxStep: 6, rng: rng}, buffer.New(0, nil), &replicator{})
+		w.AddNode(&randWalk{pos: start, rect: rect, maxStep: 6, rng: rng}, buffer.New(0), &replicator{})
 	}
 	if replay {
 		w.SetContactScript(script)
@@ -146,8 +146,8 @@ func TestExpiryFloorAfterPartialSweep(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			runner := sim.NewRunner(1)
 			w := New(Config{Range: 10, Bandwidth: 1000, Shards: tc.shards}, runner)
-			w.AddNode(fixed(0, 0), buffer.New(0, nil), idleRouter{})
-			w.AddNode(fixed(1000, 0), buffer.New(0, nil), idleRouter{})
+			w.AddNode(fixed(0, 0), buffer.New(0), idleRouter{})
+			w.AddNode(fixed(1000, 0), buffer.New(0), idleRouter{})
 			if tc.replay {
 				w.SetContactScript(nil)
 			}

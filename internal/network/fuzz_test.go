@@ -66,7 +66,7 @@ func FuzzGridParity(f *testing.F) {
 			for i := range puppets {
 				start := geo.Point{X: float64(i%5) * 7, Y: float64(i/5) * 7}
 				puppets[i] = &fuzzPuppet{pos: start, next: start}
-				w.AddNode(puppets[i], buffer.New(0, nil), &probe{})
+				w.AddNode(puppets[i], buffer.New(0), &probe{})
 			}
 			w.Start()
 			return w, runner, puppets

@@ -82,7 +82,7 @@ func buildParityWorld(t *testing.T, cfg Config, n int, maxStep float64, seed int
 			Y: rng.Uniform(rect.Min.Y, rect.Max.Y),
 		}
 		mv := &randWalk{pos: start, rect: rect, maxStep: maxStep, rng: rng}
-		w.AddNode(mv, buffer.New(0, nil), &probe{})
+		w.AddNode(mv, buffer.New(0), &probe{})
 	}
 	w.Start()
 	return w, runner
@@ -128,7 +128,7 @@ func TestIncrementalGridParityTeleport(t *testing.T) {
 		rng := root.Derive(fmt.Sprintf("tp-%d", i))
 		mv := &teleporter{rng: rng}
 		mv.Step(0)
-		w.AddNode(mv, buffer.New(0, nil), &probe{})
+		w.AddNode(mv, buffer.New(0), &probe{})
 	}
 	w.Start()
 	for tick := 1; tick <= 300; tick++ {
@@ -167,7 +167,7 @@ func TestUpdateContactsZeroAllocSteadyState(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				x := float64(i%6) * 7
 				y := float64(i/6) * 7
-				w.AddNode(fixed(x, y), buffer.New(0, nil), &probe{})
+				w.AddNode(fixed(x, y), buffer.New(0), &probe{})
 			}
 		}},
 		{"moving", func(w *World) {
@@ -185,7 +185,7 @@ func TestUpdateContactsZeroAllocSteadyState(t *testing.T) {
 						return geo.Point{X: x0 - 2, Y: y0}
 					}
 					return geo.Point{X: x0 + 2, Y: y0}
-				}}, buffer.New(0, nil), &probe{})
+				}}, buffer.New(0), &probe{})
 			}
 		}},
 	}
@@ -256,9 +256,9 @@ func TestGridGrowthAndReclaim(t *testing.T) {
 		sweepMover := &scriptMover{at: func(tt float64) geo.Point {
 			return geo.Point{X: 25 * tt, Y: -60 * tt}
 		}}
-		w.AddNode(sweepMover, buffer.New(0, nil), &probe{})
-		w.AddNode(fixed(3, 3), buffer.New(0, nil), &probe{})
-		w.AddNode(fixed(6, 3), buffer.New(0, nil), &probe{})
+		w.AddNode(sweepMover, buffer.New(0), &probe{})
+		w.AddNode(fixed(3, 3), buffer.New(0), &probe{})
+		w.AddNode(fixed(6, 3), buffer.New(0), &probe{})
 		w.Start()
 		for tick := 1; tick <= 800; tick++ {
 			runner.Run(float64(tick))
@@ -277,14 +277,14 @@ func TestGridGrowthAndReclaim(t *testing.T) {
 		// the table must grow while the pinned pair stays in contact.
 		runner := sim.NewRunner(1)
 		w := New(Config{Range: 10, Bandwidth: 1000}, runner)
-		w.AddNode(fixed(-3, -3), buffer.New(0, nil), &probe{})
-		w.AddNode(fixed(-6, -3), buffer.New(0, nil), &probe{})
+		w.AddNode(fixed(-3, -3), buffer.New(0), &probe{})
+		w.AddNode(fixed(-6, -3), buffer.New(0), &probe{})
 		for i := 0; i < 240; i++ {
 			x0 := float64(i%16) * 15
 			y0 := float64(i/16) * 15
 			w.AddNode(&scriptMover{at: func(tt float64) geo.Point {
 				return geo.Point{X: x0 + 0.7*tt, Y: y0 + 0.3*tt}
-			}}, buffer.New(0, nil), &probe{})
+			}}, buffer.New(0), &probe{})
 		}
 		w.Start()
 		pinned := [2]int32{0, 1}
@@ -470,7 +470,7 @@ func TestCellSizeRule(t *testing.T) {
 	world := func(maxSpeed float64, pts []geo.Point) *World {
 		w := New(Config{Range: 10, Bandwidth: 1000, MaxSpeed: maxSpeed}, sim.NewRunner(1))
 		for _, p := range pts {
-			w.AddNode(fixed(p.X, p.Y), buffer.New(0, nil), &probe{})
+			w.AddNode(fixed(p.X, p.Y), buffer.New(0), &probe{})
 		}
 		return w
 	}

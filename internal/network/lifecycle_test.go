@@ -72,7 +72,7 @@ func scriptedWorld(routers []Router, events []trace.Event) (*World, *sim.Runner)
 	runner := sim.NewRunner(1)
 	w := New(Config{Range: 10, Bandwidth: 1000}, runner)
 	for _, r := range routers {
-		w.AddNode(fixed(0, 0), buffer.New(0, nil), r)
+		w.AddNode(fixed(0, 0), buffer.New(0), r)
 	}
 	w.SetContactScript(events)
 	w.Start()

@@ -54,7 +54,7 @@ import (
 //	D (merge)    tear those down in establishment order and drop them
 //	  from the link list, then establish new contacts in ascending pair
 //	  order — router callbacks all fire on the caller's goroutine.
-//	E (parallel, every ExpirySweepEvery ticks on which World.expiryFloor
+//	E (parallel, every expirySweepEvery ticks on which World.expiryFloor
 //	  says a copy can have expired) purge expired copies from per-node
 //	  buffers (disjoint state), counting per worker and taking each
 //	  chunk's earliest remaining expiry; the merge adds the counts to the

@@ -102,7 +102,7 @@ func buildMixedWorld(cfg Config, seed int64) (*World, *sim.Runner, []*probe) {
 	}) {
 		p := &probe{}
 		probes = append(probes, p)
-		w.AddNode(mv, buffer.New(0, nil), p)
+		w.AddNode(mv, buffer.New(0), p)
 	}
 	for i := 0; i < 20; i++ {
 		rng := root.Derive(fmt.Sprintf("walk-%d", i))
@@ -231,7 +231,7 @@ func TestAutoShards(t *testing.T) {
 func TestScriptedWorldRunsOneWorker(t *testing.T) {
 	w := New(Config{Range: 10, Bandwidth: 1000, Shards: 4}, sim.NewRunner(1))
 	w.SetContactScript(nil)
-	w.AddNode(fixed(0, 0), buffer.New(0, nil), &probe{})
+	w.AddNode(fixed(0, 0), buffer.New(0), &probe{})
 	w.Start()
 	if got := w.Config().Shards; got != 0 || len(w.grid.tables) != 0 || len(w.shard.regW) != 0 {
 		t.Fatalf("scripted world: Shards=%d, %d grid tables, %d region lists; want 0, 0, 0",
@@ -281,13 +281,13 @@ func TestShardedTransfersParity(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			p := &probe{quota: 3}
 			probes = append(probes, p)
-			w.AddNode(fixed(float64(i)*8, 0), buffer.New(0, nil), p)
+			w.AddNode(fixed(float64(i)*8, 0), buffer.New(0), p)
 		}
 		rng := xrand.New(5)
 		tp := &teleporter{rng: rng}
 		tp.Step(0)
 		probes = append(probes, &probe{})
-		w.AddNode(tp, buffer.New(0, nil), probes[len(probes)-1])
+		w.AddNode(tp, buffer.New(0), probes[len(probes)-1])
 		w.Start()
 		return w, runner, probes
 	}

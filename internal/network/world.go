@@ -27,9 +27,6 @@ type Config struct {
 	Range float64
 	// Bandwidth is the link throughput in bytes per second.
 	Bandwidth float64
-	// ExpirySweepEvery purges expired messages every that many ticks
-	// (default 10).
-	ExpirySweepEvery int
 	// MaxSpeed is an upper bound on any node's speed in m/s. When set it
 	// lets the contact detector skip distance checks of far-apart pairs
 	// for provably safe spans (see grid.go). 0 means "no bound known":
@@ -49,9 +46,12 @@ type Config struct {
 // when the world is created.
 const AutoShards = -1
 
+// expirySweepEvery is the tick period of the expired-message purge.
+const expirySweepEvery = 10
+
 // DefaultConfig returns the paper's physical parameters.
 func DefaultConfig() Config {
-	return Config{Range: 10, Bandwidth: 250000, ExpirySweepEvery: 10}
+	return Config{Range: 10, Bandwidth: 250000}
 }
 
 // World owns the nodes and advances the DTN each tick.
@@ -106,9 +106,6 @@ type World struct {
 func New(cfg Config, runner *sim.Runner) *World {
 	if cfg.Range <= 0 || cfg.Bandwidth <= 0 {
 		panic("network: range and bandwidth must be positive")
-	}
-	if cfg.ExpirySweepEvery <= 0 {
-		cfg.ExpirySweepEvery = 10
 	}
 	if cfg.Shards < 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -425,7 +422,7 @@ func (w *World) noteExpiry(at float64) {
 // sweepDue reports whether this tick is an expiry-sweep tick on which
 // some buffered copy can have expired by t.
 func (w *World) sweepDue(t float64) bool {
-	return w.tickCount%uint64(w.cfg.ExpirySweepEvery) == 0 && w.expiryFloor < t
+	return w.tickCount%expirySweepEvery == 0 && w.expiryFloor < t
 }
 
 // sweepExpired purges expired copies from every buffer and resets the

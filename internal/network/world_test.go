@@ -74,7 +74,7 @@ func testWorld(t *testing.T, movers []*scriptMover) (*World, *sim.Runner, []*pro
 	probes := make([]*probe, len(movers))
 	for i, mv := range movers {
 		probes[i] = &probe{}
-		w.AddNode(mv, buffer.New(0, nil), probes[i])
+		w.AddNode(mv, buffer.New(0), probes[i])
 	}
 	w.Start()
 	return w, runner, probes

@@ -315,11 +315,6 @@ func (st *Store) GetTrace(key string) ([]byte, bool) {
 	return data, ok
 }
 
-// GetTraceLocal is GetTrace restricted to the local directory.
-func (st *Store) GetTraceLocal(key string) ([]byte, bool) {
-	return st.GetLocal(Traces, key)
-}
-
 // HasTrace reports whether a trace blob exists for key, without counting
 // a hit or miss — a planning probe, not a read.
 func (st *Store) HasTrace(key string) bool {

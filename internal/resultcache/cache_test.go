@@ -75,7 +75,7 @@ var kindCases = []kindCase{{
 	body:  func(_ string, v int) []byte { return traceBlobOf(v) },
 	put:   func(st *Store, key string, v int) error { return st.PutTrace(key, traceBlobOf(v)) },
 	get:   (*Store).GetTrace,
-	local: (*Store).GetTraceLocal,
+	local: func(st *Store, key string) ([]byte, bool) { return st.GetLocal(Traces, key) },
 	stats: func(s Stats) kindStats { return kindStats{s.TraceHits, s.TraceMisses, s.TracePuts, s.TraceRemoteHits} },
 }}
 

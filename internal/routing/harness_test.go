@@ -61,7 +61,7 @@ func newHarness(t *testing.T, n int, router func(i int) network.Router) *harness
 	for i := 0; i < n; i++ {
 		mv := &switchMover{p: geo.Point{X: float64(10000 * (i + 1)), Y: 0}}
 		h.movers = append(h.movers, mv)
-		w.AddNode(mv, buffer.New(0, nil), router(i))
+		w.AddNode(mv, buffer.New(0), router(i))
 	}
 	w.Start()
 	return h

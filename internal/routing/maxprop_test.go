@@ -254,7 +254,7 @@ func TestMaxPropLazyCostParity(t *testing.T) {
 					h.movers = append(h.movers, mv)
 					r := f().(*MaxProp)
 					r.HopThreshold = i % 3
-					w.AddNode(mv, buffer.New(3000, nil), r)
+					w.AddNode(mv, buffer.New(3000), r)
 				}
 				h.scatter()
 				w.Start()

@@ -15,15 +15,12 @@ type SprayAndWait struct {
 	Base
 	// Lambda is the initial replica count λ.
 	Lambda int
-	// Binary selects binary spraying (default true when constructed via
-	// NewSprayAndWait); source spraying hands out single replicas.
-	Binary bool
 }
 
 // NewSprayAndWait returns a binary Spray-and-Wait router with quota
 // lambda.
 func NewSprayAndWait(lambda int) *SprayAndWait {
-	return &SprayAndWait{Lambda: lambda, Binary: true}
+	return &SprayAndWait{Lambda: lambda}
 }
 
 // InitialReplicas implements network.Router.
@@ -38,11 +35,7 @@ func (r *SprayAndWait) NextTransfer(t float64, peer *network.Node) *network.Plan
 		if c.Replicas <= 1 {
 			continue // wait phase
 		}
-		give := 1
-		if r.Binary {
-			give = c.Replicas / 2
-		}
-		if p := SplitPlan(c, give); p != nil {
+		if p := SplitPlan(c, c.Replicas/2); p != nil {
 			return p
 		}
 	}
@@ -60,9 +53,6 @@ type SprayAndFocus struct {
 	Base
 	// Lambda is the initial replica count λ.
 	Lambda int
-	// FocusThreshold is how much fresher (seconds) the peer's last-seen
-	// time must be to trigger a focus forward.
-	FocusThreshold float64
 	// TransitivityPenalty ages timers adopted from peers (default 120 s).
 	TransitivityPenalty float64
 
@@ -119,7 +109,7 @@ func (r *SprayAndFocus) NextTransfer(t float64, peer *network.Node) *network.Pla
 		if pr == nil {
 			continue
 		}
-		if pr.lastSeen[c.M.To] > r.lastSeen[c.M.To]+r.FocusThreshold {
+		if pr.lastSeen[c.M.To] > r.lastSeen[c.M.To] {
 			return network.Forward(c)
 		}
 	}

@@ -35,19 +35,6 @@ func TestSprayAndWaitWaitPhase(t *testing.T) {
 	}
 }
 
-func TestSprayAndWaitSourceSpray(t *testing.T) {
-	h := newHarness(t, 3, func(int) network.Router {
-		r := NewSprayAndWait(6)
-		r.Binary = false
-		return r
-	})
-	m := h.send(0, 2, 1e6)
-	h.meet(0, 1, 3)
-	if h.replicas(0, m) != 5 || h.replicas(1, m) != 1 {
-		t.Fatalf("source spray: %d / %d, want 5 / 1", h.replicas(0, m), h.replicas(1, m))
-	}
-}
-
 func TestSprayQuotaConserved(t *testing.T) {
 	h := newHarness(t, 5, func(int) network.Router { return NewSprayAndWait(10) })
 	m := h.send(0, 4, 1e6)

@@ -1092,8 +1092,7 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // ListenAndServe runs the daemon on addr until ctx is cancelled, then
 // drains in-flight jobs and shuts the listener down. The bound address is
 // reported through ready (if non-nil) once the listener is up — callers
-// using ":0" learn the port. It is the one serving loop cmd/dtnd and
-// `dtnsim -serve` share.
+// using ":0" learn the port. It is cmd/dtnd's serving loop.
 func ListenAndServe(ctx context.Context, addr string, cfg Config, ready func(addr string)) error {
 	s, err := New(cfg)
 	if err != nil {

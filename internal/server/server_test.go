@@ -345,8 +345,7 @@ func TestDrain(t *testing.T) {
 }
 
 // TestListenAndServe: the daemon loop binds, reports its address, serves,
-// and shuts down cleanly on context cancellation — the cmd/dtnd and
-// `dtnsim -serve` path.
+// and shuts down cleanly on context cancellation — the cmd/dtnd path.
 func TestListenAndServe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	addr := make(chan string, 1)

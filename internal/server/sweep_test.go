@@ -550,6 +550,38 @@ func TestSweepTraceReplay(t *testing.T) {
 	}
 }
 
+// TestJobFailureNamesLowestSeed: a replay job whose store holds scripts
+// for some seeds but not others fails with the lowest failing seed, and
+// the job's error keeps the "seed N: ..." form.
+func TestJobFailureNamesLowestSeed(t *testing.T) {
+	const spec = `{"preset": "quick", "protocol": "CR", "nodes": 16, "duration": 300, "seeds": [1, 2, 3, 4], "trace": "replay"}`
+	s, ts := newTestServer(t, Config{})
+	parsed, err := experiment.ParseSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := parsed.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 3} {
+		sc.Seed = seed
+		if _, _, err := experiment.RecordTrace(context.Background(), sc, s.store); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc.Seed = 2
+	want := "seed 2: no recorded trace " + experiment.TraceKey(sc) + " for replay"
+	sub, code := postSpec(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	jr := waitState(t, ts, sub.JobID, stateDone, stateFailed, stateCancelled)
+	if jr.Status != string(stateFailed) || jr.Error != want {
+		t.Fatalf("job ended %q with error %q, want failed with %q", jr.Status, jr.Error, want)
+	}
+}
+
 // TestSubmitReplaysRecordedWorld: a single job with no trace field is
 // planned like any sweep cell — over a world whose scripts are already
 // stored, the lone cell is marked auto and replays (one seed, one replay)

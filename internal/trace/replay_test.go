@@ -39,7 +39,7 @@ func replayChain(mk func() network.Router) (metrics.Summary, *trace.Script) {
 	rec := trace.NewScriptRecorder(sc.N)
 	w.OnContact(rec.Note)
 	for i := 0; i < sc.N; i++ {
-		w.AddNode(&mobility.Stationary{}, buffer.New(0, nil), mk())
+		w.AddNode(&mobility.Stationary{}, buffer.New(0), mk())
 	}
 	w.Start()
 	w.CreateMessage(0, 0, 3, 1000, 1e6)

@@ -28,7 +28,7 @@ func sinkWorld(n int) (*network.World, *sim.Runner) {
 	runner := sim.NewRunner(1)
 	w := network.New(network.Config{Range: 10, Bandwidth: 1000}, runner)
 	for i := 0; i < n; i++ {
-		w.AddNode(&mobility.Stationary{P: geo.Point{X: float64(1000 * i)}}, buffer.New(0, nil), sink{})
+		w.AddNode(&mobility.Stationary{P: geo.Point{X: float64(1000 * i)}}, buffer.New(0), sink{})
 	}
 	w.Start()
 	return w, runner

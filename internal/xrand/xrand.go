@@ -85,22 +85,8 @@ func (s *Source) UniformInt(lo, hi int) int {
 	return lo + s.rng.Intn(hi-lo+1)
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	return s.rng.ExpFloat64() * mean
-}
-
-// Norm returns a normally distributed value with the given mean and
-// standard deviation.
-func (s *Source) Norm(mean, stddev float64) float64 {
-	return s.rng.NormFloat64()*stddev + mean
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Shuffle pseudo-randomises the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // Pick returns a uniformly chosen element index with the given weights.
 // Zero-total weights fall back to a uniform choice. It panics on an empty

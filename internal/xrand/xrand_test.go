@@ -1,9 +1,6 @@
 package xrand
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestDeterminism(t *testing.T) {
 	a := New(42)
@@ -77,18 +74,6 @@ func TestUniformIntInvalidPanics(t *testing.T) {
 		}
 	}()
 	New(1).UniformInt(5, 4)
-}
-
-func TestExpMean(t *testing.T) {
-	s := New(9)
-	sum := 0.0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += s.Exp(10)
-	}
-	if mean := sum / n; math.Abs(mean-10) > 0.5 {
-		t.Errorf("Exp mean = %g, want ~10", mean)
-	}
 }
 
 func TestPickWeighted(t *testing.T) {
