@@ -11,6 +11,16 @@
 // (experiment.ScenarioSpec.CacheKey), any process pointing at the same
 // directory — a daemon, a CLI sweep, a CI smoke run — reuses every cell
 // and recorded world any of the others already computed.
+//
+// Results also have a bounded in-process tier (memTier): a result read
+// and validated once is kept decoded, with its bytes and the identity of
+// the file it came from (same file, size and mtime, taken from the
+// descriptor that was read). A repeat hit stats the path and is served
+// from memory only while that identity still holds, so the directory
+// stays the one source of truth: another process's overwrite, an
+// eviction, a deletion or an in-place corruption sends the read back to
+// disk and its validator. Trace blobs, megabytes each and decoded once
+// per sweep by their reader, are not kept.
 package resultcache
 
 import (
@@ -58,11 +68,12 @@ type kind struct {
 	// failure there exactly like a miss (re-record), so a torn blob can
 	// never poison a replay.
 	check func(key string, data []byte) (*Result, error)
-	ctr   int // index into Store.ctr
+	ctr   int  // index into Store.ctr
+	mem   bool // validated entries are kept in the memory tier
 }
 
 var (
-	resultKind = &kind{name: Results, ext: ".json", check: DecodeResult, ctr: 0}
+	resultKind = &kind{name: Results, ext: ".json", check: DecodeResult, ctr: 0, mem: true}
 	traceKind  = &kind{name: Traces, ext: ".trace", check: func(string, []byte) (*Result, error) { return nil, nil }, ctr: 1}
 )
 
@@ -93,9 +104,10 @@ type Remote interface {
 // counters is one entry kind's observability counters, exported through
 // Stats (and from there the daemon's /metrics endpoint). Atomics: reads
 // are lock-free and must stay that way. remoteHits is the subset of hits
-// served by pull-through rather than the local directory.
+// served by pull-through rather than the local directory, memHits the
+// subset served from the memory tier.
 type counters struct {
-	hits, misses, puts, remoteHits, remoteMisses atomic.Int64
+	hits, misses, puts, remoteHits, remoteMisses, memHits atomic.Int64
 }
 
 // Store is a bounded on-disk result cache rooted at one directory. A nil
@@ -109,7 +121,7 @@ type Store struct {
 	remote Remote
 
 	// mu serializes eviction sweeps (concurrent Puts would double-count
-	// sizes and race removals); reads are lock-free.
+	// sizes and race removals); reads never take it.
 	mu sync.Mutex
 	// curBytes approximates the store's total size: exact after every
 	// directory scan, incremented per write in between, so a Put under
@@ -125,6 +137,9 @@ type Store struct {
 	scans        atomic.Int64
 	evictions    atomic.Int64
 	evictedBytes atomic.Int64
+
+	// mem is the results' in-process tier; only reads take its lock.
+	mem memTier
 }
 
 // Stats is a point-in-time snapshot of the store's counters. CurBytes is
@@ -146,6 +161,7 @@ type Stats struct {
 	RemoteHits      int64 // result hits pulled through from the remote tier
 	RemoteMisses    int64 // remote result probes that found nothing either
 	TraceRemoteHits int64 // trace hits pulled through from the remote tier
+	MemHits         int64 // result hits served from the memory tier
 }
 
 // Stats returns the store's counters. A nil store reports zeros.
@@ -172,6 +188,7 @@ func (st *Store) Stats() Stats {
 		RemoteHits:      r.remoteHits.Load(),
 		RemoteMisses:    r.remoteMisses.Load(),
 		TraceRemoteHits: t.remoteHits.Load(),
+		MemHits:         r.memHits.Load(),
 	}
 }
 
@@ -193,7 +210,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	return &Store{dir: dir, maxBytes: maxBytes}, nil
+	return &Store{dir: dir, maxBytes: maxBytes, mem: memTier{budget: memBudget}}, nil
 }
 
 // path maps a content address of kind k to its file; the two-character
@@ -222,8 +239,10 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// read is every counted read of one entry. The local file is read and
-// validated; a hit touches its mtime on bounded stores, so entries a
+// read is every counted read of one entry. A result whose file still is
+// the one the memory tier validated is served from memory; otherwise
+// the local file is read and validated, and a valid result enters the
+// tier (a pulled-through one at its first local read). A hit touches the file's mtime on bounded stores, so entries a
 // repeated sweep keeps reusing stay at the young end of the eviction
 // order (an unbounded store never evicts, so it skips the per-hit
 // Chtimes syscall). On a local miss with pull set, the remote tier (if
@@ -237,11 +256,27 @@ func (st *Store) read(k *kind, key string, pull bool) (*Result, []byte, bool) {
 		return nil, nil, false
 	}
 	c := &st.ctr[k.ctr]
-	if data, err := os.ReadFile(path); err == nil {
+	if k.mem {
+		if e := st.mem.get(key); e != nil {
+			if fi, err := os.Stat(path); err == nil && e.matches(fi) {
+				if st.maxBytes > 0 {
+					e.mtime.Store(st.touch(path, fi))
+				}
+				c.memHits.Add(1)
+				c.hits.Add(1)
+				return e.res, e.data, true
+			}
+			st.mem.drop(key, e)
+		}
+	}
+	if data, fi, err := readFile(path); err == nil {
 		if res, err := k.check(key, data); err == nil {
+			mtime := fi.ModTime().UnixNano()
 			if st.maxBytes > 0 {
-				now := time.Now()
-				os.Chtimes(path, now, now) // best-effort LRU touch
+				mtime = st.touch(path, fi)
+			}
+			if k.mem && int64(len(data)) == fi.Size() {
+				st.mem.add(key, newMemEntry(res, data, fi, mtime))
 			}
 			c.hits.Add(1)
 			return res, data, true
@@ -261,6 +296,16 @@ func (st *Store) read(k *kind, key string, pull bool) (*Result, []byte, bool) {
 	return nil, nil, false
 }
 
+// touch is a bounded store's best-effort LRU touch of a hit's file, fi
+// its stat. It returns the mtime the file now has, in Unix nanoseconds.
+func (st *Store) touch(path string, fi os.FileInfo) int64 {
+	now := time.Now()
+	if os.Chtimes(path, now, now) != nil {
+		return fi.ModTime().UnixNano()
+	}
+	return now.UnixNano()
+}
+
 // put persists one entry of kind k and counts it. A nil store or an
 // invalid key discards silently.
 func (st *Store) put(k *kind, key string, data []byte) error {
@@ -276,7 +321,9 @@ func (st *Store) put(k *kind, key string, data []byte) error {
 }
 
 // Get returns the cached result for key, if present and intact, pulling
-// it through from the remote tier on a local miss.
+// it through from the remote tier on a local miss. The result may be
+// shared with other readers through the memory tier: callers must treat
+// it as read-only.
 func (st *Store) Get(key string) (*Result, bool) {
 	res, _, ok := st.read(resultKind, key, true)
 	return res, ok
@@ -284,7 +331,8 @@ func (st *Store) Get(key string) (*Result, bool) {
 
 // GetRaw is Get returning the encoded file bytes alongside the parsed
 // result, so a serving path that only splices the JSON onward (the
-// daemon's cache-hit fast path) never re-encodes it.
+// daemon's cache-hit fast path) never re-encodes it. Both the result and
+// the bytes may be shared: callers must not modify either.
 func (st *Store) GetRaw(key string) (*Result, []byte, bool) {
 	return st.read(resultKind, key, true)
 }

@@ -135,6 +135,9 @@ func (s *Server) metricDefs() []obs.Family {
 		scalar("dtnd_cache_remote_hits_total", "counter", "Result hits served by remote pull-through (another daemon's store).", float64(st.RemoteHits)),
 		scalar("dtnd_cache_remote_misses_total", "counter", "Remote-tier probes that found nothing on any peer.", float64(st.RemoteMisses)),
 		scalar("dtnd_trace_cache_remote_hits_total", "counter", "Trace hits served by remote pull-through.", float64(st.TraceRemoteHits)),
+		// Of the result hits, those served from the store's in-process
+		// tier: a stat of the file, no read and no decode.
+		scalar("dtnd_cache_memory_hits_total", "counter", "Result hits served from the store's in-memory tier (file unchanged since it was validated).", float64(st.MemHits)),
 	}
 	// Coordinator-only families: the fleet dispatcher's aggregate state.
 	f := s.fleet

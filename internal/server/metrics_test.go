@@ -300,3 +300,27 @@ func BenchmarkMetricsScrape(b *testing.B) {
 		}
 	}
 }
+
+// TestMemoryHitsExported: repeat reads of one result are served from the
+// store's memory tier, and /metrics counts them as a subset of the hits.
+func TestMemoryHitsExported(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	key := strings.Repeat("ab", 32)
+	if err := s.store.Put(&Result{Key: key, Seeds: []int64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		resp, err := http.Get(ts.URL + "/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("read %d: status %d", i, resp.StatusCode)
+		}
+	}
+	m := scrapeMetrics(t, ts)
+	if m["dtnd_cache_hits_total"] != 3 || m["dtnd_cache_memory_hits_total"] != 2 {
+		t.Errorf("hits %g, memory hits %g; want 3 and 2", m["dtnd_cache_hits_total"], m["dtnd_cache_memory_hits_total"])
+	}
+}

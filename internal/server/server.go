@@ -944,22 +944,25 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 // with cached=true — by splicing the result's pre-encoded bytes (a store
 // file or a done job's one-time encoding) into a hand-built envelope, so
 // a cache hit never re-marshals the per-seed summary table. Field order
-// and formatting mirror writeJSON's encoding of submitResponse.
+// and formatting mirror writeJSON's encoding of submitResponse; the
+// envelope is plain appends, as the reply is the daemon's hottest path.
 func writeCachedResult(w http.ResponseWriter, jobID, key string, raw []byte) {
-	var b bytes.Buffer
-	b.WriteString("{\n")
+	b := make([]byte, 0, len(raw)+160)
+	b = append(b, "{\n"...)
 	if jobID != "" {
-		fmt.Fprintf(&b, "  %q: %q,\n", "job_id", jobID)
+		b = append(b, `  "job_id": `...)
+		b = append(strconv.AppendQuote(b, jobID), ",\n"...)
 	}
-	fmt.Fprintf(&b, "  %q: %q,\n", "key", key)
-	fmt.Fprintf(&b, "  %q: %q,\n", "status", string(stateDone))
-	fmt.Fprintf(&b, "  %q: true,\n", "cached")
-	fmt.Fprintf(&b, "  %q: ", "result")
-	b.Write(bytes.TrimRight(raw, "\n"))
-	b.WriteString("\n}\n")
+	b = append(b, `  "key": `...)
+	b = append(strconv.AppendQuote(b, key), ",\n"...)
+	b = append(b, `  "status": `...)
+	b = append(strconv.AppendQuote(b, string(stateDone)), ",\n"...)
+	b = append(b, "  \"cached\": true,\n  \"result\": "...)
+	b = append(b, bytes.TrimRight(raw, "\n")...)
+	b = append(b, "\n}\n"...)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(b.Bytes())
+	w.Write(b)
 }
 
 func (s *Server) handlePresets(w http.ResponseWriter, _ *http.Request) {

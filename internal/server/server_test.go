@@ -280,6 +280,24 @@ func TestEntryRoutes(t *testing.T) {
 	}
 }
 
+// TestCachedReplyBytes pins the submit fast path's reply, with and
+// without a job id, to the bytes its earlier fmt-built envelope wrote.
+func TestCachedReplyBytes(t *testing.T) {
+	raw := []byte("{\n  \"key\": \"k\",\n  \"seeds\": [\n    1\n  ]\n}\n")
+	key := "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	for _, c := range []struct{ jobID, want string }{
+		{"j42", "{\n  \"job_id\": \"j42\",\n  \"key\": \"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\",\n  \"status\": \"done\",\n  \"cached\": true,\n  \"result\": {\n  \"key\": \"k\",\n  \"seeds\": [\n    1\n  ]\n}\n}\n"},
+		{"", "{\n  \"key\": \"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\",\n  \"status\": \"done\",\n  \"cached\": true,\n  \"result\": {\n  \"key\": \"k\",\n  \"seeds\": [\n    1\n  ]\n}\n}\n"},
+	} {
+		rec := httptest.NewRecorder()
+		writeCachedResult(rec, c.jobID, key, raw)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" || rec.Body.String() != c.want {
+			t.Errorf("job id %q: status %d, type %q, body %q; want 200, application/json, %q",
+				c.jobID, rec.Code, rec.Header().Get("Content-Type"), rec.Body.String(), c.want)
+		}
+	}
+}
+
 // TestCoalesce: an identical spec submitted while the first is in flight
 // attaches to the same job instead of queueing a duplicate simulation.
 func TestCoalesce(t *testing.T) {

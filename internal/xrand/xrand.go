@@ -85,9 +85,6 @@ func (s *Source) UniformInt(lo, hi int) int {
 	return lo + s.rng.Intn(hi-lo+1)
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Pick returns a uniformly chosen element index with the given weights.
 // Zero-total weights fall back to a uniform choice. It panics on an empty
 // slice.

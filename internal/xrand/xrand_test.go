@@ -110,14 +110,3 @@ func TestPickEmptyPanics(t *testing.T) {
 	}()
 	New(1).Pick(nil)
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	p := New(11).Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
