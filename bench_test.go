@@ -153,8 +153,8 @@ func BenchmarkSnapshotEEV(b *testing.B) {
 	}
 }
 
-// BenchmarkMEMD measures one Theorem-3 computation (own row + indexed
-// heap Dijkstra) at the paper's largest scale, 240 nodes, on synthetic
+// BenchmarkMEMD measures one Theorem-3 computation (own row + radix-queue
+// Dijkstra) at the paper's largest scale, 240 nodes, on synthetic
 // link state; internal/core's BenchmarkMEMDCompute uses a real run's.
 func BenchmarkMEMD(b *testing.B) {
 	const n = 240

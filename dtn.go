@@ -71,8 +71,9 @@ type MeetingStore = core.MeetingStore
 // network size.
 type MeetingMatrix = core.MeetingMatrix
 
-// MEMD computes minimum expected meeting delays (Theorem 3) with a heap
-// Dijkstra over the recorded edges of a History and a MeetingMatrix.
+// MEMD computes minimum expected meeting delays (Theorem 3) with a
+// radix-queue Dijkstra over the recorded edges of a History and a
+// MeetingMatrix.
 type MEMD = core.MEMD
 
 // The protocols of the paper's evaluation plus extra references and

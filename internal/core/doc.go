@@ -23,8 +23,10 @@
 //     intervals over those rows, for the whole network (EER) or one
 //     community (CR).
 //   - MEMD — Theorem 3: the minimum expected meeting delay, computed by a
-//     heap Dijkstra over the MD matrix whose own row holds Theorem-2 EMDs
-//     and whose remaining rows hold MI averages.
+//     radix-queue Dijkstra over the MD matrix whose own row holds
+//     Theorem-2 EMDs and whose remaining rows hold MI averages. A contact
+//     side's MEMDRun freezes those inputs and settles only as far as its
+//     forwarding decisions need.
 //
 // Per-node state grows with the peers a node observed, never with the
 // network size: histories keep one record per met peer, stores one row per

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -26,10 +27,10 @@ var benchEER = sync.OnceValues(func() ([]*routing.EER, float64) {
 	return rs, w.Now()
 })
 
-// BenchmarkMEMDCompute measures one Theorem-3 computation — own Theorem-2
-// row plus the indexed heap Dijkstra over the gossiped MI — on real
-// 240-node link state, cycling over the sampled nodes. Steady state
-// allocates nothing.
+// BenchmarkMEMDCompute measures one full Theorem-3 computation — own
+// Theorem-2 row plus the radix-queue Dijkstra over the gossiped MI, every
+// reachable vertex settled — on real 240-node link state, cycling over the
+// sampled nodes. Steady state allocates nothing.
 func BenchmarkMEMDCompute(b *testing.B) {
 	rs, now := benchEER()
 	calc := core.NewMEMD(240)
@@ -39,4 +40,37 @@ func BenchmarkMEMDCompute(b *testing.B) {
 		r := rs[i%len(rs)]
 		calc.Compute(r.Self.ID, now, r.History(), r.MI().(*core.MeetingMatrix))
 	}
+}
+
+// decideDsts are the destinations BenchmarkMEMDDecide resolves per contact,
+// none of them a sampled node: two, about the single-replica decisions a
+// Figure-2 EER contact makes (1.3 MEMD queries per started side on the
+// 240-node, 1000 s world, seeds 1–4).
+var decideDsts = []int{37, 157}
+
+// BenchmarkMEMDDecide measures the decision path on the same state: per op,
+// one contact between two sampled nodes freezes both sides' MEMD inputs
+// and resolves the single-replica rule for every destination of
+// decideDsts, the peer's delay first and then whether the holder's
+// exceeds it — settling each side only as far as the decisions need.
+// Steady state allocates nothing.
+func BenchmarkMEMDDecide(b *testing.B) {
+	rs, now := benchEER()
+	calc := core.NewMEMD(240)
+	var holder, peer core.MEMDRun
+	forwards := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, p := rs[i%len(rs)], rs[(i+1+i/len(rs)%(len(rs)-1))%len(rs)]
+		calc.Start(&holder, h.Self.ID, now, h.History(), h.MI().(*core.MeetingMatrix))
+		calc.Start(&peer, p.Self.ID, now, p.History(), p.MI().(*core.MeetingMatrix))
+		for _, dst := range decideDsts {
+			if d := calc.DelayTo(&peer, dst); d <= math.MaxFloat64 && calc.Exceeds(&holder, dst, d) {
+				forwards++
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(forwards)/float64(b.N), "forwards/op")
 }

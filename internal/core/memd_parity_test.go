@@ -247,16 +247,18 @@ func checkMEMDParity(t testing.TB, w *miWorld, at float64) {
 			if len(reached) != finite {
 				t.Fatalf("storeOnly=%v from %d: %d reached, oracle %d finite", storeOnly, self, len(reached), finite)
 			}
+			once := make(map[int32]bool, len(reached))
 			for _, r := range reached {
-				if d := calc.Delay(int(r.ID)); math.Float64bits(r.D) != math.Float64bits(d) || DistTo(reached, int(r.ID)) != d {
-					t.Fatalf("reached %d at %v, Delay %v", r.ID, r.D, d)
+				if d := calc.Delay(int(r.ID)); math.Float64bits(r.D) != math.Float64bits(d) || once[r.ID] {
+					t.Fatalf("reached %d at %v (listed before: %v), Delay %v", r.ID, r.D, once[r.ID], d)
 				}
+				once[r.ID] = true
 			}
 		}
 	}
 }
 
-// TestMEMDMatchesDenseOracle checks the heap MEMD (own-row and
+// TestMEMDMatchesDenseOracle checks the kernel MEMD (own-row and
 // store-only) against the array-Dijkstra reference at several points of random
 // full and scoped worlds, including tied and zero-interval weights.
 func TestMEMDMatchesDenseOracle(t *testing.T) {
@@ -317,4 +319,84 @@ func FuzzMEMDParity(f *testing.F) {
 		}
 		checkMEMDParity(t, w, w.now+5)
 	})
+}
+
+// TestMEMDRunsMatchFrozenOracle pins the decision path: runs started on
+// one shared calculator, for every covered node in both MD modes, answer
+// DelayTo and Exceeds exactly as the oracle over their inputs at Start,
+// while the world keeps stepping — the MI merging, cloning and refreshing
+// rows, histories growing — and while queries interleave across runs and
+// with full Computes on the same kernel. Runs are cleared and restarted
+// every epoch, so their storage is recycled.
+func TestMEMDRunsMatchFrozenOracle(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		n    int
+		ids  []int
+	}{{"full", 12, fullIDs(12)}, {"scoped", 16, scopedIDs}, {"wide", 140, wideIDs}} {
+		for _, seed := range []int64{7, 8} {
+			t.Run(fmt.Sprintf("%s-seed%d", sc.name, seed), func(t *testing.T) {
+				w := newMIWorld(sc.n, sc.ids)
+				rng := xrand.New(seed)
+				for k := 0; k < 100; k++ {
+					w.step(rng)
+				}
+				type frozen struct {
+					run  MEMDRun
+					self int
+					ids  []int
+					want []float64
+				}
+				calc := NewMEMD(1)
+				runs := make([]*frozen, 2*len(w.ids))
+				for i := range runs {
+					runs[i] = &frozen{self: w.ids[i/2]}
+				}
+				queries := 0
+				for epoch := 0; epoch < 6; epoch++ {
+					at := w.now + float64(rng.Intn(40))
+					for i, f := range runs {
+						storeOnly := i%2 == 1
+						f.run.Clear()
+						if storeOnly {
+							calc.StartStoreOnly(&f.run, f.self, w.mi[f.self])
+						} else {
+							calc.Start(&f.run, f.self, at, w.hist[f.self], w.mi[f.self])
+						}
+						f.ids, f.want = mdOracle(f.self, at, w.hist[f.self], w.mi[f.self], storeOnly)
+					}
+					for k := 0; k < 400; k++ {
+						if rng.Intn(4) == 0 {
+							w.step(rng)
+						}
+						if rng.Intn(50) == 0 {
+							self := w.ids[rng.Intn(len(w.ids))]
+							calc.Compute(self, w.now, w.hist[self], w.mi[self])
+						}
+						f := runs[rng.Intn(len(runs))]
+						j := rng.Intn(len(f.ids))
+						dst, want := f.ids[j], f.want[j]
+						if rng.Intn(2) == 0 {
+							if got := calc.DelayTo(&f.run, dst); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("epoch %d: run from %d: DelayTo(%d) = %v, oracle %v", epoch, f.self, dst, got, want)
+							}
+						} else {
+							bound := [...]float64{want, math.Nextafter(want, 0), math.Nextafter(want, math.Inf(1)), f.want[rng.Intn(len(f.want))], 0, 1e9}[rng.Intn(6)]
+							if math.IsInf(bound, 0) || math.IsNaN(bound) {
+								bound = 1e9
+							}
+							if got := calc.Exceeds(&f.run, dst, bound); got != (want > bound) {
+								t.Fatalf("epoch %d: run from %d: Exceeds(%d, %v) = %v, oracle delay %v", epoch, f.self, dst, bound, got, want)
+							}
+						}
+						queries++
+					}
+				}
+				if got := calc.DelayTo(&runs[0].run, sc.n+5); !math.IsInf(got, 1) {
+					t.Fatalf("DelayTo an id beyond the network = %v, want +Inf", got)
+				}
+				t.Logf("%d queries", queries)
+			})
+		}
+	}
 }

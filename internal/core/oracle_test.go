@@ -342,7 +342,7 @@ func gossipWorld(n, meetings int, seed int64) (hs []*History, ms []*MeetingMatri
 	return hs, ms, now
 }
 
-// TestSparseMEMDMatchesDense: Theorem-3 delays from the heap Dijkstra over
+// TestSparseMEMDMatchesDense: Theorem-3 delays from the kernel Dijkstra over
 // recorded edges must be bit-identical to the array Dijkstra over the
 // materialised MD matrix, for every source and destination of a gossiped
 // random world; uncovered destinations read +Inf.

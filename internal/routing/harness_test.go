@@ -55,8 +55,14 @@ func (m *switchMover) moveTo(x, y float64)    { m.p = geo.Point{X: x, Y: y} }
 // so a one-second tick completes many transfers.
 func newHarness(t *testing.T, n int, router func(i int) network.Router) *harness {
 	t.Helper()
+	return newHarnessBandwidth(t, n, 1e6, router)
+}
+
+// newHarnessBandwidth is newHarness with the given link bandwidth in B/s.
+func newHarnessBandwidth(t *testing.T, n int, bandwidth float64, router func(i int) network.Router) *harness {
+	t.Helper()
 	runner := sim.NewRunner(1)
-	w := network.New(network.Config{Range: 10, Bandwidth: 1e6}, runner)
+	w := network.New(network.Config{Range: 10, Bandwidth: bandwidth}, runner)
 	h := &harness{t: t, w: w, runner: runner}
 	for i := 0; i < n; i++ {
 		mv := &switchMover{p: geo.Point{X: float64(10000 * (i + 1)), Y: 0}}

@@ -27,9 +27,9 @@ var benchMaxProp = sync.OnceValue(func() []*routing.MaxProp {
 })
 
 // BenchmarkMaxPropRefreshCost measures one Σ(1−p) path-cost recomputation
-// — the indexed heap Dijkstra over the positive probabilities — on real
-// 240-node state, cycling over the sampled routers. Steady state allocates
-// nothing.
+// — the kernel's radix-queue Dijkstra over the positive probabilities — on
+// real 240-node state, cycling over the sampled routers. Steady state
+// allocates nothing.
 func BenchmarkMaxPropRefreshCost(b *testing.B) {
 	rs := benchMaxProp()
 	b.ReportAllocs()

@@ -1,6 +1,9 @@
 package routing
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/network"
@@ -14,25 +17,30 @@ import (
 // condition at contact up and the decision itself.
 
 // meetingShared is per-world state shared by the routers of one factory:
-// the MEMD scratch (the MD of Theorem 3 is transient, so one calculator
-// serves every node on the single simulation goroutine) and a freelist of
-// per-contact state. Contacts are constant churn — each needs a snapshot,
-// a delay list and a decision map — so recycling them removes the router
-// layer's steady-state allocations.
+// the MEMD kernel (the MD of Theorem 3 is transient, so one calculator
+// serves every node on the single simulation goroutine, resuming each
+// contact side's paused search in turn) and a freelist of per-contact
+// state. Contacts are constant churn — each needs a snapshot, a search and
+// a decision map — so recycling them removes the router layer's
+// steady-state allocations.
 type meetingShared struct {
 	memd *core.MEMD
 	free []*contact
+
+	// started, when set (tests only), sees every contact side's MEMD
+	// inputs as they freeze.
+	started func(m *meeting, st *contact)
 }
 
 // get returns a contact opened at t0, recycled when one is free. A
-// recycled contact keeps its storage but none of its state.
+// recycled contact keeps its storage but none of its state (ContactDown
+// already cleared its search).
 func (sh *meetingShared) get(t0 float64) *contact {
 	if n := len(sh.free); n > 0 {
 		st := sh.free[n-1]
 		sh.free = sh.free[:n-1]
 		st.t0 = t0
 		st.snapDone = false
-		st.memdDone = false
 		clear(st.decided)
 		return st
 	}
@@ -47,11 +55,12 @@ type contact struct {
 	// retained across recycling.
 	snap     *core.EEVSnapshot
 	snapDone bool
-	// delays holds the MEMD run's reached destinations (absent = +Inf);
-	// its backing array is retained across recycling.
-	delays   []core.Reach
-	memdDone bool
-	decided  map[int]decision
+	// memd is the side's Theorem-3 search: its inputs freeze at the
+	// contact's first single-replica decision and each decision settles
+	// it only as far as it needs. Its storage is retained across
+	// recycling.
+	memd    core.MEMDRun
+	decided map[int]decision
 }
 
 // decision is the meeting-time decision for one message. EER sets only the
@@ -118,6 +127,7 @@ func (m *meeting) exchange(t float64, pm *meeting) {
 func (m *meeting) ContactDown(t float64, peer *network.Node) {
 	m.Base.ContactDown(t, peer)
 	if st := m.contacts[peer.ID]; st != nil {
+		st.memd.Clear()
 		m.shared.free = append(m.shared.free, st)
 		delete(m.contacts, peer.ID)
 	}
@@ -135,30 +145,38 @@ func (m *meeting) snapshot(st *contact) *core.EEVSnapshot {
 	return st.snap
 }
 
-// memdTo lazily runs the contact's MEMD over the node's MI store and
-// returns the delay to dst: Theorem 3 from the elapsed-conditioned own row,
-// or the A2 mean-interval MD from the store alone. The contact keeps the
-// reached destinations only, so its state grows with the observed contact
-// graph; unreached or uncovered destinations read +Inf.
-func (m *meeting) memdTo(st *contact, dst int) float64 {
-	if !st.memdDone {
-		calc := m.shared.memd
-		if m.storeOnly {
-			calc.ComputeStoreOnly(m.Self.ID, m.mi)
-		} else {
-			calc.Compute(m.Self.ID, st.t0, m.hist, m.mi)
-		}
-		st.delays = append(st.delays[:0], calc.Reached()...)
-		st.memdDone = true
+// startMEMD freezes the contact side's MEMD inputs at its first use:
+// Theorem 3 from the own row conditioned on the time elapsed at t0, or the
+// A2 mean-interval MD from the store alone, over the MI store as it is now.
+func (m *meeting) startMEMD(st *contact) {
+	if st.memd.Started() {
+		return
 	}
-	return core.DistTo(st.delays, dst)
+	if m.storeOnly {
+		m.shared.memd.StartStoreOnly(&st.memd, m.Self.ID, m.mi)
+	} else {
+		m.shared.memd.Start(&st.memd, m.Self.ID, st.t0, m.hist, m.mi)
+	}
+	if m.shared.started != nil {
+		m.shared.started(m, st)
+	}
 }
 
 // forwards is the single-replica rule of Algorithms 1 and 4: hand the copy
-// over when the peer's MEMD to dst undercuts ours by more than h. A peer
-// that cannot reach dst (+Inf) never qualifies for any finite h.
+// over when the peer's MEMD to dst undercuts ours by more than h. Both
+// sides' inputs freeze here at their first decision, but the peer's search
+// runs first, and only until dst: a peer that cannot reach dst (+Inf)
+// never qualifies for any finite h, so ours is then never searched, and
+// otherwise ours stops once its delay is known to be above or within
+// peerD + h.
 func (m *meeting) forwards(st, peerSt *contact, pm *meeting, dst int) bool {
-	return m.memdTo(st, dst) > pm.memdTo(peerSt, dst)+m.hysteresis
+	m.startMEMD(st)
+	pm.startMEMD(peerSt)
+	peerD := pm.shared.memd.DelayTo(&peerSt.memd, dst)
+	if math.IsInf(peerD, 1) {
+		return false
+	}
+	return m.shared.memd.Exceeds(&st.memd, dst, peerD+m.hysteresis)
 }
 
 // horizon returns the EEV horizon for message k decided at time t:
@@ -192,11 +210,11 @@ func (m *meeting) NextTransfer(t float64, peer *network.Node) *network.Plan {
 	for _, c := range m.Candidates(t, peer) {
 		d, seen := st.decided[c.M.ID]
 		if !seen {
+			// World.contactUp runs both sides' ContactUp, which open
+			// both contacts, before the link's first pump.
 			peerSt := pm.contacts[m.Self.ID]
 			if peerSt == nil {
-				// The peer has not (yet) seen this contact; evaluate its
-				// side directly at our meeting time.
-				peerSt = &contact{t0: st.t0}
+				panic(fmt.Sprintf("routing: node %d pumps its contact with node %d, which has no contact open with it", m.Self.ID, peer.ID))
 			}
 			d = m.rule.decide(st, peerSt, pm, c)
 			st.decided[c.M.ID] = d
